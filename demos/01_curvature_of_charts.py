@@ -20,8 +20,7 @@ def main():
     # the unit 2-sphere in polar coordinates
     s2 = chart("s2", ["t", "p"], [["1", "0"], ["0", "sin(t)^2"]])
     point = [np.pi / 3, 0.2]
-    R4 = cv.riemann(s2, point)
-    g = s2.metric_at(point)
+    g, _, R4 = cv.riemann(s2, point)
     K = cv.sectional(R4, g, np.eye(2)[0], np.eye(2)[1])
     _, s = cv.ricci_scalar(R4, g)
     print(f"unit sphere: sectional={K:+.6f} scalar={s:+.6f}")
@@ -30,8 +29,7 @@ def main():
     h2 = chart("h2", ["x", "y"],
                [["4/(1 - x^2 - y^2)^2", "0"], ["0", "4/(1 - x^2 - y^2)^2"]])
     point = [0.3, -0.1]
-    R4 = cv.riemann(h2, point)
-    g = h2.metric_at(point)
+    g, _, R4 = cv.riemann(h2, point)
     K = cv.sectional(R4, g, np.eye(2)[0], np.eye(2)[1])
     print(f"hyperbolic plane: sectional={K:+.6f}")
 

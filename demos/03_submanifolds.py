@@ -27,13 +27,12 @@ def flat(n):
 
 
 def describe(label, imm, u, umbilical_tol=1e-8):
-    data = im.second_fundamental_form(imm, u)
-    g_amb = imm.target.metric_at(data.point)
+    st = im.stencil(imm, u)
+    data = st.data
     H = data.mean_curvature
-    h_norm = float(np.sqrt(max(H @ g_amb @ H, 0.0)))
-    dh = max(float(np.max(np.abs(im.normal_connection_DH(imm, u, np.eye(imm.k)[a]))))
-             for a in range(imm.k))
-    r21, r22 = im.codazzi_residuals(imm, u, umbilical_tol=umbilical_tol)
+    h_norm = float(np.sqrt(max(H @ data.ambient_metric @ H, 0.0)))
+    dh = max(float(np.max(np.abs(v))) for v in st.dh)
+    r21, r22 = im.codazzi_residuals(imm, st, umbilical_tol=umbilical_tol)
     print(f"{label}:")
     print(f"    |H| = {h_norm:.6f}   umbilicity residual = {data.umbilicity:.2e}")
     print(f"    max|D_X H| = {dh:.2e}")
@@ -63,8 +62,7 @@ def main():
     # the exact pullback chart reproduces the intrinsic curvature
     induced = sphere.induced_chart()
     point = [0.9, 0.5]
-    R4 = cv.riemann(induced, point)
-    g = induced.metric_at(point)
+    g, _, R4 = cv.riemann(induced, point)
     K = cv.sectional(R4, g, np.eye(2)[0], np.eye(2)[1])
     print(f"intrinsic sectional curvature of the radius-2 sphere: {K:.6f}"
           f" (expected 0.25)")

@@ -1,4 +1,4 @@
-"""Structure validation and classification of almost Hermitian charts.
+"""Classification of almost Hermitian charts from precomputed point data.
 
 Checks produce residuals; a flag passes iff its residual is at most the
 tolerance.  Everything is deterministic given (chart, points, seed).
@@ -22,36 +22,28 @@ NONE = "none"
 _ANGLE_TOL = 1e-8  # principal-angle threshold for subspace comparisons
 
 
-def validate_structure(chart, point, tolerance=1e-9):
-    """Max-norm residuals (|J^2 + I|, |g(J.,J.) - g|) at a point."""
-    J = chart.j_at(point)
-    if J is None:
+def _require_j(chart, pd):
+    if pd.J is None:
         raise MissingStructureError(f"chart {chart.name!r} has no almost complex structure")
-    g = chart.metric_at(point)
-    r_square = float(np.max(np.abs(J @ J + np.eye(chart.dim))))
-    r_compat = float(np.max(np.abs(J.T @ g @ J - g)))
-    return r_square, r_compat, (r_square <= tolerance and r_compat <= tolerance)
+    return pd.J
 
 
-def nabla_j(chart, point):
-    """Covariant derivative (nabla J)[k,i,j] = nabla_k J^i_j."""
-    J = chart.j_at(point)
-    if J is None:
-        raise MissingStructureError(f"chart {chart.name!r} has no almost complex structure")
-    dJ = chart.dj_at(point)
-    gamma = cv.christoffel(chart, point)
-    return (dJ + np.einsum("ikm,mj->kij", gamma, J)
-            - np.einsum("mkj,im->kij", gamma, J))
+def nabla_j(chart, pd):
+    """Covariant derivative (nabla J)[k,i,j] = nabla_k J^i_j at a point."""
+    J = _require_j(chart, pd)
+    dJ = chart.dj_at(pd.point)
+    return (dJ + np.einsum("ikm,mj->kij", pd.gamma, J)
+            - np.einsum("mkj,im->kij", pd.gamma, J))
 
 
-def nabla_J_residuals(chart, point, sampler, samples=32):
+def nabla_J_residuals(chart, pd, sampler, samples=32):
     """(kahler_residual, nk_residual) at a point.
 
     kahler_residual is the max component of nabla J; nk_residual is the max
     g-norm of (nabla_X J) X over sampled unit X.
     """
-    nj = nabla_j(chart, point)
-    g = chart.metric_at(point)
+    nj = nabla_j(chart, pd)
+    g = pd.g
     kahler = float(np.max(np.abs(nj)))
     nk = 0.0
     for _ in range(samples):
@@ -100,10 +92,24 @@ def _antiholomorphic_pair(g, J, sampler):
     return X, Y
 
 
-def constancy_report(chart, points, sampler, samples=32, tolerance=1e-8):
+def sample_invariants(pd, sampler, samples):
+    """Lists of holomorphic sectional, antiholomorphic sectional and
+    constant-type values at a point, one of each per sample: a unit X for
+    the first, then an antiholomorphic unit pair (X, Y) for the other two."""
+    hvals, kvals, lvals = [], [], []
+    for _ in range(samples):
+        X = fr.sample_orthonormal_set(pd.g, 1, sampler)[0]
+        hvals.append(cv.holomorphic_sectional(pd.riemann, pd.g, pd.J, X))
+        X, Y = _antiholomorphic_pair(pd.g, pd.J, sampler)
+        kvals.append(cv.sectional(pd.riemann, pd.g, X, Y))
+        lvals.append(cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y))
+    return hvals, kvals, lvals
+
+
+def constancy_report(chart, pds, sampler, samples=32, tolerance=1e-8):
     """Per-point and cross-point constancy of the three chart invariants:
     holomorphic sectional curvature, antiholomorphic sectional curvature,
-    and the constant-type value.
+    and the constant-type value, over the point data ``pds``.
 
     Returns a list of check records; the reported constant is the sample
     mean, "pointwise" passes when every per-point std is within tolerance,
@@ -111,20 +117,9 @@ def constancy_report(chart, points, sampler, samples=32, tolerance=1e-8):
     """
     stats = {"holomorphic_sectional": [], "antiholomorphic_sectional": [],
              "constant_type": []}
-    for point in points:
-        pd = cv.point_data(chart, point, with_weyl=False)
-        if pd.J is None:
-            raise MissingStructureError(f"chart {chart.name!r} has no almost complex structure")
-        hvals, kvals, lvals = [], [], []
-        for _ in range(samples):
-            X = fr.sample_orthonormal_set(pd.g, 1, sampler)[0]
-            hvals.append(cv.holomorphic_sectional(pd.riemann, pd.g, pd.J, X))
-            X, Y = _antiholomorphic_pair(pd.g, pd.J, sampler)
-            kvals.append(cv.sectional(pd.riemann, pd.g, X, Y))
-            lvals.append(cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y))
-        for key, vals in (("holomorphic_sectional", hvals),
-                          ("antiholomorphic_sectional", kvals),
-                          ("constant_type", lvals)):
+    for pd in pds:
+        _require_j(chart, pd)
+        for key, vals in zip(stats, sample_invariants(pd, sampler, samples)):
             stats[key].append((float(np.mean(vals)), float(np.std(vals))))
 
     report = []
@@ -148,11 +143,11 @@ def constancy_report(chart, points, sampler, samples=32, tolerance=1e-8):
     return report
 
 
-def classify_chart(chart, points, seed=0, samples=32, tolerance=1e-8,
+def classify_chart(chart, pds, seed=0, samples=32, tolerance=1e-8,
                    nk_tolerance=1e-6):
     """Full classification record for a chart with an almost complex
-    structure: compatibility, Kahler/NK/RK flags, conformal flatness, and
-    the constancy report."""
+    structure, over the point data ``pds``: compatibility, Kahler/NK/RK
+    flags, conformal flatness, and the constancy report."""
     sampler = fr.FrameSampler(seed, chart.dim)
     checks = []
 
@@ -164,16 +159,14 @@ def classify_chart(chart, points, seed=0, samples=32, tolerance=1e-8,
     r_sq = r_comp = 0.0
     kahler = nk = rk = 0.0
     weyl_norm = 0.0
-    for point in points:
-        a, b, _ = validate_structure(chart, point, tolerance)
+    for pd in pds:
+        a, b = fr.hermitian_residuals(pd.g, _require_j(chart, pd))
         r_sq, r_comp = max(r_sq, a), max(r_comp, b)
-        ka, nka = nabla_J_residuals(chart, point, sampler, samples)
+        ka, nka = nabla_J_residuals(chart, pd, sampler, samples)
         kahler, nk = max(kahler, ka), max(nk, nka)
-        pd = cv.point_data(chart, point, with_weyl=chart.dim >= 4)
         rk = max(rk, rk_residual(pd.riemann, pd.J))
         if pd.weyl is not None:
-            scale = max(np.max(np.abs(pd.riemann)), 1.0)
-            weyl_norm = max(weyl_norm, float(np.max(np.abs(pd.weyl)) / scale))
+            weyl_norm = max(weyl_norm, cv.relative_weyl_norm(pd))
 
     record("j_squared", r_sq, tolerance)
     record("j_compatible", r_comp, tolerance)
@@ -182,6 +175,6 @@ def classify_chart(chart, points, seed=0, samples=32, tolerance=1e-8,
     record("rk", rk, tolerance)
     if chart.dim >= 4:
         record("conformally_flat", weyl_norm, tolerance)
-    constancy = constancy_report(chart, points, sampler, samples, tolerance)
-    return {"chart": chart.name, "points": [list(map(float, p)) for p in points],
+    constancy = constancy_report(chart, pds, sampler, samples, tolerance)
+    return {"chart": chart.name, "points": [list(map(float, pd.point)) for pd in pds],
             "checks": checks, "constancy": constancy}

@@ -37,9 +37,12 @@ def _parse_points(chart_dim, point_args, hint):
         if len(parts) != chart_dim:
             raise UsageError(f"--point needs {chart_dim} comma-separated values, got {text!r}")
         try:
-            points.append(np.array([float(p) for p in parts]))
+            point = np.array([float(p) for p in parts])
         except ValueError as exc:
             raise UsageError(f"bad point {text!r}: {exc}") from exc
+        if not np.all(np.isfinite(point)):
+            raise UsageError(f"--point values must be finite, got {text!r}")
+        points.append(point)
     return points
 
 
@@ -52,32 +55,26 @@ def _analyze_report(chart, points, seed, tol, samples, require_weyl):
         "command": "analyze", "chart": chart.name, "dim": chart.dim,
         "seed": seed, "tolerance": tol, "samples": samples, "points": [],
     }
-    for point in points:
-        pd = cv.point_data(chart, point, with_weyl=chart.dim >= 4)
-        entry = {"point": [float(v) for v in point], "scalar_curvature": pd.scalar}
+    pds = [cv.point_data(chart, point) for point in points]
+    for pd in pds:
+        entry = {"point": [float(v) for v in pd.point], "scalar_curvature": pd.scalar}
         if pd.weyl is not None:
-            scale = max(float(np.max(np.abs(pd.riemann))), 1.0)
-            entry["weyl_norm"] = float(np.max(np.abs(pd.weyl)) / scale)
+            entry["weyl_norm"] = cv.relative_weyl_norm(pd)
         if pd.J is not None:
-            hs, lam = [], []
-            for _ in range(samples):
-                X = fr.sample_orthonormal_set(pd.g, 1, sampler)[0]
-                hs.append(cv.holomorphic_sectional(pd.riemann, pd.g, pd.J, X))
-                X, Y = cl._antiholomorphic_pair(pd.g, pd.J, sampler)
-                lam.append(cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y))
+            hs, _, lam = cl.sample_invariants(pd, sampler, samples)
             entry["holomorphic_sectional"] = {"mean": float(np.mean(hs)),
                                               "std": float(np.std(hs))}
             entry["constant_type"] = {"mean": float(np.mean(lam)),
                                       "std": float(np.std(lam))}
         report["points"].append(entry)
     if chart.has_j():
-        classification = cl.classify_chart(chart, points, seed=seed,
+        classification = cl.classify_chart(chart, pds, seed=seed,
                                            samples=samples, tolerance=tol)
         report["checks"] = classification["checks"]
         report["constancy"] = classification["constancy"]
-        pd0 = cv.point_data(chart, points[0], with_weyl=False)
         ident = ax.proof_identity_residuals(
-            pd0.riemann, pd0.g, pd0.J, fr.FrameSampler(seed, chart.dim), frames=samples)
+            pds[0].riemann, pds[0].g, pds[0].J, fr.FrameSampler(seed, chart.dim),
+            frames=samples)
         report["identity_residuals"] = ident
     return report
 
@@ -95,8 +92,9 @@ def cmd_classify(args):
     chart, _ = reportio.load_manifold_file(args.file)
     if not chart.has_j():
         raise UsageError(f"chart {chart.name!r} has no almost complex structure to classify")
-    points = _parse_points(chart.dim, args.point, chart.domain_hint)
-    report = cl.classify_chart(chart, points, seed=args.seed,
+    pds = [cv.point_data(chart, point)
+           for point in _parse_points(chart.dim, args.point, chart.domain_hint)]
+    report = cl.classify_chart(chart, pds, seed=args.seed,
                                samples=args.samples, tolerance=args.tol)
     report = {"command": "classify", **report, "seed": args.seed, "tolerance": args.tol}
     sys.stdout.write(reportio.dump_report(report))
@@ -111,14 +109,12 @@ def cmd_submanifold(args):
     report = {"command": "submanifold", "chart": chart.name,
               "sub_dim": immersion.k, "tolerance": args.tol, "points": []}
     for u in points:
-        data = im.second_fundamental_form(immersion, u)
-        dh = [im.normal_connection_DH(immersion, u, np.eye(immersion.k)[a])
-              for a in range(immersion.k)]
-        dh_max = max(float(np.max(np.abs(v))) for v in dh)
-        r21, r22 = im.codazzi_residuals(immersion, u)
+        st = im.stencil(immersion, u)
+        data = st.data
+        dh_max = max(float(np.max(np.abs(v))) for v in st.dh)
+        r21, r22 = im.codazzi_residuals(immersion, st)
         H = data.mean_curvature
-        g_amb = immersion.target.metric_at(data.point)
-        h_norm = float(np.sqrt(max(H @ g_amb @ H, 0.0)))
+        h_norm = float(np.sqrt(max(H @ data.ambient_metric @ H, 0.0)))
         alpha_max = float(np.max(np.abs(data.alpha)))
         geodesic = alpha_max <= args.tol * max(1.0, float(np.max(np.abs(data.induced))))
         entry = {
@@ -246,13 +242,33 @@ def build_parser():
     return parser
 
 
+def _join_point_values(argv):
+    """Rewrite each ``--point VALUE`` as ``--point=VALUE``: argparse would read
+    the leading '-' of a negative coordinate as an option."""
+    out = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg == "--point" else None
+        out.append(arg if value is None else f"--point={value}")
+    return out
+
+
+def _check_counts(args):
+    for name in ("samples", "frames"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name} must be at least 1, got {value}")
+
+
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_point_values(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        _check_counts(args)
         return args.fn(args)
     except (UsageError, reportio.ManifoldFileError, ex.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,12 @@
 """Connection and curvature of a coordinate chart.
 
 All derivatives of the metric (and of a symbolic almost complex structure)
-are taken exactly on the expression trees; finite differences appear only
-where a structure is defined pointwise (see models.py) or in test oracles.
+are taken exactly on the expression trees; finite differences (``richardson``)
+appear only where a structure is defined pointwise (see models.py), for fields
+along submanifolds (see immersions.py), or in test oracles.
+
+``point_data`` is the one evaluation of a chart point: metric, Christoffel
+symbols, curvature, Ricci, Weyl and J.  Everything downstream reads from it.
 
 Index conventions, pinned by the round-sphere normalization tests:
 
@@ -117,16 +121,18 @@ class ManifoldChart:
                               for i in range(n)] for k in range(n)])
         if self.complex_structure_fn is None:
             return None
-        point = np.asarray(point, dtype=float)
-        out = np.empty((n, n, n))
-        h = 1e-2
-        for k in range(n):
-            step = np.zeros(n)
-            step[k] = 1.0
-            d_h = (self.j_at(point + h * step) - self.j_at(point - h * step)) / (2 * h)
-            d_h2 = (self.j_at(point + h / 2 * step) - self.j_at(point - h / 2 * step)) / h
-            out[k] = (4.0 * d_h2 - d_h) / 3.0
-        return out
+        return np.array([richardson(self.j_at, point, np.eye(n)[k], 1e-2)
+                         for k in range(n)])
+
+
+def richardson(field_fn, u, direction, h):
+    """Derivative of an array-valued ``field_fn`` at ``u`` along ``direction``:
+    central differences at steps h and h/2, Richardson-extrapolated (O(h^4))."""
+    u = np.asarray(u, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    d_h = (field_fn(u + h * d) - field_fn(u - h * d)) / (2 * h)
+    d_h2 = (field_fn(u + (h / 2) * d) - field_fn(u - (h / 2) * d)) / h
+    return (4.0 * d_h2 - d_h) / 3.0
 
 
 @dataclass(frozen=True)
@@ -145,10 +151,13 @@ class PointData:
 def christoffel(chart, point):
     """Levi-Civita Christoffel symbols gamma[a,i,j] = Gamma^a_ij at a point."""
     g = chart.metric_at(point)
-    gi = np.linalg.inv(g)
-    d1 = _eval_d1(chart, point)
+    return _christoffel(np.linalg.inv(g), _eval_d1(chart, point))[1]
+
+
+def _christoffel(gi, d1):
+    """(T, gamma) with T[m,i,j] = d_i g_mj + d_j g_mi - d_m g_ij."""
     T = np.einsum("imj->mij", d1) + np.einsum("jmi->mij", d1) - d1
-    return 0.5 * np.einsum("am,mij->aij", gi, T)
+    return T, 0.5 * np.einsum("am,mij->aij", gi, T)
 
 
 def _eval_d1(chart, point):
@@ -168,14 +177,14 @@ def _eval_d2(chart, point):
 
 
 def riemann(chart, point):
-    """All-lower curvature tensor R4[i,j,k,l] = g(R(d_i,d_j) d_k, d_l)."""
+    """(g, gamma, R4) at a point from one evaluation of the metric and its
+    derivative tables: the metric, gamma[a,i,j] = Gamma^a_ij, and the
+    all-lower curvature tensor R4[i,j,k,l] = g(R(d_i,d_j) d_k, d_l)."""
     g = chart.metric_at(point)
     gi = np.linalg.inv(g)
     d1 = _eval_d1(chart, point)
     d2 = _eval_d2(chart, point)
-
-    T = np.einsum("imj->mij", d1) + np.einsum("jmi->mij", d1) - d1
-    gamma = 0.5 * np.einsum("am,mij->aij", gi, T)
+    T, gamma = _christoffel(gi, d1)
 
     dgi = -np.einsum("am,cmn,nb->cab", gi, d1, gi)
     dT = (np.einsum("cimj->cmij", d2) + np.einsum("cjmi->cmij", d2) - d2)
@@ -186,7 +195,7 @@ def riemann(chart, point):
     rup = (np.einsum("iljk->lkij", dgamma) - np.einsum("jlik->lkij", dgamma)
            + np.einsum("lim,mjk->lkij", gamma, gamma)
            - np.einsum("ljm,mik->lkij", gamma, gamma))
-    return np.einsum("lm,mkij->ijkl", g, rup)
+    return g, gamma, np.einsum("lm,mkij->ijkl", g, rup)
 
 
 def ricci_scalar(R4, g):
@@ -210,17 +219,22 @@ def weyl(R4, S, s, g, dim=None):
 
 
 def point_data(chart, point, with_weyl=True):
+    """Everything the chart pipeline reads at one point, from one ``riemann``."""
     point = np.asarray(point, dtype=float)
-    g = chart.metric_at(point)
+    g, gamma, R4 = riemann(chart, point)
     gi = np.linalg.inv(g)
-    gamma = christoffel(chart, point)
-    R4 = riemann(chart, point)
     S, s = ricci_scalar(R4, g)
     C = None
     if with_weyl and chart.dim >= 4:
         C = weyl(R4, S, s, g)
     return PointData(point=point, g=g, g_inv=gi, J=chart.j_at(point),
                      gamma=gamma, riemann=R4, ricci=S, scalar=s, weyl=C)
+
+
+def relative_weyl_norm(pd):
+    """max |C| / max(max |R|, 1) of point data that carries the Weyl tensor."""
+    scale = max(np.max(np.abs(pd.riemann)), 1.0)
+    return float(np.max(np.abs(pd.weyl)) / scale)
 
 
 def curvature_value(R4, X, Y, Z, U):
@@ -281,9 +295,7 @@ def weyl_trace_residual(C, g, relative=True):
     gi = np.linalg.inv(g)
     scale = max(np.max(np.abs(C)), 1e-300) if relative else 1.0
     worst = 0.0
-    pairs = [("il,ijkl->jk", None), ("ik,ijkl->jl", None),
-             ("jk,ijkl->il", None), ("jl,ijkl->ik", None),
-             ("ij,ijkl->kl", None), ("kl,ijkl->ij", None)]
-    for spec, _ in pairs:
+    for spec in ("il,ijkl->jk", "ik,ijkl->jl", "jk,ijkl->il",
+                 "jl,ijkl->ik", "ij,ijkl->kl", "kl,ijkl->ij"):
         worst = max(worst, float(np.max(np.abs(np.einsum(spec, gi, C)))))
     return worst / scale

@@ -437,18 +437,6 @@ def substitute(e, mapping):
     return e
 
 
-def free_symbols(e):
-    if isinstance(e, Sym):
-        return {e.name}
-    if isinstance(e, Neg):
-        return free_symbols(e.arg)
-    if isinstance(e, Call):
-        return free_symbols(e.arg)
-    if isinstance(e, BinOp):
-        return free_symbols(e.left) | free_symbols(e.right)
-    return set()
-
-
 # ---------------------------------------------------------------------------
 # printing
 

@@ -16,14 +16,11 @@ class IncompatibleStructureError(ValueError):
 
 
 _PIVOT = 1e-10
+_HERMITIAN_TOL = 1e-9
 
 
 class FrameSampler:
-    """Deterministic source of raw vectors for frame construction.
-
-    Single-owner mutable state: concurrent workers should each hold their own
-    sampler, seeded by (base seed, worker index).
-    """
+    """Deterministic source of raw vectors for frame construction."""
 
     def __init__(self, seed, dimension):
         self.seed = int(seed)
@@ -33,10 +30,6 @@ class FrameSampler:
     def draw(self, count=1):
         """Raw vectors with components uniform in [-1, 1), shape (count, dim)."""
         return self._rng.uniform(-1.0, 1.0, size=(count, self.dimension))
-
-    def spawn(self, index):
-        """Independent sampler for worker ``index``."""
-        return FrameSampler(self.seed * 1000003 + index, self.dimension)
 
 
 def gram_schmidt(vectors, g):
@@ -90,17 +83,12 @@ def sample_orthonormal_set(g, k, sampler, constraints=None):
     return out
 
 
-def validate_hermitian_pair(g, J, tol=1e-9):
-    """Residuals (|J^2 + I|, |g(J.,J.) - g|) in max norm; raise above ``tol``."""
+def hermitian_residuals(g, J):
+    """Max-norm residuals (|J^2 + I|, |g(J.,J.) - g|) of a pair (g, J)."""
     g = np.asarray(g, dtype=float)
     J = np.asarray(J, dtype=float)
-    r_square = np.max(np.abs(J @ J + np.eye(J.shape[0])))
-    r_compat = np.max(np.abs(J.T @ g @ J - g))
-    if r_square > tol or r_compat > tol:
-        raise IncompatibleStructureError(
-            f"almost complex structure incompatible: |J^2+I|={r_square:.3e}, "
-            f"|J^T g J - g|={r_compat:.3e}")
-    return r_square, r_compat
+    return (float(np.max(np.abs(J @ J + np.eye(J.shape[0])))),
+            float(np.max(np.abs(J.T @ g @ J - g))))
 
 
 def adapted_hermitian_frame(g, J, sampler):
@@ -110,7 +98,11 @@ def adapted_hermitian_frame(g, J, sampler):
     """
     g = np.asarray(g, dtype=float)
     J = np.asarray(J, dtype=float)
-    validate_hermitian_pair(g, J)
+    r_square, r_compat = hermitian_residuals(g, J)
+    if r_square > _HERMITIAN_TOL or r_compat > _HERMITIAN_TOL:
+        raise IncompatibleStructureError(
+            f"almost complex structure incompatible: |J^2+I|={r_square:.3e}, "
+            f"|J^T g J - g|={r_compat:.3e}")
     dim = g.shape[0]
     if dim % 2:
         raise IncompatibleStructureError("almost complex structure needs even dimension")

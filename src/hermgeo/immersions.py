@@ -5,7 +5,9 @@ The pullback metric and the form components at a point are exact (symbolic
 derivatives of the immersion map and the ambient metric); derivatives of
 fields along the submanifold (the normal connection and the covariant
 derivative of the form) use Richardson-extrapolated central differences,
-since the Gram-Schmidt normal projection is not closed-form.
+since the Gram-Schmidt normal projection is not closed-form.  ``stencil``
+evaluates the form once at a point and once at each stencil point; the
+normal connection and the Codazzi residuals both read from it.
 """
 
 from dataclasses import dataclass, field
@@ -101,6 +103,8 @@ class SecondFundamentalData:
     alpha: np.ndarray                 # (k, k, N) normal-valued form
     mean_curvature: np.ndarray        # ambient normal vector H
     umbilicity: float
+    ambient_metric: np.ndarray        # (N, N) target metric at ``point``
+    ambient_gamma: np.ndarray         # (N, N, N) target Christoffel symbols there
 
 
 def _normal_projector(frames_tangent, g):
@@ -118,7 +122,6 @@ def _frames_at(imm, u):
     tangent = gram_schmidt([F[:, a] for a in range(imm.k)], g_amb)
     N = imm.target.dim
     normal = []
-    pool = tangent + normal
     for p in range(N):
         if len(normal) == N - imm.k:
             break
@@ -175,80 +178,72 @@ def second_fundamental_form(imm, u):
     umb = np.max(np.abs(alpha - np.einsum("ab,l->abl", G, H))) / scale
     return SecondFundamentalData(
         u=u, point=x, tangent=F, tangent_frame=tangent, normal_frame=normal,
-        induced=G, alpha=alpha, mean_curvature=H, umbilicity=float(umb))
+        induced=G, alpha=alpha, mean_curvature=H, umbilicity=float(umb),
+        ambient_metric=g_amb, ambient_gamma=gamma)
 
 
-def mean_curvature(data):
-    """Mean curvature vector of precomputed second-fundamental-form data."""
-    return data.mean_curvature
+@dataclass(frozen=True)
+class Stencil:
+    """Second fundamental form at a point and its derivatives along each
+    sub-coordinate direction a, from one form evaluation at each of the 4k
+    Richardson stencil points around it."""
+    data: SecondFundamentalData
+    dalpha: np.ndarray                # (k, k, k, N): d_a of the alpha components
+    dh: list                          # k normal vectors D_a H
 
 
-def umbilicity_residual(data):
-    return data.umbilicity
+def stencil(imm, u):
+    """The ``Stencil`` of ``imm`` at sub-chart point ``u``."""
+    data = second_fundamental_form(imm, u)
+    k, N = imm.k, imm.target.dim
+
+    def field(v):
+        sff = second_fundamental_form(imm, v)
+        return np.concatenate([sff.alpha.ravel(), sff.mean_curvature])
+
+    d = np.array([cv.richardson(field, data.u, np.eye(k)[a], _FD_STEP)
+                  for a in range(k)])
+    return Stencil(data=data, dalpha=d[:, :-N].reshape(k, k, k, N),
+                   dh=normal_connection_DH(data, d[:, -N:]))
 
 
-def _richardson(field_fn, u, direction, h=_FD_STEP):
-    u = np.asarray(u, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    d_h = (field_fn(u + h * d) - field_fn(u - h * d)) / (2 * h)
-    d_h2 = (field_fn(u + (h / 2) * d) - field_fn(u - (h / 2) * d)) / h
-    return (4.0 * d_h2 - d_h) / 3.0
+def normal_connection_DH(data, dmean):
+    """Normal-connection derivatives D_a H along each sub-coordinate
+    direction, given the coordinate derivatives ``dmean[a]`` of H."""
+    project = _normal_projector(data.tangent_frame, data.ambient_metric)
+    return [project(dmean[a] + np.einsum("lpm,p,m->l", data.ambient_gamma,
+                                         data.tangent[:, a], data.mean_curvature))
+            for a in range(len(dmean))]
 
 
-def _normal_derivative(imm, u, direction, field_fn):
-    """D_X of a normal field given in ambient components along the immersion."""
-    x, F, g_amb, tangent, _ = _frames_at(imm, u)
-    gamma = cv.christoffel(imm.target, x)
-    xi = field_fn(u)
-    dxi = _richardson(field_fn, u, direction)
-    Xamb = F @ np.asarray(direction, dtype=float)
-    ambient = dxi + np.einsum("lpm,p,m->l", gamma, Xamb, xi)
-    return _normal_projector(tangent, g_amb)(ambient)
-
-
-def normal_connection_DH(imm, u, direction):
-    """Normal-connection derivative D_X H for a sub-chart direction X."""
-    h_field = lambda v: second_fundamental_form(imm, v).mean_curvature
-    return _normal_derivative(imm, u, direction, h_field)
-
-
-def codazzi_residuals(imm, u, triples=None, umbilical_tol=1e-8):
-    """Residuals of the two normal-component curvature equations.
+def codazzi_residuals(imm, st, triples=None, umbilical_tol=1e-8):
+    """Residuals of the two normal-component curvature equations at the
+    point of stencil ``st``.
 
     The first compares the normal part of the ambient curvature against the
     antisymmetrized covariant derivative of the second fundamental form; the
     second against its totally umbilical reduction in terms of D H (reported
     only when the point is umbilical; None otherwise).
     """
-    u = np.asarray(u, dtype=float)
-    data = second_fundamental_form(imm, u)
-    x, F, g_amb, tangent, _ = _frames_at(imm, u)
-    project = _normal_projector(tangent, g_amb)
-    R_amb = cv.riemann(imm.target, x)
-    gi_amb = np.linalg.inv(g_amb)
-    gamma_amb = cv.christoffel(imm.target, x)
-    gamma_ind = cv.christoffel(imm.induced_chart(), u)
+    data = st.data
+    F = data.tangent
+    project = _normal_projector(data.tangent_frame, data.ambient_metric)
+    _, _, R_amb = cv.riemann(imm.target, data.point)
+    gi_amb = np.linalg.inv(data.ambient_metric)
+    gamma_ind = cv.christoffel(imm.induced_chart(), data.u)
     k = imm.k
     if triples is None:
         triples = [(a, b, c) for a in range(k) for b in range(a + 1, k)
                    for c in range(k)]
 
-    alpha_field = lambda v: second_fundamental_form(imm, v).alpha
-    dalpha = {}
-
     def covariant_alpha(a, b, c):
         # (nabla-bar_a alpha)(b, c)
-        if a not in dalpha:
-            dxi = _richardson(alpha_field, u, np.eye(k)[a])
-            dalpha[a] = dxi
         xi = data.alpha[b, c]
-        ambient = dalpha[a][b, c] + np.einsum(
-            "lpm,p,m->l", gamma_amb, F[:, a], xi)
+        ambient = st.dalpha[a][b, c] + np.einsum(
+            "lpm,p,m->l", data.ambient_gamma, F[:, a], xi)
         D = project(ambient)
         return (D - np.einsum("d,dl->l", gamma_ind[:, a, b], data.alpha[:, c])
                 - np.einsum("d,dl->l", gamma_ind[:, a, c], data.alpha[b, :]))
-
-    dh = [normal_connection_DH(imm, u, np.eye(k)[a]) for a in range(k)]
 
     r21 = 0.0
     r22 = 0.0
@@ -258,7 +253,7 @@ def codazzi_residuals(imm, u, triples=None, umbilical_tol=1e-8):
         lhs = project(lhs_vec)
         rhs1 = covariant_alpha(a, b, c) - covariant_alpha(b, a, c)
         r21 = max(r21, float(np.max(np.abs(lhs - rhs1))))
-        rhs2 = data.induced[b, c] * dh[a] - data.induced[a, c] * dh[b]
+        rhs2 = data.induced[b, c] * st.dh[a] - data.induced[a, c] * st.dh[b]
         r22 = max(r22, float(np.max(np.abs(lhs - rhs2))))
 
     if data.umbilicity > umbilical_tol:

@@ -202,7 +202,7 @@ def _fubini_study(m=2):
         complex_structure=_parse_matrix(_canonical_j_entries(dim), coords),
         domain_hint=[(-1.0, 1.0)] * dim,
         expected={"hsc": 4.0, "kahler": True, "conformally_flat": m == 1,
-                  "antiholomorphic_sectional": 1.0, "constant_type": 1.0})
+                  "antiholomorphic_sectional": 1.0, "constant_type": 0.0})
 
 
 def _s6_nearly_kahler(r=1.0):

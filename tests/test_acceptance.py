@@ -77,7 +77,7 @@ def test_criterion_3_product_vs_projective():
     sampler = fr.FrameSampler(0, 4)
     kahler = scalar = weyl = ident_prod = 0.0
     for p in points:
-        ka, _ = cl.nabla_J_residuals(prod, p, sampler)
+        ka, _ = cl.nabla_J_residuals(prod, cv.point_data(prod, p), sampler)
         kahler = max(kahler, ka)
         pd = cv.point_data(prod, p)
         scalar = max(scalar, abs(pd.scalar))
@@ -108,7 +108,8 @@ def test_criterion_4_six_sphere():
     kahler = np.inf
     for _ in range(3):
         point = rng.uniform(-0.3, 0.3, size=6)
-        ka, nka = cl.nabla_J_residuals(chart, point, sampler, samples=16)
+        ka, nka = cl.nabla_J_residuals(chart, cv.point_data(chart, point), sampler,
+                                        samples=16)
         kahler = min(kahler, ka)
         nk = max(nk, nka)
         pd = cv.point_data(chart, point, with_weyl=False)
@@ -139,9 +140,9 @@ def test_criterion_5_submanifolds():
     data = im.second_fundamental_form(sphere, u0)
     H = data.mean_curvature
     h_err = abs(np.sqrt(H @ H) - 1.0 / r)
-    dh = max(float(np.max(np.abs(im.normal_connection_DH(sphere, u0, np.eye(2)[a]))))
+    dh = max(float(np.max(np.abs(im.stencil(sphere, u0).dh[a])))
              for a in range(2))
-    _, r22 = im.codazzi_residuals(sphere, u0)
+    _, r22 = im.codazzi_residuals(sphere, im.stencil(sphere, u0))
 
     cylinder = _immersion(flat3, ["u", "v"], ["cos(u)", "sin(u)", "v"])
     cyl = im.second_fundamental_form(cylinder, [0.3, 0.7])
@@ -149,7 +150,7 @@ def test_criterion_5_submanifolds():
     s3 = models.instantiate("round_sphere", n=3, r=1.0)
     geo = _immersion(s3, ["u", "v"],
                      ["0.5*sin(u)*cos(v)", "0.5*sin(u)*sin(v)", "0.5*cos(u)"])
-    _, geo_r22 = im.codazzi_residuals(geo, [1.0, 0.7], umbilical_tol=1e-6)
+    _, geo_r22 = im.codazzi_residuals(geo, im.stencil(geo, [1.0, 0.7]), umbilical_tol=1e-6)
 
     ok = (h_err <= 1e-8 and data.umbilicity <= 1e-10 and dh <= 1e-6
           and r22 is not None and r22 <= 1e-6

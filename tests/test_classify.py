@@ -9,36 +9,37 @@ from hermgeo import models
 from hermgeo.axioms import canonical_j
 
 
-def test_validate_structure_flat():
-    chart = models.instantiate("flat_kahler", m=2)
-    r_sq, r_comp, ok = cl.validate_structure(chart, [0.1, 0.2, 0.3, 0.4])
-    assert r_sq == 0.0 and r_comp == 0.0 and ok
-
-
-def test_validate_structure_missing():
+def test_classify_chart_missing_structure():
+    chart = flat_chart(4)
     with pytest.raises(cl.MissingStructureError):
-        cl.validate_structure(flat_chart(4), [0, 0, 0, 0])
+        cl.classify_chart(chart, [cv.point_data(chart, [0, 0, 0, 0])])
 
 
-def test_validate_structure_incompatible():
-    # J compatible with the flat metric but not with a stretched one
+def test_classify_chart_incompatible_structure():
+    # J compatible with the flat metric but not with a stretched one: the
+    # residuals are recorded as failed checks, not raised
     chart = chart_from_strings(
-        "stretch", ["x", "y"], [["4", "0"], ["0", "1"]],
-        j_entries=[["0", "-1"], ["1", "0"]])
-    r_sq, r_comp, ok = cl.validate_structure(chart, [0.0, 0.0])
-    assert r_sq == 0.0
-    assert r_comp == pytest.approx(3.0)
-    assert not ok
+        "stretch", ["x1", "y1", "x2", "y2"],
+        [["4", "0", "0", "0"], ["0", "1", "0", "0"],
+         ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        j_entries=[["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                   ["0", "0", "0", "-1"], ["0", "0", "1", "0"]])
+    out = cl.classify_chart(chart, [cv.point_data(chart, [0.0] * 4)], samples=8)
+    checks = {c["name"]: c for c in out["checks"]}
+    assert checks["j_squared"]["residual"] == 0.0
+    assert checks["j_squared"]["pass"]
+    assert checks["j_compatible"]["residual"] == pytest.approx(3.0)
+    assert not checks["j_compatible"]["pass"]
 
 
 def test_nabla_j_flat_and_fubini_study(rng):
     sampler = fr.FrameSampler(0, 4)
     flat = models.instantiate("flat_kahler", m=2)
-    ka, nk = cl.nabla_J_residuals(flat, [0.3, -0.1, 0.2, 0.0], sampler)
+    ka, nk = cl.nabla_J_residuals(flat, cv.point_data(flat, [0.3, -0.1, 0.2, 0.0]), sampler)
     assert ka == 0.0 and nk == 0.0
 
     fs = models.instantiate("fubini_study", m=2)
-    ka, nk = cl.nabla_J_residuals(fs, [0.2, -0.3, 0.1, 0.15], sampler)
+    ka, nk = cl.nabla_J_residuals(fs, cv.point_data(fs, [0.2, -0.3, 0.1, 0.15]), sampler)
     assert ka <= 1e-10 and nk <= 1e-10
 
 
@@ -46,7 +47,7 @@ def test_nabla_j_finite_difference_oracle(rng):
     # dJ + Gamma J - J Gamma, with dJ from central differences
     chart = models.instantiate("fubini_study", m=2)
     point = np.array([0.12, -0.2, 0.05, 0.3])
-    nj = cl.nabla_j(chart, point)
+    nj = cl.nabla_j(chart, cv.point_data(chart, point))
     h = 1e-6
     dJ = np.zeros((4, 4, 4))
     for k in range(4):
@@ -62,7 +63,8 @@ def test_nabla_j_finite_difference_oracle(rng):
 def test_nearly_kahler_s6(rng):
     chart = models.instantiate("s6_nearly_kahler")
     sampler = fr.FrameSampler(1, 6)
-    ka, nk = cl.nabla_J_residuals(chart, rng.uniform(-0.3, 0.3, size=6), sampler)
+    ka, nk = cl.nabla_J_residuals(chart, cv.point_data(chart, rng.uniform(-0.3, 0.3, size=6)),
+                                 sampler)
     assert nk <= 1e-6
     assert ka > 0.1  # not Kahler
 
@@ -113,7 +115,8 @@ def test_constancy_fubini_study():
     chart = models.instantiate("fubini_study", m=2)
     sampler = fr.FrameSampler(0, 4)
     points = [[0.0, 0.0, 0.0, 0.0], [0.2, -0.1, 0.1, 0.3]]
-    report = cl.constancy_report(chart, points, sampler, samples=24)
+    report = cl.constancy_report(chart, [cv.point_data(chart, p) for p in points], sampler,
+                                 samples=24)
     by_name = {r["name"]: r for r in report}
     assert by_name["holomorphic_sectional"]["constant"] == pytest.approx(4.0, abs=1e-8)
     assert by_name["holomorphic_sectional"]["global_pass"]
@@ -125,14 +128,16 @@ def test_constancy_fubini_study():
 def test_constancy_fails_on_product():
     chart = models.instantiate("product_K", K=1.0)
     sampler = fr.FrameSampler(0, 4)
-    report = cl.constancy_report(chart, [[0.1, 0.2, 0.05, -0.1]], sampler, samples=24)
+    report = cl.constancy_report(chart, [cv.point_data(chart, [0.1, 0.2, 0.05, -0.1])], sampler,
+                                 samples=24)
     by_name = {r["name"]: r for r in report}
     assert not by_name["holomorphic_sectional"]["pass"]
 
 
 def test_classify_chart_product():
     chart = models.instantiate("product_K", K=1.0)
-    out = cl.classify_chart(chart, [[0.1, -0.2, 0.07, 0.03]], seed=0, samples=24)
+    out = cl.classify_chart(chart, [cv.point_data(chart, [0.1, -0.2, 0.07, 0.03])],
+                            seed=0, samples=24)
     checks = {c["name"]: c for c in out["checks"]}
     assert checks["j_squared"]["pass"]
     assert checks["j_compatible"]["pass"]
@@ -144,7 +149,7 @@ def test_classify_chart_product():
 
 def test_classify_chart_s6():
     chart = models.instantiate("s6_nearly_kahler")
-    out = cl.classify_chart(chart, [[0.1, 0.0, -0.2, 0.3, 0.05, 0.0]],
+    out = cl.classify_chart(chart, [cv.point_data(chart, [0.1, 0.0, -0.2, 0.3, 0.05, 0.0])],
                             seed=0, samples=16)
     checks = {c["name"]: c for c in out["checks"]}
     assert not checks["kahler"]["pass"]
@@ -154,6 +159,8 @@ def test_classify_chart_s6():
 
 def test_classify_deterministic():
     chart = models.instantiate("fubini_study", m=2)
-    a = cl.classify_chart(chart, [[0.1, 0.2, 0.0, -0.1]], seed=7, samples=16)
-    b = cl.classify_chart(chart, [[0.1, 0.2, 0.0, -0.1]], seed=7, samples=16)
+    a = cl.classify_chart(chart, [cv.point_data(chart, [0.1, 0.2, 0.0, -0.1])],
+                          seed=7, samples=16)
+    b = cl.classify_chart(chart, [cv.point_data(chart, [0.1, 0.2, 0.0, -0.1])],
+                          seed=7, samples=16)
     assert a == b

@@ -193,3 +193,42 @@ def test_report_floats_survive_roundtrip(tmp_path, capsys):
     doc = json.loads(out)
     # 17 significant digits: re-serializing the parsed floats is lossless
     assert reportio.dump_report(doc) == out
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_analyze_negative_point_space_separated(tmp_path, capsys):
+    path = write_model(tmp_path, "fubini_study", m=2)
+    code, out, _ = run_cli(capsys, "analyze", path, "--point", "-0.1,0.1,0.2,0.0")
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["points"][0]["point"] == [-0.1, 0.1, 0.2, 0.0]
+    _, joined, _ = run_cli(capsys, "analyze", path, "--point=-0.1,0.1,0.2,0.0")
+    assert out == joined
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "FILE", "--samples", "0"],
+    ["classify", "FILE", "--samples", "-3"],
+    ["verify-theorem", "--m", "2", "--frames", "0"],
+    ["analyze", "FILE", "--point", "nan,0,0,0"],
+    ["analyze", "FILE", "--point", "inf,0,0,0"],
+    ["classify", "FILE", "--point", "0,-inf,0,0"],
+])
+def test_out_of_range_input_is_usage_error(tmp_path, capsys, argv):
+    path = write_model(tmp_path, "fubini_study", m=2)
+    code, _, err = run_cli(capsys, *[path if a == "FILE" else a for a in argv])
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_analyze_one_sample_is_valid_json(tmp_path, capsys):
+    path = write_model(tmp_path, "fubini_study", m=2)
+    code, out, _ = run_cli(capsys, "analyze", path, "--samples", "1")
+    assert code == 0
+    assert strict_json(out)["points"][0]["holomorphic_sectional"]["std"] == 0.0

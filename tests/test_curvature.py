@@ -65,7 +65,7 @@ def test_singular_metric_raises():
 
 def test_riemann_flat():
     chart = flat_chart(4)
-    R4 = cv.riemann(chart, [0.1, -0.2, 0.3, 0.0])
+    _, _, R4 = cv.riemann(chart, [0.1, -0.2, 0.3, 0.0])
     assert np.max(np.abs(R4)) <= 1e-12
 
 
@@ -73,7 +73,7 @@ def test_riemann_sphere_sectional(rng):
     chart = two_sphere_polar()
     for _ in range(5):
         point = [rng.uniform(0.3, 2.6), rng.uniform(-3, 3)]
-        R4 = cv.riemann(chart, point)
+        _, _, R4 = cv.riemann(chart, point)
         g = chart.metric_at(point)
         X, Y = rng.normal(size=2), rng.normal(size=2)
         # constant-curvature identity R(X,Y,Y,X) = K (|X|^2|Y|^2 - g(X,Y)^2)
@@ -84,7 +84,7 @@ def test_riemann_hyperbolic_plane():
     chart = chart_from_strings(
         "h2", ["x", "y"],
         [["4/(1 - x^2 - y^2)^2", "0"], ["0", "4/(1 - x^2 - y^2)^2"]])
-    R4 = cv.riemann(chart, [0.2, -0.1])
+    _, _, R4 = cv.riemann(chart, [0.2, -0.1])
     g = chart.metric_at([0.2, -0.1])
     assert cv.sectional(R4, g, np.eye(2)[0], np.eye(2)[1]) == pytest.approx(-1.0, abs=1e-10)
 
@@ -92,7 +92,7 @@ def test_riemann_hyperbolic_plane():
 def test_ricci_scalar_examples():
     chart = two_sphere_polar()
     point = [0.8, 0.1]
-    R4 = cv.riemann(chart, point)
+    _, _, R4 = cv.riemann(chart, point)
     g = chart.metric_at(point)
     S, s = cv.ricci_scalar(R4, g)
     assert np.max(np.abs(S - g)) < 1e-10

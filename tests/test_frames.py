@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hermgeo import frames as fr
+from hermgeo import models
 from hermgeo.axioms import canonical_j
 
 
@@ -97,7 +98,20 @@ def test_adapted_frame_rejects_bad_j():
 def test_validate_pair_residual_scale():
     J = canonical_j(4) * 1.01
     try:
-        fr.validate_hermitian_pair(np.eye(4), J)
+        fr.adapted_hermitian_frame(np.eye(4), J, fr.FrameSampler(0, 4))
         raise AssertionError("expected incompatibility")
     except fr.IncompatibleStructureError as err:
         assert "2.01e-02" in str(err) or "0.0201" in str(err) or "2.010" in str(err)
+
+
+def test_hermitian_residuals_flat():
+    chart = models.instantiate("flat_kahler", m=2)
+    point = [0.1, 0.2, 0.3, 0.4]
+    assert fr.hermitian_residuals(chart.metric_at(point), chart.j_at(point)) == (0.0, 0.0)
+
+
+def test_hermitian_residuals_incompatible():
+    # J compatible with the flat metric but not with a stretched one
+    r_sq, r_comp = fr.hermitian_residuals(np.diag([4.0, 1.0]), canonical_j(2))
+    assert r_sq == 0.0
+    assert r_comp == pytest.approx(3.0)

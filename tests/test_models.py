@@ -53,7 +53,7 @@ def test_product_k(rng):
     assert pd.scalar == pytest.approx(0.0, abs=1e-9)
     assert np.max(np.abs(pd.weyl)) <= 1e-8
     sampler = fr.FrameSampler(0, 4)
-    ka, _ = cl.nabla_J_residuals(chart, point, sampler)
+    ka, _ = cl.nabla_J_residuals(chart, pd, sampler)
     assert ka <= 1e-9
     # sectional curvature inside each factor matches +-K
     e = np.eye(4)
@@ -159,3 +159,14 @@ def test_expected_tables_present():
     for d in models.list_models():
         chart = models.instantiate(d.name)
         assert chart.expected, f"{d.name} has no expected-invariant table"
+
+
+def test_fubini_study_expected_matches_constancy():
+    chart = models.instantiate("fubini_study", m=2)
+    pds = [cv.point_data(chart, p) for p in ([0.0] * 4, [0.2, -0.1, 0.1, 0.3])]
+    report = cl.constancy_report(chart, pds, fr.FrameSampler(0, 4), samples=16)
+    constants = {r["name"]: r["constant"] for r in report}
+    for name, key in (("holomorphic_sectional", "hsc"),
+                      ("antiholomorphic_sectional", "antiholomorphic_sectional"),
+                      ("constant_type", "constant_type")):
+        assert constants[name] == pytest.approx(chart.expected[key], abs=1e-8), name
