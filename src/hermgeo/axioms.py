@@ -11,6 +11,7 @@ tensor is then evaluated.  A vanishing Weyl norm over the null space is the
 machine form of the classical conformal-flatness conclusion.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -73,12 +74,15 @@ def curvature_basis(n):
 
     # Bianchi symmetrization of a pair-symmetric tensor is totally
     # antisymmetric, so i<j<k<l quadruples carry all constraints
-    quads = list(itertools.combinations(range(n), 4))
-    bianchi = np.zeros((max(len(quads), 1), len(sym_idx)))
-    dense_cols = embed.toarray().reshape(n, n, n, n, len(sym_idx))
-    for r, (i, j, k, l) in enumerate(quads):
-        bianchi[r] = (dense_cols[i, j, k, l] + dense_cols[j, k, i, l]
-                      + dense_cols[k, i, j, l])
+    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp)
+    if len(quads):
+        i, j, k, l = quads.T
+        index = lambda a, b, c: ((a * n + b) * n + c) * n + l
+        by_row = embed.tocsr()
+        bianchi = (by_row[index(i, j, k)] + by_row[index(j, k, i)]
+                   + by_row[index(k, i, j)]).toarray()
+    else:
+        bianchi = np.zeros((1, len(sym_idx)))
     coeffs = scipy.linalg.null_space(bianchi)  # (len(sym_idx), d)
     assert coeffs.shape[1] == curvature_space_dim(n)
 
@@ -115,6 +119,8 @@ def functional_row(basis, X, Y, Z, U):
 # identity residuals on a concrete tensor
 
 _IDENTITY_NAMES = ["3.1", "3.2", "3.3", "3.4", "3.5", "3.6", "3.7", "3.8"]
+# the identities the sphere axiom yields directly; (3.4) and (3.8) are derived
+_DIRECT = ("3.1", "3.2", "3.3", "3.5", "3.6", "3.7")
 
 
 def _admissible_frame(g, J, sampler, need_z, need_u):
@@ -134,26 +140,30 @@ def _admissible_frame(g, J, sampler, need_z, need_u):
     return out
 
 
-def _identity_values(R4, J, frame):
-    """Residual of each applicable identity at one admissible frame."""
-    val = lambda a, b, c, d: cv.curvature_value(R4, a, b, c, d)
+def _identities(J, frame, names=_IDENTITY_NAMES):
+    """(name, quadruple[, quadruple]) of each identity in ``names`` that
+    applies to an admissible frame: R vanishes on the quadruple, or agrees on
+    the two quadruples.  (3.5) has two entries."""
     X, Y = frame[0], frame[1]
     JX, JY = J @ X, J @ Y
-    out = {
-        "3.1": abs(val(X, JX, JY, Y)),
-        "3.2": abs(val(JY, JX, X, Y)),
-        "3.3": abs(val(X, JX, JX, Y) - val(X, JY, JY, Y)),
-        "3.4": abs(val(X, Y, Y, JX) - val(X, JY, JY, JX)),
-    }
+    out = [("3.1", (X, JX, JY, Y)),
+           ("3.2", (JY, JX, X, Y)),
+           ("3.3", (X, JX, JX, Y), (X, JY, JY, Y)),
+           ("3.4", (X, Y, Y, JX), (X, JY, JY, JX))]
     if len(frame) >= 3:
         Z = frame[2]
-        JZ = J @ Z
-        out["3.5"] = max(abs(val(X, JX, Y, Z)), abs(val(X, Y, JY, Z)))
-        out["3.6"] = abs(val(X, JX, JX, Z) - val(X, Y, Y, Z))
-        out["3.7"] = abs(val(X, Y, Y, JX) - val(X, Z, Z, JX))
+        out += [("3.5", (X, JX, Y, Z)),
+                ("3.5", (X, Y, JY, Z)),
+                ("3.6", (X, JX, JX, Z), (X, Y, Y, Z)),
+                ("3.7", (X, Y, Y, JX), (X, Z, Z, JX))]
     if len(frame) >= 4:
-        out["3.8"] = abs(val(X, Y, frame[2], frame[3]))
-    return out
+        out.append(("3.8", (X, Y, frame[2], frame[3])))
+    return [entry for entry in out if entry[0] in names]
+
+
+def _identity_value(fn, terms):
+    """fn on an identity's quadruple, minus fn on its second quadruple if any."""
+    return fn(*terms[0]) - fn(*terms[1]) if len(terms) == 2 else fn(*terms[0])
 
 
 def proof_identity_residuals(R4, g, J, sampler, frames=64):
@@ -162,18 +172,12 @@ def proof_identity_residuals(R4, g, J, sampler, frames=64):
     Identities outside the dimension regime are reported as None (skipped).
     """
     n = g.shape[0]
-    need_z = n >= 6
-    need_u = n >= 8
-    worst = {name: 0.0 for name in _IDENTITY_NAMES}
+    worst = dict.fromkeys(_IDENTITY_NAMES)
+    value_of = functools.partial(cv.curvature_value, R4)
     for _ in range(frames):
-        frame = _admissible_frame(g, J, sampler, need_z, need_u)
-        for name, v in _identity_values(R4, J, frame).items():
-            worst[name] = max(worst[name], v)
-    if not need_z:
-        for name in ("3.5", "3.6", "3.7"):
-            worst[name] = None
-    if not need_u:
-        worst["3.8"] = None
+        frame = _admissible_frame(g, J, sampler, need_z=n >= 6, need_u=n >= 8)
+        for name, *terms in _identities(J, frame):
+            worst[name] = max(worst[name] or 0.0, abs(_identity_value(value_of, terms)))
     return worst
 
 
@@ -289,23 +293,8 @@ def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, batch=6, samples=1
     J = canonical_j(n)
 
     def constraint_rows(frame):
-        X, Y = frame[0], frame[1]
-        JX, JY = J @ X, J @ Y
-        row = lambda a, b, c, d: functional_row(basis, a, b, c, d)
-        rows = [
-            row(X, JX, JY, Y),                      # (3.1)
-            row(JY, JX, X, Y),                      # (3.2)
-            row(X, JX, JX, Y) - row(X, JY, JY, Y),  # (3.3)
-        ]
-        if len(frame) >= 3:
-            Z = frame[2]
-            rows += [
-                row(X, JX, Y, Z),                       # (3.5)
-                row(X, Y, JY, Z),
-                row(X, JX, JX, Z) - row(X, Y, Y, Z),    # (3.6)
-                row(X, Y, Y, JX) - row(X, Z, Z, JX),    # (3.7)
-            ]
-        return rows
+        row = functools.partial(functional_row, basis)
+        return [_identity_value(row, terms) for _, *terms in _identities(J, frame, _DIRECT)]
 
     def batches():
         while True:
@@ -327,11 +316,10 @@ def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, batch=6, samples=1
     quads = [fr.sample_orthonormal_set(g, 4, quad_sampler) for _ in range(samples)]
     for k in range(null.shape[1]):
         T = tensor_from_coords(basis, null[:, k])
+        value_of = functools.partial(cv.curvature_value, T)
         for frame in check_frames:
-            vals = _identity_values(T, J, frame)
-            derived["3.4"] = max(derived["3.4"], vals["3.4"])
-            if m >= 4:
-                derived["3.8"] = max(derived["3.8"], vals["3.8"])
+            for name, *terms in _identities(J, frame, ("3.4", "3.8")):
+                derived[name] = max(derived[name], abs(_identity_value(value_of, terms)))
         for X, Y, Z, U in quads:
             derived["quadruple"] = max(derived["quadruple"],
                                        abs(cv.curvature_value(T, X, Y, Z, U)))

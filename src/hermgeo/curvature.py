@@ -1,9 +1,9 @@
 """Connection and curvature of a coordinate chart.
 
-All derivatives of the metric (and of a symbolic almost complex structure)
-are taken exactly on the expression trees; finite differences (``richardson``)
-appear only where a structure is defined pointwise (see models.py), for fields
-along submanifolds (see immersions.py), or in test oracles.
+Derivatives of the metric and of J at a point are exact: symbolic entries go
+through one second-order jet (``expressions.jets``), and a pointwise J brings
+its own derivative (see models.py).  Finite differences (``richardson``) are
+used only for fields along submanifolds (immersions.py) and in test oracles.
 
 ``point_data`` is the one evaluation of a chart point: metric, Christoffel
 symbols, curvature, Ricci, Weyl and J.  Everything downstream reads from it.
@@ -53,76 +53,63 @@ class ManifoldChart:
     coordinates: list
     metric: list                       # dim x dim of Expr
     complex_structure: list | None = None   # dim x dim of Expr, J^i_j
-    complex_structure_fn: object | None = None  # point -> J matrix (pointwise J)
+    complex_structure_fn: object | None = None  # point -> (J, dJ), pointwise J
     domain_hint: list | None = None    # per-coordinate (lo, hi)
     embedding: Embedding | None = None
     expected: dict = field(default_factory=dict)  # regression table for models
-
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self):
         return len(self.coordinates)
 
-    def bindings(self, point):
-        return dict(zip(self.coordinates, point))
-
     def has_j(self):
         return self.complex_structure is not None or self.complex_structure_fn is not None
 
-    def _metric_derivs(self):
-        """Cached (d1, d2) expression tables: d1[k][i][j] = d_k g_ij."""
-        if "dmetric" not in self._cache:
-            n = self.dim
-            d1 = [[[ex.differentiate(self.metric[i][j], self.coordinates[k])
-                    for j in range(n)] for i in range(n)] for k in range(n)]
-            d2 = [[[[ex.differentiate(d1[k][i][j], self.coordinates[c])
-                     for j in range(n)] for i in range(n)] for k in range(n)]
-                  for c in range(n)]
-            self._cache["dmetric"] = (d1, d2)
-        return self._cache["dmetric"]
-
-    def _j_derivs(self):
-        if "dj" not in self._cache:
-            n = self.dim
-            self._cache["dj"] = [
-                [[ex.differentiate(self.complex_structure[i][j], self.coordinates[k])
-                  for j in range(n)] for i in range(n)] for k in range(n)]
-        return self._cache["dj"]
+    def metric_jets(self, point):
+        """(g, dg, ddg) at a point from one jet of the metric entries, with
+        dg[k,i,j] = d_k g_ij and ddg[c,k,i,j] = d_c d_k g_ij."""
+        try:
+            g, dg, ddg = _matrix_jets(self.metric, self.coordinates, point)
+        except ex.DomainError:
+            self.metric_at(point)  # an undefined or singular metric is named first
+            raise
+        return _positive_definite(g, point), dg, ddg
 
     def metric_at(self, point):
-        b = self.bindings(point)
-        n = self.dim
-        g = np.array([[ex.evaluate(self.metric[i][j], b) for j in range(n)]
-                      for i in range(n)])
-        w = np.linalg.eigvalsh(g)
-        if w[0] <= 1e-10 * w[-1]:
-            raise SingularMetricError(
-                f"metric not positive definite at {list(point)} (eigenvalues {w})")
-        return g
+        b = dict(zip(self.coordinates, point))
+        return _positive_definite(
+            np.array([[ex.evaluate(e, b) for e in row] for row in self.metric]), point)
 
     def j_at(self, point):
-        if self.complex_structure is not None:
-            b = self.bindings(point)
-            n = self.dim
-            return np.array([[ex.evaluate(self.complex_structure[i][j], b)
-                              for j in range(n)] for i in range(n)])
-        if self.complex_structure_fn is not None:
-            return np.asarray(self.complex_structure_fn(np.asarray(point, dtype=float)))
-        return None
+        return self._j_jets(point)[0]
 
     def dj_at(self, point):
-        """dJ[k,i,j] = d_k J^i_j; exact if J is symbolic, Richardson otherwise."""
-        n = self.dim
+        """dJ[k,i,j] = d_k J^i_j, exact for symbolic and pointwise J."""
+        return self._j_jets(point)[1]
+
+    def _j_jets(self, point):
         if self.complex_structure is not None:
-            djx = self._j_derivs()
-            b = self.bindings(point)
-            return np.array([[[ex.evaluate(djx[k][i][j], b) for j in range(n)]
-                              for i in range(n)] for k in range(n)])
-        if self.complex_structure_fn is None:
-            return None
-        return np.array([richardson(self.j_at, point, np.eye(n)[k], 1e-2)
-                         for k in range(n)])
+            return _matrix_jets(self.complex_structure, self.coordinates, point)[:2]
+        if self.complex_structure_fn is not None:
+            return self.complex_structure_fn(np.asarray(point, dtype=float))
+        return None, None
+
+
+def _positive_definite(g, point):
+    w = np.linalg.eigvalsh(g)
+    if w[0] <= 1e-10 * w[-1]:
+        raise SingularMetricError(
+            f"metric not positive definite at {list(point)} (eigenvalues {w})")
+    return g
+
+
+def _matrix_jets(rows, coordinates, point):
+    """(M, dM, ddM) of a square matrix of expressions at a point, with
+    dM[k,i,j] = d_k M_ij and ddM[c,k,i,j] = d_c d_k M_ij."""
+    n = len(coordinates)
+    v, d1, d2 = ex.jets([e for row in rows for e in row], coordinates, point)
+    return (v.reshape(n, n), np.moveaxis(d1.reshape(n, n, n), 2, 0),
+            np.moveaxis(d2.reshape(n, n, n, n), (2, 3), (0, 1)))
 
 
 def richardson(field_fn, u, direction, h):
@@ -148,54 +135,36 @@ class PointData:
     weyl: np.ndarray | None
 
 
+def connection(chart, point):
+    """(g, gamma) at a point from one jet of the metric: the metric and the
+    Levi-Civita symbols gamma[a,i,j] = Gamma^a_ij."""
+    g, dg, _ = chart.metric_jets(point)
+    return g, _christoffel(np.linalg.inv(g), dg)[1]
+
+
 def christoffel(chart, point):
     """Levi-Civita Christoffel symbols gamma[a,i,j] = Gamma^a_ij at a point."""
-    g = chart.metric_at(point)
-    return _christoffel(np.linalg.inv(g), _eval_d1(chart, point))[1]
+    return connection(chart, point)[1]
 
 
 def _christoffel(gi, d1):
-    """(T, gamma) with T[m,i,j] = d_i g_mj + d_j g_mi - d_m g_ij."""
-    T = np.einsum("imj->mij", d1) + np.einsum("jmi->mij", d1) - d1
-    return T, 0.5 * np.einsum("am,mij->aij", gi, T)
-
-
-def _eval_d1(chart, point):
-    n = chart.dim
-    d1x, _ = chart._metric_derivs()
-    b = chart.bindings(point)
-    return np.array([[[ex.evaluate(d1x[k][i][j], b) for j in range(n)]
-                      for i in range(n)] for k in range(n)])
-
-
-def _eval_d2(chart, point):
-    n = chart.dim
-    _, d2x = chart._metric_derivs()
-    b = chart.bindings(point)
-    return np.array([[[[ex.evaluate(d2x[c][k][i][j], b) for j in range(n)]
-                       for i in range(n)] for k in range(n)] for c in range(n)])
+    """(low, gamma): low[m,i,j] = Gamma_m,ij = (d_i g_mj + d_j g_mi - d_m g_ij)/2
+    and gamma[a,i,j] = Gamma^a_ij = g^am low[m,i,j]."""
+    low = 0.5 * (np.einsum("imj->mij", d1) + np.einsum("jmi->mij", d1) - d1)
+    return low, np.einsum("am,mij->aij", gi, low)
 
 
 def riemann(chart, point):
-    """(g, gamma, R4) at a point from one evaluation of the metric and its
-    derivative tables: the metric, gamma[a,i,j] = Gamma^a_ij, and the
-    all-lower curvature tensor R4[i,j,k,l] = g(R(d_i,d_j) d_k, d_l)."""
-    g = chart.metric_at(point)
-    gi = np.linalg.inv(g)
-    d1 = _eval_d1(chart, point)
-    d2 = _eval_d2(chart, point)
-    T, gamma = _christoffel(gi, d1)
-
-    dgi = -np.einsum("am,cmn,nb->cab", gi, d1, gi)
-    dT = (np.einsum("cimj->cmij", d2) + np.einsum("cjmi->cmij", d2) - d2)
-    dgamma = 0.5 * (np.einsum("cam,mij->caij", dgi, T)
-                    + np.einsum("am,cmij->caij", gi, dT))
-
-    # R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik
-    rup = (np.einsum("iljk->lkij", dgamma) - np.einsum("jlik->lkij", dgamma)
-           + np.einsum("lim,mjk->lkij", gamma, gamma)
-           - np.einsum("ljm,mik->lkij", gamma, gamma))
-    return g, gamma, np.einsum("lm,mkij->ijkl", g, rup)
+    """(g, gamma, R4) at a point from one jet of the metric: the metric,
+    gamma[a,i,j] = Gamma^a_ij, and the all-lower curvature tensor
+    R4[i,j,k,l] = g(R(d_i,d_j) d_k, d_l)."""
+    g, d1, d2 = chart.metric_jets(point)
+    low, gamma = _christoffel(np.linalg.inv(g), d1)
+    dlow = 0.5 * (np.einsum("cimj->cmij", d2) + np.einsum("cjmi->cmij", d2) - d2)
+    # R_ijkl = d_i Gamma_l,jk - d_j Gamma_l,ik - Gamma_m,il G^m_jk + Gamma_m,jl G^m_ik
+    R4 = (np.einsum("iljk->ijkl", dlow) - np.einsum("jlik->ijkl", dlow)
+          - np.einsum("mil,mjk->ijkl", low, gamma) + np.einsum("mjl,mik->ijkl", low, gamma))
+    return g, gamma, R4
 
 
 def ricci_scalar(R4, g):

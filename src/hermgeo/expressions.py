@@ -1,4 +1,5 @@
-"""Closed-form scalar expressions: parsing, exact differentiation, evaluation.
+"""Closed-form scalar expressions: parsing, exact differentiation, evaluation,
+and second-order jets.
 
 Grammar (EBNF):
 
@@ -14,11 +15,18 @@ multiplication; "2x" is a syntax error.
 
 Expressions are immutable trees, so they are safe to share between workers.
 Only constant folding is performed; no canonical simplification.
+
+``jets`` gives the values, gradients and Hessians of expressions at a point
+in one pass over the trees; it is how every derivative of chart data at a
+point is computed.  ``differentiate`` builds a derivative as a new tree, for
+callers that need the derivative itself as an expression.
 """
 
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ExprError(Exception):
@@ -99,10 +107,6 @@ class BinOp(Expr):
 
 # ---------------------------------------------------------------------------
 # folding constructors
-
-def const(v):
-    return Const(float(v))
-
 
 def neg(a):
     if isinstance(a, Const):
@@ -419,6 +423,102 @@ def evaluate(e, bindings):
     if isinstance(e, BinOp):
         return _apply_binop(e.op, evaluate(e.left, bindings), evaluate(e.right, bindings))
     raise TypeError(f"not an Expr: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# second-order jets
+
+def _derivative_pair(e):
+    d1 = differentiate(e, "t")
+    return d1, differentiate(d1, "t")
+
+
+# f' and f'' of each function and of the reciprocal "/" (1/t), built once as
+# expressions in t.  Evaluating them keeps every domain error a DomainError:
+# sqrt'(0) raises "division by zero" as the derivative tree of sqrt does.
+_CHAIN = {fn: _derivative_pair(Call(fn, Sym("t"))) for fn in FUNCTIONS}
+_CHAIN["/"] = _derivative_pair(BinOp("/", Const(1.0), Sym("t")))
+
+
+def _chain(value, f1, f2, u):
+    """Jet of f(u) from f, f', f'' at the value of u and the jet of u."""
+    return value, f1 * u[1], f1 * u[2] + f2 * np.outer(u[1], u[1])
+
+
+def _call(fn, value, u):
+    """Jet of fn(u), given its value, for fn a key of _CHAIN."""
+    d1, d2 = _CHAIN[fn]
+    return _chain(value, evaluate(d1, {"t": u[0]}), evaluate(d2, {"t": u[0]}), u)
+
+
+def _product(value, a, b):
+    """Jet of a*b, given its value."""
+    cross = np.outer(a[1], b[1])
+    return value, a[0] * b[1] + b[0] * a[1], a[0] * b[2] + b[0] * a[2] + cross + cross.T
+
+
+def _binop_jet(e, a, b):
+    if e.op == "+":
+        return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+    if e.op == "-":
+        return a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    if e.op == "*":
+        return _product(a[0] * b[0], a, b)
+    if e.op == "/":
+        value = _apply_binop("/", a[0], b[0])
+        return _product(value, a, _call("/", 1.0 / b[0], b))
+    if isinstance(e.right, Const):
+        c = e.right.value
+        return _chain(_apply_binop("^", a[0], c), c * _apply_binop("^", a[0], c - 1.0),
+                      c * (c - 1.0) * _apply_binop("^", a[0], c - 2.0), a)
+    # f^g with non-constant exponent, differentiated as exp(g*log f)
+    value = _apply_binop("^", a[0], b[0])
+    log_a = _call("log", _apply_call("log", a[0]), a)
+    return _call("exp", value, _product(b[0] * log_a[0], b, log_a))
+
+
+def jets(exprs, coordinates, point):
+    """Values, gradients and Hessians of ``exprs`` at ``point``, as arrays
+    of shape (m,), (m, n) and (m, n, n) for m expressions in n coordinates.
+
+    Exact second-order Taylor coefficients are pushed forward through each
+    tree once (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13),
+    memoised on node identity within the call, so a subtree shared between
+    or within expressions is visited once.  Node values go through the same
+    domain checks as ``evaluate``.
+    """
+    n = len(coordinates)
+    zero1, zero2 = np.zeros(n), np.zeros((n, n))
+    seeds = {c: (float(x), unit, zero2)
+             for c, x, unit in zip(coordinates, point, np.eye(n))}
+    memo = {}
+
+    def jet(e):
+        out = memo.get(id(e))
+        if out is not None:
+            return out
+        if isinstance(e, Const):
+            out = (e.value, zero1, zero2)
+        elif isinstance(e, Sym):
+            if e.name not in seeds:
+                raise MissingBindingError(f"no binding for {e.name!r}")
+            out = seeds[e.name]
+        elif isinstance(e, Neg):
+            v, g, h = jet(e.arg)
+            out = (-v, -g, -h)
+        elif isinstance(e, Call):
+            u = jet(e.arg)
+            out = _call(e.fn, _apply_call(e.fn, u[0]), u)
+        elif isinstance(e, BinOp):
+            out = _binop_jet(e, jet(e.left), jet(e.right))
+        else:
+            raise TypeError(f"not an Expr: {e!r}")
+        memo[id(e)] = out
+        return out
+
+    out = [jet(e) for e in exprs]
+    return tuple(np.array([j[order] for j in out]).reshape((len(out),) + (n,) * order)
+                 for order in range(3))
 
 
 def substitute(e, mapping):

@@ -1,8 +1,8 @@
 """Immersed submanifolds of a chart: induced metric, second fundamental
 form, mean curvature, normal connection, and the two Codazzi-type residuals.
 
-The pullback metric and the form components at a point are exact (symbolic
-derivatives of the immersion map and the ambient metric); derivatives of
+The pullback chart is exact (symbolic), and so are the form components at
+a point (jets of the immersion map and the ambient metric); derivatives of
 fields along the submanifold (the normal connection and the covariant
 derivative of the form) use Richardson-extrapolated central differences,
 since the Gram-Schmidt normal projection is not closed-form.  ``stencil``
@@ -34,38 +34,19 @@ class Immersion:
     def k(self):
         return len(self.coordinates)
 
-    def bindings(self, u):
-        return dict(zip(self.coordinates, u))
-
-    def _jacobian_exprs(self):
-        if "jac" not in self._cache:
-            self._cache["jac"] = [
-                [ex.differentiate(f, c) for c in self.coordinates]
-                for f in self.map_exprs]
-        return self._cache["jac"]
-
-    def _hessian_exprs(self):
-        if "hess" not in self._cache:
-            jac = self._jacobian_exprs()
-            self._cache["hess"] = [
-                [[ex.differentiate(jac[p][a], c) for c in self.coordinates]
-                 for a in range(self.k)] for p in range(len(self.map_exprs))]
-        return self._cache["hess"]
-
-    def point(self, u):
-        b = self.bindings(u)
-        return np.array([ex.evaluate(f, b) for f in self.map_exprs])
-
-    def jacobian(self, u):
-        b = self.bindings(u)
-        jac = self._jacobian_exprs()
-        F = np.array([[ex.evaluate(jac[p][a], b) for a in range(self.k)]
-                      for p in range(len(self.map_exprs))])
+    def map_jets(self, u):
+        """(x, F, hess) at sub-chart point ``u`` from one jet of the map: the
+        ambient point, the Jacobian F[p,a] = d_a x^p (checked to have full
+        rank) and hess[p,a,c] = d_a d_c x^p."""
+        x, F, hess = ex.jets(self.map_exprs, self.coordinates, u)
         sv = np.linalg.svd(F, compute_uv=False)
         if sv[-1] <= _RANK_TOL * sv[0]:
             raise RankDeficiencyError(
                 f"immersion rank deficient at {list(u)} (singular values {sv})")
-        return F
+        return x, F, hess
+
+    def jacobian(self, u):
+        return self.map_jets(u)[1]
 
     def induced_chart(self):
         """Exact pullback metric as a chart over the sub coordinates."""
@@ -73,7 +54,8 @@ class Immersion:
             mapping = dict(zip(self.target.coordinates, self.map_exprs))
             gsub = [[ex.substitute(e, mapping) for e in row]
                     for row in self.target.metric]
-            jac = self._jacobian_exprs()
+            jac = [[ex.differentiate(f, c) for c in self.coordinates]
+                   for f in self.map_exprs]
             N, k = len(self.map_exprs), self.k
             G = []
             for a in range(k):
@@ -98,7 +80,6 @@ class SecondFundamentalData:
     point: np.ndarray                 # ambient coordinates
     tangent: np.ndarray               # (N, k) pushforward columns
     tangent_frame: list               # k ambient vectors, g-orthonormal
-    normal_frame: list                # N-k ambient vectors, g-orthonormal
     induced: np.ndarray               # k x k pullback metric
     alpha: np.ndarray                 # (k, k, N) normal-valued form
     mean_curvature: np.ndarray        # ambient normal vector H
@@ -115,57 +96,31 @@ def _normal_projector(frames_tangent, g):
     return project
 
 
-def _frames_at(imm, u):
-    x = imm.point(u)
-    F = imm.jacobian(u)
-    g_amb = imm.target.metric_at(x)
-    tangent = gram_schmidt([F[:, a] for a in range(imm.k)], g_amb)
-    N = imm.target.dim
-    normal = []
-    for p in range(N):
-        if len(normal) == N - imm.k:
-            break
-        cand = np.eye(N)[p]
-        try:
-            vec = gram_schmidt([*tangent, *normal, cand], g_amb)[-1]
-        except RankDeficiencyError:
-            continue
-        # deterministic orientation: first nonzero component positive
-        nz = np.flatnonzero(np.abs(vec) > 1e-10)
-        if nz.size and vec[nz[0]] < 0:
-            vec = -vec
-        normal.append(vec)
-    return x, F, g_amb, tangent, normal
-
-
 def induced_metric(imm, u):
-    x = imm.point(u)
-    F = imm.jacobian(u)
-    g_amb = imm.target.metric_at(x)
-    return F.T @ g_amb @ F
+    x, F, _ = imm.map_jets(u)
+    return F.T @ imm.target.metric_at(x) @ F
 
 
 def second_fundamental_form(imm, u):
-    """Exact second fundamental form data at sub-chart point ``u``.
+    """Exact second fundamental form data at sub-chart point ``u``, from one
+    jet of the immersion map and one jet of the target metric.
 
     alpha(d_a, d_b) is the normal projection of the second derivative of the
     immersion corrected by the ambient Christoffel symbols.  Sign convention:
     the outward-normal round sphere of radius r gets alpha = -(1/r) g n.
     """
     u = np.asarray(u, dtype=float)
-    x, F, g_amb, tangent, normal = _frames_at(imm, u)
-    gamma = cv.christoffel(imm.target, x)
-    b = imm.bindings(u)
-    hess = imm._hessian_exprs()
+    x, F, hess = imm.map_jets(u)
+    g_amb, gamma = cv.connection(imm.target, x)
     N, k = imm.target.dim, imm.k
+    tangent = gram_schmidt([F[:, a] for a in range(k)], g_amb)
     project = _normal_projector(tangent, g_amb)
 
     alpha = np.zeros((k, k, N))
     for a in range(k):
         for c in range(a, k):
-            second = np.array([ex.evaluate(hess[p][a][c], b) for p in range(N)])
             corr = np.einsum("lpm,p,m->l", gamma, F[:, a], F[:, c])
-            val = project(second + corr)
+            val = project(hess[:, a, c] + corr)
             alpha[a, c] = val
             alpha[c, a] = val
 
@@ -177,7 +132,7 @@ def second_fundamental_form(imm, u):
                 np.max(np.abs(G)) * max(np.sqrt(abs(H @ g_amb @ H)), 0.0), 1e-300)
     umb = np.max(np.abs(alpha - np.einsum("ab,l->abl", G, H))) / scale
     return SecondFundamentalData(
-        u=u, point=x, tangent=F, tangent_frame=tangent, normal_frame=normal,
+        u=u, point=x, tangent=F, tangent_frame=tangent,
         induced=G, alpha=alpha, mean_curvature=H, umbilicity=float(umb),
         ambient_metric=g_amb, ambient_gamma=gamma)
 

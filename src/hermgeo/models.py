@@ -3,8 +3,8 @@
 Each model carries an expected-invariant table used by the regression tests
 and the CLI.  Closed-form structures are entered as expression strings; the
 6-sphere's almost complex structure is defined pointwise through the
-ambient 7-dimensional cross product and therefore uses the numeric
-derivative fallback of the pipeline.
+ambient 7-dimensional cross product, with its exact derivative taken from
+the jet of the embedding map.
 """
 
 from dataclasses import dataclass, field
@@ -68,27 +68,29 @@ def octonion_cross(a, b):
 
 
 def embedding_j_fn(coordinates, embedding):
-    """Pointwise J on a chart, pulled back from an ambient cross-product rule.
+    """Pointwise J on a chart, pulled back from an ambient cross-product rule,
+    as a function point -> (J, dJ) with dJ[k,i,j] = d_k J^i_j.
 
-    At a chart point u with embedding p(u) and Jacobian F, a chart vector v
-    maps to J v = F^+ ((p/r) x (F v)) where F^+ is the metric-free
-    pseudo-inverse; the cross product preserves the tangent space, so the
-    pullback is exact.
+    At a chart point with embedding p and Jacobian F, J = A^-1 B with
+    A = F^T F, B = F^T W and W = (p/r) x F; the cross product preserves the
+    tangent space, so the pullback is exact.  dJ comes from the same jet of
+    the map through the solve: d_k J = A^-1 (d_k B - d_k A J).
     """
     if embedding.j_rule != "octonion_cross":
         raise ValueError(f"unknown ambient J rule {embedding.j_rule!r}")
-    n = len(coordinates)
-    jac_exprs = [[ex.differentiate(embedding.map_exprs[p], coordinates[a])
-                  for a in range(n)] for p in range(embedding.ambient_dim)]
 
     def j_at(point):
-        b = dict(zip(coordinates, point))
-        p = np.array([ex.evaluate(e, b) for e in embedding.map_exprs])
-        F = np.array([[ex.evaluate(jac_exprs[i][a], b) for a in range(n)]
-                      for i in range(embedding.ambient_dim)])
-        unit = p / embedding.radius
-        W = np.column_stack([octonion_cross(unit, F[:, a]) for a in range(n)])
-        return np.linalg.solve(F.T @ F, F.T @ W)
+        p, F, H = ex.jets(embedding.map_exprs, coordinates, point)  # H[p,a,k] = d_k F[p,a]
+        unit, dunit = p / embedding.radius, F / embedding.radius
+        W = np.einsum("ijp,i,ja->pa", _OCTONION_EPS, unit, F)
+        dW = (np.einsum("ijp,ik,ja->kpa", _OCTONION_EPS, dunit, F)
+              + np.einsum("ijp,i,jak->kpa", _OCTONION_EPS, unit, H))
+        A = F.T @ F
+        J = np.linalg.solve(A, F.T @ W)
+        dA = np.einsum("pak,pb->kab", H, F)
+        dA = dA + np.swapaxes(dA, 1, 2)
+        dB = np.einsum("pak,pb->kab", H, W) + np.einsum("pa,kpb->kab", F, dW)
+        return J, np.linalg.solve(A, dB - dA @ J)
 
     return j_at
 
@@ -239,34 +241,20 @@ def product_chart(chart_a, chart_b, name=None):
     coords = [f"a_{c}" for c in chart_a.coordinates] + \
              [f"b_{c}" for c in chart_b.coordinates]
     na, nb = chart_a.dim, chart_b.dim
-    dim = na + nb
 
     def lift(exprs, prefix, old_coords):
         mapping = {c: ex.Sym(f"{prefix}_{c}") for c in old_coords}
         return [[ex.substitute(e, mapping) for e in row] for row in exprs]
 
-    zero = ex.Const(0.0)
-    ga = lift(chart_a.metric, "a", chart_a.coordinates)
-    gb = lift(chart_b.metric, "b", chart_b.coordinates)
-    metric = [[zero] * dim for _ in range(dim)]
-    for i in range(na):
-        for j in range(na):
-            metric[i][j] = ga[i][j]
-    for i in range(nb):
-        for j in range(nb):
-            metric[na + i][na + j] = gb[i][j]
+    def block_diag(rows_a, rows_b):
+        zero = ex.Const(0.0)
+        return ([row + [zero] * nb for row in lift(rows_a, "a", chart_a.coordinates)]
+                + [[zero] * na + row for row in lift(rows_b, "b", chart_b.coordinates)])
 
+    metric = block_diag(chart_a.metric, chart_b.metric)
     jmat = None
     if chart_a.complex_structure is not None and chart_b.complex_structure is not None:
-        ja = lift(chart_a.complex_structure, "a", chart_a.coordinates)
-        jb = lift(chart_b.complex_structure, "b", chart_b.coordinates)
-        jmat = [[zero] * dim for _ in range(dim)]
-        for i in range(na):
-            for j in range(na):
-                jmat[i][j] = ja[i][j]
-        for i in range(nb):
-            for j in range(nb):
-                jmat[na + i][na + j] = jb[i][j]
+        jmat = block_diag(chart_a.complex_structure, chart_b.complex_structure)
 
     hint = None
     if chart_a.domain_hint and chart_b.domain_hint:

@@ -69,6 +69,16 @@ def test_nearly_kahler_s6(rng):
     assert ka > 0.1  # not Kahler
 
 
+def test_nearly_kahler_s6_is_exact():
+    # dJ comes from the jet of the embedding map, not from finite differences
+    chart = models.instantiate("s6_nearly_kahler")
+    sampler = fr.FrameSampler(2, 6)
+    points = np.random.default_rng(5).uniform(-0.5, 0.5, size=(5, 6))
+    for point in points:
+        _, nk = cl.nabla_J_residuals(chart, cv.point_data(chart, point), sampler)
+        assert nk <= 1e-12
+
+
 def test_rk_residual(rng):
     fs = models.instantiate("fubini_study", m=2)
     pd = cv.point_data(fs, [0.1, 0.2, -0.1, 0.05], with_weyl=False)

@@ -121,6 +121,22 @@ def test_analyze_singular_metric(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("1 + sqrt(x^2 + y^2)", "error: division by zero"),
+    ("1 + x^1.5", "error: pow(0.0, -0.5) out of domain"),
+])
+def test_analyze_derivative_domain_error(tmp_path, capsys, entry, message):
+    # the metric is fine at the origin, but a derivative is not defined there
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({
+        "name": "edge", "dim": 2, "coordinates": ["x", "y"],
+        "metric": [[entry, "0"], ["0", entry]],
+    }), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--point=0,0")
+    assert code == 3
+    assert out == "" and err == message + "\n"
+
+
 def test_classify_product(tmp_path, capsys):
     path = write_model(tmp_path, "product_K", K=1.0)
     code, out, _ = run_cli(capsys, "classify", path,

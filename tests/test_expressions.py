@@ -137,3 +137,57 @@ def test_substitute_pullback():
     e = ex.parse("x^2 + y", ["x", "y"])
     sub = ex.substitute(e, {"x": ex.parse("sin(u)", ["u"]), "y": ex.parse("u*2", ["u"])})
     assert sub.eval({"u": 0.3}) == pytest.approx(math.sin(0.3) ** 2 + 0.6)
+
+
+def _symbolic_jet(e, coords, point):
+    b = dict(zip(coords, point))
+    grad = [e.diff(c).eval(b) for c in coords]
+    hess = [[e.diff(c).diff(d).eval(b) for d in coords] for c in coords]
+    return e.eval(b), np.array(grad), np.array(hess)
+
+
+def _assert_jet_matches(e, coords, point):
+    want = _symbolic_jet(e, coords, point)
+    got = ex.jets([e], coords, point)
+    for w, g in zip(want, got):
+        assert np.max(np.abs(g[0] - w)) <= 1e-12 * (1 + np.max(np.abs(w)))
+
+
+def test_jets_match_symbolic_derivatives(rng):
+    coords = ["x", "y", "z"]
+    checked = 0
+    for _ in range(200):
+        e = _random_expr(rng, coords, 4)
+        point = rng.uniform(-1, 1, size=3)
+        try:
+            _symbolic_jet(e, coords, point)
+        except ex.ExprError:
+            continue
+        _assert_jet_matches(e, coords, point)
+        checked += 1
+    assert checked > 150
+
+
+@pytest.mark.parametrize("text", [
+    "x/(1 + y^2)", "(x - y)/(x*y)", "log(x*y)", "sqrt(x^2 + y)", "tan(x - y)",
+    "x^y", "(1 + x^2)^(x*y)", "2^(x*y)", "x^1.5*sqrt(y)"])
+def test_jets_explicit_cases(text):
+    coords = ["x", "y"]
+    _assert_jet_matches(ex.parse(text, coords), coords, [0.7, 0.4])
+
+
+def test_jets_shapes_and_shared_subtrees():
+    coords = ["x", "y", "z"]
+    shared = ex.parse("sin(x*y) + z", coords)
+    exprs = [shared, ex.mul(shared, shared), ex.Const(2.0)]
+    v, g, h = ex.jets(exprs, coords, [0.1, 0.2, 0.3])
+    assert v.shape == (3,) and g.shape == (3, 3) and h.shape == (3, 3, 3)
+    assert v[1] == v[0] ** 2
+    assert np.array_equal(g[2], np.zeros(3)) and np.array_equal(h[2], np.zeros((3, 3)))
+
+
+def test_jets_domain_errors():
+    with pytest.raises(ex.DomainError, match="division by zero"):
+        ex.jets([ex.parse("sqrt(x^2 + y^2)", ["x", "y"])], ["x", "y"], [0.0, 0.0])
+    with pytest.raises(ex.MissingBindingError):
+        ex.jets([ex.parse("x + y", ["x", "y"])], ["x"], [1.0])
