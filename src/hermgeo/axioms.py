@@ -1,9 +1,11 @@
 """Pointwise linear-algebra verification of the conformal-flatness argument.
 
-An algebraic curvature tensor in dimension n lives in the kernel of the
-first-Bianchi symmetrization inside Sym^2(Lambda^2); that kernel has
-dimension n^2(n^2-1)/12 and is materialized here as an orthonormal basis of
-flattened 4-index arrays.  The curvature identities produced by the
+An algebraic curvature tensor in dimension n is a symmetric N x N matrix M
+over the bivectors, N = n(n-1)/2, with R(X,Y,Z,U) = b(X,Y)^T M b(Z,U) for
+b(X,Y)_{ij} = X_i Y_j - X_j Y_i (i < j), whose entries satisfy the first
+Bianchi identity.  ``curvature_space(n)`` holds an orthonormal basis of that
+Bianchi kernel inside Sym^2(Lambda^2), of dimension n^2(n^2-1)/12; tensors
+are written as coordinates in it.  The curvature identities produced by the
 umbilical-sphere axiom, and the orthogonal-quadruple criterion, are linear
 functionals on that space; sampling admissible frames until the constraint
 rank stabilizes yields the solution space, on which the conformal (Weyl)
@@ -13,6 +15,7 @@ machine form of the classical conformal-flatness conclusion.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +32,7 @@ class RankStabilizationError(RuntimeError):
 
 _RANK_CUT = 1e-9        # singular values below cut * max are treated as zero
 _STABLE_BATCHES = 3
-_MAX_BATCHES = 200
+_MAX_BATCHES = 200      # batches allowed beyond those a full-rank stack needs
 
 
 @dataclass(frozen=True)
@@ -49,58 +52,91 @@ def curvature_space_dim(n):
     return n * n * (n * n - 1) // 12
 
 
-def curvature_basis(n):
-    """Orthonormal basis of algebraic curvature tensors, shape (d, n^4).
+@dataclass(frozen=True)
+class CurvatureSpace:
+    """Algebraic curvature tensors of dimension n in Lambda^2 coordinates.
 
-    Built as the Bianchi kernel inside the pair-symmetric space, so every
-    basis element satisfies the symmetries exactly by construction.
+    ``pairs`` (N, 2) lists the bivector index pairs i < j.  ``entries`` (E, 2)
+    lists the upper-triangle entries (p, q), p <= q, of a symmetric N x N
+    matrix; an entry's coordinate is M_pp or sqrt(2) M_pq, so the dot product
+    of entry vectors is the Frobenius product of the matrices.  ``coeffs``
+    (E, d), sparse, is an orthonormal basis of the Bianchi kernel: the tensor
+    with coordinates x has M = smat(coeffs @ x) / 2, and its n^4 components
+    are ``flat_factor * (coeffs @ x)[flat_entry]``, of norm |x|.
     """
+    n: int
+    pairs: np.ndarray
+    entries: np.ndarray
+    coeffs: scipy.sparse.csc_matrix
+    flat_entry: np.ndarray
+    flat_factor: np.ndarray
+
+    @property
+    def dim(self):
+        return self.coeffs.shape[1]
+
+
+@functools.cache
+def curvature_space(n):
+    """The CurvatureSpace of dimension n, built once per n."""
     pairs = list(itertools.combinations(range(n), 2))
-    npair = len(pairs)
-    sym_idx = [(a, b) for a in range(npair) for b in range(a, npair)]
+    entries = [(p, q) for p in range(len(pairs)) for q in range(p, len(pairs))]
+    pair_of = np.zeros((n, n), dtype=np.intp)
+    sign = np.zeros((n, n))
+    for p, (i, j) in enumerate(pairs):
+        pair_of[i, j] = pair_of[j, i] = p
+        sign[i, j], sign[j, i] = 1.0, -1.0
+    entry_of = np.zeros((len(pairs), len(pairs)), dtype=np.intp)
+    for e, (p, q) in enumerate(entries):
+        entry_of[p, q] = entry_of[q, p] = e
 
-    # sparse embedding of the Sym^2(Lambda^2) basis into n^4 arrays
-    rows, cols, vals = [], [], []
-    for col, (a, b) in enumerate(sym_idx):
-        terms = _pair_product_entries(pairs[a], pairs[b], n)
-        if a != b:
-            terms += _pair_product_entries(pairs[b], pairs[a], n)
-        for flat, v in terms:
-            rows.append(flat)
-            cols.append(col)
-            vals.append(v)
-    embed = scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(n ** 4, len(sym_idx))).tocsc()
-
-    # Bianchi symmetrization of a pair-symmetric tensor is totally
-    # antisymmetric, so i<j<k<l quadruples carry all constraints
-    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp)
-    if len(quads):
-        i, j, k, l = quads.T
-        index = lambda a, b, c: ((a * n + b) * n + c) * n + l
-        by_row = embed.tocsr()
-        bianchi = (by_row[index(i, j, k)] + by_row[index(j, k, i)]
-                   + by_row[index(k, i, j)]).toarray()
-    else:
-        bianchi = np.zeros((1, len(sym_idx)))
-    coeffs = scipy.linalg.null_space(bianchi)  # (len(sym_idx), d)
+    # The Bianchi symmetrization of M is totally antisymmetric; on i<j<k<l it
+    # reads M[ij,kl] - M[ik,jl] + M[il,jk].  Entries whose two pairs share an
+    # index are therefore free, and each quadruple keeps the orthogonal
+    # complement of (1, -1, 1) on its three pairings ij|kl, ik|jl, il|jk.
+    columns = [[(e, 1.0)] for e, (p, q) in enumerate(entries)
+               if len({*pairs[p], *pairs[q]}) < 4]
+    for i, j, k, l in itertools.combinations(range(n), 4):
+        a, b, c = entry_of[pair_of[[i, i, i], [j, k, l]], pair_of[[k, j, j], [l, l, k]]]
+        columns.append([(a, 2 ** -0.5), (b, 2 ** -0.5)])
+        columns.append([(a, -6 ** -0.5), (b, 6 ** -0.5), (c, 2 * 6 ** -0.5)])
+    rows, cols, vals = zip(*[(e, col, v) for col, terms in enumerate(columns)
+                             for e, v in terms])
+    coeffs = scipy.sparse.csc_matrix((vals, (rows, cols)),
+                                     shape=(len(entries), len(columns)))
     assert coeffs.shape[1] == curvature_space_dim(n)
 
-    basis = (embed @ coeffs).T  # (d, n^4)
-    # orthonormalize the flattened tensors
-    basis = scipy.linalg.orth(basis.T).T
+    # R_ijkl = sign(i,j) sign(k,l) M[ij,kl] / 2 (coordinates carry the 1/2)
+    flat_pair = pair_of.reshape(-1)
+    factor = 0.5 * np.outer(sign, sign) * np.where(
+        flat_pair[:, None] == flat_pair, 1.0, 2 ** -0.5)
+    return CurvatureSpace(
+        n=n, pairs=np.array(pairs, dtype=np.intp).reshape(-1, 2),
+        entries=np.array(entries, dtype=np.intp).reshape(-1, 2), coeffs=coeffs,
+        flat_entry=entry_of[flat_pair[:, None], flat_pair].reshape(-1),
+        flat_factor=factor.reshape(-1))
+
+
+def _tensors(space, coords):
+    """4-index arrays (..., n, n, n, n) of the tensors with coordinates
+    ``coords`` (..., d)."""
+    values = (space.coeffs @ np.asarray(coords).T).T[..., space.flat_entry]
+    values *= space.flat_factor
+    return values.reshape(values.shape[:-1] + (space.n,) * 4)
+
+
+@functools.cache
+def curvature_basis(n):
+    """Orthonormal basis of algebraic curvature tensors, shape (d, n^4): the
+    n^4 components of the coordinate vectors of ``curvature_space(n)``.
+
+    Every basis element satisfies the symmetries exactly by construction.
+    The array is shared between callers and read-only.
+    """
+    space = curvature_space(n)
+    basis = _tensors(space, np.eye(space.dim)).reshape(space.dim, n ** 4)
+    basis.flags.writeable = False
     return basis
-
-
-def _pair_product_entries(pair_a, pair_b, n):
-    """Nonzero entries of (e_i ^ e_j) (x) (e_k ^ e_l) as (flat index, value)."""
-    (i, j), (k, l) = pair_a, pair_b
-    out = []
-    for (p, q, sa) in ((i, j, 1.0), (j, i, -1.0)):
-        for (r, s, sb) in ((k, l, 1.0), (l, k, -1.0)):
-            flat = ((p * n + q) * n + r) * n + s
-            out.append((flat, sa * sb))
-    return out
 
 
 def tensor_from_coords(basis, coords):
@@ -109,10 +145,31 @@ def tensor_from_coords(basis, coords):
     return (coords @ basis).reshape(n, n, n, n)
 
 
-def functional_row(basis, X, Y, Z, U):
-    """Row vector of the functional R -> R(X,Y,Z,U) in basis coordinates."""
-    w = np.einsum("i,j,k,l->ijkl", X, Y, Z, U).reshape(-1)
-    return basis @ w
+def _bivectors(space, X, Y):
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    i, j = space.pairs.T
+    return X[..., i] * Y[..., j] - X[..., j] * Y[..., i]
+
+
+def functional_row(space, X, Y, Z, U):
+    """Row vector of the functional R -> R(X,Y,Z,U) in coordinates of
+    ``space``; stacks of k vectors, shape (k, n), give k rows at once.
+
+    It is the symmetrized outer product of the bivectors of (X, Y) and
+    (Z, U), in entry coordinates, times the Bianchi kernel basis.
+    """
+    a, c = _bivectors(space, X, Y), _bivectors(space, Z, U)
+    p, q = space.entries.T
+    # R(X,Y,Z,U) = sum over p <= q of (a_p c_q + a_q c_p) M_pq, halved on the
+    # diagonal; M = smat(coeffs @ x) / 2 turns the weights into 1/4 on the
+    # diagonal and 1/(2 sqrt 2) off it
+    w = (a[..., p] * c[..., q] + a[..., q] * c[..., p]) * np.where(p == q, 0.25, 8 ** -0.5)
+    return (space.coeffs.T @ w.T).T
+
+
+def _quadruple_rows(space, quads):
+    """functional_row of a list of quadruples (X, Y, Z, U), in one call."""
+    return functional_row(space, *np.moveaxis(np.array(quads, dtype=float), 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +226,13 @@ def _identity_value(fn, terms):
 def proof_identity_residuals(R4, g, J, sampler, frames=64):
     """Max residual of each identity over sampled admissible frames.
 
-    Identities outside the dimension regime are reported as None (skipped).
+    Identities outside the dimension regime are reported as None (skipped);
+    in dimension 2 no admissible frame exists, so all of them are.
     """
     n = g.shape[0]
     worst = dict.fromkeys(_IDENTITY_NAMES)
     value_of = functools.partial(cv.curvature_value, R4)
-    for _ in range(frames):
+    for _ in range(frames if n > 2 else 0):
         frame = _admissible_frame(g, J, sampler, need_z=n >= 6, need_u=n >= 8)
         for name, *terms in _identities(J, frame):
             worst[name] = max(worst[name] or 0.0, abs(_identity_value(value_of, terms)))
@@ -196,27 +254,51 @@ def quadruple_vanishing_residual(R4, g, sampler, samples=256):
 # ---------------------------------------------------------------------------
 # null-space certificates
 
-def _stable_nullspace(row_batches, dim_coords, budget=_MAX_BATCHES):
+def _stable_nullspace(row_batches, dim):
     """Accumulate constraint rows until the rank is unchanged for three
-    consecutive batches; return (rows, nullspace basis in coordinates)."""
-    rows = np.zeros((0, dim_coords))
-    stable = 0
-    rank = -1
-    for batch_index in range(budget):
-        batch = next(row_batches)
-        rows = np.vstack([rows, batch])
-        sv = scipy.linalg.svdvals(rows)
-        new_rank = int(np.sum(sv > _RANK_CUT * max(sv[0], 1e-300)))
-        if new_rank == rank:
-            stable += 1
-            if stable >= _STABLE_BATCHES:
-                null = scipy.linalg.null_space(rows, rcond=_RANK_CUT)
-                return rows, null
-        else:
-            stable = 0
-            rank = new_rank
-    raise RankStabilizationError(
-        f"constraint rank did not stabilize within {budget} batches")
+    consecutive batches; return (rows, nullspace basis in coordinates, rank
+    gap).
+
+    Each batch is projected onto the orthogonal complement of the rows seen
+    so far and only that projection is factored; the null space and its rank
+    gap come from one SVD of the whole stack at the end.  Every batch may
+    raise the rank, so the budget adds the batches a full-rank stack needs
+    to the fixed allowance.
+    """
+    span = np.empty((dim, dim))  # orthonormal rows spanning the stack's rows
+    stack, rank, stable, sumsq, budget = [], 0, 0, 0.0, None
+    for count, batch in enumerate(row_batches, 1):
+        budget = budget or _MAX_BATCHES + math.ceil(dim / len(batch))
+        stack.append(batch)
+        # the Frobenius norm of the stack bounds its largest singular value
+        sumsq += float(np.sum(batch * batch))
+        basis = span[:rank]
+        part = batch - (batch @ basis.T) @ basis
+        part -= (part @ basis.T) @ basis
+        _, sv, vt = scipy.linalg.svd(part, full_matrices=False)
+        new = vt[sv > _RANK_CUT * math.sqrt(sumsq)]
+        span[rank:rank + len(new)] = new
+        rank += len(new)
+        stable = 0 if len(new) or count == 1 else stable + 1
+        if stable >= _STABLE_BATCHES:
+            rows = np.vstack(stack)
+            return (rows, *_nullspace(rows))
+        if count == budget:
+            raise RankStabilizationError(
+                f"constraint rank did not stabilize within {budget} batches")
+
+
+def _nullspace(rows):
+    """Orthonormal null-space basis of ``rows`` (as columns) and its rank gap:
+    the smallest kept and the largest dropped singular value relative to the
+    largest, from one SVD at the relative cut."""
+    dim = rows.shape[1]
+    _, sv, vt = scipy.linalg.svd(rows, full_matrices=rows.shape[0] < dim)
+    sv = np.concatenate([sv, np.zeros(dim - len(sv))]) / max(sv[0], 1e-300)
+    rank = int(np.sum(sv > _RANK_CUT))
+    gap = {"smallest_kept": float(sv[rank - 1]) if rank else None,
+           "largest_dropped": float(sv[rank]) if rank < dim else None}
+    return vt[rank:].T, gap
 
 
 def _weyl_norm_flat(T):
@@ -227,32 +309,31 @@ def _weyl_norm_flat(T):
     return float(np.max(np.abs(cv.weyl(T, S, s, g))))
 
 
+def _max_weyl(space, null):
+    """Max Weyl norm over the null-space basis tensors (columns of ``null``)."""
+    return max((_weyl_norm_flat(T) for T in _tensors(space, null.T)), default=0.0)
+
+
 def schouten_nullspace_verify(n, sampler=None, tolerance=1e-8, batch=8):
     """Solution space of the orthogonal-quadruple vanishing condition.
 
     Returns a report with the null-space dimension (expected n(n+1)/2), the
-    max Weyl norm over an orthonormal null-space basis, and the basis itself
-    in coordinates of ``curvature_basis(n)``.
+    max Weyl norm over an orthonormal null-space basis, the rank gap, and the
+    basis itself in coordinates of ``curvature_basis(n)``.
     """
     if n < 4:
         raise cv.UnsupportedDimensionError("need dimension >= 4")
     sampler = sampler or fr.FrameSampler(0, n)
-    basis = curvature_basis(n)
+    space = curvature_space(n)
     g = np.eye(n)
 
     def batches():
         while True:
-            rows = []
-            for _ in range(batch):
-                X, Y, Z, U = fr.sample_orthonormal_set(g, 4, sampler)
-                rows.append(functional_row(basis, X, Y, Z, U))
-            yield np.array(rows)
+            yield _quadruple_rows(
+                space, [fr.sample_orthonormal_set(g, 4, sampler) for _ in range(batch)])
 
-    rows, null = _stable_nullspace(batches(), basis.shape[0])
-    max_weyl = 0.0
-    for k in range(null.shape[1]):
-        T = tensor_from_coords(basis, null[:, k])
-        max_weyl = max(max_weyl, _weyl_norm_flat(T))
+    rows, null, gap = _stable_nullspace(batches(), space.dim)
+    max_weyl = _max_weyl(space, null)
     return {
         "dimension": n,
         "constraint_rows": int(rows.shape[0]),
@@ -261,8 +342,9 @@ def schouten_nullspace_verify(n, sampler=None, tolerance=1e-8, batch=8):
         "max_weyl": max_weyl,
         "tolerance": tolerance,
         "pass": null.shape[1] == n * (n + 1) // 2 and max_weyl <= tolerance,
+        "rank_gap": gap,
         "nullspace": null,
-        "basis": basis,
+        "basis": curvature_basis(n),
     }
 
 
@@ -275,6 +357,17 @@ def canonical_j(n):
     return J
 
 
+def _identity_rows(space, entries):
+    """Functional rows of identity entries (name, quadruple[, quadruple]):
+    the row of the first quadruple minus that of the second, if any."""
+    quad_rows = _quadruple_rows(space, [q for _, *terms in entries for q in terms])
+    rows, k = [], 0
+    for _, *terms in entries:
+        rows.append(quad_rows[k] - quad_rows[k + 1] if len(terms) == 2 else quad_rows[k])
+        k += len(terms)
+    return np.array(rows)
+
+
 def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, batch=6, samples=128):
     """Certificate that the sphere-axiom identities force the Weyl tensor to
     vanish, for complex dimension m (real dimension n = 2m).
@@ -282,48 +375,41 @@ def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, batch=6, samples=1
     Constraints are the identities the axiom yields directly: (3.1), (3.2),
     (3.3), and for m > 2 also (3.5), (3.6), (3.7).  The derived identities
     (3.4), (3.8), orthogonal-quadruple vanishing and the Weyl norm are then
-    verified on the resulting null space.
+    verified on the resulting null space: the check functionals on all
+    sampled frames, times the null-space basis, in one product.
     """
     if m < 2:
         raise cv.UnsupportedDimensionError("need complex dimension m >= 2")
     n = 2 * m
     sampler = sampler or fr.FrameSampler(0, n)
-    basis = curvature_basis(n)
+    space = curvature_space(n)
     g = np.eye(n)
     J = canonical_j(n)
 
-    def constraint_rows(frame):
-        row = functools.partial(functional_row, basis)
-        return [_identity_value(row, terms) for _, *terms in _identities(J, frame, _DIRECT)]
-
     def batches():
         while True:
-            rows = []
-            for _ in range(batch):
-                frame = _admissible_frame(g, J, sampler, need_z=m > 2, need_u=False)
-                rows.extend(constraint_rows(frame))
-            yield np.array(rows)
+            frames = [_admissible_frame(g, J, sampler, need_z=m > 2, need_u=False)
+                      for _ in range(batch)]
+            yield _identity_rows(
+                space, [entry for frame in frames for entry in _identities(J, frame, _DIRECT)])
 
-    rows, null = _stable_nullspace(batches(), basis.shape[0])
+    rows, null, gap = _stable_nullspace(batches(), space.dim)
 
     # derived identities and Weyl on the null space
-    derived = {"3.4": 0.0, "3.8": 0.0 if m >= 4 else None,
-               "quadruple": 0.0, "weyl": 0.0}
     check_sampler = fr.FrameSampler(sampler.seed + 1, n)
-    check_frames = [_admissible_frame(g, J, check_sampler, need_z=m > 2, need_u=m >= 4)
-                    for _ in range(samples)]
+    checks = [entry for _ in range(samples) for entry in _identities(
+        J, _admissible_frame(g, J, check_sampler, need_z=m > 2, need_u=m >= 4),
+        ("3.4", "3.8"))]
     quad_sampler = fr.FrameSampler(sampler.seed + 2, n)
-    quads = [fr.sample_orthonormal_set(g, 4, quad_sampler) for _ in range(samples)]
-    for k in range(null.shape[1]):
-        T = tensor_from_coords(basis, null[:, k])
-        value_of = functools.partial(cv.curvature_value, T)
-        for frame in check_frames:
-            for name, *terms in _identities(J, frame, ("3.4", "3.8")):
-                derived[name] = max(derived[name], abs(_identity_value(value_of, terms)))
-        for X, Y, Z, U in quads:
-            derived["quadruple"] = max(derived["quadruple"],
-                                       abs(cv.curvature_value(T, X, Y, Z, U)))
-        derived["weyl"] = max(derived["weyl"], _weyl_norm_flat(T))
+    checks += [("quadruple", fr.sample_orthonormal_set(g, 4, quad_sampler))
+               for _ in range(samples)]
+    values = np.abs(_identity_rows(space, checks) @ null)
+    names = np.array([name for name, *_ in checks])
+    derived = {"3.4": 0.0, "3.8": 0.0 if m >= 4 else None,
+               "quadruple": 0.0, "weyl": _max_weyl(space, null)}
+    for name in ("3.4", "3.8", "quadruple"):
+        if derived[name] is not None:
+            derived[name] = float(values[names == name].max(initial=0.0))
 
     return {
         "m": m,
@@ -334,8 +420,9 @@ def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, batch=6, samples=1
         "max_weyl": derived["weyl"],
         "tolerance": tolerance,
         "pass": derived["weyl"] <= tolerance,
+        "rank_gap": gap,
         "nullspace": null,
-        "basis": basis,
+        "basis": curvature_basis(n),
     }
 
 

@@ -95,15 +95,19 @@ def _antiholomorphic_pair(g, J, sampler):
 def sample_invariants(pd, sampler, samples):
     """Lists of holomorphic sectional, antiholomorphic sectional and
     constant-type values at a point, one of each per sample: a unit X for
-    the first, then an antiholomorphic unit pair (X, Y) for the other two."""
+    the first, then an antiholomorphic unit pair (X, Y) for the other two.
+    In dimension 2 no antiholomorphic pair exists (X must avoid Y and JY),
+    and the last two are None."""
+    pairs = pd.g.shape[0] > 2
     hvals, kvals, lvals = [], [], []
     for _ in range(samples):
         X = fr.sample_orthonormal_set(pd.g, 1, sampler)[0]
         hvals.append(cv.holomorphic_sectional(pd.riemann, pd.g, pd.J, X))
-        X, Y = _antiholomorphic_pair(pd.g, pd.J, sampler)
-        kvals.append(cv.sectional(pd.riemann, pd.g, X, Y))
-        lvals.append(cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y))
-    return hvals, kvals, lvals
+        if pairs:
+            X, Y = _antiholomorphic_pair(pd.g, pd.J, sampler)
+            kvals.append(cv.sectional(pd.riemann, pd.g, X, Y))
+            lvals.append(cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y))
+    return (hvals, kvals, lvals) if pairs else (hvals, None, None)
 
 
 def constancy_report(chart, pds, sampler, samples=32, tolerance=1e-8):
@@ -113,33 +117,37 @@ def constancy_report(chart, pds, sampler, samples=32, tolerance=1e-8):
 
     Returns a list of check records; the reported constant is the sample
     mean, "pointwise" passes when every per-point std is within tolerance,
-    "global" additionally requires the per-point means to agree.
+    "global" additionally requires the per-point means to agree.  An
+    invariant that does not exist in the chart's dimension has null values.
     """
     stats = {"holomorphic_sectional": [], "antiholomorphic_sectional": [],
              "constant_type": []}
     for pd in pds:
         _require_j(chart, pd)
         for key, vals in zip(stats, sample_invariants(pd, sampler, samples)):
-            stats[key].append((float(np.mean(vals)), float(np.std(vals))))
+            stats[key].append(None if vals is None
+                              else (float(np.mean(vals)), float(np.std(vals))))
 
     report = []
     for name, per_point in stats.items():
-        means = [m for m, _ in per_point]
-        pointwise = max(s for _, s in per_point)
-        overall = float(np.mean(means))
-        cross = max(abs(m - overall) for m in means) if len(means) > 1 else 0.0
-        report.append({
-            "name": name,
-            "constant": overall,
-            "per_point_means": means,
-            "residual": float(pointwise),
-            "cross_point_residual": float(cross),
-            "pass": pointwise <= tolerance,
-            "global_pass": pointwise <= tolerance and cross <= tolerance,
-            "tolerance": tolerance,
-            "samples": samples,
-            "seed": sampler.seed,
-        })
+        record = {"name": name, **dict.fromkeys(
+            ("constant", "per_point_means", "residual", "cross_point_residual",
+             "pass", "global_pass"))}
+        if None not in per_point:
+            means = [m for m, _ in per_point]
+            pointwise = max(s for _, s in per_point)
+            overall = float(np.mean(means))
+            cross = max(abs(m - overall) for m in means) if len(means) > 1 else 0.0
+            record.update({
+                "constant": overall,
+                "per_point_means": means,
+                "residual": float(pointwise),
+                "cross_point_residual": float(cross),
+                "pass": pointwise <= tolerance,
+                "global_pass": pointwise <= tolerance and cross <= tolerance,
+            })
+        record.update({"tolerance": tolerance, "samples": samples, "seed": sampler.seed})
+        report.append(record)
     return report
 
 

@@ -64,8 +64,8 @@ def _analyze_report(chart, points, seed, tol, samples, require_weyl):
             hs, _, lam = cl.sample_invariants(pd, sampler, samples)
             entry["holomorphic_sectional"] = {"mean": float(np.mean(hs)),
                                               "std": float(np.std(hs))}
-            entry["constant_type"] = {"mean": float(np.mean(lam)),
-                                      "std": float(np.std(lam))}
+            entry["constant_type"] = None if lam is None else {
+                "mean": float(np.mean(lam)), "std": float(np.std(lam))}
         report["points"].append(entry)
     if chart.has_j():
         classification = cl.classify_chart(chart, pds, seed=seed,

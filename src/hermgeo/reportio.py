@@ -7,6 +7,7 @@ digits, so identical runs are byte-identical and goldens diff cleanly.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -153,7 +154,8 @@ def load_manifold_file(path):
 
 def dump_report(obj):
     """Serialize a report to JSON text with 17-significant-digit floats and
-    fixed key order."""
+    fixed key order.  A non-finite float raises DomainError: JSON has no
+    spelling for it."""
     out = []
     _write(obj, out, 0)
     out.append("\n")
@@ -188,6 +190,8 @@ def _write(obj, out, indent):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ex.DomainError(f"report value {float(obj)} is not a finite number")
         out.append(format(float(obj), ".17g"))
     elif isinstance(obj, np.ndarray):
         _write(obj.tolist(), out, indent)

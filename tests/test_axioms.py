@@ -49,7 +49,7 @@ def test_functional_row_matches_evaluation(rng):
     T = ax.tensor_from_coords(basis, coords)
     for _ in range(10):
         X, Y, Z, U = rng.normal(size=(4, n))
-        row = ax.functional_row(basis, X, Y, Z, U)
+        row = ax.functional_row(ax.curvature_space(n), X, Y, Z, U)
         assert row @ coords == pytest.approx(cv.curvature_value(T, X, Y, Z, U),
                                              abs=1e-10)
 
@@ -145,3 +145,90 @@ def test_theorem_determinism():
 def test_canonical_j():
     J = ax.canonical_j(6)
     assert np.array_equal(J @ J, -np.eye(6))
+
+
+def test_functional_row_batches_match_single_rows(rng):
+    space = ax.curvature_space(5)
+    quads = rng.normal(size=(4, 7, 5))
+    rows = ax.functional_row(space, *quads)
+    assert rows.shape == (7, space.dim)
+    for k in range(7):
+        single = ax.functional_row(space, *quads[:, k])
+        assert np.max(np.abs(rows[k] - single)) <= 1e-15
+
+
+def test_stable_nullspace_budget_grows_with_dimension():
+    # rank 450 arrives two rows per batch, so it needs 225 batches: more than
+    # the fixed allowance of 200
+    rng = np.random.default_rng(0)
+    dim, rank, batch = 500, 450, 2
+    span = rng.normal(size=(rank, dim))
+
+    def batches():
+        while True:
+            yield rng.normal(size=(batch, rank)) @ span
+
+    rows, null, _ = ax._stable_nullspace(batches(), dim)
+    assert null.shape == (dim, dim - rank)
+    assert rows.shape[0] == batch * (rank // batch + 3)
+    assert np.max(np.abs(span @ null)) <= 1e-9 * np.max(np.abs(span))
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_certificate_counts_pinned(seed):
+    # constraint_rows / nullspace_dim of the dense-basis engine at these seeds
+    for m, rows, nullity in ((2, 72, 10), (3, 210, 21)):
+        rep = ax.theorem_nullspace_verify(m, fr.FrameSampler(seed, 2 * m))
+        assert (rep["constraint_rows"], rep["nullspace_dim"]) == (rows, nullity)
+    for n, rows, nullity in ((4, 40, 10), (6, 112, 21)):
+        rep = ax.schouten_nullspace_verify(n, fr.FrameSampler(seed, n))
+        assert (rep["constraint_rows"], rep["nullspace_dim"]) == (rows, nullity)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_rank_gap_margins(m):
+    n = 2 * m
+    for rep in (ax.theorem_nullspace_verify(m, fr.FrameSampler(0, n), samples=8),
+                ax.schouten_nullspace_verify(n, fr.FrameSampler(0, n))):
+        gap = rep["rank_gap"]
+        # six decades on each side of the 1e-9 cut
+        assert gap["smallest_kept"] >= 1e-3
+        assert gap["largest_dropped"] <= 1e-15
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_batched_checks_match_curvature_value(m, rng):
+    n, seed, samples = 2 * m, 4, 32
+    rep = ax.theorem_nullspace_verify(m, fr.FrameSampler(seed, n), samples=samples)
+    g, J = np.eye(n), ax.canonical_j(n)
+    check_sampler = fr.FrameSampler(seed + 1, n)
+    checks = [entry for _ in range(samples) for entry in ax._identities(
+        J, ax._admissible_frame(g, J, check_sampler, need_z=m > 2, need_u=m >= 4),
+        ("3.4", "3.8"))]
+    quad_sampler = fr.FrameSampler(seed + 2, n)
+    checks += [("quadruple", fr.sample_orthonormal_set(g, 4, quad_sampler))
+               for _ in range(samples)]
+
+    def oracle(coords):
+        """Each check on each tensor, one curvature_value at a time."""
+        out = np.zeros((len(checks), coords.shape[1]))
+        for k in range(coords.shape[1]):
+            T = ax.tensor_from_coords(rep["basis"], coords[:, k])
+            value_of = lambda *quad: cv.curvature_value(T, *quad)
+            for e, (_, *terms) in enumerate(checks):
+                out[e, k] = ax._identity_value(value_of, terms)
+        return out
+
+    # the batched rows on generic tensors, where the values are O(1)
+    coords = rng.normal(size=(rep["basis"].shape[0], 3))
+    expected = oracle(coords)
+    batched = ax._identity_rows(ax.curvature_space(n), checks) @ coords
+    assert np.max(np.abs(batched - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    # the reported residuals on the null space
+    values = np.abs(oracle(rep["nullspace"]))
+    derived = rep["derived_residuals"]
+    assert derived["3.8"] is None
+    for name in ("3.4", "quadruple"):
+        mask = [entry[0] == name for entry in checks]
+        assert abs(derived[name] - values[mask].max()) <= 1e-13

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hermgeo import cli, models, reportio
+from hermgeo import curvature as cv
+from hermgeo import expressions as ex
 
 
 def run_cli(capsys, *argv):
@@ -248,3 +250,36 @@ def test_analyze_one_sample_is_valid_json(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "analyze", path, "--samples", "1")
     assert code == 0
     assert strict_json(out)["points"][0]["holomorphic_sectional"]["std"] == 0.0
+
+
+@pytest.mark.parametrize("name", ["fubini_study", "flat_kahler"])
+def test_two_dimensional_chart_with_j(tmp_path, capsys, name):
+    # antiholomorphic planes need X orthogonal to Y and JY: none in dimension 2
+    path = write_model(tmp_path, name, m=1)
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 0, err
+    doc = strict_json(out)
+    assert doc["points"][0]["constant_type"] is None
+    assert doc["points"][0]["holomorphic_sectional"]["std"] <= 1e-12
+    assert all(v is None for v in doc["identity_residuals"].values())
+    code, out, err = run_cli(capsys, "classify", path)
+    assert code == 0, err
+    by_name = {c["name"]: c for c in strict_json(out)["constancy"]}
+    assert by_name["holomorphic_sectional"]["pass"]
+    for key in ("antiholomorphic_sectional", "constant_type"):
+        assert by_name[key]["constant"] is None and by_name[key]["pass"] is None
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dump_report_rejects_non_finite(value):
+    with pytest.raises(ex.DomainError):
+        reportio.dump_report({"x": [1.0, {"y": np.float64(value)}]})
+
+
+def test_non_finite_report_value_is_domain_error(tmp_path, capsys, monkeypatch):
+    path = write_model(tmp_path, "fubini_study", m=2)
+    monkeypatch.setattr(cv, "relative_weyl_norm", lambda pd: float("nan"))
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 3 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
