@@ -180,7 +180,7 @@ _IDENTITY_NAMES = ["3.1", "3.2", "3.3", "3.4", "3.5", "3.6", "3.7", "3.8"]
 _DIRECT = ("3.1", "3.2", "3.3", "3.5", "3.6", "3.7")
 
 
-def _admissible_frame(g, J, sampler, need_z, need_u):
+def admissible_frame(g, J, sampler, need_z=False, need_u=False):
     """(X, Y[, Z[, U]]) with X unit and orthogonal to Y, JY, and the extra
     vectors orthogonal to all earlier ones and their J-images."""
     Y = fr.sample_orthonormal_set(g, 1, sampler)[0]
@@ -218,24 +218,31 @@ def _identities(J, frame, names=_IDENTITY_NAMES):
     return [entry for entry in out if entry[0] in names]
 
 
-def _identity_value(fn, terms):
-    """fn on an identity's quadruple, minus fn on its second quadruple if any."""
-    return fn(*terms[0]) - fn(*terms[1]) if len(terms) == 2 else fn(*terms[0])
+def _per_entry(values, entries):
+    """Per identity entry: its first quadruple's value, minus its second's if any."""
+    out, k = [], 0
+    for _, *terms in entries:
+        out.append(values[k] - values[k + 1] if len(terms) == 2 else values[k])
+        k += len(terms)
+    return np.array(out)
 
 
 def proof_identity_residuals(R4, g, J, sampler, frames=64):
     """Max residual of each identity over sampled admissible frames.
 
     Identities outside the dimension regime are reported as None (skipped);
-    in dimension 2 no admissible frame exists, so all of them are.
+    in dimension 2 no admissible frame exists, so all of them are.  All
+    frames are drawn first, then every quadruple is evaluated at once.
     """
     n = g.shape[0]
     worst = dict.fromkeys(_IDENTITY_NAMES)
-    value_of = functools.partial(cv.curvature_value, R4)
-    for _ in range(frames if n > 2 else 0):
-        frame = _admissible_frame(g, J, sampler, need_z=n >= 6, need_u=n >= 8)
-        for name, *terms in _identities(J, frame):
-            worst[name] = max(worst[name] or 0.0, abs(_identity_value(value_of, terms)))
+    entries = [entry for _ in range(frames if n > 2 else 0) for entry in _identities(
+        J, admissible_frame(g, J, sampler, need_z=n >= 6, need_u=n >= 8))]
+    if entries:
+        quads = np.array([q for _, *terms in entries for q in terms])
+        values = np.abs(_per_entry(cv.curvature_values(R4, *np.moveaxis(quads, 1, 0)), entries))
+        for (name, *_), value in zip(entries, values):
+            worst[name] = max(worst[name] or 0.0, float(value))
     return worst
 
 
@@ -244,11 +251,8 @@ def quadruple_vanishing_residual(R4, g, sampler, samples=256):
     n = g.shape[0]
     if n < 4:
         raise cv.UnsupportedDimensionError("orthogonal quadruples need dimension >= 4")
-    worst = 0.0
-    for _ in range(samples):
-        X, Y, Z, U = fr.sample_orthonormal_set(g, 4, sampler)
-        worst = max(worst, abs(cv.curvature_value(R4, X, Y, Z, U)))
-    return worst
+    quads = np.array([fr.sample_orthonormal_set(g, 4, sampler) for _ in range(samples)])
+    return float(np.max(np.abs(cv.curvature_values(R4, *np.moveaxis(quads, 1, 0)))))
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +364,8 @@ def canonical_j(n):
 def _identity_rows(space, entries):
     """Functional rows of identity entries (name, quadruple[, quadruple]):
     the row of the first quadruple minus that of the second, if any."""
-    quad_rows = _quadruple_rows(space, [q for _, *terms in entries for q in terms])
-    rows, k = [], 0
-    for _, *terms in entries:
-        rows.append(quad_rows[k] - quad_rows[k + 1] if len(terms) == 2 else quad_rows[k])
-        k += len(terms)
-    return np.array(rows)
+    return _per_entry(_quadruple_rows(space, [q for _, *terms in entries for q in terms]),
+                      entries)
 
 
 def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, batch=6, samples=128):
@@ -388,7 +388,7 @@ def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, batch=6, samples=1
 
     def batches():
         while True:
-            frames = [_admissible_frame(g, J, sampler, need_z=m > 2, need_u=False)
+            frames = [admissible_frame(g, J, sampler, need_z=m > 2, need_u=False)
                       for _ in range(batch)]
             yield _identity_rows(
                 space, [entry for frame in frames for entry in _identities(J, frame, _DIRECT)])
@@ -398,7 +398,7 @@ def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, batch=6, samples=1
     # derived identities and Weyl on the null space
     check_sampler = fr.FrameSampler(sampler.seed + 1, n)
     checks = [entry for _ in range(samples) for entry in _identities(
-        J, _admissible_frame(g, J, check_sampler, need_z=m > 2, need_u=m >= 4),
+        J, admissible_frame(g, J, check_sampler, need_z=m > 2, need_u=m >= 4),
         ("3.4", "3.8"))]
     quad_sampler = fr.FrameSampler(sampler.seed + 2, n)
     checks += [("quadruple", fr.sample_orthonormal_set(g, 4, quad_sampler))

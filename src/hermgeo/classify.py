@@ -6,6 +6,7 @@ tolerance.  Everything is deterministic given (chart, points, seed).
 
 import numpy as np
 
+from . import axioms as ax
 from . import curvature as cv
 from . import frames as fr
 
@@ -31,8 +32,7 @@ def _require_j(chart, pd):
 def nabla_j(chart, pd):
     """Covariant derivative (nabla J)[k,i,j] = nabla_k J^i_j at a point."""
     J = _require_j(chart, pd)
-    dJ = chart.dj_at(pd.point)
-    return (dJ + np.einsum("ikm,mj->kij", pd.gamma, J)
+    return (pd.dJ + np.einsum("ikm,mj->kij", pd.gamma, J)
             - np.einsum("mkj,im->kij", pd.gamma, J))
 
 
@@ -44,21 +44,21 @@ def nabla_J_residuals(chart, pd, sampler, samples=32):
     """
     nj = nabla_j(chart, pd)
     g = pd.g
-    kahler = float(np.max(np.abs(nj)))
-    nk = 0.0
-    for _ in range(samples):
-        X = fr.sample_orthonormal_set(g, 1, sampler)[0]
-        v = np.einsum("kij,k,j->i", nj, X, X)
-        nk = max(nk, float(np.sqrt(v @ g @ v)))
-    return kahler, nk
+    X = np.array([fr.sample_orthonormal_set(g, 1, sampler)[0] for _ in range(samples)])
+    v = np.einsum("kij,sk,sj->si", nj, X, X)
+    nk = np.max(np.sum((v @ g) * v, axis=1), initial=0.0)
+    return float(np.max(np.abs(nj))), float(np.sqrt(nk))
 
 
 def rk_residual(R4, J):
     """Max deviation of R(X,Y,Z,U) = R(JX,JY,JZ,JU) on basis vectors.
 
-    The condition is tensorial, so checking coordinate indices is complete.
+    The condition is tensorial, so checking coordinate indices is complete;
+    each tensordot rotates one index by J and moves it last (n^5 work).
     """
-    rot = np.einsum("ai,bj,ck,dl,abcd->ijkl", J, J, J, J, R4)
+    rot = R4
+    for _ in range(4):
+        rot = np.tensordot(rot, J, axes=(0, 0))
     return float(np.max(np.abs(R4 - rot)))
 
 
@@ -86,28 +86,24 @@ def plane_type(vectors, g, J):
     return NONE, None
 
 
-def _antiholomorphic_pair(g, J, sampler):
-    Y = fr.sample_orthonormal_set(g, 1, sampler)[0]
-    X = fr.sample_orthonormal_set(g, 1, sampler, constraints=[Y, J @ Y])[0]
-    return X, Y
-
-
 def sample_invariants(pd, sampler, samples):
-    """Lists of holomorphic sectional, antiholomorphic sectional and
+    """Arrays of holomorphic sectional, antiholomorphic sectional and
     constant-type values at a point, one of each per sample: a unit X for
     the first, then an antiholomorphic unit pair (X, Y) for the other two.
     In dimension 2 no antiholomorphic pair exists (X must avoid Y and JY),
-    and the last two are None."""
+    and the last two are None.  Samples are drawn in turn, then evaluated."""
     pairs = pd.g.shape[0] > 2
-    hvals, kvals, lvals = [], [], []
+    units, anti = [], []
     for _ in range(samples):
-        X = fr.sample_orthonormal_set(pd.g, 1, sampler)[0]
-        hvals.append(cv.holomorphic_sectional(pd.riemann, pd.g, pd.J, X))
+        units.append(fr.sample_orthonormal_set(pd.g, 1, sampler)[0])
         if pairs:
-            X, Y = _antiholomorphic_pair(pd.g, pd.J, sampler)
-            kvals.append(cv.sectional(pd.riemann, pd.g, X, Y))
-            lvals.append(cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y))
-    return (hvals, kvals, lvals) if pairs else (hvals, None, None)
+            anti.append(ax.admissible_frame(pd.g, pd.J, sampler))
+    hvals = cv.holomorphic_sectional(pd.riemann, pd.g, pd.J, np.array(units))
+    if not pairs:
+        return hvals, None, None
+    X, Y = np.moveaxis(np.array(anti), 1, 0)
+    return (hvals, cv.sectional(pd.riemann, pd.g, X, Y),
+            cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y))
 
 
 def constancy_report(chart, pds, sampler, samples=32, tolerance=1e-8):

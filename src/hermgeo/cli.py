@@ -170,15 +170,17 @@ def cmd_models_list(args):
 
 def cmd_models_emit(args):
     params = {}
-    for item in args.param:
-        if "=" not in item:
-            raise UsageError(f"--param needs key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        params[key] = float(value)
     try:
+        for item in args.param:
+            if "=" not in item:
+                raise UsageError(f"--param needs key=value, got {item!r}")
+            key, value = item.split("=", 1)
+            params[key] = float(value)
         chart = models.instantiate(args.name, **params)
     except models.UnknownModelError:
         raise UsageError(f"unknown model {args.name!r}") from None
+    except ValueError as exc:  # a non-numeric or out-of-range parameter
+        raise UsageError(f"--param: {exc}") from None
     text = reportio.dump_report(reportio.chart_to_dict(chart))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -6,7 +6,7 @@ its own derivative (see models.py).  Finite differences (``richardson``) are
 used only for fields along submanifolds (immersions.py) and in test oracles.
 
 ``point_data`` is the one evaluation of a chart point: metric, Christoffel
-symbols, curvature, Ricci, Weyl and J.  Everything downstream reads from it.
+symbols, curvature, Ricci, Weyl, J and dJ.  Everything downstream reads from it.
 
 Index conventions, pinned by the round-sphere normalization tests:
 
@@ -128,6 +128,7 @@ class PointData:
     g: np.ndarray
     g_inv: np.ndarray
     J: np.ndarray | None
+    dJ: np.ndarray | None      # dJ[k,i,j] = d_k J^i_j
     gamma: np.ndarray          # gamma[a,i,j] = Gamma^a_ij
     riemann: np.ndarray        # all-lower R4[i,j,k,l]
     ricci: np.ndarray
@@ -196,8 +197,9 @@ def point_data(chart, point, with_weyl=True):
     C = None
     if with_weyl and chart.dim >= 4:
         C = weyl(R4, S, s, g)
-    return PointData(point=point, g=g, g_inv=gi, J=chart.j_at(point),
-                     gamma=gamma, riemann=R4, ricci=S, scalar=s, weyl=C)
+    J, dJ = chart._j_jets(point)
+    return PointData(point=point, g=g, g_inv=gi, J=J, dJ=dJ, gamma=gamma,
+                     riemann=R4, ricci=S, scalar=s, weyl=C)
 
 
 def relative_weyl_norm(pd):
@@ -206,29 +208,41 @@ def relative_weyl_norm(pd):
     return float(np.max(np.abs(pd.weyl)) / scale)
 
 
+def curvature_values(R4, X, Y, Z, U):
+    """R(X,Y,Z,U) for vectors (n,), or for every row of stacks (s, n): R4 as
+    an n^2 x n^2 matrix between the rows of X (x) Y and Z (x) U."""
+    n = R4.shape[0]
+    left, right = (np.einsum("...i,...j->...ij", A, B).reshape(-1, n * n)
+                   for A, B in ((X, Y), (Z, U)))
+    rows = np.sum((left @ R4.reshape(n * n, n * n)) * right, axis=1)
+    return rows.reshape(np.shape(X)[:-1])
+
+
 def curvature_value(R4, X, Y, Z, U):
-    """Multilinear evaluation R(X,Y,Z,U)."""
-    return float(np.einsum("ijkl,i,j,k,l->", R4, X, Y, Z, U))
+    """Multilinear evaluation R(X,Y,Z,U): the one-row curvature_values."""
+    return float(curvature_values(R4, X, Y, Z, U))
 
 
+def _inner(g, X, Y):
+    return np.sum((X @ g) * Y, axis=-1)
+
+
+# the invariants below also take stacks (s, n), checked row by row
 def sectional(R4, g, X, Y):
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    denom = (X @ g @ X) * (Y @ g @ Y) - (X @ g @ Y) ** 2
-    scale = max((X @ g @ X) * (Y @ g @ Y), 1e-300)
-    if denom <= 1e-12 * scale:
+    xx, yy = _inner(g, X, X), _inner(g, Y, Y)
+    denom = xx * yy - _inner(g, X, Y) ** 2
+    if np.any(denom <= 1e-12 * np.maximum(xx * yy, 1e-300)):
         raise DegeneratePlaneError("vectors do not span a 2-plane")
-    return curvature_value(R4, X, Y, Y, X) / denom
+    return curvature_values(R4, X, Y, Y, X) / denom
 
 
 def holomorphic_sectional(R4, g, J, X):
     """H(X) = R(X, JX, JX, X) / g(X,X)^2."""
-    X = np.asarray(X, dtype=float)
-    nrm2 = X @ g @ X
-    if nrm2 <= 0.0:
+    nrm2 = _inner(g, X, X)
+    if np.any(nrm2 <= 0.0):
         raise DegeneratePlaneError("zero vector")
-    JX = J @ X
-    return curvature_value(R4, X, JX, JX, X) / nrm2 ** 2
+    JX = X @ J.T
+    return curvature_values(R4, X, JX, JX, X) / nrm2 ** 2
 
 
 def lambda_type(R4, g, J, X, Y):
@@ -236,14 +250,11 @@ def lambda_type(R4, g, J, X, Y):
 
     Inputs are normalized internally; the value is reported for unit vectors.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    nx, ny = X @ g @ X, Y @ g @ Y
-    if nx <= 0.0 or ny <= 0.0:
+    nx, ny = _inner(g, X, X), _inner(g, Y, Y)
+    if np.any(nx <= 0.0) or np.any(ny <= 0.0):
         raise DegeneratePlaneError("zero vector")
-    X = X / np.sqrt(nx)
-    Y = Y / np.sqrt(ny)
-    return curvature_value(R4, X, Y, Y, X) - curvature_value(R4, X, Y, J @ Y, J @ X)
+    X, Y = X / np.sqrt(nx)[..., None], Y / np.sqrt(ny)[..., None]
+    return curvature_values(R4, X, Y, Y, X) - curvature_values(R4, X, Y, Y @ J.T, X @ J.T)
 
 
 def symmetry_residuals(R4, relative=True):

@@ -49,38 +49,45 @@ def gram_schmidt(vectors, g):
         for _ in range(2):
             for u in out:
                 v = v - (u @ g @ v) * u
-        nrm = np.sqrt(v @ g @ v)
-        if nrm <= _PIVOT * lead:
-            raise RankDeficiencyError(
-                f"vector set is rank deficient (pivot {nrm:.3e} vs lead {lead:.3e})")
-        out.append(v / nrm)
+        out.append(_normalized(v, g, lead))
     return out
+
+
+def _normalized(v, g, lead):
+    """v / |v|_g; RankDeficiencyError when that pivot is at most 1e-10 * lead."""
+    nrm = np.sqrt(v @ g @ v)
+    if nrm <= _PIVOT * lead:
+        raise RankDeficiencyError(
+            f"vector set is rank deficient (pivot {nrm:.3e} vs lead {lead:.3e})")
+    return v / nrm
 
 
 def sample_orthonormal_set(g, k, sampler, constraints=None):
-    """Draw ``k`` g-orthonormal vectors, each g-orthogonal to ``constraints``."""
+    """Draw ``k`` g-orthonormal vectors, each g-orthogonal to ``constraints``;
+    two classical Gram-Schmidt passes project each draw off the rows so far."""
     g = np.asarray(g, dtype=float)
     dim = g.shape[0]
-    constraints = [np.asarray(c, dtype=float) for c in (constraints or [])]
+    constraints = constraints or []
     if k + len(constraints) > dim:
         raise RankDeficiencyError(
             f"cannot fit {k} vectors orthogonal to {len(constraints)} constraints in dim {dim}")
-    cbasis = gram_schmidt(constraints, g) if constraints else []
-    out = []
+    rows = np.array(gram_schmidt(constraints, g) + [np.zeros(dim)] * k)
     # rejection is only against numerically degenerate draws, which are
     # measure-zero; retry keeps determinism since the sampler is sequential
-    for _ in range(k):
+    for found in range(len(constraints), len(rows)):
         for _attempt in range(64):
             v = sampler.draw(1)[0]
+            lead = np.sqrt(v @ g @ v)
+            for _ in range(2 if found else 0):
+                v = v - (rows[:found] @ (g @ v)) @ rows[:found]
             try:
-                v = gram_schmidt([*cbasis, *out, v], g)[-1]
+                rows[found] = _normalized(v, g, max(1.0, lead) if found else lead)
             except RankDeficiencyError:
                 continue
-            out.append(v)
             break
         else:
             raise RankDeficiencyError("could not sample an independent vector")
-    return out
+    return list(rows[len(constraints):])
 
 
 def hermitian_residuals(g, J):

@@ -295,5 +295,8 @@ def instantiate(name, **params):
     unknown = set(params) - set(defaults)
     if unknown:
         raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
+    for key, value in params.items():
+        if isinstance(defaults[key], int) and not float(value).is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
     args.update(params)
     return builder(**args)

@@ -26,21 +26,42 @@ def _require(cond, msg):
         raise ManifoldFileError(msg)
 
 
+def _integer(value, name):
+    _require(type(value) is int or type(value) is float and value.is_integer(),
+             f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _block(data, key, fields):
+    block = data.get(key)
+    _require(block is None or isinstance(block, dict) and all(f in block for f in fields)
+             and isinstance(block["map"], list), f"{key} needs {', '.join(fields)} (map a list)")
+    return block
+
+
 def load_manifold(data):
-    """Build (chart, immersion-or-None) from a parsed manifold file dict."""
+    """Build (chart, immersion-or-None) from a parsed manifold file dict.
+    Equal expression strings share one parsed tree, so one jet per point."""
     _require(isinstance(data, dict), "manifold file must be a JSON object")
     for key in ("name", "dim", "coordinates", "metric"):
         _require(key in data, f"missing field {key!r}")
     coords = list(data["coordinates"])
-    dim = int(data["dim"])
+    dim = _integer(data["dim"], "dim")
     _require(len(coords) == dim, "dim does not match number of coordinates")
     _require(len(set(coords)) == dim, "coordinate names must be distinct")
+    trees = {}
+
+    def parse(text, symbols):
+        _require(isinstance(text, str), f"expression must be a string, got {text!r}")
+        if (text, *symbols) not in trees:
+            trees[text, *symbols] = ex.parse(text, symbols)
+        return trees[text, *symbols]
 
     raw = data["metric"]
     _require(len(raw) == dim and all(len(row) == dim for row in raw),
              "metric must be a dim x dim matrix of expression strings")
     try:
-        metric = [[ex.parse(raw[i][j], coords) for j in range(dim)]
+        metric = [[parse(raw[i][j], coords) for j in range(dim)]
                   for i in range(dim)]
     except ex.ParseError as exc:
         raise ManifoldFileError(f"metric entry failed to parse: {exc}") from exc
@@ -57,15 +78,15 @@ def load_manifold(data):
         rawj = data["complex_structure"]
         _require(len(rawj) == dim and all(len(row) == dim for row in rawj),
                  "complex_structure must be a dim x dim matrix")
-        jmat = [[ex.parse(rawj[i][j], coords) for j in range(dim)]
+        jmat = [[parse(rawj[i][j], coords) for j in range(dim)]
                 for i in range(dim)]
 
     embedding = None
     j_fn = None
-    if data.get("embedding") is not None:
-        raw_emb = data["embedding"]
-        map_exprs = [ex.parse(s, coords) for s in raw_emb["map"]]
-        _require(len(map_exprs) == int(raw_emb["ambient_dim"]),
+    raw_emb = _block(data, "embedding", ("ambient_dim", "map"))
+    if raw_emb is not None:
+        map_exprs = [parse(s, coords) for s in raw_emb["map"]]
+        _require(len(map_exprs) == _integer(raw_emb["ambient_dim"], "ambient_dim"),
                  "embedding map must have ambient_dim components")
         embedding = Embedding(
             ambient_dim=int(raw_emb["ambient_dim"]), map_exprs=map_exprs,
@@ -79,10 +100,10 @@ def load_manifold(data):
         domain_hint=hint, embedding=embedding)
 
     immersion = None
-    if data.get("immersion") is not None:
-        raw_imm = data["immersion"]
+    raw_imm = _block(data, "immersion", ("coordinates", "map"))
+    if raw_imm is not None:
         sub_coords = list(raw_imm["coordinates"])
-        maps = [ex.parse(s, sub_coords) for s in raw_imm["map"]]
+        maps = [parse(s, sub_coords) for s in raw_imm["map"]]
         _require(len(maps) == dim, "immersion map needs one component per target coordinate")
         _require(len(sub_coords) < dim, "immersion must drop at least one dimension")
         immersion = im.Immersion(coordinates=sub_coords, target=chart, map_exprs=maps)

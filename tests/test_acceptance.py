@@ -116,7 +116,7 @@ def test_criterion_4_six_sphere():
         for _ in range(16):
             X, Y = fr.sample_orthonormal_set(pd.g, 2, sampler)
             sect_err = max(sect_err, abs(cv.sectional(pd.riemann, pd.g, X, Y) - 1.0))
-            X, Y = cl._antiholomorphic_pair(pd.g, pd.J, sampler)
+            X, Y = ax.admissible_frame(pd.g, pd.J, sampler)
             alpha_err = max(alpha_err,
                             abs(cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y) - 1.0))
     ok = nk <= 1e-6 and kahler > 0.1 and sect_err <= 1e-6 and alpha_err <= 1e-6

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_polynomial_metric
 from hermgeo import axioms as ax
 from hermgeo import curvature as cv
 from hermgeo import frames as fr
@@ -203,7 +204,7 @@ def test_batched_checks_match_curvature_value(m, rng):
     g, J = np.eye(n), ax.canonical_j(n)
     check_sampler = fr.FrameSampler(seed + 1, n)
     checks = [entry for _ in range(samples) for entry in ax._identities(
-        J, ax._admissible_frame(g, J, check_sampler, need_z=m > 2, need_u=m >= 4),
+        J, ax.admissible_frame(g, J, check_sampler, need_z=m > 2, need_u=m >= 4),
         ("3.4", "3.8"))]
     quad_sampler = fr.FrameSampler(seed + 2, n)
     checks += [("quadruple", fr.sample_orthonormal_set(g, 4, quad_sampler))
@@ -214,9 +215,9 @@ def test_batched_checks_match_curvature_value(m, rng):
         out = np.zeros((len(checks), coords.shape[1]))
         for k in range(coords.shape[1]):
             T = ax.tensor_from_coords(rep["basis"], coords[:, k])
-            value_of = lambda *quad: cv.curvature_value(T, *quad)
             for e, (_, *terms) in enumerate(checks):
-                out[e, k] = ax._identity_value(value_of, terms)
+                values = [cv.curvature_value(T, *quad) for quad in terms]
+                out[e, k] = values[0] - values[1] if len(terms) == 2 else values[0]
         return out
 
     # the batched rows on generic tensors, where the values are O(1)
@@ -232,3 +233,37 @@ def test_batched_checks_match_curvature_value(m, rng):
     for name in ("3.4", "quadruple"):
         mask = [entry[0] == name for entry in checks]
         assert abs(derived[name] - values[mask].max()) <= 1e-13
+
+
+def _hermitian_random_point(rng, n):
+    """Curvature, metric and canonical J at a point of a random metric, on
+    which none of the identities holds."""
+    pd = cv.point_data(random_polynomial_metric(rng, n, scale=0.2),
+                       rng.uniform(-0.3, 0.3, size=n), with_weyl=False)
+    return pd.riemann, pd.g, ax.canonical_j(n)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_proof_identity_residuals_match_per_frame_loop(n, rng):
+    R4, g, J = _hermitian_random_point(rng, n)
+    out = ax.proof_identity_residuals(R4, g, J, fr.FrameSampler(2, n), frames=12)
+    sampler = fr.FrameSampler(2, n)
+    worst = dict.fromkeys(out)
+    for _ in range(12):
+        frame = ax.admissible_frame(g, J, sampler, need_z=n >= 6, need_u=n >= 8)
+        for name, *terms in ax._identities(J, frame):
+            values = [np.einsum("ijkl,i,j,k,l->", R4, *quad) for quad in terms]
+            value = abs(values[0] - values[1]) if len(terms) == 2 else abs(values[0])
+            worst[name] = max(worst[name] or 0.0, value)
+    assert [v is None for v in out.values()] == [v is None for v in worst.values()]
+    assert all(out[name] is None or out[name] > 1e-4 for name in out)
+    assert all(abs(out[k] - v) <= 1e-13 * max(1.0, v) for k, v in worst.items() if v is not None)
+
+
+def test_quadruple_vanishing_residual_matches_per_sample_loop(rng):
+    R4, g, _ = _hermitian_random_point(rng, 5)
+    res = ax.quadruple_vanishing_residual(R4, g, fr.FrameSampler(6, 5), samples=20)
+    sampler = fr.FrameSampler(6, 5)
+    worst = max(abs(np.einsum("ijkl,i,j,k,l->", R4, *fr.sample_orthonormal_set(g, 4, sampler)))
+                for _ in range(20))
+    assert res > 1e-4 and abs(res - worst) <= 1e-13 * max(1.0, worst)

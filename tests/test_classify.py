@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import chart_from_strings, flat_chart
+from conftest import chart_from_strings, flat_chart, random_polynomial_metric
 from hermgeo import classify as cl
 from hermgeo import curvature as cv
+from hermgeo import expressions as ex
 from hermgeo import frames as fr
 from hermgeo import models
 from hermgeo.axioms import canonical_j
@@ -174,3 +175,65 @@ def test_classify_deterministic():
     b = cl.classify_chart(chart, [cv.point_data(chart, [0.1, 0.2, 0.0, -0.1])],
                           seed=7, samples=16)
     assert a == b
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_rk_residual_matches_naive_einsum(n, rng):
+    R4 = rng.normal(size=(n,) * 4)
+    J = rng.normal(size=(n, n))
+    naive = np.einsum("ai,bj,ck,dl,abcd->ijkl", J, J, J, J, R4)
+    assert cl.rk_residual(R4, J) == pytest.approx(np.max(np.abs(R4 - naive)), rel=1e-12)
+
+
+def _value(R4, X, Y, Z, U):
+    return np.einsum("ijkl,i,j,k,l->", R4, X, Y, Z, U)
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-13 * max(1.0, abs(b))
+
+
+def _hermitian_random_chart(rng, n):
+    """A random metric with the canonical J: neither Kahler nor nearly Kahler."""
+    chart = random_polynomial_metric(rng, n, scale=0.2)
+    coords = chart.coordinates
+    canonical = canonical_j(n)
+    chart.complex_structure = [[ex.parse(f"{canonical[i, j]:g}", coords) for j in range(n)]
+                               for i in range(n)]
+    return chart
+
+
+@pytest.mark.parametrize("name", ["product_K", "s6_nearly_kahler", "random"])
+def test_sample_invariants_match_per_sample_loop(name, rng):
+    chart = (_hermitian_random_chart(rng, 4) if name == "random"
+             else models.instantiate(name))
+    pd = cv.point_data(chart, rng.uniform(-0.3, 0.3, size=chart.dim))
+    g, J, R4 = pd.g, pd.J, pd.riemann
+    hvals, kvals, lvals = cl.sample_invariants(pd, fr.FrameSampler(3, chart.dim), 16)
+    assert len(hvals) == len(kvals) == len(lvals) == 16
+    sampler = fr.FrameSampler(3, chart.dim)
+    for h, k, lam in zip(hvals, kvals, lvals):
+        X = fr.sample_orthonormal_set(g, 1, sampler)[0]
+        assert _close(h, _value(R4, X, J @ X, J @ X, X) / (X @ g @ X) ** 2)
+        Y = fr.sample_orthonormal_set(g, 1, sampler)[0]
+        X = fr.sample_orthonormal_set(g, 1, sampler, constraints=[Y, J @ Y])[0]
+        denom = (X @ g @ X) * (Y @ g @ Y) - (X @ g @ Y) ** 2
+        assert _close(k, _value(R4, X, Y, Y, X) / denom)
+        X, Y = X / np.sqrt(X @ g @ X), Y / np.sqrt(Y @ g @ Y)
+        assert _close(lam, _value(R4, X, Y, Y, X) - _value(R4, X, Y, J @ Y, J @ X))
+
+
+def test_nabla_J_residuals_match_per_sample_loop(rng):
+    chart = _hermitian_random_chart(rng, 4)
+    pd = cv.point_data(chart, rng.uniform(-0.3, 0.3, size=4))
+    assert np.array_equal(pd.dJ, chart.dj_at(pd.point))
+    kahler, nk = cl.nabla_J_residuals(chart, pd, fr.FrameSampler(8, 4), samples=24)
+    nj = cl.nabla_j(chart, pd)
+    sampler = fr.FrameSampler(8, 4)
+    worst = 0.0
+    for _ in range(24):
+        X = fr.sample_orthonormal_set(pd.g, 1, sampler)[0]
+        v = np.einsum("kij,k,j->i", nj, X, X)
+        worst = max(worst, float(np.sqrt(v @ pd.g @ v)))
+    assert kahler == float(np.max(np.abs(nj))) and kahler > 1e-3
+    assert worst > 1e-3 and _close(nk, worst)

@@ -283,3 +283,35 @@ def test_non_finite_report_value_is_domain_error(tmp_path, capsys, monkeypatch):
     assert code == 3 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"embedding": {"ambient_dim": 3}}, "embedding needs"),
+    ({"embedding": {"map": ["x", "y", "0"]}}, "embedding needs"),
+    ({"immersion": {"coordinates": ["u"]}}, "immersion needs"),
+    ({"immersion": {"map": ["u", "0"]}}, "immersion needs"),
+    ({"dim": 2.5}, "dim must be an integer"),
+    ({"dim": "two"}, "dim must be an integer"),
+    ({"metric": [[1, "0"], ["0", "1"]]}, "expression must be a string"),
+])
+def test_malformed_manifold_file_is_usage_error(tmp_path, capsys, change, message):
+    doc = {"name": "plane", "dim": 2, "coordinates": ["x", "y"],
+           "metric": [["1", "0"], ["0", "1"]], **change}
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    command = "submanifold" if "immersion" in change else "analyze"
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+
+@pytest.mark.parametrize("name, param", [
+    ("flat_kahler", "m=2.5"), ("fubini_study", "m=1.5"), ("round_sphere", "n=4.5"),
+    ("round_sphere", "r=abc"), ("round_sphere", "r=-1"), ("hyperbolic", "q=1"),
+])
+def test_models_emit_bad_param_is_usage_error(capsys, name, param):
+    code, out, err = run_cli(capsys, "models", "emit", name, "--param", param)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -165,24 +165,24 @@ def test_holomorphic_sectional(rng):
 
 
 def test_lambda_type_s6(rng):
-    from hermgeo import classify, frames as fr
+    from hermgeo import axioms, frames as fr
     chart = models.instantiate("s6_nearly_kahler")
     point = rng.uniform(-0.3, 0.3, size=6)
     pd = cv.point_data(chart, point, with_weyl=False)
     sampler = fr.FrameSampler(2, 6)
     for _ in range(5):
-        X, Y = classify._antiholomorphic_pair(pd.g, pd.J, sampler)
+        X, Y = axioms.admissible_frame(pd.g, pd.J, sampler)
         assert cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lambda_type_kahler_vanishes(rng):
     # on a Kahler chart the two curvature terms cancel identically
-    from hermgeo import classify, frames as fr
+    from hermgeo import axioms, frames as fr
     chart = models.instantiate("fubini_study", m=2)
     pd = cv.point_data(chart, [0.1, 0.2, -0.05, 0.12], with_weyl=False)
     sampler = fr.FrameSampler(4, 4)
     for _ in range(5):
-        X, Y = classify._antiholomorphic_pair(pd.g, pd.J, sampler)
+        X, Y = axioms.admissible_frame(pd.g, pd.J, sampler)
         assert cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -211,3 +211,36 @@ def test_weyl_conformal_invariance(rng):
         c13_a = np.einsum("im,mjkl->ijkl", a.g_inv, a.weyl)
         c13_b = np.einsum("im,mjkl->ijkl", b.g_inv, b.weyl)
         assert np.max(np.abs(c13_a - c13_b)) <= 1e-7
+
+
+def test_curvature_values_match_per_row(rng):
+    R4 = rng.normal(size=(5,) * 4)
+    X, Y, Z, U = rng.normal(size=(4, 7, 5))
+    batched = cv.curvature_values(R4, X, Y, Z, U)
+    naive = np.array([np.einsum("ijkl,i,j,k,l->", R4, *quad) for quad in zip(X, Y, Z, U)])
+    single = np.array([cv.curvature_value(R4, *quad) for quad in zip(X, Y, Z, U)])
+    assert batched.shape == (7,)
+    assert np.max(np.abs(batched - naive)) <= 1e-13 * np.max(np.abs(naive))
+    assert np.max(np.abs(single - naive)) <= 1e-13 * np.max(np.abs(naive))
+
+
+def test_stacked_invariants_check_every_row(rng):
+    chart = models.instantiate("product_K")
+    pd = cv.point_data(chart, [0.2, 0.1, 0.15, -0.1])
+    R4, g, J = pd.riemann, pd.g, pd.J
+    X, Y = rng.normal(size=(2, 5, 4))
+    for fn, args in ((cv.sectional, (R4, g)), (cv.holomorphic_sectional, (R4, g, J)),
+                     (cv.lambda_type, (R4, g, J))):
+        vecs = (X,) if fn is cv.holomorphic_sectional else (X, Y)
+        stacked = fn(*args, *vecs)
+        rows = [fn(*args, *row) for row in zip(*vecs)]
+        assert stacked.shape == (5,)
+        assert np.max(np.abs(stacked - rows)) <= 1e-13 * np.max(np.abs(rows))
+    Y[3] = 2.0 * X[3]
+    with pytest.raises(cv.DegeneratePlaneError):
+        cv.sectional(R4, g, X, Y)
+    X[2] = 0.0
+    with pytest.raises(cv.DegeneratePlaneError):
+        cv.holomorphic_sectional(R4, g, J, X)
+    with pytest.raises(cv.DegeneratePlaneError):
+        cv.lambda_type(R4, g, J, X, Y)

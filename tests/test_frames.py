@@ -115,3 +115,52 @@ def test_hermitian_residuals_incompatible():
     r_sq, r_comp = fr.hermitian_residuals(np.diag([4.0, 1.0]), canonical_j(2))
     assert r_sq == 0.0
     assert r_comp == pytest.approx(3.0)
+
+
+def test_sample_orthonormal_set_metric_and_constraints(rng):
+    A = rng.normal(size=(6, 6))
+    g = A @ A.T + 6 * np.eye(6)
+    constraints = list(rng.normal(size=(2, 6)))
+    out = np.array(fr.sample_orthonormal_set(g, 3, fr.FrameSampler(9, 6), constraints))
+    # reference: orthonormalize constraints, accepted vectors and the draw
+    # together, anew, for every draw
+    twin = fr.FrameSampler(9, 6)
+    ref = []
+    for _ in range(3):
+        ref.append(fr.gram_schmidt([*constraints, *ref, twin.draw(1)[0]], g)[-1])
+    assert np.max(np.abs(out - ref)) <= 1e-12
+    assert np.max(np.abs(out @ g @ out.T - np.eye(3))) <= 1e-12
+    assert np.max(np.abs(out @ g @ np.array(constraints).T)) <= 1e-12
+
+
+class ScriptedSampler:
+    """Draws the given rows in order, then repeats the last one."""
+
+    def __init__(self, *rows):
+        self.rows = [np.asarray(r, dtype=float) for r in rows]
+        self.draws = 0
+
+    def draw(self, count=1):
+        row = self.rows[min(self.draws, len(self.rows) - 1)]
+        self.draws += 1
+        return row[None, :]
+
+
+@pytest.mark.parametrize("constraints, first", [
+    (None, [0.0, 0.0, 0.0]),                 # zero vector
+    ([[1.0, 0.0, 0.0]], [2.0, 0.0, 0.0]),    # inside the constraint span
+    ([[1.0, 0.0, 0.0]], [0.0, 1e-12, 0.0]),  # tiny next to the unit rows
+])
+def test_degenerate_draw_is_retried(constraints, first):
+    sampler = ScriptedSampler(first, [1.0, 3.0, 0.0])
+    out = fr.sample_orthonormal_set(np.eye(3), 1, sampler, constraints)
+    assert sampler.draws == 2
+    expected = [0.0, 1.0, 0.0] if constraints else np.array([1.0, 3.0, 0.0]) / np.sqrt(10)
+    assert np.max(np.abs(out[0] - expected)) <= 1e-15
+
+
+def test_degenerate_draws_give_up_after_64():
+    sampler = ScriptedSampler([1.0, 1.0, 0.0])
+    with pytest.raises(fr.RankDeficiencyError, match="could not sample an independent vector"):
+        fr.sample_orthonormal_set(np.eye(3), 1, sampler, [[1.0, 1.0, 0.0]])
+    assert sampler.draws == 64
