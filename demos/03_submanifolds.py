@@ -27,12 +27,11 @@ def flat(n):
 
 
 def describe(label, imm, u, umbilical_tol=1e-8):
-    st = im.stencil(imm, u)
-    data = st.data
+    data = im.second_fundamental_form(imm, u)
     H = data.mean_curvature
     h_norm = float(np.sqrt(max(H @ data.ambient_metric @ H, 0.0)))
-    dh = max(float(np.max(np.abs(v))) for v in st.dh)
-    r21, r22 = im.codazzi_residuals(imm, st, umbilical_tol=umbilical_tol)
+    dh = float(np.max(np.abs(im.normal_connection_DH(data))))
+    r21, r22 = im.codazzi_residuals(data, umbilical_tol=umbilical_tol)
     print(f"{label}:")
     print(f"    |H| = {h_norm:.6f}   umbilicity residual = {data.umbilicity:.2e}")
     print(f"    max|D_X H| = {dh:.2e}")

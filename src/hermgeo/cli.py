@@ -5,6 +5,7 @@ Exit codes: 0 data-complete (classification failures are data, not errors),
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -109,10 +110,9 @@ def cmd_submanifold(args):
     report = {"command": "submanifold", "chart": chart.name,
               "sub_dim": immersion.k, "tolerance": args.tol, "points": []}
     for u in points:
-        st = im.stencil(immersion, u)
-        data = st.data
-        dh_max = max(float(np.max(np.abs(v))) for v in st.dh)
-        r21, r22 = im.codazzi_residuals(immersion, st)
+        data = im.second_fundamental_form(immersion, u)
+        dh_max = float(np.max(np.abs(im.normal_connection_DH(data))))
+        r21, r22 = im.codazzi_residuals(data)
         H = data.mean_curvature
         h_norm = float(np.sqrt(max(H @ data.ambient_metric @ H, 0.0)))
         alpha_max = float(np.max(np.abs(data.alpha)))
@@ -190,6 +190,7 @@ def cmd_models_emit(args):
     return EXIT_OK
 
 
+@functools.cache  # built once per process: parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hermgeo",

@@ -2,8 +2,10 @@
 
 Derivatives of the metric and of J at a point are exact: symbolic entries go
 through one second-order jet (``expressions.jets``), and a pointwise J brings
-its own derivative (see models.py).  Finite differences (``richardson``) are
-used only for fields along submanifolds (immersions.py) and in test oracles.
+its own derivative (see models.py).  ``connection_jet`` turns one metric jet
+into the Christoffel symbols, their first derivatives and the curvature; the
+chart pipeline and the submanifold geometry (immersions.py) both read from it.
+No finite difference is taken anywhere; test oracles write their own.
 
 ``point_data`` is the one evaluation of a chart point: metric, Christoffel
 symbols, curvature, Ricci, Weyl, J and dJ.  Everything downstream reads from it.
@@ -112,16 +114,6 @@ def _matrix_jets(rows, coordinates, point):
             np.moveaxis(d2.reshape(n, n, n, n), (2, 3), (0, 1)))
 
 
-def richardson(field_fn, u, direction, h):
-    """Derivative of an array-valued ``field_fn`` at ``u`` along ``direction``:
-    central differences at steps h and h/2, Richardson-extrapolated (O(h^4))."""
-    u = np.asarray(u, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    d_h = (field_fn(u + h * d) - field_fn(u - h * d)) / (2 * h)
-    d_h2 = (field_fn(u + (h / 2) * d) - field_fn(u - (h / 2) * d)) / h
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
 @dataclass(frozen=True)
 class PointData:
     point: np.ndarray
@@ -136,16 +128,10 @@ class PointData:
     weyl: np.ndarray | None
 
 
-def connection(chart, point):
-    """(g, gamma) at a point from one jet of the metric: the metric and the
-    Levi-Civita symbols gamma[a,i,j] = Gamma^a_ij."""
-    g, dg, _ = chart.metric_jets(point)
-    return g, _christoffel(np.linalg.inv(g), dg)[1]
-
-
 def christoffel(chart, point):
     """Levi-Civita Christoffel symbols gamma[a,i,j] = Gamma^a_ij at a point."""
-    return connection(chart, point)[1]
+    g, dg, _ = chart.metric_jets(point)
+    return _christoffel(np.linalg.inv(g), dg)[1]
 
 
 def _christoffel(gi, d1):
@@ -155,16 +141,28 @@ def _christoffel(gi, d1):
     return low, np.einsum("am,mij->aij", gi, low)
 
 
-def riemann(chart, point):
-    """(g, gamma, R4) at a point from one jet of the metric: the metric,
-    gamma[a,i,j] = Gamma^a_ij, and the all-lower curvature tensor
+def connection_jet(g, d1, d2):
+    """(gamma, dgamma, R4) from a metric jet (g, dg, ddg): the Levi-Civita
+    symbols gamma[a,i,j] = Gamma^a_ij, their derivatives
+    dgamma[c,a,i,j] = d_c Gamma^a_ij, and the all-lower curvature tensor
     R4[i,j,k,l] = g(R(d_i,d_j) d_k, d_l)."""
-    g, d1, d2 = chart.metric_jets(point)
-    low, gamma = _christoffel(np.linalg.inv(g), d1)
+    n = len(g)
+    gi = np.linalg.inv(g)
+    low, gamma = _christoffel(gi, d1)
     dlow = 0.5 * (np.einsum("cimj->cmij", d2) + np.einsum("cjmi->cmij", d2) - d2)
+    # d_c Gamma^a_ij = g^am (d_c Gamma_m,ij - d_c g_mb Gamma^b_ij)
+    dgamma = gi @ (dlow.reshape(n, n, n * n) - d1 @ gamma.reshape(n, n * n))
     # R_ijkl = d_i Gamma_l,jk - d_j Gamma_l,ik - Gamma_m,il G^m_jk + Gamma_m,jl G^m_ik
     R4 = (np.einsum("iljk->ijkl", dlow) - np.einsum("jlik->ijkl", dlow)
           - np.einsum("mil,mjk->ijkl", low, gamma) + np.einsum("mjl,mik->ijkl", low, gamma))
+    return gamma, dgamma.reshape(n, n, n, n), R4
+
+
+def riemann(chart, point):
+    """(g, gamma, R4) at a point from one jet of the metric: the metric,
+    gamma[a,i,j] = Gamma^a_ij, and the all-lower curvature tensor."""
+    g, d1, d2 = chart.metric_jets(point)
+    gamma, _, R4 = connection_jet(g, d1, d2)
     return g, gamma, R4
 
 

@@ -32,12 +32,12 @@ class FrameSampler:
         return self._rng.uniform(-1.0, 1.0, size=(count, self.dimension))
 
 
-def gram_schmidt(vectors, g):
+def gram_schmidt(vectors, g, drop_dependent=False):
     """Orthonormalize ``vectors`` with respect to the metric ``g``.
 
     Modified Gram-Schmidt with one reorthogonalization pass; adequate for the
-    dimensions in play (<= 16).  Raises RankDeficiencyError when a pivot drops
-    below 1e-10 of the leading norm.
+    dimensions in play (<= 16).  A pivot below 1e-10 of the leading norm
+    raises RankDeficiencyError, or with ``drop_dependent`` skips that vector.
     """
     g = np.asarray(g, dtype=float)
     vecs = [np.array(v, dtype=float) for v in vectors]
@@ -49,7 +49,11 @@ def gram_schmidt(vectors, g):
         for _ in range(2):
             for u in out:
                 v = v - (u @ g @ v) * u
-        out.append(_normalized(v, g, lead))
+        try:
+            out.append(_normalized(v, g, lead))
+        except RankDeficiencyError:
+            if not drop_dependent:
+                raise
     return out
 
 
@@ -63,18 +67,19 @@ def _normalized(v, g, lead):
 
 
 def sample_orthonormal_set(g, k, sampler, constraints=None):
-    """Draw ``k`` g-orthonormal vectors, each g-orthogonal to ``constraints``;
+    """Draw ``k`` g-orthonormal vectors, each g-orthogonal to the span of
+    ``constraints`` (Y and JY are dependent when Y is an eigenvector of J);
     two classical Gram-Schmidt passes project each draw off the rows so far."""
     g = np.asarray(g, dtype=float)
     dim = g.shape[0]
-    constraints = constraints or []
-    if k + len(constraints) > dim:
+    basis = gram_schmidt(constraints or [], g, drop_dependent=True)
+    if k + len(basis) > dim:
         raise RankDeficiencyError(
-            f"cannot fit {k} vectors orthogonal to {len(constraints)} constraints in dim {dim}")
-    rows = np.array(gram_schmidt(constraints, g) + [np.zeros(dim)] * k)
+            f"cannot fit {k} vectors orthogonal to {len(basis)} constraints in dim {dim}")
+    rows = np.array(basis + [np.zeros(dim)] * k)
     # rejection is only against numerically degenerate draws, which are
     # measure-zero; retry keeps determinism since the sampler is sequential
-    for found in range(len(constraints), len(rows)):
+    for found in range(len(basis), len(rows)):
         for _attempt in range(64):
             v = sampler.draw(1)[0]
             lead = np.sqrt(v @ g @ v)
@@ -87,7 +92,7 @@ def sample_orthonormal_set(g, k, sampler, constraints=None):
             break
         else:
             raise RankDeficiencyError("could not sample an independent vector")
-    return list(rows[len(constraints):])
+    return list(rows[len(basis):])
 
 
 def hermitian_residuals(g, J):

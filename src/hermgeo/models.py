@@ -76,8 +76,9 @@ def embedding_j_fn(coordinates, embedding):
     tangent space, so the pullback is exact.  dJ comes from the same jet of
     the map through the solve: d_k J = A^-1 (d_k B - d_k A J).
     """
-    if embedding.j_rule != "octonion_cross":
-        raise ValueError(f"unknown ambient J rule {embedding.j_rule!r}")
+    if embedding.j_rule != "octonion_cross" or embedding.ambient_dim != 7:
+        raise ValueError(f"unknown ambient J rule {embedding.j_rule!r} for ambient_dim "
+                         f"{embedding.ambient_dim} (octonion_cross needs 7)")
 
     def j_at(point):
         p, F, H = ex.jets(embedding.map_exprs, coordinates, point)  # H[p,a,k] = d_k F[p,a]

@@ -32,6 +32,21 @@ def _integer(value, name):
     return int(value)
 
 
+def _names(value, what):
+    _require(isinstance(value, list) and all(isinstance(c, str) for c in value)
+             and len(set(value)) == len(value), f"{what} must be a list of distinct names")
+    return value
+
+
+def _finite(value, name):
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan  # reported below
+    _require(math.isfinite(number), f"{name} must be a finite number, got {value!r}")
+    return number
+
+
 def _block(data, key, fields):
     block = data.get(key)
     _require(block is None or isinstance(block, dict) and all(f in block for f in fields)
@@ -45,10 +60,9 @@ def load_manifold(data):
     _require(isinstance(data, dict), "manifold file must be a JSON object")
     for key in ("name", "dim", "coordinates", "metric"):
         _require(key in data, f"missing field {key!r}")
-    coords = list(data["coordinates"])
+    coords = _names(data["coordinates"], "coordinates")
     dim = _integer(data["dim"], "dim")
     _require(len(coords) == dim, "dim does not match number of coordinates")
-    _require(len(set(coords)) == dim, "coordinate names must be distinct")
     trees = {}
 
     def parse(text, symbols):
@@ -66,10 +80,12 @@ def load_manifold(data):
     except ex.ParseError as exc:
         raise ManifoldFileError(f"metric entry failed to parse: {exc}") from exc
 
-    hint = None
-    if data.get("domain_hint") is not None:
-        hint = [(float(lo), float(hi)) for lo, hi in data["domain_hint"]]
-        _require(len(hint) == dim, "domain_hint needs one interval per coordinate")
+    hint = data.get("domain_hint")
+    if hint is not None:
+        _require(isinstance(hint, list) and len(hint) == dim
+                 and all(isinstance(pair, list) and len(pair) == 2 for pair in hint),
+                 "domain_hint needs one [lo, hi] pair per coordinate")
+        hint = [tuple(_finite(b, "domain_hint bound") for b in pair) for pair in hint]
 
     _check_metric_symmetry(raw, metric, coords, hint)
 
@@ -90,9 +106,13 @@ def load_manifold(data):
                  "embedding map must have ambient_dim components")
         embedding = Embedding(
             ambient_dim=int(raw_emb["ambient_dim"]), map_exprs=map_exprs,
-            j_rule=raw_emb.get("j_rule"), radius=float(raw_emb.get("radius", 1.0)))
+            j_rule=raw_emb.get("j_rule"),
+            radius=_finite(raw_emb.get("radius", 1.0), "embedding radius"))
         if embedding.j_rule is not None:
-            j_fn = models.embedding_j_fn(coords, embedding)
+            try:
+                j_fn = models.embedding_j_fn(coords, embedding)
+            except ValueError as exc:
+                raise ManifoldFileError(f"embedding: {exc}") from None
 
     chart = ManifoldChart(
         name=str(data["name"]), coordinates=coords, metric=metric,
@@ -102,7 +122,7 @@ def load_manifold(data):
     immersion = None
     raw_imm = _block(data, "immersion", ("coordinates", "map"))
     if raw_imm is not None:
-        sub_coords = list(raw_imm["coordinates"])
+        sub_coords = _names(raw_imm["coordinates"], "immersion coordinates")
         maps = [parse(s, sub_coords) for s in raw_imm["map"]]
         _require(len(maps) == dim, "immersion map needs one component per target coordinate")
         _require(len(sub_coords) < dim, "immersion must drop at least one dimension")

@@ -140,9 +140,8 @@ def test_criterion_5_submanifolds():
     data = im.second_fundamental_form(sphere, u0)
     H = data.mean_curvature
     h_err = abs(np.sqrt(H @ H) - 1.0 / r)
-    dh = max(float(np.max(np.abs(im.stencil(sphere, u0).dh[a])))
-             for a in range(2))
-    _, r22 = im.codazzi_residuals(sphere, im.stencil(sphere, u0))
+    dh = float(np.max(np.abs(im.normal_connection_DH(data))))
+    _, r22 = im.codazzi_residuals(data)
 
     cylinder = _immersion(flat3, ["u", "v"], ["cos(u)", "sin(u)", "v"])
     cyl = im.second_fundamental_form(cylinder, [0.3, 0.7])
@@ -150,12 +149,13 @@ def test_criterion_5_submanifolds():
     s3 = models.instantiate("round_sphere", n=3, r=1.0)
     geo = _immersion(s3, ["u", "v"],
                      ["0.5*sin(u)*cos(v)", "0.5*sin(u)*sin(v)", "0.5*cos(u)"])
-    _, geo_r22 = im.codazzi_residuals(geo, im.stencil(geo, [1.0, 0.7]), umbilical_tol=1e-6)
+    _, geo_r22 = im.codazzi_residuals(im.second_fundamental_form(geo, [1.0, 0.7]),
+                                      umbilical_tol=1e-6)
 
-    ok = (h_err <= 1e-8 and data.umbilicity <= 1e-10 and dh <= 1e-6
-          and r22 is not None and r22 <= 1e-6
+    ok = (h_err <= 1e-8 and data.umbilicity <= 1e-10 and dh <= 1e-13
+          and r22 is not None and r22 <= 1e-13
           and cyl.umbilicity > 1e-10
-          and geo_r22 is not None and geo_r22 <= 1e-5)
+          and geo_r22 is not None and geo_r22 <= 1e-13)
     _report("criterion 5: submanifold suite", ok,
             f"sphere |H|-1/r={h_err:.2e} umb={data.umbilicity:.2e} "
             f"DH={dh:.2e} eq2.2={r22 if r22 is None else f'{r22:.2e}'}; "

@@ -293,6 +293,16 @@ def test_non_finite_report_value_is_domain_error(tmp_path, capsys, monkeypatch):
     ({"dim": 2.5}, "dim must be an integer"),
     ({"dim": "two"}, "dim must be an integer"),
     ({"metric": [[1, "0"], ["0", "1"]]}, "expression must be a string"),
+    ({"coordinates": 5}, "coordinates must be a list"),
+    ({"immersion": {"coordinates": ["u", "u"], "map": ["u", "0"]}}, "distinct names"),
+    ({"domain_hint": [[-1, 1], 5]}, "domain_hint needs"),
+    ({"domain_hint": [[-1, 1], [-1, 0, 1]]}, "domain_hint needs"),
+    ({"embedding": {"ambient_dim": 3, "map": ["x", "y", "0"], "radius": "big"}},
+     "radius must be a finite number"),
+    ({"embedding": {"ambient_dim": 3, "map": ["x", "y", "0"], "j_rule": "quaternion"}},
+     "unknown ambient J rule 'quaternion'"),
+    ({"embedding": {"ambient_dim": 3, "map": ["x", "y", "0"], "j_rule": "octonion_cross"}},
+     "octonion_cross needs 7"),
 ])
 def test_malformed_manifold_file_is_usage_error(tmp_path, capsys, change, message):
     doc = {"name": "plane", "dim": 2, "coordinates": ["x", "y"],
@@ -315,3 +325,68 @@ def test_models_emit_bad_param_is_usage_error(capsys, name, param):
     assert code == 2 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_parser_is_reused_without_carrying_state(tmp_path, capsys):
+    path = write_sphere_immersion(tmp_path)
+    argv = ["submanifold", path, "--point", "0.8,0.4"]
+    _, first, _ = run_cli(capsys, *argv)
+    _, second, _ = run_cli(capsys, *argv)
+    assert first == second
+    assert len(json.loads(second)["points"]) == 1  # --point appends to a fresh list
+    assert cli.build_parser() is cli.build_parser()
+
+
+def write_geodesic_sphere_in_s4(tmp_path):
+    # the sphere |x| = 0.5 in the stereographic unit 4-sphere
+    coords = ["x1", "x2", "x3", "x4"]
+    conformal = "4/(1 + x1^2 + x2^2 + x3^2 + x4^2)^2"
+    doc = {"name": "s4", "dim": 4, "coordinates": coords,
+           "metric": [[conformal if i == j else "0" for j in range(4)] for i in range(4)],
+           "immersion": {"coordinates": ["a", "b", "c"], "map": [
+               "0.5*sin(a)*sin(b)*cos(c)", "0.5*sin(a)*sin(b)*sin(c)",
+               "0.5*sin(a)*cos(b)", "0.5*cos(a)"]}}
+    path = tmp_path / "s4_sphere.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_submanifold_residuals_are_exact(tmp_path, capsys):
+    path = write_geodesic_sphere_in_s4(tmp_path)
+    code, out, err = run_cli(capsys, "submanifold", path,
+                             "--point", "1.0,0.7,-0.3", "--point", "2.1,1.3,2.0")
+    assert code == 0, err
+    for p in strict_json(out)["points"]:
+        assert p["mean_curvature_norm"] == pytest.approx(0.75, abs=1e-12)
+        for key in ("dh_residual", "codazzi_2_1_residual", "codazzi_2_2_residual"):
+            assert p[key] <= 1e-13, key
+        assert p["totally_umbilical"] and p["parallel_mean_curvature"]
+
+
+def test_map_third_derivative_domain_error(tmp_path, capsys):
+    # u^2.5 has two derivatives at u = 0, but its third, 1.875*u^-0.5, is undefined
+    doc = {"name": "r3", "dim": 3, "coordinates": ["x", "y", "z"],
+           "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+           "immersion": {"coordinates": ["u", "v"], "map": ["u", "v", "u^2.5"]}}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "submanifold", str(path), "--point", "0,0.5")
+    assert code == 3 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_classify_j_plus_identity_is_data(tmp_path, capsys):
+    # J = +I is no almost complex structure: j_squared fails, nothing raises
+    coords = ["a", "b", "c", "d"]
+    eye = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    doc = {"name": "jplus", "dim": 4, "coordinates": coords, "metric": eye,
+           "complex_structure": eye}
+    path = tmp_path / "jplus.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("classify", "analyze"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 0, err
+        checks = {c["name"]: c for c in strict_json(out)["checks"]}
+        assert checks["j_squared"]["residual"] == 2.0 and not checks["j_squared"]["pass"]
+        assert checks["j_compatible"]["pass"]

@@ -29,7 +29,7 @@ def cylinder_in_r3(r):
 def test_induced_metric_sphere():
     imm = sphere_in_r3(2.0)
     u = [0.7, 0.3]
-    G = im.induced_metric(imm, u)
+    G = im.second_fundamental_form(imm, u).induced
     oracle = np.diag([4.0, 4.0 * np.sin(0.7) ** 2])
     assert np.max(np.abs(G - oracle)) < 1e-12
     # the exact symbolic pullback chart agrees
@@ -50,7 +50,7 @@ def test_induced_chart_curvature():
 def test_rank_deficiency():
     imm = make_immersion(["u", "v"], flat_chart(3), ["u", "u", "2*u"])
     with pytest.raises(fr.RankDeficiencyError):
-        imm.jacobian([0.3, 0.1])
+        imm.map_jets([0.3, 0.1])
 
 
 def test_sphere_mean_curvature_and_umbilicity():
@@ -91,22 +91,22 @@ def test_cylinder_not_umbilical():
 
 def test_normal_connection_sphere():
     imm = sphere_in_r3(2.0)
+    dh = im.normal_connection_DH(im.second_fundamental_form(imm, [0.9, 0.2]))
     for a in range(2):
-        dh = im.stencil(imm, [0.9, 0.2]).dh[a]
-        assert np.max(np.abs(dh)) <= 1e-6
+        assert np.max(np.abs(dh[a])) <= 1e-13
 
 
 def test_codazzi_sphere():
     imm = sphere_in_r3(2.0)
-    r21, r22 = im.codazzi_residuals(imm, im.stencil(imm, [0.8, 0.4]))
-    assert r21 <= 1e-6
-    assert r22 is not None and r22 <= 1e-6
+    r21, r22 = im.codazzi_residuals(im.second_fundamental_form(imm, [0.8, 0.4]))
+    assert r21 <= 1e-13
+    assert r22 is not None and r22 <= 1e-13
 
 
 def test_codazzi_cylinder_skips_umbilical_form():
     imm = cylinder_in_r3(1.0)
-    r21, r22 = im.codazzi_residuals(imm, im.stencil(imm, [0.3, 0.7]))
-    assert r21 <= 1e-6
+    r21, r22 = im.codazzi_residuals(im.second_fundamental_form(imm, [0.3, 0.7]))
+    assert r21 <= 1e-13
     assert r22 is None
 
 
@@ -120,11 +120,11 @@ def test_codazzi_geodesic_sphere_in_round_three_sphere():
     u = [1.0, 0.7]
     data = im.second_fundamental_form(imm, u)
     assert data.umbilicity <= 1e-8
-    dh = im.stencil(imm, u).dh[0]
-    assert np.max(np.abs(dh)) <= 1e-5
-    r21, r22 = im.codazzi_residuals(imm, im.stencil(imm, u), umbilical_tol=1e-6)
-    assert r21 <= 1e-5
-    assert r22 is not None and r22 <= 1e-5
+    dh = im.normal_connection_DH(data)[0]
+    assert np.max(np.abs(dh)) <= 1e-13
+    r21, r22 = im.codazzi_residuals(data, umbilical_tol=1e-6)
+    assert r21 <= 1e-13
+    assert r22 is not None and r22 <= 1e-13
 
 
 def test_curve_immersion_in_surface():
@@ -137,3 +137,53 @@ def test_curve_immersion_in_surface():
     g_amb = target.metric_at(data.point)
     H = data.mean_curvature
     assert np.sqrt(max(H @ g_amb @ H, 0.0)) <= 1e-8
+
+
+def bumpy_surface():
+    # a generic surface in a curved 4-d chart whose metric has no zero entry
+    coords = ["x1", "x2", "x3", "x4"]
+    metric = [[ex.parse((f"1.5 + 0.2*{coords[i]}^2 + " if i == j else "")
+                        + f"0.1*sin({coords[i]}*{coords[j]} + 0.3)", coords)
+               for j in range(4)] for i in range(4)]
+    target = cv.ManifoldChart(name="bumpy4", coordinates=coords, metric=metric)
+    return make_immersion(["u", "v"], target, [
+        "u + 0.2*v^2", "v - 0.1*u*v", "0.3*u^2 + 0.1*u*v", "0.5*sin(u)*cos(v)"])
+
+
+def richardson_oracle(field, u, h=1e-3):
+    """d_c field at u for each coordinate c: central differences at steps h
+    and h/2, Richardson-extrapolated (error O(h^4))."""
+    out = []
+    for e in np.eye(len(u)):
+        wide = (field(u + h * e) - field(u - h * e)) / (2 * h)
+        narrow = (field(u + h / 2 * e) - field(u - h / 2 * e)) / h
+        out.append((4 * narrow - wide) / 3)
+    return np.array(out)
+
+
+def test_closed_form_derivatives_match_oracles():
+    imm = bumpy_surface()
+    u = np.array([0.3, -0.4])
+    data = im.second_fundamental_form(imm, u)
+    assert data.umbilicity > 0.1 and np.max(np.abs(data.alpha)) > 0.1
+    dalpha = richardson_oracle(lambda v: im.second_fundamental_form(imm, v).alpha, u)
+    dmean = richardson_oracle(
+        lambda v: im.second_fundamental_form(imm, v).mean_curvature, u)
+    assert np.max(np.abs(data.dalpha - dalpha)) <= 1e-9
+    assert np.max(np.abs(data.dmean - dmean)) <= 1e-9
+    # Gauss formula against the symbolic pullback chart
+    gamma = cv.christoffel(imm.induced_chart(), u)
+    assert np.max(np.abs(data.induced_gamma - gamma)) <= 1e-13
+    # the first normal-component equation holds for every immersion
+    r21, r22 = im.codazzi_residuals(data)
+    assert r21 <= 1e-13 and r22 is None
+
+
+def test_map_jets_third_derivatives():
+    imm = bumpy_surface()
+    u = np.array([0.3, -0.4])
+    third = imm.map_jets(u)[3]
+    oracle = richardson_oracle(lambda v: imm.map_jets(v)[2], u)  # [c, p, a, b]
+    assert np.max(np.abs(np.moveaxis(third, 3, 0) - oracle)) <= 1e-9
+    # d_u d_u d_v of 0.5*sin(u)*cos(v)
+    assert third[3, 0, 0, 1] == pytest.approx(0.5 * np.sin(0.3) * np.sin(-0.4), abs=1e-15)
