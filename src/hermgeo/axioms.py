@@ -139,12 +139,6 @@ def curvature_basis(n):
     return basis
 
 
-def tensor_from_coords(basis, coords):
-    n4 = basis.shape[1]
-    n = round(n4 ** 0.25)
-    return (coords @ basis).reshape(n, n, n, n)
-
-
 def _bivectors(space, X, Y):
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     i, j = space.pairs.T
@@ -178,23 +172,6 @@ def _quadruple_rows(space, quads):
 _IDENTITY_NAMES = ["3.1", "3.2", "3.3", "3.4", "3.5", "3.6", "3.7", "3.8"]
 # the identities the sphere axiom yields directly; (3.4) and (3.8) are derived
 _DIRECT = ("3.1", "3.2", "3.3", "3.5", "3.6", "3.7")
-
-
-def admissible_frame(g, J, sampler, need_z=False, need_u=False):
-    """(X, Y[, Z[, U]]) with X unit and orthogonal to Y, JY, and the extra
-    vectors orthogonal to all earlier ones and their J-images."""
-    Y = fr.sample_orthonormal_set(g, 1, sampler)[0]
-    X = fr.sample_orthonormal_set(g, 1, sampler, constraints=[Y, J @ Y])[0]
-    out = [X, Y]
-    if need_z:
-        Z = fr.sample_orthonormal_set(
-            g, 1, sampler, constraints=[X, J @ X, Y, J @ Y])[0]
-        out.append(Z)
-        if need_u:
-            U = fr.sample_orthonormal_set(
-                g, 1, sampler, constraints=[X, J @ X, Y, J @ Y, Z, J @ Z])[0]
-            out.append(U)
-    return out
 
 
 def _identities(J, frame, names=_IDENTITY_NAMES):
@@ -237,7 +214,7 @@ def proof_identity_residuals(R4, g, J, sampler, frames=64):
     n = g.shape[0]
     worst = dict.fromkeys(_IDENTITY_NAMES)
     entries = [entry for _ in range(frames if n > 2 else 0) for entry in _identities(
-        J, admissible_frame(g, J, sampler, need_z=n >= 6, need_u=n >= 8))]
+        J, fr.admissible_frame(g, J, sampler, need_z=n >= 6, need_u=n >= 8))]
     if entries:
         quads = np.array([q for _, *terms in entries for q in terms])
         values = np.abs(_per_entry(cv.curvature_values(R4, *np.moveaxis(quads, 1, 0)), entries))
@@ -322,8 +299,9 @@ def schouten_nullspace_verify(n, sampler=None, tolerance=1e-8, batch=8):
     """Solution space of the orthogonal-quadruple vanishing condition.
 
     Returns a report with the null-space dimension (expected n(n+1)/2), the
-    max Weyl norm over an orthonormal null-space basis, the rank gap, and the
-    basis itself in coordinates of ``curvature_basis(n)``.
+    max Weyl norm over an orthonormal null-space basis, the rank gap, and
+    that basis itself (``nullspace``, columns in coordinates of
+    ``curvature_space(n)``).
     """
     if n < 4:
         raise cv.UnsupportedDimensionError("need dimension >= 4")
@@ -348,7 +326,6 @@ def schouten_nullspace_verify(n, sampler=None, tolerance=1e-8, batch=8):
         "pass": null.shape[1] == n * (n + 1) // 2 and max_weyl <= tolerance,
         "rank_gap": gap,
         "nullspace": null,
-        "basis": curvature_basis(n),
     }
 
 
@@ -388,7 +365,7 @@ def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, batch=6, samples=1
 
     def batches():
         while True:
-            frames = [admissible_frame(g, J, sampler, need_z=m > 2, need_u=False)
+            frames = [fr.admissible_frame(g, J, sampler, need_z=m > 2, need_u=False)
                       for _ in range(batch)]
             yield _identity_rows(
                 space, [entry for frame in frames for entry in _identities(J, frame, _DIRECT)])
@@ -398,7 +375,7 @@ def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, batch=6, samples=1
     # derived identities and Weyl on the null space
     check_sampler = fr.FrameSampler(sampler.seed + 1, n)
     checks = [entry for _ in range(samples) for entry in _identities(
-        J, admissible_frame(g, J, check_sampler, need_z=m > 2, need_u=m >= 4),
+        J, fr.admissible_frame(g, J, check_sampler, need_z=m > 2, need_u=m >= 4),
         ("3.4", "3.8"))]
     quad_sampler = fr.FrameSampler(sampler.seed + 2, n)
     checks += [("quadruple", fr.sample_orthonormal_set(g, 4, quad_sampler))
@@ -422,15 +399,14 @@ def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, batch=6, samples=1
         "pass": derived["weyl"] <= tolerance,
         "rank_gap": gap,
         "nullspace": null,
-        "basis": curvature_basis(n),
     }
 
 
 def containment_residual(report_inner, report_outer):
     """Max projection defect of the inner null space onto the outer one.
 
-    Both reports must come from the same dimension (identical curvature
-    basis), so coordinates are comparable.
+    Both reports must come from the same dimension (same
+    ``curvature_space``), so coordinates are comparable.
     """
     inner = report_inner["nullspace"]
     outer = report_outer["nullspace"]

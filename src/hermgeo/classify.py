@@ -6,7 +6,6 @@ tolerance.  Everything is deterministic given (chart, points, seed).
 
 import numpy as np
 
-from . import axioms as ax
 from . import curvature as cv
 from . import frames as fr
 
@@ -69,11 +68,11 @@ def plane_type(vectors, g, J):
     half_dim is n for a coholomorphic (2n+1)-plane, else None.
     """
     g = np.asarray(g, dtype=float)
-    basis = fr.gram_schmidt(vectors, g)
-    jbasis = fr.gram_schmidt([J @ v for v in basis], g)
-    k = len(basis)
+    B = fr.gram_schmidt(vectors, g)
+    JB = fr.gram_schmidt(B @ J.T, g)
+    k = len(B)
     # principal cosines between span and J(span) w.r.t. g
-    cross = np.array([[u @ g @ v for v in jbasis] for u in basis])
+    cross = B @ g @ JB.T
     cosines = np.linalg.svd(cross, compute_uv=False)
     n_common = int(np.sum(cosines > 1.0 - _ANGLE_TOL))
     n_orth = int(np.sum(cosines < _ANGLE_TOL))
@@ -97,7 +96,7 @@ def sample_invariants(pd, sampler, samples):
     for _ in range(samples):
         units.append(fr.sample_orthonormal_set(pd.g, 1, sampler)[0])
         if pairs:
-            anti.append(ax.admissible_frame(pd.g, pd.J, sampler))
+            anti.append(fr.admissible_frame(pd.g, pd.J, sampler))
     hvals = cv.holomorphic_sectional(pd.riemann, pd.g, pd.J, np.array(units))
     if not pairs:
         return hvals, None, None

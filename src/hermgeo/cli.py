@@ -1,7 +1,9 @@
 """Command-line driver.
 
 Exit codes: 0 data-complete (classification failures are data, not errors),
-2 usage or parse error, 3 mathematical domain error, 4 non-convergence.
+2 usage or parse error, 3 mathematical domain error, 4 non-convergence,
+5 certificate failed (the rank converged but a certificate missed its
+tolerance; the report is still printed, the message names the failed one).
 """
 
 import argparse
@@ -23,10 +25,16 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NONCONVERGENCE = 4
+EXIT_CERTIFICATE_FAILED = 5
 
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one ``error:`` line (subparsers too), no usage text
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _parse_points(chart_dim, point_args, hint):
@@ -73,10 +81,9 @@ def _analyze_report(chart, points, seed, tol, samples, require_weyl):
                                            samples=samples, tolerance=tol)
         report["checks"] = classification["checks"]
         report["constancy"] = classification["constancy"]
-        ident = ax.proof_identity_residuals(
+        report["identity_residuals"] = ax.proof_identity_residuals(
             pds[0].riemann, pds[0].g, pds[0].J, fr.FrameSampler(seed, chart.dim),
             frames=samples)
-        report["identity_residuals"] = ident
     return report
 
 
@@ -152,12 +159,14 @@ def cmd_verify_theorem(args):
         "containment_residual": containment,
     }
     sys.stdout.write(reportio.dump_report(report))
-    ok = theorem["pass"] and schouten["pass"]
-    return EXIT_OK if ok else EXIT_NONCONVERGENCE
+    failed = ", ".join(name for name in ("theorem", "schouten") if not report[name]["pass"])
+    if failed:
+        print(f"error: certificate failed: {failed}", file=sys.stderr)
+    return EXIT_CERTIFICATE_FAILED if failed else EXIT_OK
 
 
 def _strip_arrays(report):
-    return {k: v for k, v in report.items() if k not in ("nullspace", "basis")}
+    return {k: v for k, v in report.items() if k != "nullspace"}
 
 
 def cmd_models_list(args):
@@ -192,7 +201,7 @@ def cmd_models_emit(args):
 
 @functools.cache  # built once per process: parse_args leaves it unchanged
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hermgeo",
         description="Curvature invariants and conformal-flatness checks for "
                     "almost Hermitian coordinate charts")
@@ -257,10 +266,10 @@ def _join_point_values(argv):
 
 
 def _check_counts(args):
-    for name in ("samples", "frames"):
+    for name, least in (("samples", 1), ("frames", 1), ("seed", 0)):
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise UsageError(f"--{name} must be at least 1, got {value}")
+        if value is not None and value < least:
+            raise UsageError(f"--{name} must be at least {least}, got {value}")
 
 
 def main(argv=None):
@@ -268,11 +277,11 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(_join_point_values(argv))
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
         _check_counts(args)
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # a non-finite value exits 3, not a warning
+            return args.fn(args)
+    except SystemExit as exc:  # --help
+        return EXIT_USAGE if exc.code not in (0, None) else 0
     except (UsageError, reportio.ManifoldFileError, ex.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

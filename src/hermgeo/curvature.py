@@ -98,10 +98,12 @@ class ManifoldChart:
 
 
 def _positive_definite(g, point):
+    if not np.all(np.isfinite(g)):
+        raise ex.DomainError(f"metric not finite at {np.asarray(point).tolist()}")
     w = np.linalg.eigvalsh(g)
     if w[0] <= 1e-10 * w[-1]:
         raise SingularMetricError(
-            f"metric not positive definite at {list(point)} (eigenvalues {w})")
+            f"metric not positive definite at {np.asarray(point).tolist()} (eigenvalues {w})")
     return g
 
 

@@ -517,8 +517,11 @@ def jets(exprs, coordinates, point):
         return out
 
     out = [jet(e) for e in exprs]
-    return tuple(np.array([j[order] for j in out]).reshape((len(out),) + (n,) * order)
-                 for order in range(3))
+    arrays = tuple(np.array([j[order] for j in out]).reshape((len(out),) + (n,) * order)
+                   for order in range(3))
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DomainError(f"a value or derivative is not finite at {np.asarray(point).tolist()}")
+    return arrays
 
 
 def substitute(e, mapping):

@@ -54,7 +54,7 @@ class Immersion:
         sv = np.linalg.svd(F, compute_uv=False)
         if sv[-1] <= _RANK_TOL * sv[0]:
             raise RankDeficiencyError(
-                f"immersion rank deficient at {list(u)} (singular values {sv})")
+                f"immersion rank deficient at {np.asarray(u).tolist()} (singular values {sv})")
         return x, F, hess, d2[N:].reshape(N, k, k, k)
 
     def induced_chart(self):

@@ -106,14 +106,13 @@ def _flat_kahler(m=2):
     dim = 2 * m
     coords = [f"x{k + 1}" for k in range(dim)]
     metric = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
-    chart = ManifoldChart(
+    return ManifoldChart(
         name=f"flat_kahler_m{m}", coordinates=coords,
         metric=_parse_matrix(metric, coords),
         complex_structure=_parse_matrix(_canonical_j_entries(dim), coords),
         domain_hint=[(-1.0, 1.0)] * dim,
         expected={"scalar": 0.0, "hsc": 0.0, "kahler": True, "nk": True,
                   "rk": True, "conformally_flat": True, "constant_type": 0.0})
-    return chart
 
 
 def _round_sphere(n=4, r=1.0):
@@ -180,9 +179,7 @@ def _fubini_study(m=2):
     if m < 1:
         raise ValueError("complex dimension m must be >= 1")
     dim = 2 * m
-    coords = []
-    for k in range(m):
-        coords += [f"x{k + 1}", f"y{k + 1}"]
+    coords = [f"{axis}{k + 1}" for k in range(m) for axis in "xy"]
     D = "(1 + " + " + ".join(f"x{k + 1}^2 + y{k + 1}^2" for k in range(m)) + ")"
 
     def a(i, j):

@@ -47,6 +47,13 @@ def _finite(value, name):
     return number
 
 
+def _square(raw, dim, what):
+    _require(isinstance(raw, list) and len(raw) == dim
+             and all(isinstance(row, list) and len(row) == dim for row in raw),
+             f"{what} must be a dim x dim matrix of expression strings")
+    return raw
+
+
 def _block(data, key, fields):
     block = data.get(key)
     _require(block is None or isinstance(block, dict) and all(f in block for f in fields)
@@ -71,12 +78,9 @@ def load_manifold(data):
             trees[text, *symbols] = ex.parse(text, symbols)
         return trees[text, *symbols]
 
-    raw = data["metric"]
-    _require(len(raw) == dim and all(len(row) == dim for row in raw),
-             "metric must be a dim x dim matrix of expression strings")
+    raw = _square(data["metric"], dim, "metric")
     try:
-        metric = [[parse(raw[i][j], coords) for j in range(dim)]
-                  for i in range(dim)]
+        metric = [[parse(e, coords) for e in row] for row in raw]
     except ex.ParseError as exc:
         raise ManifoldFileError(f"metric entry failed to parse: {exc}") from exc
 
@@ -86,16 +90,14 @@ def load_manifold(data):
                  and all(isinstance(pair, list) and len(pair) == 2 for pair in hint),
                  "domain_hint needs one [lo, hi] pair per coordinate")
         hint = [tuple(_finite(b, "domain_hint bound") for b in pair) for pair in hint]
+        _require(all(lo < hi for lo, hi in hint), "domain_hint needs lo < hi in every pair")
 
     _check_metric_symmetry(raw, metric, coords, hint)
 
     jmat = None
     if data.get("complex_structure") is not None:
-        rawj = data["complex_structure"]
-        _require(len(rawj) == dim and all(len(row) == dim for row in rawj),
-                 "complex_structure must be a dim x dim matrix")
-        jmat = [[parse(rawj[i][j], coords) for j in range(dim)]
-                for i in range(dim)]
+        jmat = [[parse(e, coords) for e in row]
+                for row in _square(data["complex_structure"], dim, "complex_structure")]
 
     embedding = None
     j_fn = None

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,15 @@ def test_verify_theorem(capsys):
     assert doc["containment_residual"] <= 1e-9
 
 
+def test_verify_theorem_failed_certificate_exits_5(capsys):
+    # converged rank, but no Weyl norm is below 1e-30: a failed certificate
+    code, out, err = run_cli(capsys, "verify-theorem", "--m", "2", "--tol", "1e-30")
+    assert code == 5
+    doc = json.loads(out)
+    assert not doc["theorem"]["pass"] and doc["theorem"]["nullspace_dim"] == 10
+    assert err == "error: certificate failed: theorem, schouten\n"
+
+
 def test_verify_theorem_bad_m(capsys):
     code, _, err = run_cli(capsys, "verify-theorem", "--m", "9")
     assert code == 2
@@ -236,6 +246,9 @@ def test_analyze_negative_point_space_separated(tmp_path, capsys):
     ["analyze", "FILE", "--point", "nan,0,0,0"],
     ["analyze", "FILE", "--point", "inf,0,0,0"],
     ["classify", "FILE", "--point", "0,-inf,0,0"],
+    ["analyze", "FILE", "--seed", "-1"],
+    ["analyze", "FILE", "--frames", "3"],
+    ["verify-theorem", "--m", "x"],
 ])
 def test_out_of_range_input_is_usage_error(tmp_path, capsys, argv):
     path = write_model(tmp_path, "fubini_study", m=2)
@@ -303,6 +316,10 @@ def test_non_finite_report_value_is_domain_error(tmp_path, capsys, monkeypatch):
      "unknown ambient J rule 'quaternion'"),
     ({"embedding": {"ambient_dim": 3, "map": ["x", "y", "0"], "j_rule": "octonion_cross"}},
      "octonion_cross needs 7"),
+    ({"metric": 0}, "metric must be a dim x dim matrix"),
+    ({"metric": [1, 2]}, "metric must be a dim x dim matrix"),
+    ({"complex_structure": 5}, "complex_structure must be a dim x dim matrix"),
+    ({"domain_hint": [[1, -1], [-1, 1]]}, "lo < hi"),
 ])
 def test_malformed_manifold_file_is_usage_error(tmp_path, capsys, change, message):
     doc = {"name": "plane", "dim": 2, "coordinates": ["x", "y"],
@@ -374,6 +391,27 @@ def test_map_third_derivative_domain_error(tmp_path, capsys):
     assert code == 3 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command, metric, immersion_map, point", [
+    ("analyze", "1e400", None, "0.5,0.5,0"),
+    ("analyze", "1 + 1e300*1e300*x*x", None, "0.5,0.5,0"),
+    ("submanifold", "1", ["u", "v", "1e400*u"], "0.5,0.5"),
+])
+def test_non_finite_values_are_one_line_domain_errors(tmp_path, capsys, command, metric,
+                                                      immersion_map, point):
+    doc = {"name": "r3", "dim": 3, "coordinates": ["x", "y", "z"],
+           "metric": [[metric, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    if immersion_map:
+        doc["immersion"] = {"coordinates": ["u", "v"], "map": immersion_map}
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:  # a warning is a stderr line too
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, command, str(path), "--point", point)
+    assert code == 3 and out == "" and not caught
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "not finite" in lines[0]
 
 
 def test_classify_j_plus_identity_is_data(tmp_path, capsys):

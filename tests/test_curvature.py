@@ -165,24 +165,24 @@ def test_holomorphic_sectional(rng):
 
 
 def test_lambda_type_s6(rng):
-    from hermgeo import axioms, frames as fr
+    from hermgeo import frames as fr
     chart = models.instantiate("s6_nearly_kahler")
     point = rng.uniform(-0.3, 0.3, size=6)
     pd = cv.point_data(chart, point, with_weyl=False)
     sampler = fr.FrameSampler(2, 6)
     for _ in range(5):
-        X, Y = axioms.admissible_frame(pd.g, pd.J, sampler)
+        X, Y = fr.admissible_frame(pd.g, pd.J, sampler)
         assert cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lambda_type_kahler_vanishes(rng):
     # on a Kahler chart the two curvature terms cancel identically
-    from hermgeo import axioms, frames as fr
+    from hermgeo import frames as fr
     chart = models.instantiate("fubini_study", m=2)
     pd = cv.point_data(chart, [0.1, 0.2, -0.05, 0.12], with_weyl=False)
     sampler = fr.FrameSampler(4, 4)
     for _ in range(5):
-        X, Y = axioms.admissible_frame(pd.g, pd.J, sampler)
+        X, Y = fr.admissible_frame(pd.g, pd.J, sampler)
         assert cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y) == pytest.approx(0.0, abs=1e-9)
 
 
