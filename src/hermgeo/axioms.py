@@ -33,6 +33,8 @@ class RankStabilizationError(RuntimeError):
 _RANK_CUT = 1e-9        # singular values below cut * max are treated as zero
 _STABLE_BATCHES = 3
 _MAX_BATCHES = 200      # batches allowed beyond those a full-rank stack needs
+_THEOREM_BATCH = 6      # admissible frames per batch of theorem constraints
+_SCHOUTEN_BATCH = 8     # orthonormal quadruples per batch of Schouten constraints
 
 
 @dataclass(frozen=True)
@@ -161,11 +163,6 @@ def functional_row(space, X, Y, Z, U):
     return (space.coeffs.T @ w.T).T
 
 
-def _quadruple_rows(space, quads):
-    """functional_row of a list of quadruples (X, Y, Z, U), in one call."""
-    return functional_row(space, *np.moveaxis(np.array(quads, dtype=float), 1, 0))
-
-
 # ---------------------------------------------------------------------------
 # identity residuals on a concrete tensor
 
@@ -176,10 +173,11 @@ _DIRECT = ("3.1", "3.2", "3.3", "3.5", "3.6", "3.7")
 
 def _identities(J, frame, names=_IDENTITY_NAMES):
     """(name, quadruple[, quadruple]) of each identity in ``names`` that
-    applies to an admissible frame: R vanishes on the quadruple, or agrees on
-    the two quadruples.  (3.5) has two entries."""
+    applies to an admissible frame (X, Y[, Z[, U]]), or to stacks of them:
+    R vanishes on the quadruple, or agrees on the two quadruples.  (3.5) has
+    two entries."""
     X, Y = frame[0], frame[1]
-    JX, JY = J @ X, J @ Y
+    JX, JY = X @ J.T, Y @ J.T
     out = [("3.1", (X, JX, JY, Y)),
            ("3.2", (JY, JX, X, Y)),
            ("3.3", (X, JX, JX, Y), (X, JY, JY, Y)),
@@ -195,31 +193,29 @@ def _identities(J, frame, names=_IDENTITY_NAMES):
     return [entry for entry in out if entry[0] in names]
 
 
-def _per_entry(values, entries):
-    """Per identity entry: its first quadruple's value, minus its second's if any."""
-    out, k = [], 0
-    for _, *terms in entries:
-        out.append(values[k] - values[k + 1] if len(terms) == 2 else values[k])
-        k += len(terms)
-    return np.array(out)
+def _per_entry(value, entries):
+    """Per identity entry: ``value`` of its first quadruple, minus that of its
+    second if any."""
+    return [value(*terms[0]) - value(*terms[1]) if len(terms) == 2 else value(*terms[0])
+            for _, *terms in entries]
 
 
 def proof_identity_residuals(R4, g, J, sampler, frames=64):
     """Max residual of each identity over sampled admissible frames.
 
     Identities outside the dimension regime are reported as None (skipped);
-    in dimension 2 no admissible frame exists, so all of them are.  All
-    frames are drawn first, then every quadruple is evaluated at once.
+    in dimension 2 no admissible frame exists, so all of them are.  The
+    frames come as one stack, and each identity entry is one curvature
+    evaluation over all of them.
     """
     n = g.shape[0]
     worst = dict.fromkeys(_IDENTITY_NAMES)
-    entries = [entry for _ in range(frames if n > 2 else 0) for entry in _identities(
-        J, fr.admissible_frame(g, J, sampler, need_z=n >= 6, need_u=n >= 8))]
-    if entries:
-        quads = np.array([q for _, *terms in entries for q in terms])
-        values = np.abs(_per_entry(cv.curvature_values(R4, *np.moveaxis(quads, 1, 0)), entries))
+    if n > 2 and frames:
+        entries = _identities(J, fr.admissible_frames(g, J, sampler, frames, need_z=n >= 6,
+                                                      need_u=n >= 8))
+        values = _per_entry(functools.partial(cv.curvature_values, R4), entries)
         for (name, *_), value in zip(entries, values):
-            worst[name] = max(worst[name] or 0.0, float(value))
+            worst[name] = max(worst[name] or 0.0, float(np.max(np.abs(value))))
     return worst
 
 
@@ -228,8 +224,8 @@ def quadruple_vanishing_residual(R4, g, sampler, samples=256):
     n = g.shape[0]
     if n < 4:
         raise cv.UnsupportedDimensionError("orthogonal quadruples need dimension >= 4")
-    quads = np.array([fr.sample_orthonormal_set(g, 4, sampler) for _ in range(samples)])
-    return float(np.max(np.abs(cv.curvature_values(R4, *np.moveaxis(quads, 1, 0)))))
+    quads = fr.orthonormal_frames(g, sampler.draw(4 * samples).reshape(samples, 4, n), sampler)
+    return float(np.max(np.abs(cv.curvature_values(R4, *quads))))
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +278,14 @@ def _nullspace(rows):
     return vt[rank:].T, gap
 
 
-def _weyl_norm_flat(T):
-    """Max |Weyl| of an algebraic curvature tensor with the identity metric."""
-    n = T.shape[0]
-    g = np.eye(n)
-    S, s = cv.ricci_scalar(T, g)
-    return float(np.max(np.abs(cv.weyl(T, S, s, g))))
-
-
 def _max_weyl(space, null):
-    """Max Weyl norm over the null-space basis tensors (columns of ``null``)."""
-    return max((_weyl_norm_flat(T) for T in _tensors(space, null.T)), default=0.0)
+    """Max Weyl norm (identity metric) of the null-space tensors, columns of ``null``."""
+    T, g = _tensors(space, null.T), np.eye(space.n)
+    S, s = cv.ricci_scalar(T, g)
+    return float(np.max(np.abs(cv.weyl(T, S, s, g)), initial=0.0))
 
 
-def schouten_nullspace_verify(n, sampler=None, tolerance=1e-8, batch=8):
+def schouten_nullspace_verify(n, sampler=None, tolerance=1e-8):
     """Solution space of the orthogonal-quadruple vanishing condition.
 
     Returns a report with the null-space dimension (expected n(n+1)/2), the
@@ -311,8 +301,8 @@ def schouten_nullspace_verify(n, sampler=None, tolerance=1e-8, batch=8):
 
     def batches():
         while True:
-            yield _quadruple_rows(
-                space, [fr.sample_orthonormal_set(g, 4, sampler) for _ in range(batch)])
+            raw = sampler.draw(4 * _SCHOUTEN_BATCH).reshape(_SCHOUTEN_BATCH, 4, n)
+            yield functional_row(space, *fr.orthonormal_frames(g, raw, sampler))
 
     rows, null, gap = _stable_nullspace(batches(), space.dim)
     max_weyl = _max_weyl(space, null)
@@ -340,12 +330,12 @@ def canonical_j(n):
 
 def _identity_rows(space, entries):
     """Functional rows of identity entries (name, quadruple[, quadruple]):
-    the row of the first quadruple minus that of the second, if any."""
-    return _per_entry(_quadruple_rows(space, [q for _, *terms in entries for q in terms]),
-                      entries)
+    the row of the first quadruple minus that of the second, if any.  Shape
+    (E, d), or (s, E, d) frame-major for entries on stacks of s frames."""
+    return np.stack(_per_entry(functools.partial(functional_row, space), entries), axis=-2)
 
 
-def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, batch=6, samples=128):
+def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, samples=128):
     """Certificate that the sphere-axiom identities force the Weyl tensor to
     vanish, for complex dimension m (real dimension n = 2m).
 
@@ -365,28 +355,23 @@ def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, batch=6, samples=1
 
     def batches():
         while True:
-            frames = [fr.admissible_frame(g, J, sampler, need_z=m > 2, need_u=False)
-                      for _ in range(batch)]
-            yield _identity_rows(
-                space, [entry for frame in frames for entry in _identities(J, frame, _DIRECT)])
+            frames = fr.admissible_frames(g, J, sampler, _THEOREM_BATCH, need_z=m > 2)
+            yield _identity_rows(space, _identities(J, frames, _DIRECT)).reshape(-1, space.dim)
 
     rows, null, gap = _stable_nullspace(batches(), space.dim)
 
     # derived identities and Weyl on the null space
     check_sampler = fr.FrameSampler(sampler.seed + 1, n)
-    checks = [entry for _ in range(samples) for entry in _identities(
-        J, fr.admissible_frame(g, J, check_sampler, need_z=m > 2, need_u=m >= 4),
-        ("3.4", "3.8"))]
+    checks = _identities(J, fr.admissible_frames(g, J, check_sampler, samples, need_z=m > 2,
+                                                 need_u=m >= 4), ("3.4", "3.8"))
     quad_sampler = fr.FrameSampler(sampler.seed + 2, n)
-    checks += [("quadruple", fr.sample_orthonormal_set(g, 4, quad_sampler))
-               for _ in range(samples)]
+    raw = quad_sampler.draw(4 * samples).reshape(samples, 4, n)
+    checks.append(("quadruple", fr.orthonormal_frames(g, raw, quad_sampler)))
     values = np.abs(_identity_rows(space, checks) @ null)
     names = np.array([name for name, *_ in checks])
-    derived = {"3.4": 0.0, "3.8": 0.0 if m >= 4 else None,
-               "quadruple": 0.0, "weyl": _max_weyl(space, null)}
-    for name in ("3.4", "3.8", "quadruple"):
-        if derived[name] is not None:
-            derived[name] = float(values[names == name].max(initial=0.0))
+    derived = {name: float(values[:, names == name].max(initial=0.0)) if name in names else None
+               for name in ("3.4", "3.8", "quadruple")}  # (3.8) needs m >= 4
+    derived["weyl"] = _max_weyl(space, null)
 
     return {
         "m": m,
@@ -412,9 +397,3 @@ def containment_residual(report_inner, report_outer):
     outer = report_outer["nullspace"]
     proj = outer @ (outer.T @ inner)
     return float(np.max(np.abs(inner - proj)))
-
-
-def kulkarni_nomizu(h, g):
-    """Curvature-type product of two symmetric 2-tensors."""
-    return (np.einsum("il,jk->ijkl", h, g) + np.einsum("jk,il->ijkl", h, g)
-            - np.einsum("ik,jl->ijkl", h, g) - np.einsum("jl,ik->ijkl", h, g))

@@ -20,6 +20,7 @@ COHOLOMORPHIC = "coholomorphic"
 NONE = "none"
 
 _ANGLE_TOL = 1e-8  # principal-angle threshold for subspace comparisons
+_NK_TOL = 1e-6     # nearly Kahler residual tolerance
 
 
 def _require_j(chart, pd):
@@ -42,10 +43,9 @@ def nabla_J_residuals(chart, pd, sampler, samples=32):
     g-norm of (nabla_X J) X over sampled unit X.
     """
     nj = nabla_j(chart, pd)
-    g = pd.g
-    X = np.array([fr.sample_orthonormal_set(g, 1, sampler)[0] for _ in range(samples)])
+    (X,) = fr.orthonormal_frames(pd.g, sampler.draw(samples)[:, None], sampler)
     v = np.einsum("kij,sk,sj->si", nj, X, X)
-    nk = np.max(np.sum((v @ g) * v, axis=1), initial=0.0)
+    nk = np.max(np.sum((v @ pd.g) * v, axis=1), initial=0.0)
     return float(np.max(np.abs(nj))), float(np.sqrt(nk))
 
 
@@ -90,17 +90,14 @@ def sample_invariants(pd, sampler, samples):
     constant-type values at a point, one of each per sample: a unit X for
     the first, then an antiholomorphic unit pair (X, Y) for the other two.
     In dimension 2 no antiholomorphic pair exists (X must avoid Y and JY),
-    and the last two are None.  Samples are drawn in turn, then evaluated."""
+    and the last two are None.  One block draw gives each sample's [unit, Y, X]."""
     pairs = pd.g.shape[0] > 2
-    units, anti = [], []
-    for _ in range(samples):
-        units.append(fr.sample_orthonormal_set(pd.g, 1, sampler)[0])
-        if pairs:
-            anti.append(fr.admissible_frame(pd.g, pd.J, sampler))
-    hvals = cv.holomorphic_sectional(pd.riemann, pd.g, pd.J, np.array(units))
+    raw = sampler.draw(samples * (3 if pairs else 1)).reshape(samples, -1, len(pd.g))
+    (units,) = fr.orthonormal_frames(pd.g, raw[:, :1], sampler)
+    hvals = cv.holomorphic_sectional(pd.riemann, pd.g, pd.J, units)
     if not pairs:
         return hvals, None, None
-    X, Y = np.moveaxis(np.array(anti), 1, 0)
+    Y, X = fr.orthonormal_frames(pd.g, raw[:, 1:], sampler, pd.J)
     return (hvals, cv.sectional(pd.riemann, pd.g, X, Y),
             cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y))
 
@@ -146,8 +143,7 @@ def constancy_report(chart, pds, sampler, samples=32, tolerance=1e-8):
     return report
 
 
-def classify_chart(chart, pds, seed=0, samples=32, tolerance=1e-8,
-                   nk_tolerance=1e-6):
+def classify_chart(chart, pds, seed=0, samples=32, tolerance=1e-8):
     """Full classification record for a chart with an almost complex
     structure, over the point data ``pds``: compatibility, Kahler/NK/RK
     flags, conformal flatness, and the constancy report."""
@@ -174,7 +170,7 @@ def classify_chart(chart, pds, seed=0, samples=32, tolerance=1e-8,
     record("j_squared", r_sq, tolerance)
     record("j_compatible", r_comp, tolerance)
     record("kahler", kahler, tolerance)
-    record("nearly_kahler", nk, nk_tolerance)
+    record("nearly_kahler", nk, _NK_TOL)
     record("rk", rk, tolerance)
     if chart.dim >= 4:
         record("conformally_flat", weyl_norm, tolerance)

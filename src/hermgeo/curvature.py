@@ -169,23 +169,28 @@ def riemann(chart, point):
 
 
 def ricci_scalar(R4, g):
+    """(S, s): Ricci tensor and scalar curvature, also of stacks (..., n, n, n, n)."""
     gi = np.linalg.inv(g)
-    S = np.einsum("il,ijkl->jk", gi, R4)
-    s = float(np.einsum("jk,jk->", gi, S))
-    return S, s
+    S = np.einsum("...il,...ijkl->...jk", gi, R4)
+    return S, np.einsum("...jk,...jk->...", gi, S)
 
 
-def weyl(R4, S, s, g, dim=None):
+def kulkarni_nomizu(h, k):
+    """Kulkarni-Nomizu product of symmetric 2-tensors, also of stacks."""
+    return (np.einsum("...il,...jk->...ijkl", h, k) + np.einsum("...jk,...il->...ijkl", h, k)
+            - np.einsum("...ik,...jl->...ijkl", h, k) - np.einsum("...jl,...ik->...ijkl", h, k))
+
+
+def weyl(R4, S, s, g):
     """Weyl conformal curvature tensor (all-lower) of an algebraic curvature
-    tensor with Ricci data."""
-    n = dim if dim is not None else g.shape[0]
+    tensor with Ricci data, also of stacks:
+    R - KN(S, g) / (n - 2) + s KN(g, g) / (2 (n - 1) (n - 2))."""
+    n = g.shape[-1]
     if n < 4:
         raise UnsupportedDimensionError(
             f"conformal curvature needs dimension >= 4, got {n}")
-    gS = (np.einsum("il,jk->ijkl", g, S) - np.einsum("ik,jl->ijkl", g, S)
-          + np.einsum("jk,il->ijkl", g, S) - np.einsum("jl,ik->ijkl", g, S))
-    gg = np.einsum("il,jk->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
-    return R4 - gS / (n - 2) + (s / ((n - 1) * (n - 2))) * gg
+    scale = np.asarray(s / (2 * (n - 1) * (n - 2)))[..., None, None, None, None]
+    return R4 - kulkarni_nomizu(S, g) / (n - 2) + scale * kulkarni_nomizu(g, g)
 
 
 def point_data(chart, point, with_weyl=True):
@@ -199,7 +204,7 @@ def point_data(chart, point, with_weyl=True):
         C = weyl(R4, S, s, g)
     J, dJ = chart._j_jets(point)
     return PointData(point=point, g=g, g_inv=gi, J=J, dJ=dJ, gamma=gamma,
-                     riemann=R4, ricci=S, scalar=s, weyl=C)
+                     riemann=R4, ricci=S, scalar=float(s), weyl=C)
 
 
 def relative_weyl_norm(pd):
@@ -257,9 +262,9 @@ def lambda_type(R4, g, J, X, Y):
     return curvature_values(R4, X, Y, Y, X) - curvature_values(R4, X, Y, Y @ J.T, X @ J.T)
 
 
-def symmetry_residuals(R4, relative=True):
-    """Max-norm residuals of the curvature symmetries and first Bianchi."""
-    scale = max(np.max(np.abs(R4)), 1e-300) if relative else 1.0
+def symmetry_residuals(R4):
+    """Max-norm residuals of the curvature symmetries and first Bianchi, relative to max |R4|."""
+    scale = max(np.max(np.abs(R4)), 1e-300)
     r = {
         "antisym_first_pair": np.max(np.abs(R4 + np.einsum("ijkl->jikl", R4))),
         "antisym_second_pair": np.max(np.abs(R4 + np.einsum("ijkl->ijlk", R4))),
@@ -274,8 +279,6 @@ def weyl_trace_residual(C, g, relative=True):
     """Largest metric contraction of the Weyl tensor (should vanish)."""
     gi = np.linalg.inv(g)
     scale = max(np.max(np.abs(C)), 1e-300) if relative else 1.0
-    worst = 0.0
-    for spec in ("il,ijkl->jk", "ik,ijkl->jl", "jk,ijkl->il",
-                 "jl,ijkl->ik", "ij,ijkl->kl", "kl,ijkl->ij"):
-        worst = max(worst, float(np.max(np.abs(np.einsum(spec, gi, C)))))
-    return worst / scale
+    return max(float(np.max(np.abs(np.einsum(spec, gi, C)))) for spec in (
+        "il,ijkl->jk", "ik,ijkl->jl", "jk,ijkl->il", "jl,ijkl->ik", "ij,ijkl->kl",
+        "kl,ijkl->ij")) / scale

@@ -516,7 +516,8 @@ def jets(exprs, coordinates, point):
         memo[id(e)] = out
         return out
 
-    out = [jet(e) for e in exprs]
+    with np.errstate(all="ignore"):  # a non-finite result raises DomainError below
+        out = [jet(e) for e in exprs]
     arrays = tuple(np.array([j[order] for j in out]).reshape((len(out),) + (n,) * order)
                    for order in range(3))
     if not all(np.isfinite(a).all() for a in arrays):

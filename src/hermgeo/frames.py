@@ -1,10 +1,9 @@
 """Metric orthonormalization and reproducible frame sampling.
 
 Random draws use numpy's PCG64 generator with an explicit seed, so identical
-(seed, dimension) pairs give bit-identical frames on every platform.
+(seed, dimension) pairs give bit-identical frames on every platform.  Frames
+come in stacks, drawn as one block and orthonormalized together.
 """
-
-import contextlib
 
 import numpy as np
 
@@ -34,17 +33,21 @@ class FrameSampler:
         return self._rng.uniform(-1.0, 1.0, size=(count, self.dimension))
 
 
+def _norms(g, v):
+    return np.sqrt(np.sum(np.einsum("ij,...j->...i", g, v) * v, axis=-1))
+
+
 def _project(rows, v, g, lead):
-    """The one orthonormalization step: ``v`` projected off the g-orthonormal
-    ``rows`` by two classical Gram-Schmidt passes as matrix products, then
-    normalized; RankDeficiencyError when the pivot is at most 1e-10 * lead."""
-    for _ in range(2 if len(rows) else 0):
-        v = v - (rows @ (g @ v)) @ rows
-    nrm = np.sqrt(v @ g @ v)
-    if nrm <= _PIVOT * lead:
-        raise RankDeficiencyError(
-            f"vector set is rank deficient (pivot {nrm:.3e} vs lead {lead:.3e})")
-    return v / nrm
+    """The one orthonormalization step, on a stack: each ``v`` (s, n) projected
+    off its frame's g-orthonormal ``rows`` (s, m, n) by two classical
+    Gram-Schmidt passes, then normalized; returns (unit vectors, mask of the
+    pivots above 1e-10 * lead, pivots), a zero row where masked out.  Sums
+    run row by row (einsum), so a frame does not depend on its stack size."""
+    for _ in range(2 if rows.shape[1] else 0):
+        v = v - np.einsum("smn,sm->sn", rows, np.einsum("smn,nk,sk->sm", rows, g, v))
+    nrm = _norms(g, v)
+    ok = nrm > _PIVOT * lead
+    return np.where(ok[:, None], v / np.where(ok, nrm, 1.0)[:, None], 0.0), ok, nrm
 
 
 def gram_schmidt(vectors, g, drop_dependent=False):
@@ -53,68 +56,73 @@ def gram_schmidt(vectors, g, drop_dependent=False):
     or with ``drop_dependent`` skips that vector."""
     g = np.asarray(g, dtype=float)
     vecs = np.array(vectors, dtype=float).reshape(-1, len(g))
-    lead = np.sqrt(max((v @ g @ v for v in vecs), default=0.0))
-    rows, found = np.empty_like(vecs), 0
+    lead = np.max(_norms(g, vecs), initial=0.0)
+    rows = np.empty((1, 0, len(g)))
     for v in vecs:
-        try:
-            rows[found] = _project(rows[:found], v, g, lead)
-            found += 1
-        except RankDeficiencyError:
-            if not drop_dependent:
-                raise
-    return rows[:found]
-
-
-def _grow(g, sampler, count, J=None, rows=()):
-    """Extend the g-orthonormal ``rows`` by ``count`` sampled g-unit vectors;
-    returns those.  With ``J`` each draw e is followed by Je, dropped when it
-    depends on the rows so far (as JY on an eigenvector Y of J).  A draw's
-    pivot is measured against |v| for the first row, max(1, |v|) after that;
-    a degenerate draw (measure zero) is redrawn, deterministically."""
-    g = np.asarray(g, dtype=float)
-    found, dim, draws = len(rows), len(g), []
-    rows = np.concatenate([np.reshape(rows, (-1, dim)), np.empty((2 * count, dim))])
-    for i in range(count):
-        k = count - i if J is None else 1
-        if k + found > dim:
+        e, ok, nrm = _project(rows, v[None], g, lead)
+        if ok[0]:
+            rows = np.concatenate([rows, e[:, None]], axis=1)
+        elif not drop_dependent:
             raise RankDeficiencyError(
-                f"cannot fit {k} vectors orthogonal to {found} constraints in dim {dim}")
-        for _attempt in range(64):
-            v = sampler.draw(1)[0]
-            lead = np.sqrt(v @ g @ v)
-            with contextlib.suppress(RankDeficiencyError):
-                rows[found] = _project(rows[:found], v, g, max(1.0, lead) if found else lead)
+                f"vector set is rank deficient (pivot {nrm[0]:.3e} vs lead {lead:.3e})")
+    return rows[0]
+
+
+def orthonormal_frames(g, raw, sampler, J=None, rows=None):
+    """Orthonormalize the raw vectors (s, k, n) of s frames, in order and off
+    each frame's g-orthonormal ``rows`` (s, r, n); returns shape (k, s, n).
+    With ``J`` each vector e is followed by Je, a zero row where it depends
+    on the rows so far (as JY on an eigenvector Y of J).  The pivot lead is
+    |v| for a frame's first row, max(1, |v|) after that.  A degenerate draw
+    (measure zero) is redrawn from ``sampler`` for its frame alone, after
+    the block; a frame gives up after 64 draws of one vector."""
+    g = np.asarray(g, dtype=float)
+    s, k, dim = raw.shape
+    basis = np.zeros((s, 0, dim)) if rows is None else rows
+    out = np.empty((k, s, dim))
+    for i in range(k):
+        need = k - i if J is None else 1
+        found = np.max(np.sum(basis.any(axis=2), axis=1), initial=0)  # nonzero rows
+        if need + found > dim:
+            raise RankDeficiencyError(
+                f"cannot fit {need} vectors orthogonal to {found} constraints in dim {dim}")
+        v, todo, floor = raw[:, i], np.arange(s), min(basis.shape[1], 1)
+        for attempt in range(64):
+            v = sampler.draw(len(todo)) if attempt else v
+            e, ok, _ = _project(basis[todo], v, g, np.maximum(floor, _norms(g, v)))
+            out[i, todo[ok]], todo = e[ok], todo[~ok]
+            if not len(todo):
                 break
         else:
             raise RankDeficiencyError("could not sample an independent vector")
-        draws.append(rows[found])
-        found += 1
-        if J is not None and i + 1 < count:  # Je only constrains later draws
-            Je = J @ draws[-1]
-            with contextlib.suppress(RankDeficiencyError):
-                rows[found] = _project(rows[:found], Je, g, max(1.0, np.sqrt(Je @ g @ Je)))
-                found += 1
-    return draws
+        basis = np.concatenate([basis, out[i][:, None]], axis=1)
+        if J is not None and i + 1 < k:  # Je only constrains later draws
+            Je = np.einsum("ij,sj->si", J, out[i])
+            e, _, _ = _project(basis, Je, g, np.maximum(1.0, _norms(g, Je)))
+            basis = np.concatenate([basis, e[:, None]], axis=1)
+    return out
 
 
 def sample_orthonormal_set(g, k, sampler, constraints=None):
     """Draw ``k`` g-orthonormal vectors, each g-orthogonal to the span of
     ``constraints`` (dependent constraints are dropped)."""
-    return _grow(g, sampler, k, rows=gram_schmidt(constraints, g, drop_dependent=True)
-                 if constraints else ())
+    rows = gram_schmidt(constraints if constraints else [], g, drop_dependent=True)
+    return orthonormal_frames(g, sampler.draw(k)[None], sampler, rows=rows[None])[:, 0]
 
 
-def admissible_frame(g, J, sampler, need_z=False, need_u=False):
-    """(X, Y[, Z[, U]]): g-unit vectors, each g-orthogonal to the earlier
-    ones and their J-images.  Y is drawn first, then X, Z, U."""
-    Y, X, *rest = _grow(g, sampler, 2 + need_z + (need_z and need_u), J)
-    return [X, Y, *rest]
+def admissible_frames(g, J, sampler, count, need_z=False, need_u=False):
+    """(X, Y[, Z[, U]]) of ``count`` frames, shape (k, count, n): g-unit
+    vectors, each g-orthogonal to the earlier ones and their J-images.  Y is
+    drawn first, then X, Z, U."""
+    k = 2 + need_z + (need_z and need_u)
+    Y, X, *rest = orthonormal_frames(g, sampler.draw(count * k).reshape(count, k, len(g)),
+                                      sampler, J)
+    return np.array([X, Y, *rest])
 
 
 def hermitian_residuals(g, J):
     """Max-norm residuals (|J^2 + I|, |g(J.,J.) - g|) of a pair (g, J)."""
-    g = np.asarray(g, dtype=float)
-    J = np.asarray(J, dtype=float)
+    g, J = np.asarray(g, dtype=float), np.asarray(J, dtype=float)
     return (float(np.max(np.abs(J @ J + np.eye(J.shape[0])))),
             float(np.max(np.abs(J.T @ g @ J - g))))
 
@@ -133,4 +141,5 @@ def adapted_hermitian_frame(g, J, sampler):
     dim = len(g)
     if dim % 2:
         raise IncompatibleStructureError("almost complex structure needs even dimension")
-    return [v for e in _grow(g, sampler, dim // 2, J) for v in (e, J @ e)]
+    frame = orthonormal_frames(g, sampler.draw(dim // 2)[None], sampler, J)[:, 0]
+    return [v for e in frame for v in (e, J @ e)]

@@ -59,7 +59,7 @@ def test_criterion_2_quadruple_nullspace():
             for j in range(i, n):
                 h = np.zeros((n, n))
                 h[i, j] = h[j, i] = 1.0
-                span.append(basis @ ax.kulkarni_nomizu(h, np.eye(n)).reshape(-1))
+                span.append(basis @ cv.kulkarni_nomizu(h, np.eye(n)).reshape(-1))
         span = np.linalg.qr(np.array(span).T)[0]
         both = max(float(np.max(np.abs(null - span @ (span.T @ null)))),
                    float(np.max(np.abs(span - null @ (null.T @ span)))))
@@ -116,7 +116,7 @@ def test_criterion_4_six_sphere():
         for _ in range(16):
             X, Y = fr.sample_orthonormal_set(pd.g, 2, sampler)
             sect_err = max(sect_err, abs(cv.sectional(pd.riemann, pd.g, X, Y) - 1.0))
-            X, Y = fr.admissible_frame(pd.g, pd.J, sampler)
+            X, Y = fr.admissible_frames(pd.g, pd.J, sampler, 1)[:, 0]
             alpha_err = max(alpha_err,
                             abs(cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y) - 1.0))
     ok = nk <= 1e-6 and kahler > 0.1 and sect_err <= 1e-6 and alpha_err <= 1e-6

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import (chart_from_strings, conformal_rescale, flat_chart,
                       random_low_degree_poly, random_polynomial_metric,
                       two_sphere_polar)
 from hermgeo import curvature as cv
+from hermgeo import expressions as ex
 from hermgeo import models
 
 
@@ -171,7 +174,7 @@ def test_lambda_type_s6(rng):
     pd = cv.point_data(chart, point, with_weyl=False)
     sampler = fr.FrameSampler(2, 6)
     for _ in range(5):
-        X, Y = fr.admissible_frame(pd.g, pd.J, sampler)
+        X, Y = fr.admissible_frames(pd.g, pd.J, sampler, 1)[:, 0]
         assert cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -182,7 +185,7 @@ def test_lambda_type_kahler_vanishes(rng):
     pd = cv.point_data(chart, [0.1, 0.2, -0.05, 0.12], with_weyl=False)
     sampler = fr.FrameSampler(4, 4)
     for _ in range(5):
-        X, Y = fr.admissible_frame(pd.g, pd.J, sampler)
+        X, Y = fr.admissible_frames(pd.g, pd.J, sampler, 1)[:, 0]
         assert cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -244,3 +247,12 @@ def test_stacked_invariants_check_every_row(rng):
         cv.holomorphic_sectional(R4, g, J, X)
     with pytest.raises(cv.DegeneratePlaneError):
         cv.lambda_type(R4, g, J, X, Y)
+
+
+def test_non_finite_jet_is_a_domain_error_without_warnings():
+    chart = chart_from_strings("blowup", ["x", "y", "z"], [
+        ["1 + 1e300*1e300*x*x", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ex.DomainError):
+            cv.point_data(chart, [0.5, 0.5, 0.0])

@@ -164,3 +164,52 @@ def test_degenerate_draws_give_up_after_64():
     with pytest.raises(fr.RankDeficiencyError, match="could not sample an independent vector"):
         fr.sample_orthonormal_set(np.eye(3), 1, sampler, [[1.0, 1.0, 0.0]])
     assert sampler.draws == 64
+
+
+@pytest.mark.parametrize("need_z, need_u", [(False, False), (True, False), (True, True)])
+def test_stacked_frames_equal_sequential_frames(need_z, need_u, rng):
+    n, count = 8, 6
+    A = rng.normal(size=(n, n)) + 3 * np.eye(n)
+    Ainv = np.linalg.inv(A)
+    J, g = A @ canonical_j(n) @ Ainv, Ainv.T @ Ainv  # a compatible pair
+    sampler, twin = fr.FrameSampler(5, n), fr.FrameSampler(5, n)
+    stacked = fr.admissible_frames(g, J, sampler, count, need_z, need_u)
+    single = np.stack([fr.admissible_frames(g, J, twin, 1, need_z, need_u)[:, 0]
+                       for _ in range(count)], axis=1)
+    assert stacked.shape == single.shape == (2 + need_z + need_u, count, n)
+    assert np.max(np.abs(stacked - single)) <= 1e-15
+    assert np.array_equal(sampler.draw(1), twin.draw(1))  # as many draws on both
+
+
+class BlockSampler:
+    """Draws the given rows in order, ``count`` at a time."""
+
+    def __init__(self, *rows):
+        self.rows = [np.asarray(r, dtype=float) for r in rows]
+        self.counts = []
+
+    def draw(self, count=1):
+        self.counts.append(count)
+        out, self.rows = self.rows[:count], self.rows[count:]
+        return np.array(out).reshape(count, 3)
+
+
+def test_degenerate_draw_in_a_stack_redraws_only_its_frame():
+    sampler = BlockSampler([1, 0, 0], [0, 1, 0],
+                           [1, 0, 0], [2, 0, 0],  # the second depends on the first
+                           [0, 0, 1], [0, 1, 0],
+                           [0, 3, 4])
+    out = fr.orthonormal_frames(np.eye(3), sampler.draw(6).reshape(3, 2, 3), sampler)
+    assert sampler.counts == [6, 1]
+    expected = [[[1, 0, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0.6, 0.8], [0, 1, 0]]]
+    assert np.max(np.abs(out - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_j_identity_keeps_je_as_zero_rows(n):
+    # Je = e depends on the rows so far: it adds a zero row, no constraint,
+    # so the frame still fills the whole space
+    frames = fr.admissible_frames(np.eye(n), np.eye(n), fr.FrameSampler(1, n), 5,
+                                  need_z=n == 3)
+    for frame in np.moveaxis(frames, 1, 0):
+        assert np.max(np.abs(frame @ frame.T - np.eye(n))) <= 1e-12
