@@ -127,7 +127,7 @@ class PointData:
     riemann: np.ndarray        # all-lower R4[i,j,k,l]
     ricci: np.ndarray
     scalar: float
-    weyl: np.ndarray | None
+    weyl: np.ndarray | None    # None below dimension 4
 
 
 def christoffel(chart, point):
@@ -193,15 +193,13 @@ def weyl(R4, S, s, g):
     return R4 - kulkarni_nomizu(S, g) / (n - 2) + scale * kulkarni_nomizu(g, g)
 
 
-def point_data(chart, point, with_weyl=True):
+def point_data(chart, point):
     """Everything the chart pipeline reads at one point, from one ``riemann``."""
     point = np.asarray(point, dtype=float)
     g, gamma, R4 = riemann(chart, point)
     gi = np.linalg.inv(g)
     S, s = ricci_scalar(R4, g)
-    C = None
-    if with_weyl and chart.dim >= 4:
-        C = weyl(R4, S, s, g)
+    C = weyl(R4, S, s, g) if chart.dim >= 4 else None
     J, dJ = chart._j_jets(point)
     return PointData(point=point, g=g, g_inv=gi, J=J, dJ=dJ, gamma=gamma,
                      riemann=R4, ricci=S, scalar=float(s), weyl=C)
@@ -275,10 +273,9 @@ def symmetry_residuals(R4):
     return {k: float(v / scale) for k, v in r.items()}
 
 
-def weyl_trace_residual(C, g, relative=True):
+def weyl_trace_residual(C, g):
     """Largest metric contraction of the Weyl tensor (should vanish)."""
     gi = np.linalg.inv(g)
-    scale = max(np.max(np.abs(C)), 1e-300) if relative else 1.0
     return max(float(np.max(np.abs(np.einsum(spec, gi, C)))) for spec in (
         "il,ijkl->jk", "ik,ijkl->jl", "jk,ijkl->il", "jl,ijkl->ik", "ij,ijkl->kl",
-        "kl,ijkl->ij")) / scale
+        "kl,ijkl->ij"))

@@ -25,6 +25,7 @@ from . import expressions as ex
 from .frames import RankDeficiencyError
 
 _RANK_TOL = 1e-8
+_UMBILICAL_TOL = 1e-8  # umbilicity up to which the umbilical reduction is reported
 
 
 @dataclass
@@ -149,7 +150,7 @@ def normal_connection_DH(data):
                                    data.tangent, data.mean_curvature)) @ data.normal_projector.T
 
 
-def codazzi_residuals(data, umbilical_tol=1e-8):
+def codazzi_residuals(data):
     """Residuals of the two normal-component curvature equations at the
     point of ``data``, over every triple (a < b, c).
 
@@ -175,6 +176,6 @@ def codazzi_residuals(data, umbilical_tol=1e-8):
     a, b = np.triu_indices(k, 1)
     r21 = float(np.max(np.abs(lhs - cov + cov.transpose(1, 0, 2, 3))[a, b], initial=0.0))
     r22 = float(np.max(np.abs(lhs - rhs2)[a, b], initial=0.0))
-    if data.umbilicity > umbilical_tol:
+    if data.umbilicity > _UMBILICAL_TOL:
         r22 = None
     return r21, r22

@@ -1,10 +1,11 @@
 """Built-in benchmark charts with known invariants.
 
-Each model carries an expected-invariant table used by the regression tests
-and the CLI.  Closed-form structures are entered as expression strings; the
-6-sphere's almost complex structure is defined pointwise through the
-ambient 7-dimensional cross product, with its exact derivative taken from
-the jet of the embedding map.
+Each model is a manifold document (the file format of reportio.py) plus an
+expected-invariant table used by the regression tests and the CLI;
+``instantiate`` builds it with ``reportio.load_manifold``, like any file.  The
+6-sphere's J is defined pointwise through the ambient 7-dimensional cross
+product (the document's ``j_rule``), with its exact derivative taken from the
+jet of the embedding map.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .curvature import Embedding, ManifoldChart
+from . import reportio
+from .curvature import ManifoldChart
 
 
 class UnknownModelError(KeyError):
@@ -26,9 +28,9 @@ class ModelDescriptor:
     defaults: dict = field(default_factory=dict)
 
 
-def _parse_matrix(entries, coords):
-    return [[ex.parse(entries[i][j], coords) for j in range(len(coords))]
-            for i in range(len(coords))]
+def _model(expected, **doc):
+    """A model's manifold document and its expected-invariant table."""
+    return dict(doc, dim=len(doc["coordinates"])), expected
 
 
 def _rho2(coords):
@@ -99,39 +101,37 @@ def embedding_j_fn(coordinates, embedding):
 # ---------------------------------------------------------------------------
 # model builders
 
-def _flat_kahler(m=2):
+def _flat_kahler(m):
     m = int(m)
     if m < 1:
         raise ValueError("complex dimension m must be >= 1")
     dim = 2 * m
     coords = [f"x{k + 1}" for k in range(dim)]
     metric = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
-    return ManifoldChart(
-        name=f"flat_kahler_m{m}", coordinates=coords,
-        metric=_parse_matrix(metric, coords),
-        complex_structure=_parse_matrix(_canonical_j_entries(dim), coords),
-        domain_hint=[(-1.0, 1.0)] * dim,
+    return _model(
+        name=f"flat_kahler_m{m}", coordinates=coords, metric=metric,
+        complex_structure=_canonical_j_entries(dim),
+        domain_hint=[[-1.0, 1.0]] * dim,
         expected={"scalar": 0.0, "hsc": 0.0, "kahler": True, "nk": True,
                   "rk": True, "conformally_flat": True, "constant_type": 0.0})
 
 
-def _round_sphere(n=4, r=1.0):
+def _round_sphere(n, r):
     n, r = int(n), float(r)
     if n < 2 or r <= 0:
         raise ValueError("need n >= 2 and radius r > 0")
     coords = [f"x{k + 1}" for k in range(n)]
     f = f"{4 * r ** 4!r}/({r * r!r} + {_rho2(coords)})^2"
     metric = [[f if i == j else "0" for j in range(n)] for i in range(n)]
-    return ManifoldChart(
-        name=f"round_sphere_n{n}", coordinates=coords,
-        metric=_parse_matrix(metric, coords),
-        domain_hint=[(-1.0, 1.0)] * n,
+    return _model(
+        name=f"round_sphere_n{n}", coordinates=coords, metric=metric,
+        domain_hint=[[-1.0, 1.0]] * n,
         expected={"sectional": 1.0 / r ** 2,
                   "scalar": n * (n - 1) / r ** 2,
                   "conformally_flat": True})
 
 
-def _hyperbolic(n=2, K=1.0):
+def _hyperbolic(n, K):
     n, K = int(n), float(K)
     if n < 2 or K <= 0:
         raise ValueError("need n >= 2 and K > 0")
@@ -140,10 +140,9 @@ def _hyperbolic(n=2, K=1.0):
     f = f"(4/{K!r})/(1 - ({_rho2(coords)}))^2"
     metric = [[f if i == j else "0" for j in range(n)] for i in range(n)]
     lim = 0.9 / np.sqrt(n)
-    return ManifoldChart(
-        name=f"hyperbolic_n{n}", coordinates=coords,
-        metric=_parse_matrix(metric, coords),
-        domain_hint=[(-lim, lim)] * n,
+    return _model(
+        name=f"hyperbolic_n{n}", coordinates=coords, metric=metric,
+        domain_hint=[[-lim, lim]] * n,
         expected={"sectional": -K, "scalar": -n * (n - 1) * K,
                   "conformally_flat": True})
 
@@ -156,7 +155,7 @@ def _surface_factor(coords, curvature):
     return f"4/(1 - {-curvature!r}*({rho2}))^2"
 
 
-def _product_K(K=1.0):
+def _product_K(K):
     K = float(K)
     if K <= 0:
         raise ValueError("need K > 0")
@@ -166,15 +165,14 @@ def _product_K(K=1.0):
     metric = [[fs, "0", "0", "0"], ["0", fs, "0", "0"],
               ["0", "0", fh, "0"], ["0", "0", "0", fh]]
     lim = min(1.0, 0.6 / np.sqrt(K))
-    return ManifoldChart(
-        name="product_K", coordinates=coords,
-        metric=_parse_matrix(metric, coords),
-        complex_structure=_parse_matrix(_canonical_j_entries(4), coords),
-        domain_hint=[(-1.0, 1.0), (-1.0, 1.0), (-lim, lim), (-lim, lim)],
+    return _model(
+        name="product_K", coordinates=coords, metric=metric,
+        complex_structure=_canonical_j_entries(4),
+        domain_hint=[[-1.0, 1.0], [-1.0, 1.0], [-lim, lim], [-lim, lim]],
         expected={"scalar": 0.0, "kahler": True, "conformally_flat": True})
 
 
-def _fubini_study(m=2):
+def _fubini_study(m):
     m = int(m)
     if m < 1:
         raise ValueError("complex dimension m must be >= 1")
@@ -196,16 +194,15 @@ def _fubini_study(m=2):
             entries[2 * i + 1][2 * j + 1] = a(i, j)  # y_i, y_j
             entries[2 * i][2 * j + 1] = b(i, j)      # x_i, y_j
             entries[2 * i + 1][2 * j] = b(j, i)      # y_i, x_j
-    return ManifoldChart(
-        name=f"fubini_study_m{m}", coordinates=coords,
-        metric=_parse_matrix(entries, coords),
-        complex_structure=_parse_matrix(_canonical_j_entries(dim), coords),
-        domain_hint=[(-1.0, 1.0)] * dim,
+    return _model(
+        name=f"fubini_study_m{m}", coordinates=coords, metric=entries,
+        complex_structure=_canonical_j_entries(dim),
+        domain_hint=[[-1.0, 1.0]] * dim,
         expected={"hsc": 4.0, "kahler": True, "conformally_flat": m == 1,
                   "antiholomorphic_sectional": 1.0, "constant_type": 0.0})
 
 
-def _s6_nearly_kahler(r=1.0):
+def _s6_nearly_kahler(r):
     r = float(r)
     if r <= 0:
         raise ValueError("need radius r > 0")
@@ -216,19 +213,13 @@ def _s6_nearly_kahler(r=1.0):
     metric = [[f if i == j else "0" for j in range(6)] for i in range(6)]
     map_exprs = [f"{2 * r * r!r}*{c}/{den}" for c in coords]
     map_exprs.append(f"{r!r}*(({rho2}) - {r * r!r})/{den}")
-    embedding = Embedding(
-        ambient_dim=7,
-        map_exprs=[ex.parse(s, coords) for s in map_exprs],
-        j_rule="octonion_cross", radius=r)
-    chart = ManifoldChart(
-        name="s6_nearly_kahler", coordinates=coords,
-        metric=_parse_matrix(metric, coords),
-        domain_hint=[(-1.0, 1.0)] * 6,
-        embedding=embedding,
+    return _model(
+        name="s6_nearly_kahler", coordinates=coords, metric=metric,
+        domain_hint=[[-1.0, 1.0]] * 6,
+        embedding={"ambient_dim": 7, "map": map_exprs,
+                   "j_rule": "octonion_cross", "radius": r},
         expected={"sectional": 1.0 / r ** 2, "nk": True, "kahler": False,
                   "constant_type": 1.0 / r ** 2, "conformally_flat": True})
-    chart.complex_structure_fn = embedding_j_fn(coords, embedding)
-    return chart
 
 
 def product_chart(chart_a, chart_b, name=None):
@@ -289,12 +280,13 @@ def instantiate(name, **params):
     if name not in _BUILDERS:
         raise UnknownModelError(name)
     builder, defaults, _ = _BUILDERS[name]
-    args = dict(defaults)
     unknown = set(params) - set(defaults)
     if unknown:
         raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
     for key, value in params.items():
         if isinstance(defaults[key], int) and not float(value).is_integer():
             raise ValueError(f"{key} must be an integer, got {value!r}")
-    args.update(params)
-    return builder(**args)
+    doc, expected = builder(**{**defaults, **params})
+    chart, _ = reportio.load_manifold(doc)
+    chart.expected = expected
+    return chart

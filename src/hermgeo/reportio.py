@@ -78,9 +78,9 @@ def load_manifold(data):
             trees[text, *symbols] = ex.parse(text, symbols)
         return trees[text, *symbols]
 
-    raw = _square(data["metric"], dim, "metric")
     try:
-        metric = [[parse(e, coords) for e in row] for row in raw]
+        metric = [[parse(e, coords) for e in row]
+                  for row in _square(data["metric"], dim, "metric")]
     except ex.ParseError as exc:
         raise ManifoldFileError(f"metric entry failed to parse: {exc}") from exc
 
@@ -92,7 +92,7 @@ def load_manifold(data):
         hint = [tuple(_finite(b, "domain_hint bound") for b in pair) for pair in hint]
         _require(all(lo < hi for lo, hi in hint), "domain_hint needs lo < hi in every pair")
 
-    _check_metric_symmetry(raw, metric, coords, hint)
+    _check_metric_symmetry(metric, coords, hint)
 
     jmat = None
     if data.get("complex_structure") is not None:
@@ -132,19 +132,27 @@ def load_manifold(data):
     return chart, immersion
 
 
-def _check_metric_symmetry(raw, metric, coords, hint):
+def _check_metric_symmetry(metric, coords, hint):
+    """Entries (i,j), (j,i) of different trees must agree where both are defined."""
     dim = len(coords)
     rng = np.random.Generator(np.random.PCG64(0))
     points = [sample_point(rng, dim, hint) for _ in range(5)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            if raw[i][j] == raw[j][i]:
+            if metric[i][j] is metric[j][i]:  # one string, one tree
                 continue
+            compared = 0
             for p in points:
                 b = dict(zip(coords, p))
-                a, c = ex.evaluate(metric[i][j], b), ex.evaluate(metric[j][i], b)
+                try:
+                    a, c = ex.evaluate(metric[i][j], b), ex.evaluate(metric[j][i], b)
+                except ex.DomainError:
+                    continue
                 _require(abs(a - c) <= 1e-12 * max(1.0, abs(a)),
                          f"metric entries ({i},{j}) and ({j},{i}) disagree")
+                compared += 1
+            _require(compared, f"metric entries ({i},{j}) and ({j},{i}) are undefined at "
+                               "every symmetry sample point; give a domain_hint")
 
 
 def sample_point(rng, dim, hint):

@@ -112,7 +112,7 @@ def test_criterion_4_six_sphere():
                                         samples=16)
         kahler = min(kahler, ka)
         nk = max(nk, nka)
-        pd = cv.point_data(chart, point, with_weyl=False)
+        pd = cv.point_data(chart, point)
         for _ in range(16):
             X, Y = fr.sample_orthonormal_set(pd.g, 2, sampler)
             sect_err = max(sect_err, abs(cv.sectional(pd.riemann, pd.g, X, Y) - 1.0))
@@ -149,8 +149,7 @@ def test_criterion_5_submanifolds():
     s3 = models.instantiate("round_sphere", n=3, r=1.0)
     geo = _immersion(s3, ["u", "v"],
                      ["0.5*sin(u)*cos(v)", "0.5*sin(u)*sin(v)", "0.5*cos(u)"])
-    _, geo_r22 = im.codazzi_residuals(im.second_fundamental_form(geo, [1.0, 0.7]),
-                                      umbilical_tol=1e-6)
+    _, geo_r22 = im.codazzi_residuals(im.second_fundamental_form(geo, [1.0, 0.7]))
 
     ok = (h_err <= 1e-8 and data.umbilicity <= 1e-10 and dh <= 1e-13
           and r22 is not None and r22 <= 1e-13
@@ -174,7 +173,7 @@ def test_criterion_6_random_metric_properties():
         worst_sym = max(worst_sym, max(cv.symmetry_residuals(pd.riemann).values()))
         scale = max(float(np.max(np.abs(pd.riemann))), 1.0)
         worst_trace = max(worst_trace,
-                          cv.weyl_trace_residual(pd.weyl, pd.g, relative=False) / scale)
+                          cv.weyl_trace_residual(pd.weyl, pd.g) / scale)
         phi = random_low_degree_poly(rng, chart.coordinates)
         pd2 = cv.point_data(conformal_rescale(chart, phi), point)
         c13_a = np.einsum("im,mjkl->ijkl", pd.g_inv, pd.weyl)

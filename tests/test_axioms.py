@@ -65,7 +65,7 @@ def test_kulkarni_nomizu_is_curvature_tensor(rng):
 def test_identity_residuals_on_models(rng):
     # flat: everything vanishes
     flat = models.instantiate("flat_kahler", m=2)
-    pd = cv.point_data(flat, [0.1, 0.2, 0.3, 0.4], with_weyl=False)
+    pd = cv.point_data(flat, [0.1, 0.2, 0.3, 0.4])
     out = ax.proof_identity_residuals(pd.riemann, pd.g, pd.J,
                                       fr.FrameSampler(0, 4), frames=16)
     assert out["3.5"] is None and out["3.8"] is None  # dim 4 regime
@@ -73,7 +73,7 @@ def test_identity_residuals_on_models(rng):
 
     # constant sectional curvature with a compatible J: all identities hold
     s6 = models.instantiate("s6_nearly_kahler")
-    pd = cv.point_data(s6, rng.uniform(-0.3, 0.3, size=6), with_weyl=False)
+    pd = cv.point_data(s6, rng.uniform(-0.3, 0.3, size=6))
     out = ax.proof_identity_residuals(pd.riemann, pd.g, pd.J,
                                       fr.FrameSampler(0, 6), frames=16)
     assert out["3.8"] is None
@@ -82,13 +82,13 @@ def test_identity_residuals_on_models(rng):
 
 def test_quadruple_vanishing(rng):
     sphere = models.instantiate("round_sphere", n=4, r=1.0)
-    pd = cv.point_data(sphere, [0.1, -0.2, 0.05, 0.3], with_weyl=False)
+    pd = cv.point_data(sphere, [0.1, -0.2, 0.05, 0.3])
     res = ax.quadruple_vanishing_residual(pd.riemann, pd.g,
                                           fr.FrameSampler(0, 4), samples=64)
     assert res <= 1e-10
 
     cp2 = models.instantiate("fubini_study", m=2)
-    pd = cv.point_data(cp2, [0.1, -0.2, 0.05, 0.3], with_weyl=False)
+    pd = cv.point_data(cp2, [0.1, -0.2, 0.05, 0.3])
     res = ax.quadruple_vanishing_residual(pd.riemann, pd.g,
                                           fr.FrameSampler(0, 4), samples=64)
     assert res > 1e-3
@@ -239,7 +239,7 @@ def _hermitian_random_point(rng, n):
     """Curvature, metric and canonical J at a point of a random metric, on
     which none of the identities holds."""
     pd = cv.point_data(random_polynomial_metric(rng, n, scale=0.2),
-                       rng.uniform(-0.3, 0.3, size=n), with_weyl=False)
+                       rng.uniform(-0.3, 0.3, size=n))
     return pd.riemann, pd.g, ax.canonical_j(n)
 
 

@@ -82,12 +82,12 @@ def test_nearly_kahler_s6_is_exact():
 
 def test_rk_residual(rng):
     fs = models.instantiate("fubini_study", m=2)
-    pd = cv.point_data(fs, [0.1, 0.2, -0.1, 0.05], with_weyl=False)
+    pd = cv.point_data(fs, [0.1, 0.2, -0.1, 0.05])
     assert cl.rk_residual(pd.riemann, pd.J) <= 1e-10
 
     # generic J on a curvature tensor without the invariance
     prod = models.instantiate("product_K", K=1.0)
-    pd = cv.point_data(prod, [0.2, 0.1, 0.15, -0.1], with_weyl=False)
+    pd = cv.point_data(prod, [0.2, 0.1, 0.15, -0.1])
     Jbad = np.zeros((4, 4))
     Jbad[1, 0], Jbad[0, 1] = 1.0, -1.0
     Jbad[3, 2], Jbad[2, 3] = -1.0, 1.0  # opposite orientation on factor two

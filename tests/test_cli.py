@@ -320,6 +320,8 @@ def test_non_finite_report_value_is_domain_error(tmp_path, capsys, monkeypatch):
     ({"metric": [1, 2]}, "metric must be a dim x dim matrix"),
     ({"complex_structure": 5}, "complex_structure must be a dim x dim matrix"),
     ({"domain_hint": [[1, -1], [-1, 1]]}, "lo < hi"),
+    ({"metric": [["1", "x"], ["y", "1"]]}, "disagree"),
+    ({"metric": [["1", "log(x - 1)"], ["log(x - 2)", "1"]]}, "undefined at every"),
 ])
 def test_malformed_manifold_file_is_usage_error(tmp_path, capsys, change, message):
     doc = {"name": "plane", "dim": 2, "coordinates": ["x", "y"],
@@ -331,6 +333,19 @@ def test_malformed_manifold_file_is_usage_error(tmp_path, capsys, change, messag
     assert code == 2 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+
+def test_symmetry_check_skips_points_where_an_entry_is_undefined(tmp_path, capsys):
+    # without a domain hint the symmetry check samples [-0.5, 0.5]^2, where
+    # log(y) is undefined for y < 0; the two spellings agree wherever defined
+    path = tmp_path / "logy.json"
+    path.write_text(json.dumps({
+        "name": "logy", "dim": 2, "coordinates": ["x", "y"],
+        "metric": [["1 + y", "x*log(y)/10"], ["log(y)*x/10", "1 + y"]],
+    }), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--point=0.3,1.2")
+    assert code == 0 and err == ""
+    assert json.loads(out)["command"] == "analyze"
 
 
 @pytest.mark.parametrize("name, param", [

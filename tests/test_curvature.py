@@ -140,7 +140,7 @@ def test_sectional_basis_invariance(rng):
 
 def test_sectional_degenerate_plane():
     chart = flat_chart(3)
-    pd = cv.point_data(chart, [0, 0, 0], with_weyl=False)
+    pd = cv.point_data(chart, [0, 0, 0])
     X = np.array([1.0, 2.0, 0.0])
     with pytest.raises(cv.DegeneratePlaneError):
         cv.sectional(pd.riemann, pd.g, X, X)
@@ -171,7 +171,7 @@ def test_lambda_type_s6(rng):
     from hermgeo import frames as fr
     chart = models.instantiate("s6_nearly_kahler")
     point = rng.uniform(-0.3, 0.3, size=6)
-    pd = cv.point_data(chart, point, with_weyl=False)
+    pd = cv.point_data(chart, point)
     sampler = fr.FrameSampler(2, 6)
     for _ in range(5):
         X, Y = fr.admissible_frames(pd.g, pd.J, sampler, 1)[:, 0]
@@ -182,7 +182,7 @@ def test_lambda_type_kahler_vanishes(rng):
     # on a Kahler chart the two curvature terms cancel identically
     from hermgeo import frames as fr
     chart = models.instantiate("fubini_study", m=2)
-    pd = cv.point_data(chart, [0.1, 0.2, -0.05, 0.12], with_weyl=False)
+    pd = cv.point_data(chart, [0.1, 0.2, -0.05, 0.12])
     sampler = fr.FrameSampler(4, 4)
     for _ in range(5):
         X, Y = fr.admissible_frames(pd.g, pd.J, sampler, 1)[:, 0]
@@ -198,7 +198,7 @@ def test_random_metric_symmetries_and_traces(rng):
         worst_sym = max(worst_sym, max(cv.symmetry_residuals(pd.riemann).values()))
         scale = max(np.max(np.abs(pd.riemann)), 1.0)
         worst_trace = max(worst_trace,
-                          cv.weyl_trace_residual(pd.weyl, pd.g, relative=False) / scale)
+                          cv.weyl_trace_residual(pd.weyl, pd.g) / scale)
     assert worst_sym <= 1e-9
     assert worst_trace <= 1e-9
 

@@ -122,7 +122,7 @@ def test_codazzi_geodesic_sphere_in_round_three_sphere():
     assert data.umbilicity <= 1e-8
     dh = im.normal_connection_DH(data)[0]
     assert np.max(np.abs(dh)) <= 1e-13
-    r21, r22 = im.codazzi_residuals(data, umbilical_tol=1e-6)
+    r21, r22 = im.codazzi_residuals(data)
     assert r21 <= 1e-13
     assert r22 is not None and r22 <= 1e-13
 

@@ -3,8 +3,9 @@ import pytest
 
 from hermgeo import classify as cl
 from hermgeo import curvature as cv
+from hermgeo import expressions as ex
 from hermgeo import frames as fr
-from hermgeo import models
+from hermgeo import models, reportio
 
 
 def test_list_models_stable():
@@ -32,7 +33,7 @@ def test_flat_kahler():
 def test_round_sphere_radius(rng):
     for r in (1.0, 2.0):
         chart = models.instantiate("round_sphere", n=4, r=r)
-        pd = cv.point_data(chart, rng.uniform(-0.4, 0.4, size=4), with_weyl=False)
+        pd = cv.point_data(chart, rng.uniform(-0.4, 0.4, size=4))
         X, Y = rng.normal(size=(2, 4))
         assert cv.sectional(pd.riemann, pd.g, X, Y) == pytest.approx(1 / r ** 2,
                                                                     abs=1e-9)
@@ -41,7 +42,7 @@ def test_round_sphere_radius(rng):
 
 def test_hyperbolic(rng):
     chart = models.instantiate("hyperbolic", n=3, K=2.0)
-    pd = cv.point_data(chart, rng.uniform(-0.2, 0.2, size=3), with_weyl=False)
+    pd = cv.point_data(chart, rng.uniform(-0.2, 0.2, size=3))
     X, Y = rng.normal(size=(2, 3))
     assert cv.sectional(pd.riemann, pd.g, X, Y) == pytest.approx(-2.0, abs=1e-9)
 
@@ -96,7 +97,7 @@ def test_fubini_study_metric_potential_oracle(rng):
 
 def test_fubini_study_hsc(rng):
     chart = models.instantiate("fubini_study", m=3)
-    pd = cv.point_data(chart, rng.uniform(-0.4, 0.4, size=6), with_weyl=False)
+    pd = cv.point_data(chart, rng.uniform(-0.4, 0.4, size=6))
     for _ in range(8):
         X = rng.normal(size=6)
         assert cv.holomorphic_sectional(pd.riemann, pd.g, pd.J, X) == \
@@ -115,7 +116,7 @@ def test_s6_j_properties(rng):
 
 def test_s6_sectional(rng):
     chart = models.instantiate("s6_nearly_kahler", r=1.0)
-    pd = cv.point_data(chart, rng.uniform(-0.3, 0.3, size=6), with_weyl=False)
+    pd = cv.point_data(chart, rng.uniform(-0.3, 0.3, size=6))
     X, Y = rng.normal(size=(2, 6))
     assert cv.sectional(pd.riemann, pd.g, X, Y) == pytest.approx(1.0, abs=1e-9)
 
@@ -132,7 +133,6 @@ def test_octonion_cross_identities(rng):
 
 def test_s6_embedding_on_sphere(rng):
     chart = models.instantiate("s6_nearly_kahler", r=1.3)
-    from hermgeo import expressions as ex
     for _ in range(5):
         u = rng.uniform(-0.8, 0.8, size=6)
         b = dict(zip(chart.coordinates, u))
@@ -170,3 +170,34 @@ def test_fubini_study_expected_matches_constancy():
                       ("antiholomorphic_sectional", "antiholomorphic_sectional"),
                       ("constant_type", "constant_type")):
         assert constants[name] == pytest.approx(chart.expected[key], abs=1e-8), name
+
+
+def _entry_strings(chart):
+    return [[[ex.to_string(e) for e in row] for row in rows]
+            for rows in (chart.metric, chart.complex_structure or [])]
+
+
+@pytest.mark.parametrize("name", [d.name for d in models.list_models()])
+def test_models_and_loaded_files_are_one_path(name, monkeypatch):
+    load, built = reportio.load_manifold, []
+
+    def recording_load(doc):
+        chart, immersion = load(doc)
+        built.append((chart, chart.complex_structure_fn))
+        return chart, immersion
+
+    monkeypatch.setattr(reportio, "load_manifold", recording_load)
+    chart = models.instantiate(name)
+    monkeypatch.undo()
+    # the chart and its pointwise J are the loader's, untouched afterwards
+    assert len(built) == 1 and built[0][0] is chart
+    assert built[0][1] is chart.complex_structure_fn
+    assert (chart.complex_structure_fn is not None) == (name == "s6_nearly_kahler")
+    from_file, _ = reportio.load_manifold(reportio.chart_to_dict(chart))
+    assert _entry_strings(chart) == _entry_strings(from_file)
+    # equal entry strings share one parsed tree
+    for c in (chart, from_file):
+        trees = {}
+        for rows in (c.metric, c.complex_structure or []):
+            for e in (e for row in rows for e in row):
+                assert trees.setdefault(ex.to_string(e), e) is e
