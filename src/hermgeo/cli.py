@@ -1,9 +1,9 @@
 """Command-line driver.
 
 Exit codes: 0 data-complete (classification failures are data, not errors),
-2 usage or parse error, 3 mathematical domain error, 4 non-convergence,
-5 certificate failed (the rank converged but a certificate missed its
-tolerance; the report is still printed, the message names the failed one).
+2 usage, parse or asymmetric-metric error, 3 mathematical domain error,
+4 non-convergence, 5 certificate failed (the rank converged but a certificate
+missed its tolerance; the report is still printed, the message names the failed one).
 """
 
 import argparse
@@ -192,8 +192,11 @@ def cmd_models_emit(args):
         raise UsageError(f"--param: {exc}") from None
     text = reportio.dump_report(reportio.chart_to_dict(chart))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -282,7 +285,7 @@ def main(argv=None):
             return args.fn(args)
     except SystemExit as exc:  # --help
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    except (UsageError, reportio.ManifoldFileError, ex.ParseError) as exc:
+    except (UsageError, reportio.ManifoldFileError, cv.AsymmetricMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ex.DomainError, ex.MissingBindingError, cv.SingularMetricError,

@@ -31,6 +31,10 @@ class SingularMetricError(ValueError):
     pass
 
 
+class AsymmetricMetricError(ValueError):
+    pass
+
+
 class UnsupportedDimensionError(ValueError):
     pass
 
@@ -73,14 +77,14 @@ class ManifoldChart:
         try:
             g, dg, ddg = _matrix_jets(self.metric, self.coordinates, point)
         except ex.DomainError:
-            self.metric_at(point)  # an undefined or singular metric is named first
+            self.metric_at(point)  # an undefined, asymmetric or singular metric is named first
             raise
-        return _positive_definite(g, point), dg, ddg
+        return _checked_metric(point, g, dg, ddg), dg, ddg
 
     def metric_at(self, point):
         b = dict(zip(self.coordinates, point))
-        return _positive_definite(
-            np.array([[ex.evaluate(e, b) for e in row] for row in self.metric]), point)
+        return _checked_metric(
+            point, np.array([[ex.evaluate(e, b) for e in row] for row in self.metric]))
 
     def j_at(self, point):
         return self._j_jets(point)[0]
@@ -97,13 +101,20 @@ class ManifoldChart:
         return None, None
 
 
-def _positive_definite(g, point):
+def _checked_metric(point, g, *derivatives):
+    """g, checked finite, symmetric with its derivatives in the last two indices,
+    and positive definite: every result reads only this jet of the metric."""
+    where = np.asarray(point).tolist()
     if not np.all(np.isfinite(g)):
-        raise ex.DomainError(f"metric not finite at {np.asarray(point).tolist()}")
+        raise ex.DomainError(f"metric not finite at {where}")
+    a = np.concatenate([d.reshape(-1, *g.shape) for d in (g, *derivatives)])
+    bad = np.argwhere(np.abs(a - np.swapaxes(a, 1, 2)) > 1e-12 * np.maximum(1.0, np.abs(a)))
+    if len(bad):
+        i, j = sorted(bad[0, 1:])
+        raise AsymmetricMetricError(f"metric entries ({i},{j}) and ({j},{i}) disagree at {where}")
     w = np.linalg.eigvalsh(g)
     if w[0] <= 1e-10 * w[-1]:
-        raise SingularMetricError(
-            f"metric not positive definite at {np.asarray(point).tolist()} (eigenvalues {w})")
+        raise SingularMetricError(f"metric not positive definite at {where} (eigenvalues {w})")
     return g
 
 

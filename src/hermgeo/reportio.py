@@ -62,27 +62,28 @@ def _block(data, key, fields):
 
 
 def load_manifold(data):
-    """Build (chart, immersion-or-None) from a parsed manifold file dict.
-    Equal expression strings share one parsed tree, so one jet per point."""
+    """Build (chart, immersion-or-None) from a parsed manifold file dict; nothing
+    is evaluated.  Equal expression strings share one parsed tree, so one jet per point."""
     _require(isinstance(data, dict), "manifold file must be a JSON object")
     for key in ("name", "dim", "coordinates", "metric"):
         _require(key in data, f"missing field {key!r}")
     coords = _names(data["coordinates"], "coordinates")
     dim = _integer(data["dim"], "dim")
+    _require(dim >= 1, f"dim must be at least 1, got {dim}")
     _require(len(coords) == dim, "dim does not match number of coordinates")
     trees = {}
 
-    def parse(text, symbols):
+    def parse(text, symbols, field):
         _require(isinstance(text, str), f"expression must be a string, got {text!r}")
         if (text, *symbols) not in trees:
-            trees[text, *symbols] = ex.parse(text, symbols)
+            try:
+                trees[text, *symbols] = ex.parse(text, symbols)
+            except ex.ParseError as exc:
+                raise ManifoldFileError(f"{field} entry failed to parse: {exc}") from exc
         return trees[text, *symbols]
 
-    try:
-        metric = [[parse(e, coords) for e in row]
-                  for row in _square(data["metric"], dim, "metric")]
-    except ex.ParseError as exc:
-        raise ManifoldFileError(f"metric entry failed to parse: {exc}") from exc
+    metric = [[parse(e, coords, "metric") for e in row]
+              for row in _square(data["metric"], dim, "metric")]
 
     hint = data.get("domain_hint")
     if hint is not None:
@@ -92,18 +93,16 @@ def load_manifold(data):
         hint = [tuple(_finite(b, "domain_hint bound") for b in pair) for pair in hint]
         _require(all(lo < hi for lo, hi in hint), "domain_hint needs lo < hi in every pair")
 
-    _check_metric_symmetry(metric, coords, hint)
-
     jmat = None
     if data.get("complex_structure") is not None:
-        jmat = [[parse(e, coords) for e in row]
+        jmat = [[parse(e, coords, "complex_structure") for e in row]
                 for row in _square(data["complex_structure"], dim, "complex_structure")]
 
     embedding = None
     j_fn = None
     raw_emb = _block(data, "embedding", ("ambient_dim", "map"))
     if raw_emb is not None:
-        map_exprs = [parse(s, coords) for s in raw_emb["map"]]
+        map_exprs = [parse(s, coords, "embedding map") for s in raw_emb["map"]]
         _require(len(map_exprs) == _integer(raw_emb["ambient_dim"], "ambient_dim"),
                  "embedding map must have ambient_dim components")
         embedding = Embedding(
@@ -125,41 +124,11 @@ def load_manifold(data):
     raw_imm = _block(data, "immersion", ("coordinates", "map"))
     if raw_imm is not None:
         sub_coords = _names(raw_imm["coordinates"], "immersion coordinates")
-        maps = [parse(s, sub_coords) for s in raw_imm["map"]]
+        maps = [parse(s, sub_coords, "immersion map") for s in raw_imm["map"]]
         _require(len(maps) == dim, "immersion map needs one component per target coordinate")
         _require(len(sub_coords) < dim, "immersion must drop at least one dimension")
         immersion = im.Immersion(coordinates=sub_coords, target=chart, map_exprs=maps)
     return chart, immersion
-
-
-def _check_metric_symmetry(metric, coords, hint):
-    """Entries (i,j), (j,i) of different trees must agree where both are defined."""
-    dim = len(coords)
-    rng = np.random.Generator(np.random.PCG64(0))
-    points = [sample_point(rng, dim, hint) for _ in range(5)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if metric[i][j] is metric[j][i]:  # one string, one tree
-                continue
-            compared = 0
-            for p in points:
-                b = dict(zip(coords, p))
-                try:
-                    a, c = ex.evaluate(metric[i][j], b), ex.evaluate(metric[j][i], b)
-                except ex.DomainError:
-                    continue
-                _require(abs(a - c) <= 1e-12 * max(1.0, abs(a)),
-                         f"metric entries ({i},{j}) and ({j},{i}) disagree")
-                compared += 1
-            _require(compared, f"metric entries ({i},{j}) and ({j},{i}) are undefined at "
-                               "every symmetry sample point; give a domain_hint")
-
-
-def sample_point(rng, dim, hint):
-    if hint is None:
-        return rng.uniform(-0.5, 0.5, size=dim)
-    return np.array([rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
-                     for lo, hi in hint])
 
 
 def default_point(dim, hint):

@@ -321,7 +321,13 @@ def test_non_finite_report_value_is_domain_error(tmp_path, capsys, monkeypatch):
     ({"complex_structure": 5}, "complex_structure must be a dim x dim matrix"),
     ({"domain_hint": [[1, -1], [-1, 1]]}, "lo < hi"),
     ({"metric": [["1", "x"], ["y", "1"]]}, "disagree"),
-    ({"metric": [["1", "log(x - 1)"], ["log(x - 2)", "1"]]}, "undefined at every"),
+    ({"dim": 0, "coordinates": [], "metric": []}, "dim must be at least 1"),
+    ({"complex_structure": [["0", "-1"], ["1", "sin("]]},
+     "complex_structure entry failed to parse"),
+    ({"embedding": {"ambient_dim": 3, "map": ["x", "y", "sin("]}},
+     "embedding map entry failed to parse"),
+    ({"immersion": {"coordinates": ["u"], "map": ["u", "sin("]}},
+     "immersion map entry failed to parse"),
 ])
 def test_malformed_manifold_file_is_usage_error(tmp_path, capsys, change, message):
     doc = {"name": "plane", "dim": 2, "coordinates": ["x", "y"],
@@ -336,8 +342,9 @@ def test_malformed_manifold_file_is_usage_error(tmp_path, capsys, change, messag
 
 
 def test_symmetry_check_skips_points_where_an_entry_is_undefined(tmp_path, capsys):
-    # without a domain hint the symmetry check samples [-0.5, 0.5]^2, where
-    # log(y) is undefined for y < 0; the two spellings agree wherever defined
+    # symmetry is checked on the metric's jet at each evaluated point only:
+    # log(y) is undefined for y < 0, but not at the point asked for, where the
+    # two spellings agree in value and in every derivative
     path = tmp_path / "logy.json"
     path.write_text(json.dumps({
         "name": "logy", "dim": 2, "coordinates": ["x", "y"],
@@ -346,6 +353,41 @@ def test_symmetry_check_skips_points_where_an_entry_is_undefined(tmp_path, capsy
     code, out, err = run_cli(capsys, "analyze", str(path), "--point=0.3,1.2")
     assert code == 0 and err == ""
     assert json.loads(out)["command"] == "analyze"
+
+
+def test_asymmetric_metric_is_checked_at_the_evaluated_point(tmp_path, capsys):
+    # both entries are undefined at the default point (0, 0); at x = 3 they
+    # are defined and disagree
+    path = tmp_path / "logs.json"
+    path.write_text(json.dumps({
+        "name": "logs", "dim": 2, "coordinates": ["x", "y"],
+        "metric": [["1", "log(x - 1)"], ["log(x - 2)", "1"]],
+    }), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 3 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "out of domain" in lines[0]
+    code, out, err = run_cli(capsys, "analyze", str(path), "--point=3,0")
+    assert code == 2 and out == ""
+    assert err == "error: metric entries (0,1) and (1,0) disagree at [3.0, 0.0]\n"
+
+
+def test_parse_error_outside_the_metric_is_manifold_file_error():
+    doc = {"name": "plane", "dim": 2, "coordinates": ["x", "y"],
+           "metric": [["1", "0"], ["0", "1"]],
+           "complex_structure": [["0", "-1"], ["1", "sin("]]}
+    with pytest.raises(reportio.ManifoldFileError,
+                       match="complex_structure entry failed to parse"):
+        reportio.load_manifold(doc)
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_models_emit_unwritable_out_is_usage_error(tmp_path, capsys, where):
+    out_path = tmp_path / "missing" / "fs.json" if where == "missing_directory" else tmp_path
+    code, out, err = run_cli(capsys, "models", "emit", "flat_kahler", "--out", str(out_path))
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out_path}: ")
 
 
 @pytest.mark.parametrize("name, param", [

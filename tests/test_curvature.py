@@ -256,3 +256,15 @@ def test_non_finite_jet_is_a_domain_error_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ex.DomainError):
             cv.point_data(chart, [0.5, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("g01, point", [
+    ("0.1*x", [0.4, 0.2]),     # the values disagree
+    ("0.1*x", [0.0, 0.0]),     # the values agree, the first derivatives do not
+    ("0.1*x^2", [0.0, 0.0]),   # only the second derivatives disagree
+])
+def test_asymmetric_metric_jet_is_rejected(g01, point):
+    chart = chart_from_strings("skew", ["x", "y"], [["1", g01], ["0", "1"]])
+    with pytest.raises(cv.AsymmetricMetricError,
+                       match=r"^metric entries \(0,1\) and \(1,0\) disagree at "):
+        cv.point_data(chart, point)

@@ -52,16 +52,22 @@ def _rotation(dim):
 
 @st.composite
 def manifold_docs(draw):
-    """(doc, dim): a mostly well-formed manifold file of dimension dim
-    (symmetric metric, optional J, hint, embedding and immersion); now and
-    then up to two fields are replaced by junk, a random matrix or a wrong
-    name list, or dropped."""
-    dim = draw(st.integers(1, 4))
+    """(doc, dim): a mostly well-formed manifold file of dimension dim, now
+    and then 0 (symmetric metric, optional J, hint, embedding and immersion;
+    one time in four a lower-triangle metric entry is spelled differently
+    from its upper twin, with the same value or not); now and then up to two
+    fields are replaced by junk, a random matrix or a wrong name list, or
+    dropped."""
+    dim = draw(_mostly(st.integers(1, 4), st.integers(0, 4)))
     coords = ["x", "y", "z", "w"][:dim]
     upper = {(i, j): draw(_DIAG if i == j else _OFF)
              for i in range(dim) for j in range(i, dim)}
-    doc = {"name": "fuzz", "dim": dim, "coordinates": coords,
-           "metric": [[upper[min(i, j), max(i, j)] for j in range(dim)] for i in range(dim)]}
+    metric = [[upper[min(i, j), max(i, j)] for j in range(dim)] for i in range(dim)]
+    if dim >= 2 and draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(1, dim - 1))
+        j = draw(st.integers(0, i - 1))
+        metric[i][j] = draw(st.sampled_from([f"1*({upper[j, i]})", "0.1*x^2", "x*y"]) | _OFF)
+    doc = {"name": "fuzz", "dim": dim, "coordinates": coords, "metric": metric}
     if draw(st.booleans()):
         doc["complex_structure"] = _rotation(dim)
     if draw(st.booleans()):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import flat_chart
+from conftest import chart_from_strings, flat_chart
 from hermgeo import curvature as cv
 from hermgeo import expressions as ex
 from hermgeo import frames as fr
@@ -187,3 +187,10 @@ def test_map_jets_third_derivatives():
     assert np.max(np.abs(np.moveaxis(third, 3, 0) - oracle)) <= 1e-9
     # d_u d_u d_v of 0.5*sin(u)*cos(v)
     assert third[3, 0, 0, 1] == pytest.approx(0.5 * np.sin(0.3) * np.sin(-0.4), abs=1e-15)
+
+
+def test_asymmetric_target_metric_is_rejected():
+    target = chart_from_strings("skew", ["x", "y"], [["1", "0.1*x"], ["0", "1"]])
+    imm = make_immersion(["u"], target, ["u", "0.5*u"])
+    with pytest.raises(cv.AsymmetricMetricError, match="disagree"):
+        im.second_fundamental_form(imm, [0.3])

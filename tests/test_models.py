@@ -1,3 +1,7 @@
+import importlib
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -201,3 +205,24 @@ def test_models_and_loaded_files_are_one_path(name, monkeypatch):
         for rows in (c.metric, c.complex_structure or []):
             for e in (e for row in rows for e in row):
                 assert trees.setdefault(ex.to_string(e), e) is e
+
+
+def test_loader_evaluates_no_expression(tmp_path, monkeypatch):
+    # six model documents and the benchmark's three manifold files load
+    # without a single evaluation: the metric is checked where it is evaluated
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    workloads = importlib.import_module("perfbench.workloads")
+    docs = [builder(**defaults)[0] for builder, defaults, _ in models._BUILDERS.values()]
+    for workload in workloads.WORKLOADS.values():
+        for path in workload.files(str(tmp_path)).values():
+            with open(path, encoding="utf-8") as fh:
+                docs.append(json.load(fh))
+    assert len(docs) == 9
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the loader evaluated an expression")
+
+    monkeypatch.setattr(ex, "evaluate", refuse)
+    monkeypatch.setattr(ex, "jets", refuse)
+    for doc in docs:
+        reportio.load_manifold(doc)
