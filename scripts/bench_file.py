@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Write a BENCH file: the benchmark's end-to-end metrics plus one-shot CLI
+timings, and print its diff against the newest earlier BENCH file.
+
+    python3 scripts/bench_file.py BENCH_<n>.json
+
+Every workload of BENCHMARK.json runs through ``perfbench/run.py --trace 0``
+at each of SEEDS for the declared ``run_seconds``, one process at a time.
+The file keeps each run's metrics and their median over the seeds.  One-shot
+rows time fresh ``python -m hermgeo.cli`` processes on this checkout's
+``src/``: the wall time of a bare ``models list`` (start-up alone, the median
+of MODELS_LIST_RUNS), and the wall time and peak RSS of ``verify-theorem``
+at each of CERTIFICATE_M.  OpenBLAS is pinned to one thread, as in the
+benchmark.
+
+The earlier file is the BENCH_<k>.json next to the output with the largest
+k below n.  Exits 1 if a run fails, reports an incorrect result or a one-shot
+command exits non-zero; the file is not written then.
+"""
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (1, 2, 3)
+MODELS_LIST_RUNS = 5
+CERTIFICATE_M = (5, 6)
+ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+       "PYTHONPATH": os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                                   os.environ.get("PYTHONPATH")]))}
+
+
+def bench_runs(benchmark):
+    """{workload: {"runs": [{"seed", "metrics"}], "median": {metric: value}}}."""
+    out = {}
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        runs = []
+        for seed in SEEDS:
+            argv = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+                    "--workload", workload, "--seed", str(seed),
+                    "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
+            print(f"running {workload} seed {seed}", file=sys.stderr, flush=True)
+            proc = subprocess.run(argv, capture_output=True, text=True, env=ENV)
+            result = json.loads(proc.stdout.strip().splitlines()[-1]) if proc.stdout else {}
+            if proc.returncode != 0 or not result.get("correct"):
+                sys.exit(f"error: {workload} seed {seed} failed:\n{proc.stderr}")
+            runs.append({"seed": seed, "metrics": {name: m["value"]
+                                                   for name, m in result["metrics"].items()}})
+        out[workload] = {"runs": runs, "median": {
+            name: statistics.median(run["metrics"][name] for run in runs)
+            for name in runs[0]["metrics"]}}
+    return out
+
+
+def cli_process(*args):
+    """(wall seconds, peak RSS in MB) of one fresh hermgeo CLI process."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "hermgeo.cli", *args],
+                            stdout=subprocess.DEVNULL, env=ENV)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        sys.exit(f"error: hermgeo {' '.join(args)} exited {proc.returncode}")
+    return wall, usage.ru_maxrss / 1024.0
+
+
+def one_shot():
+    """{row: {metric: value}} of the one-shot CLI rows."""
+    walls = [cli_process("models", "list")[0] for _ in range(MODELS_LIST_RUNS)]
+    rows = {"models list": {"wall_s": statistics.median(walls), "samples_s": walls}}
+    for m in CERTIFICATE_M:
+        wall, rss = cli_process("verify-theorem", "--m", str(m))
+        rows[f"verify-theorem --m {m}"] = {"wall_s": wall, "peak_rss_mb": rss}
+    return rows
+
+
+def environment():
+    import numpy
+    import scipy
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "machine": platform.machine(),
+            "nproc": len(os.sched_getaffinity(0)), "blas_threads": 1,
+            "seeds": list(SEEDS)}
+
+
+def _number(path):
+    match = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path))
+    return int(match.group(1)) if match else None
+
+
+def previous(path):
+    """The newest BENCH file next to ``path`` numbered below it, or None."""
+    folder, number = os.path.dirname(os.path.abspath(path)), _number(path)
+    earlier = [(k, name) for name in os.listdir(folder)
+               if (k := _number(name)) is not None and k < number]
+    return os.path.join(folder, max(earlier)[1]) if earlier else None
+
+
+def diff_lines(old, new):
+    """One line per metric present in both files: old, new and change."""
+    pairs = [(f"{w} {name}", old["workloads"][w]["median"][name], value)
+             for w, data in new["workloads"].items() if w in old["workloads"]
+             for name, value in data["median"].items() if name in old["workloads"][w]["median"]]
+    pairs += [(f"{row} {name}", old["one_shot"][row][name], value)
+              for row, data in new["one_shot"].items() if row in old["one_shot"]
+              for name, value in data.items()
+              if not name.startswith("samples") and name in old["one_shot"][row]]
+    return [f"{label}: {a:.4g} -> {b:.4g}" + (f" ({(b - a) / a:+.1%})" if a else "")
+            for label, a, b in pairs]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", help="BENCH_<n>.json")
+    args = parser.parse_args(argv)
+    if _number(args.out) is None:
+        parser.error("the output must be named BENCH_<n>.json")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    doc = {"environment": environment(), "run_seconds": benchmark["run_seconds"],
+           "workloads": bench_runs(benchmark), "one_shot": one_shot()}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    earlier = previous(args.out)
+    if earlier is None:
+        print(f"{args.out} written; no earlier BENCH file to compare with")
+        return 0
+    with open(earlier, encoding="utf-8") as fh:
+        old = json.load(fh)
+    print(f"{args.out} against {os.path.basename(earlier)}:")
+    print("\n".join(diff_lines(old, doc)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
+import scipy
 
 from . import curvature as cv
 from . import frames as fr
@@ -37,19 +36,6 @@ _THEOREM_BATCH = 6      # admissible frames per batch of theorem constraints
 _SCHOUTEN_BATCH = 8     # orthonormal quadruples per batch of Schouten constraints
 
 
-@dataclass(frozen=True)
-class AlgebraicCurvatureTensor:
-    """Dimension-n 4-index array with the curvature symmetries."""
-    dimension: int
-    components: np.ndarray
-
-    def __post_init__(self):
-        res = cv.symmetry_residuals(self.components)
-        worst = max(res.values())
-        if worst > 1e-10:
-            raise ValueError(f"curvature symmetries violated (residual {worst:.3e})")
-
-
 def curvature_space_dim(n):
     return n * n * (n * n - 1) // 12
 
@@ -61,21 +47,26 @@ class CurvatureSpace:
     ``pairs`` (N, 2) lists the bivector index pairs i < j.  ``entries`` (E, 2)
     lists the upper-triangle entries (p, q), p <= q, of a symmetric N x N
     matrix; an entry's coordinate is M_pp or sqrt(2) M_pq, so the dot product
-    of entry vectors is the Frobenius product of the matrices.  ``coeffs``
-    (E, d), sparse, is an orthonormal basis of the Bianchi kernel: the tensor
-    with coordinates x has M = smat(coeffs @ x) / 2, and its n^4 components
-    are ``flat_factor * (coeffs @ x)[flat_entry]``, of norm |x|.
+    of entry vectors is the Frobenius product of the matrices.
+
+    ``index`` and ``weight`` (d, 3) hold an orthonormal basis B (E, d) of the
+    Bianchi kernel, one row per column of B: column c is ``weight[c, k]`` at
+    entry ``index[c, k]``, in increasing entry order.  A column has one to
+    three entries; the unused slots have index 0 and weight 0.  The tensor
+    with coordinates x has M = smat(B x) / 2, and its n^4 components are
+    ``flat_factor * (B x)[flat_entry]``, of norm |x|.
     """
     n: int
     pairs: np.ndarray
     entries: np.ndarray
-    coeffs: scipy.sparse.csc_matrix
+    index: np.ndarray
+    weight: np.ndarray
     flat_entry: np.ndarray
     flat_factor: np.ndarray
 
     @property
     def dim(self):
-        return self.coeffs.shape[1]
+        return len(self.index)
 
 
 @functools.cache
@@ -102,11 +93,11 @@ def curvature_space(n):
         a, b, c = entry_of[pair_of[[i, i, i], [j, k, l]], pair_of[[k, j, j], [l, l, k]]]
         columns.append([(a, 2 ** -0.5), (b, 2 ** -0.5)])
         columns.append([(a, -6 ** -0.5), (b, 6 ** -0.5), (c, 2 * 6 ** -0.5)])
-    rows, cols, vals = zip(*[(e, col, v) for col, terms in enumerate(columns)
-                             for e, v in terms])
-    coeffs = scipy.sparse.csc_matrix((vals, (rows, cols)),
-                                     shape=(len(entries), len(columns)))
-    assert coeffs.shape[1] == curvature_space_dim(n)
+    assert len(columns) == curvature_space_dim(n)
+    index = np.zeros((len(columns), 3), dtype=np.intp)
+    weight = np.zeros((len(columns), 3))
+    for col, terms in enumerate(columns):
+        index[col, :len(terms)], weight[col, :len(terms)] = zip(*terms)
 
     # R_ijkl = sign(i,j) sign(k,l) M[ij,kl] / 2 (coordinates carry the 1/2)
     flat_pair = pair_of.reshape(-1)
@@ -114,7 +105,7 @@ def curvature_space(n):
         flat_pair[:, None] == flat_pair, 1.0, 2 ** -0.5)
     return CurvatureSpace(
         n=n, pairs=np.array(pairs, dtype=np.intp).reshape(-1, 2),
-        entries=np.array(entries, dtype=np.intp).reshape(-1, 2), coeffs=coeffs,
+        entries=np.array(entries, dtype=np.intp).reshape(-1, 2), index=index, weight=weight,
         flat_entry=entry_of[flat_pair[:, None], flat_pair].reshape(-1),
         flat_factor=factor.reshape(-1))
 
@@ -122,8 +113,12 @@ def curvature_space(n):
 def _tensors(space, coords):
     """4-index arrays (..., n, n, n, n) of the tensors with coordinates
     ``coords`` (..., d)."""
-    values = (space.coeffs @ np.asarray(coords).T).T[..., space.flat_entry]
-    values *= space.flat_factor
+    coords = np.asarray(coords)
+    values = np.zeros(coords.shape[:-1] + (len(space.entries),))
+    # B x, accumulated column by column in increasing order; as in
+    # functional_row, the order fixes the rounding
+    np.add.at(values, (..., space.index), space.weight * coords[..., None])
+    values = values[..., space.flat_entry] * space.flat_factor
     return values.reshape(values.shape[:-1] + (space.n,) * 4)
 
 
@@ -155,12 +150,22 @@ def functional_row(space, X, Y, Z, U):
     (Z, U), in entry coordinates, times the Bianchi kernel basis.
     """
     a, c = _bivectors(space, X, Y), _bivectors(space, Z, U)
+    lead = np.broadcast_shapes(a.shape, c.shape)[:-1]
+    a, c = (np.ascontiguousarray(v.reshape(-1, v.shape[-1]).T) for v in (a, c))
     p, q = space.entries.T
     # R(X,Y,Z,U) = sum over p <= q of (a_p c_q + a_q c_p) M_pq, halved on the
-    # diagonal; M = smat(coeffs @ x) / 2 turns the weights into 1/4 on the
-    # diagonal and 1/(2 sqrt 2) off it
-    w = (a[..., p] * c[..., q] + a[..., q] * c[..., p]) * np.where(p == q, 0.25, 8 ** -0.5)
-    return (space.coeffs.T @ w.T).T
+    # diagonal; M = smat(B x) / 2 turns the weights into 1/4 on the diagonal
+    # and 1/(2 sqrt 2) off it.  w is (E, k), one column per functional.
+    w = (a[p] * c[q] + a[q] * c[p]) * np.where(p == q, 0.25, 8 ** -0.5)[:, None]
+    # B^T w, (d, k): each column's entries weighted and summed in entry order.
+    # The rows are returned as its transpose.  Both that sum order and that
+    # layout decide the rounding of later products, so certificates depend
+    # on them.
+    terms = w[space.index.T]
+    terms *= space.weight.T[..., None]
+    rows = terms[0] + terms[1]
+    rows += terms[2]
+    return rows.T.reshape(lead + (space.dim,))
 
 
 # ---------------------------------------------------------------------------

@@ -428,16 +428,41 @@ def evaluate(e, bindings):
 # ---------------------------------------------------------------------------
 # second-order jets
 
-def _derivative_pair(e):
-    d1 = differentiate(e, "t")
-    return d1, differentiate(d1, "t")
+def _square(x):
+    return _apply_binop("^", x, 2.0)
 
 
-# f' and f'' of each function and of the reciprocal "/" (1/t), built once as
-# expressions in t.  Evaluating them keeps every domain error a DomainError:
-# sqrt'(0) raises "division by zero" as the derivative tree of sqrt does.
-_CHAIN = {fn: _derivative_pair(Call(fn, Sym("t"))) for fn in FUNCTIONS}
-_CHAIN["/"] = _derivative_pair(BinOp("/", Const(1.0), Sym("t")))
+def _reciprocal_square(h, dh):
+    """1/h^2 and -(2 h h')/(h^2)^2: f' and f'' of tan (h = cos) and tanh
+    (h = cosh), with h' = ``dh()`` evaluated after f'."""
+    f1 = _apply_binop("/", 1.0, _square(h))
+    return f1, _apply_binop("/", -(2.0 * h * dh()), _square(_square(h)))
+
+
+def _sqrt_chain(t):
+    s = _apply_call("sqrt", t)
+    f1 = _apply_binop("/", 0.5, s)
+    return f1, _apply_binop("/", -(0.5 * f1), _square(s))
+
+
+# (f', f'') at t of each function and of the reciprocal "/" (1/t).  Each is
+# computed with the same checked operations, in the same order, as
+# ``evaluate`` on the derivative trees ``differentiate`` builds, so the
+# floats and every DomainError agree with them: sqrt'(0) raises "division by
+# zero", and tanh' raises where cosh^2 overflows.
+_CHAIN = {
+    "sin": lambda t: (_apply_call("cos", t), -_apply_call("sin", t)),
+    "cos": lambda t: (-_apply_call("sin", t), -_apply_call("cos", t)),
+    "tan": lambda t: _reciprocal_square(_apply_call("cos", t), lambda: -_apply_call("sin", t)),
+    "exp": lambda t: (_apply_call("exp", t),) * 2,
+    "log": lambda t: (_apply_binop("/", 1.0, t), _apply_binop("/", -1.0, _square(t))),
+    "sinh": lambda t: (_apply_call("cosh", t), _apply_call("sinh", t)),
+    "cosh": lambda t: (_apply_call("sinh", t), _apply_call("cosh", t)),
+    "tanh": lambda t: _reciprocal_square(_apply_call("cosh", t), lambda: _apply_call("sinh", t)),
+    "sqrt": _sqrt_chain,
+    "/": lambda t: (_apply_binop("/", -1.0, _square(t)),
+                    _apply_binop("/", 2.0 * t, _square(_square(t)))),
+}
 
 
 def _chain(value, f1, f2, u):
@@ -447,8 +472,7 @@ def _chain(value, f1, f2, u):
 
 def _call(fn, value, u):
     """Jet of fn(u), given its value, for fn a key of _CHAIN."""
-    d1, d2 = _CHAIN[fn]
-    return _chain(value, evaluate(d1, {"t": u[0]}), evaluate(d2, {"t": u[0]}), u)
+    return _chain(value, *_CHAIN[fn](u[0]), u)
 
 
 def _product(value, a, b):

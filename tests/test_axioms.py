@@ -15,7 +15,7 @@ def test_curvature_space_dim():
 
 
 def test_curvature_basis_orthonormal_and_symmetric():
-    for n in (4, 5):
+    for n in (4, 5, 8):  # n = 8 is the certificate-m4 size, d = 336
         basis = ax.curvature_basis(n)
         assert basis.shape == (ax.curvature_space_dim(n), n ** 4)
         gram = basis @ basis.T
@@ -33,26 +33,25 @@ def test_tensor_roundtrip(rng):
     T = ax._tensors(ax.curvature_space(n), coords)
     back = basis @ T.reshape(-1)
     assert np.max(np.abs(back - coords)) < 1e-10
-    ax.AlgebraicCurvatureTensor(n, T)  # symmetry validation passes
+    assert max(cv.symmetry_residuals(T).values()) <= 1e-10
 
 
 def test_algebraic_tensor_rejects_bad():
     T = np.zeros((4, 4, 4, 4))
     T[0, 1, 2, 3] = 1.0  # no symmetries at all
-    with pytest.raises(ValueError):
-        ax.AlgebraicCurvatureTensor(4, T)
+    assert max(cv.symmetry_residuals(T).values()) > 1e-10
 
 
 def test_functional_row_matches_evaluation(rng):
-    n = 4
-    basis = ax.curvature_basis(n)
-    coords = rng.normal(size=basis.shape[0])
-    T = ax._tensors(ax.curvature_space(n), coords)
-    for _ in range(10):
-        X, Y, Z, U = rng.normal(size=(4, n))
-        row = ax.functional_row(ax.curvature_space(n), X, Y, Z, U)
-        assert row @ coords == pytest.approx(cv.curvature_value(T, X, Y, Z, U),
-                                             abs=1e-10)
+    for n in (4, 8):  # n = 8 is the certificate-m4 size
+        space = ax.curvature_space(n)
+        coords = rng.normal(size=space.dim)
+        T = ax._tensors(space, coords)
+        for _ in range(10):
+            X, Y, Z, U = rng.normal(size=(4, n))
+            row = ax.functional_row(space, X, Y, Z, U)
+            assert row @ coords == pytest.approx(cv.curvature_value(T, X, Y, Z, U),
+                                                 abs=1e-10)
 
 
 def test_kulkarni_nomizu_is_curvature_tensor(rng):

@@ -5,8 +5,13 @@ The package ``__init__`` imports every module in one fixed order, so a plain
 the same side.  Here a bare package object stands in for ``__init__`` and the
 named module is the first hermgeo module to run: a module-level use of the
 other side of the cycle fails whichever side is imported first.
+
+Chart commands load numpy and the scipy package root only; ``scipy.linalg``
+loads at the first certificate.
 """
 
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +37,49 @@ def test_module_imports_alone(module):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# Chart commands on emitted built-in models, then a certificate, in one fresh
+# interpreter; prints which scipy submodules were loaded after each stage.
+_STARTUP = r"""
+import contextlib, io, json, sys
+from hermgeo import cli
+
+def loaded():
+    return sorted(m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules)
+
+def emit(name):
+    path = f"{sys.argv[1]}/{name}.json"
+    assert cli.main(["models", "emit", name, "--out", path]) == 0
+    return path
+
+with contextlib.redirect_stdout(io.StringIO()):
+    sphere = emit("round_sphere")
+    with open(sphere) as fh:
+        doc = json.load(fh)
+    doc["immersion"] = {"coordinates": ["a", "b", "c"], "map": [
+        "0.5*sin(a)*sin(b)*cos(c)", "0.5*sin(a)*sin(b)*sin(c)", "0.5*sin(a)*cos(b)",
+        "0.5*cos(a)"]}
+    with open(sphere, "w") as fh:
+        json.dump(doc, fh)
+    codes = [cli.main(["analyze", emit("fubini_study")]),
+             cli.main(["classify", emit("s6_nearly_kahler")]),
+             cli.main(["submanifold", sphere, "--point", "1,1,0.5"])]
+    after_charts = loaded()
+    certificate = cli.main(["verify-theorem", "--m", "2"])
+print(json.dumps({"codes": codes, "after_charts": after_charts,
+                  "certificate": certificate, "after_certificate": loaded()}))
+"""
+
+
+def test_chart_commands_leave_scipy_linalg_unloaded(tmp_path):
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", _STARTUP, str(tmp_path)], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0, 0, 0]
+    assert out["after_charts"] == []
+    assert out["certificate"] == 0
+    assert "scipy.linalg" in out["after_certificate"]
