@@ -224,13 +224,16 @@ def proof_identity_residuals(R4, g, J, sampler, frames=64):
     return worst
 
 
+def _quadruples(g, sampler, count):
+    """``count`` g-orthonormal quadruples drawn as one block, shape (4, count, n)."""
+    return fr.orthonormal_frames(g, sampler.draw(4 * count).reshape(count, 4, len(g)), sampler)
+
+
 def quadruple_vanishing_residual(R4, g, sampler, samples=256):
     """Max |R(X,Y,Z,U)| over sampled g-orthonormal quadruples."""
-    n = g.shape[0]
-    if n < 4:
+    if g.shape[0] < 4:
         raise cv.UnsupportedDimensionError("orthogonal quadruples need dimension >= 4")
-    quads = fr.orthonormal_frames(g, sampler.draw(4 * samples).reshape(samples, 4, n), sampler)
-    return float(np.max(np.abs(cv.curvature_values(R4, *quads))))
+    return float(np.max(np.abs(cv.curvature_values(R4, *_quadruples(g, sampler, samples)))))
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +286,24 @@ def _nullspace(rows):
     return vt[rank:].T, gap
 
 
-def _max_weyl(space, null):
-    """Max Weyl norm (identity metric) of the null-space tensors, columns of ``null``."""
+def _certificate(space, row_batches, tolerance, own):
+    """The report both certificates share: the null space of the constraint
+    rows at stable rank and the max Weyl norm (identity metric) of its
+    tensors.  ``own(null, max_weyl)`` gives the certificate's own field as
+    (key, value, holds); it passes if that holds and the norm is within
+    ``tolerance``."""
+    rows, null, gap = _stable_nullspace(row_batches, space.dim)
     T, g = _tensors(space, null.T), np.eye(space.n)
     S, s = cv.ricci_scalar(T, g)
-    return float(np.max(np.abs(cv.weyl(T, S, s, g)), initial=0.0))
+    max_weyl = float(np.max(np.abs(cv.weyl(T, S, s, g)), initial=0.0))
+    key, value, holds = own(null, max_weyl)
+    return {"dimension": space.n, "constraint_rows": int(rows.shape[0]),
+            "nullspace_dim": int(null.shape[1]), key: value, "max_weyl": max_weyl,
+            "tolerance": tolerance, "pass": holds and max_weyl <= tolerance,
+            "rank_gap": gap, "nullspace": null}
 
 
-def schouten_nullspace_verify(n, sampler=None, tolerance=1e-8):
+def schouten_nullspace_verify(n, sampler, tolerance=1e-8):
     """Solution space of the orthogonal-quadruple vanishing condition.
 
     Returns a report with the null-space dimension (expected n(n+1)/2), the
@@ -300,28 +313,14 @@ def schouten_nullspace_verify(n, sampler=None, tolerance=1e-8):
     """
     if n < 4:
         raise cv.UnsupportedDimensionError("need dimension >= 4")
-    sampler = sampler or fr.FrameSampler(0, n)
-    space = curvature_space(n)
-    g = np.eye(n)
+    space, g, expected = curvature_space(n), np.eye(n), n * (n + 1) // 2
 
     def batches():
         while True:
-            raw = sampler.draw(4 * _SCHOUTEN_BATCH).reshape(_SCHOUTEN_BATCH, 4, n)
-            yield functional_row(space, *fr.orthonormal_frames(g, raw, sampler))
+            yield functional_row(space, *_quadruples(g, sampler, _SCHOUTEN_BATCH))
 
-    rows, null, gap = _stable_nullspace(batches(), space.dim)
-    max_weyl = _max_weyl(space, null)
-    return {
-        "dimension": n,
-        "constraint_rows": int(rows.shape[0]),
-        "nullspace_dim": int(null.shape[1]),
-        "expected_nullspace_dim": n * (n + 1) // 2,
-        "max_weyl": max_weyl,
-        "tolerance": tolerance,
-        "pass": null.shape[1] == n * (n + 1) // 2 and max_weyl <= tolerance,
-        "rank_gap": gap,
-        "nullspace": null,
-    }
+    return _certificate(space, batches(), tolerance, lambda null, _: (
+        "expected_nullspace_dim", expected, null.shape[1] == expected))
 
 
 def canonical_j(n):
@@ -340,7 +339,7 @@ def _identity_rows(space, entries):
     return np.stack(_per_entry(functools.partial(functional_row, space), entries), axis=-2)
 
 
-def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, samples=128):
+def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
     """Certificate that the sphere-axiom identities force the Weyl tensor to
     vanish, for complex dimension m (real dimension n = 2m).
 
@@ -353,43 +352,27 @@ def theorem_nullspace_verify(m, sampler=None, tolerance=1e-8, samples=128):
     if m < 2:
         raise cv.UnsupportedDimensionError("need complex dimension m >= 2")
     n = 2 * m
-    sampler = sampler or fr.FrameSampler(0, n)
-    space = curvature_space(n)
-    g = np.eye(n)
-    J = canonical_j(n)
+    space, g, J = curvature_space(n), np.eye(n), canonical_j(n)
 
     def batches():
         while True:
             frames = fr.admissible_frames(g, J, sampler, _THEOREM_BATCH, need_z=m > 2)
             yield _identity_rows(space, _identities(J, frames, _DIRECT)).reshape(-1, space.dim)
 
-    rows, null, gap = _stable_nullspace(batches(), space.dim)
+    def derived(null, max_weyl):
+        checks = _identities(J, fr.admissible_frames(
+            g, J, fr.FrameSampler(sampler.seed + 1, n), samples, need_z=m > 2, need_u=m >= 4),
+            ("3.4", "3.8"))
+        checks.append(("quadruple", _quadruples(g, fr.FrameSampler(sampler.seed + 2, n),
+                                                samples)))
+        values = np.abs(_identity_rows(space, checks) @ null)
+        names = np.array([name for name, *_ in checks])
+        residuals = {name: float(values[:, names == name].max(initial=0.0))
+                     if name in names else None
+                     for name in ("3.4", "3.8", "quadruple")}  # (3.8) needs m >= 4
+        return "derived_residuals", {**residuals, "weyl": max_weyl}, True
 
-    # derived identities and Weyl on the null space
-    check_sampler = fr.FrameSampler(sampler.seed + 1, n)
-    checks = _identities(J, fr.admissible_frames(g, J, check_sampler, samples, need_z=m > 2,
-                                                 need_u=m >= 4), ("3.4", "3.8"))
-    quad_sampler = fr.FrameSampler(sampler.seed + 2, n)
-    raw = quad_sampler.draw(4 * samples).reshape(samples, 4, n)
-    checks.append(("quadruple", fr.orthonormal_frames(g, raw, quad_sampler)))
-    values = np.abs(_identity_rows(space, checks) @ null)
-    names = np.array([name for name, *_ in checks])
-    derived = {name: float(values[:, names == name].max(initial=0.0)) if name in names else None
-               for name in ("3.4", "3.8", "quadruple")}  # (3.8) needs m >= 4
-    derived["weyl"] = _max_weyl(space, null)
-
-    return {
-        "m": m,
-        "dimension": n,
-        "constraint_rows": int(rows.shape[0]),
-        "nullspace_dim": int(null.shape[1]),
-        "derived_residuals": derived,
-        "max_weyl": derived["weyl"],
-        "tolerance": tolerance,
-        "pass": derived["weyl"] <= tolerance,
-        "rank_gap": gap,
-        "nullspace": null,
-    }
+    return {"m": m, **_certificate(space, batches(), tolerance, derived)}
 
 
 def containment_residual(report_inner, report_outer):

@@ -1,13 +1,16 @@
 """Command-line driver.
 
 Exit codes: 0 data-complete (classification failures are data, not errors),
-2 usage, parse or asymmetric-metric error, 3 mathematical domain error,
-4 non-convergence, 5 certificate failed (the rank converged but a certificate
-missed its tolerance; the report is still printed, the message names the failed one).
+2 usage, parse or asymmetric-metric error (a tolerance that is not a finite
+number >= 0, or a count too large to allocate, among them), 3 mathematical
+domain error, 4 non-convergence, 5 certificate failed (the rank converged but
+a certificate missed its tolerance; the report is still printed, the message
+names the failed one).
 """
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -269,10 +272,11 @@ def _join_point_values(argv):
 
 
 def _check_counts(args):
-    for name, least in (("samples", 1), ("frames", 1), ("seed", 0)):
+    for name, least in (("samples", 1), ("frames", 1), ("seed", 0), ("tol", 0), ("dh_tol", 0)):
         value = getattr(args, name, None)
-        if value is not None and value < least:
-            raise UsageError(f"--{name} must be at least {least}, got {value}")
+        if value is not None and not least <= value < math.inf:  # nan fails too
+            raise UsageError(f"--{name.replace('_', '-')} must be a finite number of at least "
+                             f"{least}, got {value}")
 
 
 def main(argv=None):
@@ -285,7 +289,8 @@ def main(argv=None):
             return args.fn(args)
     except SystemExit as exc:  # --help
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    except (UsageError, reportio.ManifoldFileError, cv.AsymmetricMetricError) as exc:
+    except (UsageError, reportio.ManifoldFileError, cv.AsymmetricMetricError,
+            MemoryError) as exc:  # MemoryError: a count too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ex.DomainError, ex.MissingBindingError, cv.SingularMetricError,

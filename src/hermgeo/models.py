@@ -1,7 +1,7 @@
 """Built-in benchmark charts with known invariants.
 
 Each model is a manifold document (the file format of reportio.py) plus an
-expected-invariant table used by the regression tests and the CLI;
+expected-invariant table, which only the regression tests read;
 ``instantiate`` builds it with ``reportio.load_manifold``, like any file.  The
 6-sphere's J is defined pointwise through the ambient 7-dimensional cross
 product (the document's ``j_rule``), with its exact derivative taken from the
@@ -14,6 +14,7 @@ import numpy as np
 
 from . import expressions as ex
 from . import reportio
+from .axioms import canonical_j
 from .curvature import ManifoldChart
 
 
@@ -38,11 +39,7 @@ def _rho2(coords):
 
 
 def _canonical_j_entries(dim):
-    rows = [["0"] * dim for _ in range(dim)]
-    for k in range(dim // 2):
-        rows[2 * k + 1][2 * k] = "1"
-        rows[2 * k][2 * k + 1] = "-1"
-    return rows
+    return [[f"{v:g}" for v in row] for row in canonical_j(dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +222,14 @@ def _s6_nearly_kahler(r):
 def product_chart(chart_a, chart_b, name=None):
     """Riemannian (and, when both factors carry J, Hermitian) product chart.
 
-    Coordinates are renamed with factor prefixes to stay distinct.
+    Coordinates are renamed with factor prefixes to stay distinct.  Only a J
+    given as expressions lifts to the product: a factor whose J is pointwise
+    (defined through an embedding) raises ValueError.
     """
+    for label, chart in (("first", chart_a), ("second", chart_b)):
+        if chart.has_j() and chart.complex_structure is None:
+            raise ValueError(f"{label} factor {chart.name!r} has a pointwise J, "
+                             "which a product chart cannot carry")
     coords = [f"a_{c}" for c in chart_a.coordinates] + \
              [f"b_{c}" for c in chart_b.coordinates]
     na, nb = chart_a.dim, chart_b.dim

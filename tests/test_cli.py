@@ -249,6 +249,12 @@ def test_analyze_negative_point_space_separated(tmp_path, capsys):
     ["analyze", "FILE", "--seed", "-1"],
     ["analyze", "FILE", "--frames", "3"],
     ["verify-theorem", "--m", "x"],
+    # refused by numpy up front: nothing is allocated
+    ["analyze", "FILE", "--samples", "1000000000000000"],
+    ["verify-theorem", "--m", "2", "--frames", "1000000000000000"],
+    ["analyze", "FILE", "--tol", "nan"],
+    ["classify", "FILE", "--tol", "-1"],
+    ["verify-theorem", "--m", "2", "--tol", "inf"],
 ])
 def test_out_of_range_input_is_usage_error(tmp_path, capsys, argv):
     path = write_model(tmp_path, "fubini_study", m=2)

@@ -2,7 +2,9 @@
 
 Every run must end one of two ways: exit 0 with a report that is strict JSON
 (no NaN or Infinity), or exit 2, 3, 4 or 5 with exactly one line on stderr.
-Examples are derandomized, so the suite stays deterministic.
+Built-in models with drawn parameters, at drawn points inside their domain
+hints, must always give a report.  Examples are derandomized, so the suite
+stays deterministic.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hermgeo import cli  # noqa: E402
+from hermgeo import cli, models, reportio  # noqa: E402
 
 _SETTINGS = dict(derandomize=True, deadline=None, database=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -170,3 +172,38 @@ def test_chart_commands_end_in_report_or_one_line_error(case, data):
            ["--samples", "2"]]), max_size=3))
 def test_verify_theorem_ends_in_report_or_one_line_error(m, options):
     _check(["verify-theorem", "--m", m, *[a for opt in options for a in opt]])
+
+
+# parameters each built-in model accepts, at small sizes
+_MODEL_PARAMS = {
+    "flat_kahler": {"m": st.integers(1, 3)},
+    "round_sphere": {"n": st.integers(2, 5), "r": st.floats(0.5, 2)},
+    "hyperbolic": {"n": st.integers(2, 5), "K": st.floats(0.25, 4)},
+    "product_K": {"K": st.floats(0.25, 4)},
+    "fubini_study": {"m": st.integers(1, 2)},
+    "s6_nearly_kahler": {"r": st.floats(0.5, 2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MODEL_PARAMS))
+@settings(max_examples=5, **_SETTINGS)
+@given(data=st.data())
+def test_built_in_models_give_reports_inside_their_domain(name, data):
+    chart = models.instantiate(name, **data.draw(st.fixed_dictionaries(_MODEL_PARAMS[name])))
+    points = data.draw(st.lists(st.tuples(*[st.floats(float(lo), float(hi))
+                                            for lo, hi in chart.domain_hint]),
+                                min_size=1, max_size=3))
+    options = [*("--point=" + ",".join(map(repr, p)) for p in points),
+               "--seed", str(data.draw(st.integers(0, 9))),
+               "--samples", str(data.draw(st.integers(1, 8)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chart.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(reportio.dump_report(reportio.chart_to_dict(chart)))
+        for command in ["analyze", "classify"][:1 + chart.has_j()]:
+            code, out, err = _run([command, path, *options])
+            assert code == 0, (command, options, err)
+            report = json.loads(out, parse_constant=_reject)
+            if command == "analyze" and "scalar" in chart.expected:
+                for entry in report["points"]:
+                    assert abs(entry["scalar_curvature"] - chart.expected["scalar"]) <= 1e-8

@@ -159,6 +159,13 @@ def test_product_chart_builder(rng):
     assert pd.scalar == pytest.approx(0.0, abs=1e-9)
 
 
+def test_product_chart_rejects_pointwise_j():
+    s6, flat = models.instantiate("s6_nearly_kahler"), models.instantiate("flat_kahler", m=1)
+    for a, b, label in ((s6, flat, "first"), (flat, s6, "second")):
+        with pytest.raises(ValueError, match=f"{label} factor 's6_nearly_kahler'.*pointwise J"):
+            models.product_chart(a, b)
+
+
 def test_expected_tables_present():
     for d in models.list_models():
         chart = models.instantiate(d.name)

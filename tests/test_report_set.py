@@ -1,0 +1,28 @@
+"""The report-set script's command set and path labels (only one command runs)."""
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import report_set  # noqa: E402
+import workloads  # noqa: E402  (put on the path by report_set)
+
+
+def test_command_set_is_fixed(tmp_path):
+    argvs = [argv for argv, _ in report_set.command_set(str(tmp_path))]
+    per_workload = sum(1 + 2 * w.commands for w in workloads.WORKLOADS.values())
+    assert len(argvs) == per_workload + 6 + 16
+    assert argvs[-22:-16] == [["models", "emit", name] for name in report_set.MODELS]
+    assert argvs[-16] == ["verify-theorem", "--m", "2", "--seed", "1"]
+    assert argvs[-1] == ["verify-theorem", "--m", "5", "--seed", "11"]
+
+
+def test_record_replaces_paths_by_labels(tmp_path):
+    argv, labels = report_set.command_set(str(tmp_path))[0]
+    line = report_set.record(argv, labels)
+    assert str(tmp_path) not in line
+    doc = json.loads(line)
+    assert doc["argv"] == ["analyze", "<chart>", "--seed", "0"]
+    assert doc["exit"] == 0 and doc["stderr"] == ""
+    assert json.loads(doc["stdout"])["command"] == "analyze"
