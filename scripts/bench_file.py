@@ -9,9 +9,10 @@ at each of SEEDS for the declared ``run_seconds``, one process at a time.
 The file keeps each run's metrics and their median over the seeds.  One-shot
 rows time fresh ``python -m hermgeo.cli`` processes on this checkout's
 ``src/``: the wall time of a bare ``models list`` (start-up alone, the median
-of MODELS_LIST_RUNS), and the wall time and peak RSS of ``verify-theorem``
-at each of CERTIFICATE_M.  OpenBLAS is pinned to one thread, as in the
-benchmark.
+of MODELS_LIST_RUNS), the wall time and peak RSS of ``analyze`` on CP^2 (the
+file is written by a ``models emit`` process first), and those of
+``verify-theorem`` at each of CERTIFICATE_M.  OpenBLAS is pinned to one
+thread, as in the benchmark.
 
 The earlier file is the BENCH_<k>.json next to the output with the largest
 k below n.  Exits 1 if a run fails, reports an incorrect result or a one-shot
@@ -26,6 +27,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,6 +78,11 @@ def one_shot():
     """{row: {metric: value}} of the one-shot CLI rows."""
     walls = [cli_process("models", "list")[0] for _ in range(MODELS_LIST_RUNS)]
     rows = {"models list": {"wall_s": statistics.median(walls), "samples_s": walls}}
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "cp2.json")
+        cli_process("models", "emit", "fubini_study", "--param", "m=2", "--out", path)
+        wall, rss = cli_process("analyze", path)
+    rows["analyze fubini_study m=2"] = {"wall_s": wall, "peak_rss_mb": rss}
     for m in CERTIFICATE_M:
         wall, rss = cli_process("verify-theorem", "--m", str(m))
         rows[f"verify-theorem --m {m}"] = {"wall_s": wall, "peak_rss_mb": rss}

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Write hermgeo's fixed report set: one JSON line per command with its
-argv, exit code, stderr and stdout.
+argv, exit code, stderr and parsed report.
 
     PYTHONPATH=src python3 scripts/report_set.py OUT.jsonl
 
@@ -13,9 +13,11 @@ thread as in the benchmark.  The set is fixed:
 - ``models emit`` of each of MODELS;
 - ``verify-theorem --m M --seed S`` for M in THEOREM_M and S in THEOREM_SEEDS.
 
-The manifold files live in a temporary directory; each of their paths is
-replaced by ``<label>`` everywhere in a line, so the output of two
-checkouts compares with ``cmp``.
+A line keeps the report's values, not its spelling: stdout is parsed with
+every integer read as a float (``null`` if stdout is empty), so ``1`` and
+``1.0`` compare equal.  The manifold files live in a temporary directory;
+each of their paths is replaced by ``<label>`` everywhere in a line, so the
+output of two checkouts compares with ``cmp``.
 """
 
 import argparse
@@ -68,7 +70,8 @@ def run(argv):
 
 def record(argv, labels):
     code, stdout, stderr = run(argv)
-    line = json.dumps({"argv": argv, "exit": code, "stderr": stderr, "stdout": stdout})
+    report = json.loads(stdout, parse_int=float) if stdout else None
+    line = json.dumps({"argv": argv, "exit": code, "stderr": stderr, "report": report})
     for path, label in labels.items():
         line = line.replace(json.dumps(path)[1:-1], label)
     return line

@@ -359,12 +359,14 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
             frames = fr.admissible_frames(g, J, sampler, _THEOREM_BATCH, need_z=m > 2)
             yield _identity_rows(space, _identities(J, frames, _DIRECT)).reshape(-1, space.dim)
 
+    # check frames are drawn before the rank loop: a count too large to
+    # allocate fails at once; their own samplers leave the loop's draws alone
+    checks = _identities(J, fr.admissible_frames(
+        g, J, fr.FrameSampler(sampler.seed + 1, n), samples, need_z=m > 2, need_u=m >= 4),
+        ("3.4", "3.8"))
+    checks.append(("quadruple", _quadruples(g, fr.FrameSampler(sampler.seed + 2, n), samples)))
+
     def derived(null, max_weyl):
-        checks = _identities(J, fr.admissible_frames(
-            g, J, fr.FrameSampler(sampler.seed + 1, n), samples, need_z=m > 2, need_u=m >= 4),
-            ("3.4", "3.8"))
-        checks.append(("quadruple", _quadruples(g, fr.FrameSampler(sampler.seed + 2, n),
-                                                samples)))
         values = np.abs(_identity_rows(space, checks) @ null)
         names = np.array([name for name, *_ in checks])
         residuals = {name: float(values[:, names == name].max(initial=0.0))

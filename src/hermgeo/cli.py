@@ -173,9 +173,7 @@ def _strip_arrays(report):
 
 
 def cmd_models_list(args):
-    report = {"command": "models list", "models": [
-        {"name": d.name, "description": d.description, "defaults": d.defaults}
-        for d in models.list_models()]}
+    report = {"command": "models list", "models": models.list_models()}
     sys.stdout.write(reportio.dump_report(report))
     return EXIT_OK
 

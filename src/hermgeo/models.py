@@ -8,8 +8,6 @@ product (the document's ``j_rule``), with its exact derivative taken from the
 jet of the embedding map.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import expressions as ex
@@ -20,13 +18,6 @@ from .curvature import ManifoldChart
 
 class UnknownModelError(KeyError):
     pass
-
-
-@dataclass(frozen=True)
-class ModelDescriptor:
-    name: str
-    description: str
-    defaults: dict = field(default_factory=dict)
 
 
 def _model(expected, **doc):
@@ -274,8 +265,8 @@ _BUILDERS = {
 
 
 def list_models():
-    """Stable-order descriptors of the built-in models."""
-    return [ModelDescriptor(name=name, description=desc, defaults=dict(defaults))
+    """Name, description and defaults of each built-in model, in a stable order."""
+    return [{"name": name, "description": desc, "defaults": dict(defaults)}
             for name, (_, defaults, desc) in _BUILDERS.items()]
 
 

@@ -2,8 +2,9 @@
 
 Manifold files are JSON documents with the fields of ManifoldFile; all
 expression strings follow the grammar in expressions.py.  Reports are JSON
-with fixed (insertion) key order and floats printed with 17 significant
-digits, so identical runs are byte-identical and goldens diff cleanly.
+with fixed (insertion) key order, two-space indent and floats printed as
+their shortest round-trip repr, so identical runs are byte-identical and
+goldens diff cleanly.
 """
 
 import json
@@ -173,47 +174,15 @@ def load_manifold_file(path):
 # deterministic report output
 
 def dump_report(obj):
-    """Serialize a report to JSON text with 17-significant-digit floats and
-    fixed key order.  A non-finite float raises DomainError: JSON has no
-    spelling for it."""
-    out = []
-    _write(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    """Serialize a report to JSON text: fixed key order, two-space indent,
+    shortest round-trip floats.  A non-finite float raises DomainError: JSON
+    has no spelling for it."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False, default=_plain) + "\n"
+    except ValueError as exc:
+        raise ex.DomainError(f"report value: {exc}") from None
 
 
-def _write(obj, out, indent):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for idx, (key, value) in enumerate(items):
-            out.append("  " * (indent + 1) + json.dumps(str(key)) + ": ")
-            _write(value, out, indent + 1)
-            out.append(",\n" if idx + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for idx, value in enumerate(obj):
-            out.append("  " * (indent + 1))
-            _write(value, out, indent + 1)
-            out.append(",\n" if idx + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise ex.DomainError(f"report value {float(obj)} is not a finite number")
-        out.append(format(float(obj), ".17g"))
-    elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out, indent)
-    else:
-        out.append(json.dumps(str(obj)))
+def _plain(value):
+    """A numpy array or scalar as its ``tolist()`` value, anything else as its str."""
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else str(value)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hermgeo import axioms as ax
 from hermgeo import cli, models, reportio
 from hermgeo import curvature as cv
 from hermgeo import expressions as ex
@@ -219,7 +220,7 @@ def test_report_floats_survive_roundtrip(tmp_path, capsys):
     path = write_model(tmp_path, "fubini_study", m=2)
     _, out, _ = run_cli(capsys, "classify", path, "--point", "0.1,0.2,0.0,-0.1")
     doc = json.loads(out)
-    # 17 significant digits: re-serializing the parsed floats is lossless
+    # shortest round-trip floats: re-serializing the parsed floats is lossless
     assert reportio.dump_report(doc) == out
 
 
@@ -264,6 +265,17 @@ def test_out_of_range_input_is_usage_error(tmp_path, capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_too_many_frames_refused_before_rank_loop(capsys, monkeypatch):
+    def rank_loop(*args):
+        raise AssertionError("the rank loop ran before the frame count was refused")
+    monkeypatch.setattr(ax, "_stable_nullspace", rank_loop)
+    code, _, err = run_cli(capsys, "verify-theorem", "--m", "5",
+                           "--frames", "1000000000000000")
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_analyze_one_sample_is_valid_json(tmp_path, capsys):
     path = write_model(tmp_path, "fubini_study", m=2)
     code, out, _ = run_cli(capsys, "analyze", path, "--samples", "1")
@@ -293,6 +305,16 @@ def test_two_dimensional_chart_with_j(tmp_path, capsys, name):
 def test_dump_report_rejects_non_finite(value):
     with pytest.raises(ex.DomainError):
         reportio.dump_report({"x": [1.0, {"y": np.float64(value)}]})
+    with pytest.raises(ex.DomainError):
+        reportio.dump_report({"x": [np.float32(value)]})
+
+
+def test_dump_report_writes_numpy_values_as_plain_json():
+    doc = json.loads(reportio.dump_report({
+        "a": np.int64(3), "b": np.arange(2), "c": np.bool_(True), "d": np.float32(0.5),
+        "e": 1.0, "f": (1, 2)}))
+    assert doc == {"a": 3, "b": [0, 1], "c": True, "d": 0.5, "e": 1.0, "f": [1, 2]}
+    assert type(doc["c"]) is bool and type(doc["e"]) is float
 
 
 def test_non_finite_report_value_is_domain_error(tmp_path, capsys, monkeypatch):

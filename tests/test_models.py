@@ -13,7 +13,7 @@ from hermgeo import models, reportio
 
 
 def test_list_models_stable():
-    names = [d.name for d in models.list_models()]
+    names = [d["name"] for d in models.list_models()]
     assert names == ["flat_kahler", "round_sphere", "hyperbolic", "product_K",
                      "fubini_study", "s6_nearly_kahler"]
 
@@ -168,8 +168,8 @@ def test_product_chart_rejects_pointwise_j():
 
 def test_expected_tables_present():
     for d in models.list_models():
-        chart = models.instantiate(d.name)
-        assert chart.expected, f"{d.name} has no expected-invariant table"
+        chart = models.instantiate(d["name"])
+        assert chart.expected, f"{d['name']} has no expected-invariant table"
 
 
 def test_fubini_study_expected_matches_constancy():
@@ -188,7 +188,7 @@ def _entry_strings(chart):
             for rows in (chart.metric, chart.complex_structure or [])]
 
 
-@pytest.mark.parametrize("name", [d.name for d in models.list_models()])
+@pytest.mark.parametrize("name", [d["name"] for d in models.list_models()])
 def test_models_and_loaded_files_are_one_path(name, monkeypatch):
     load, built = reportio.load_manifold, []
 

@@ -25,4 +25,4 @@ def test_record_replaces_paths_by_labels(tmp_path):
     doc = json.loads(line)
     assert doc["argv"] == ["analyze", "<chart>", "--seed", "0"]
     assert doc["exit"] == 0 and doc["stderr"] == ""
-    assert json.loads(doc["stdout"])["command"] == "analyze"
+    assert doc["report"]["command"] == "analyze"
