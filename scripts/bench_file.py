@@ -8,11 +8,11 @@ Every workload of BENCHMARK.json runs through ``perfbench/run.py --trace 0``
 at each of SEEDS for the declared ``run_seconds``, one process at a time.
 The file keeps each run's metrics and their median over the seeds.  One-shot
 rows time fresh ``python -m hermgeo.cli`` processes on this checkout's
-``src/``: the wall time of a bare ``models list`` (start-up alone, the median
-of MODELS_LIST_RUNS), the wall time and peak RSS of ``analyze`` on CP^2 (the
-file is written by a ``models emit`` process first), and those of
-``verify-theorem`` at each of CERTIFICATE_M.  OpenBLAS is pinned to one
-thread, as in the benchmark.
+``src/``: a bare ``models list`` (start-up alone), ``analyze`` on CP^2 (the
+file is written by a ``models emit`` process first) and ``verify-theorem`` at
+each of CERTIFICATE_M.  Each row runs ONE_SHOT_RUNS processes and keeps the
+median wall time and peak RSS next to the per-run samples.  OpenBLAS is
+pinned to one thread, as in the benchmark.
 
 The earlier file is the BENCH_<k>.json next to the output with the largest
 k below n.  Exits 1 if a run fails, reports an incorrect result or a one-shot
@@ -32,7 +32,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
-MODELS_LIST_RUNS = 5
+ONE_SHOT_RUNS = 5
 CERTIFICATE_M = (5, 6)
 ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
        "PYTHONPATH": os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
@@ -74,18 +74,22 @@ def cli_process(*args):
     return wall, usage.ru_maxrss / 1024.0
 
 
+def sampled(*args):
+    """Median wall time and peak RSS of ONE_SHOT_RUNS processes, with the samples."""
+    walls, rss = zip(*(cli_process(*args) for _ in range(ONE_SHOT_RUNS)))
+    return {"wall_s": statistics.median(walls), "peak_rss_mb": statistics.median(rss),
+            "samples_s": list(walls), "samples_rss_mb": list(rss)}
+
+
 def one_shot():
     """{row: {metric: value}} of the one-shot CLI rows."""
-    walls = [cli_process("models", "list")[0] for _ in range(MODELS_LIST_RUNS)]
-    rows = {"models list": {"wall_s": statistics.median(walls), "samples_s": walls}}
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "cp2.json")
         cli_process("models", "emit", "fubini_study", "--param", "m=2", "--out", path)
-        wall, rss = cli_process("analyze", path)
-    rows["analyze fubini_study m=2"] = {"wall_s": wall, "peak_rss_mb": rss}
+        rows = {"models list": sampled("models", "list"),
+                "analyze fubini_study m=2": sampled("analyze", path)}
     for m in CERTIFICATE_M:
-        wall, rss = cli_process("verify-theorem", "--m", str(m))
-        rows[f"verify-theorem --m {m}"] = {"wall_s": wall, "peak_rss_mb": rss}
+        rows[f"verify-theorem --m {m}"] = sampled("verify-theorem", "--m", str(m))
     return rows
 
 

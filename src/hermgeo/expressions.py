@@ -14,7 +14,8 @@ log sinh cosh tanh sqrt.  Known constants: pi, e.  There is no implicit
 multiplication; "2x" is a syntax error.
 
 Expressions are immutable trees, so they are safe to share between workers.
-Only constant folding is performed; no canonical simplification.
+Only constant folding is performed, and only to finite values; no canonical
+simplification.
 
 ``jets`` gives the values, gradients and Hessians of expressions at a point
 in one pass over the trees; it is how every derivative of chart data at a
@@ -117,16 +118,20 @@ def neg(a):
 
 
 def _fold(op, a, b):
-    """Fold a binary op on two literals; None if out of domain."""
+    """The literal ``a op b``; None unless both operands are literals and the
+    result is finite, so a fold never yields a constant that cannot be printed."""
+    if not (isinstance(a, Const) and isinstance(b, Const)):
+        return None
     try:
-        return Const(_apply_binop(op, a.value, b.value))
+        value = _apply_binop(op, a.value, b.value)
     except ExprError:
         return None
+    return Const(value) if math.isfinite(value) else None
 
 
 def add(a, b):
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+    if (folded := _fold("+", a, b)) is not None:
+        return folded
     if isinstance(a, Const) and a.value == 0.0:
         return b
     if isinstance(b, Const) and b.value == 0.0:
@@ -135,8 +140,8 @@ def add(a, b):
 
 
 def sub(a, b):
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+    if (folded := _fold("-", a, b)) is not None:
+        return folded
     if isinstance(b, Const) and b.value == 0.0:
         return a
     if isinstance(a, Const) and a.value == 0.0:
@@ -145,8 +150,8 @@ def sub(a, b):
 
 
 def mul(a, b):
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+    if (folded := _fold("*", a, b)) is not None:
+        return folded
     if isinstance(a, Const):
         if a.value == 0.0:
             return Const(0.0)
@@ -161,20 +166,16 @@ def mul(a, b):
 
 
 def div(a, b):
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = _fold("/", a, b)
-        if folded is not None:
-            return folded
+    if (folded := _fold("/", a, b)) is not None:
+        return folded
     if isinstance(b, Const) and b.value == 1.0:
         return a
     return BinOp("/", a, b)
 
 
 def pow_(a, b):
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = _fold("^", a, b)
-        if folded is not None:
-            return folded
+    if (folded := _fold("^", a, b)) is not None:
+        return folded
     if isinstance(b, Const):
         if b.value == 1.0:
             return a
@@ -196,114 +197,10 @@ def call(fn, a):
 # parsing
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S)"
 )
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, symbols):
-        self.tokens = tokens
-        self.i = 0
-        self.symbols = symbols
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                node = add(node, rhs) if value == "+" else sub(node, rhs)
-            else:
-                return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.parse_factor()
-                node = mul(node, rhs) if value == "*" else div(node, rhs)
-            else:
-                return node
-
-    def parse_factor(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return neg(self.parse_power())
-        return self.parse_power()
-
-    def parse_power(self):
-        base = self.parse_atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            return pow_(base, self.parse_factor())
-        return base
-
-    def parse_atom(self):
-        kind, value, pos = self.advance()
-        if kind == "num":
-            return Const(float(value))
-        if kind == "ident":
-            nkind, nvalue, _ = self.peek()
-            if nkind == "op" and nvalue == "(":
-                if value not in FUNCTIONS:
-                    raise ParseError(f"unknown function {value!r}", pos)
-                self.advance()
-                arg = self.parse_expr()
-                self.expect_op(")")
-                return call(value, arg)
-            if value in self.symbols:
-                return Sym(value)
-            if value in CONSTANTS:
-                return Const(CONSTANTS[value])
-            raise ParseError(f"unknown identifier {value!r}", pos)
-        if kind == "op" and value == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 
 
 def parse(text, symbols):
@@ -311,11 +208,75 @@ def parse(text, symbols):
     names = list(symbols)
     if len(set(names)) != len(names):
         raise ValueError("coordinate names must be distinct")
-    parser = _Parser(_tokenize(text), set(names))
-    node = parser.parse_expr()
-    kind, value, pos = parser.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected token {value!r}", pos)
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, value, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+    tokens.append(("end", "", len(text)))
+    i = 0
+
+    def take(ops):
+        """Consume the next token if it is one of the operators ``ops``."""
+        nonlocal i
+        kind, value, _ = tokens[i]
+        if kind == "op" and value in ops:
+            i += 1
+            return value
+        return None
+
+    def expr():
+        node = term()
+        while op := take("+-"):
+            node = (add if op == "+" else sub)(node, term())
+        return node
+
+    def term():
+        node = factor()
+        while op := take("*/"):
+            node = (mul if op == "*" else div)(node, factor())
+        return node
+
+    def factor():
+        negate = take("-")
+        node = atom()
+        if take("^"):
+            node = pow_(node, factor())
+        return neg(node) if negate else node
+
+    def group():
+        node = expr()
+        if not take(")"):
+            raise ParseError("expected ')'", tokens[i][2])
+        return node
+
+    def atom():
+        nonlocal i
+        if take("("):
+            return group()
+        kind, value, pos = tokens[i]
+        if kind == "num":
+            i += 1
+            return Const(float(value))
+        if kind != "ident":
+            raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input",
+                             pos)
+        i += 1
+        if take("("):
+            if value not in FUNCTIONS:
+                raise ParseError(f"unknown function {value!r}", pos)
+            return call(value, group())
+        if value in names:
+            return Sym(value)
+        if value in CONSTANTS:
+            return Const(CONSTANTS[value])
+        raise ParseError(f"unknown identifier {value!r}", pos)
+
+    try:
+        node = expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", tokens[i][2]) from None
+    if tokens[i][0] != "end":
+        raise ParseError(f"unexpected token {tokens[i][1]!r}", tokens[i][2])
     return node
 
 
@@ -399,12 +360,9 @@ def _apply_binop(op, x, y):
 
 def _apply_call(fn, x):
     try:
-        value = FUNCTIONS[fn](x)
+        return FUNCTIONS[fn](x)
     except (ValueError, OverflowError) as exc:
         raise DomainError(f"{fn}({x!r}) out of domain") from exc
-    if fn == "log" and x <= 0.0:
-        raise DomainError(f"log({x!r}) out of domain")
-    return value
 
 
 def evaluate(e, bindings):

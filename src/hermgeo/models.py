@@ -280,7 +280,11 @@ def instantiate(name, **params):
     for key, value in params.items():
         if isinstance(defaults[key], int) and not float(value).is_integer():
             raise ValueError(f"{key} must be an integer, got {value!r}")
-    doc, expected = builder(**{**defaults, **params})
+    try:
+        doc, expected = builder(**{**defaults, **params})
+    except ArithmeticError as exc:  # a parameter whose arithmetic over- or underflows
+        raise ValueError(f"{name} cannot be built with {params}: "
+                         f"arithmetic out of range ({exc})") from None
     chart, _ = reportio.load_manifold(doc)
     chart.expected = expected
     return chart

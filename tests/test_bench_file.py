@@ -23,3 +23,21 @@ def test_diff_lines_compare_shared_metrics():
     lines = bench_file.diff_lines(_doc(0.6, 0.64), _doc(0.3, 0.32))
     assert lines == ["chart-cp3 setup_s: 0.6 -> 0.3 (-50.0%)",
                      "models list wall_s: 0.64 -> 0.32 (-50.0%)"]
+
+
+def test_every_one_shot_row_is_a_median_of_fresh_processes(monkeypatch):
+    calls = []
+
+    def fake_process(*args):
+        calls.append(args)
+        return 0.1 * len(calls), 50.0 + len(calls)
+    monkeypatch.setattr(bench_file, "cli_process", fake_process)
+    rows = bench_file.one_shot()
+    runs = bench_file.ONE_SHOT_RUNS
+    assert list(rows) == ["models list", "analyze fubini_study m=2"] + [
+        f"verify-theorem --m {m}" for m in bench_file.CERTIFICATE_M]
+    assert len(calls) == 1 + runs * len(rows)  # the models emit that writes the CP^2 file
+    for row in rows.values():
+        assert len(row["samples_s"]) == len(row["samples_rss_mb"]) == runs
+        assert row["wall_s"] == sorted(row["samples_s"])[runs // 2]
+        assert row["peak_rss_mb"] == sorted(row["samples_rss_mb"])[runs // 2]

@@ -356,6 +356,8 @@ def test_non_finite_report_value_is_domain_error(tmp_path, capsys, monkeypatch):
      "embedding map entry failed to parse"),
     ({"immersion": {"coordinates": ["u"], "map": ["u", "sin("]}},
      "immersion map entry failed to parse"),
+    ({"metric": [["(" * 400 + "x" + ")" * 400, "0"], ["0", "1"]]}, "nested too deeply"),
+    ({"metric": [["sin(" * 300 + "x" + ")" * 300, "0"], ["0", "1"]]}, "nested too deeply"),
 ])
 def test_malformed_manifold_file_is_usage_error(tmp_path, capsys, change, message):
     doc = {"name": "plane", "dim": 2, "coordinates": ["x", "y"],
@@ -421,12 +423,31 @@ def test_models_emit_unwritable_out_is_usage_error(tmp_path, capsys, where):
 @pytest.mark.parametrize("name, param", [
     ("flat_kahler", "m=2.5"), ("fubini_study", "m=1.5"), ("round_sphere", "n=4.5"),
     ("round_sphere", "r=abc"), ("round_sphere", "r=-1"), ("hyperbolic", "q=1"),
+    ("round_sphere", "r=1e-200"), ("round_sphere", "r=1e78"),
+    ("s6_nearly_kahler", "r=5e-324"), ("s6_nearly_kahler", "r=1.797e308"),
 ])
 def test_models_emit_bad_param_is_usage_error(capsys, name, param):
     code, out, err = run_cli(capsys, "models", "emit", name, "--param", param)
     assert code == 2 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("param", ["K=1e-320", "K=5e-324"])
+def test_models_emit_tiny_curvature_writes_a_loadable_file(tmp_path, capsys, param):
+    # 4/K overflows: the product stays unfolded, so it still prints and parses
+    path = tmp_path / "hyperbolic.json"
+    code, out, err = run_cli(capsys, "models", "emit", "hyperbolic", "--param", param,
+                             "--out", str(path))
+    assert code == 0 and out == "" and err == ""
+    reportio.load_manifold_file(str(path))
+
+
+def test_rank_that_never_stabilizes_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(ax, "_MAX_BATCHES", 0)
+    code, out, err = run_cli(capsys, "verify-theorem", "--m", "2")
+    assert code == 4 and out == ""
+    assert err == "error: constraint rank did not stabilize within 2 batches\n"
 
 
 def test_parser_is_reused_without_carrying_state(tmp_path, capsys):

@@ -33,6 +33,66 @@ def test_no_implicit_multiplication():
         ex.parse("2x", ["x"])
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("", "unexpected end of input", 0),
+    ("   ", "unexpected end of input", 3),
+    ("x +", "unexpected end of input", 3),
+    ("x^", "unexpected end of input", 2),
+    ("x)", "unexpected token ')'", 1),
+    ("()", "unexpected token ')'", 1),
+    ("1 2", "unexpected token '2'", 2),
+    ("2x", "unexpected token 'x'", 1),
+    ("1e", "unexpected token 'e'", 1),
+    ("--x", "unexpected token '-'", 1),
+    ("x^--y", "unexpected token '-'", 3),
+    ("x @ y", "unexpected character '@'", 2),
+    ("sin x", "unknown identifier 'sin'", 0),
+    ("foo(x)", "unknown function 'foo'", 0),
+    ("sin(x", "expected ')'", 5),
+])
+def test_parse_errors_name_the_failing_position(text, message, position):
+    with pytest.raises(ex.ParseError) as err:
+        ex.parse(text, ["x", "y"])
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+X, Y, Z = ex.Sym("x"), ex.Sym("y"), ex.Sym("z")
+
+
+@pytest.mark.parametrize("text, coords, tree", [
+    ("-x^2", ["x"], ex.Neg(ex.BinOp("^", X, ex.Const(2.0)))),
+    ("-x*y", ["x", "y"], ex.BinOp("*", ex.Neg(X), Y)),
+    ("2*-x", ["x"], ex.BinOp("*", ex.Const(2.0), ex.Neg(X))),
+    ("x^-2", ["x"], ex.BinOp("^", X, ex.Const(-2.0))),
+    ("2^3^2", [], ex.Const(512.0)),
+    ("x^y^z", ["x", "y", "z"], ex.BinOp("^", X, ex.BinOp("^", Y, Z))),
+    ("x - y - z", ["x", "y", "z"], ex.BinOp("-", ex.BinOp("-", X, Y), Z)),
+    ("x/y/z", ["x", "y", "z"], ex.BinOp("/", ex.BinOp("/", X, Y), Z)),
+    ("pi", ["pi"], ex.Sym("pi")),
+    ("pi", [], ex.Const(math.pi)),
+    ("sin(x)", ["sin", "x"], ex.Call("sin", X)),
+    ("sin", ["sin", "x"], ex.Sym("sin")),
+    (" x\t+\ny ", ["x", "y"], ex.BinOp("+", X, Y)),
+    (".5 + 3.", [], ex.Const(3.5)),
+])
+def test_parse_grammar_shapes(text, coords, tree):
+    assert ex.parse(text, coords) == tree
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ex.ParseError, match="nested too deeply"):
+        ex.parse("(" * 2000 + "x" + ")" * 2000, ["x"])
+
+
+@pytest.mark.parametrize("text", ["1e308*10", "1e308+1e308", "4/1e-320",
+                                  "(1e308*10)-(1e308*10)"])
+def test_folding_keeps_non_finite_results_unfolded(text):
+    e = ex.parse(text, [])
+    assert isinstance(e, ex.BinOp) and not math.isfinite(e.eval({}))
+    assert ex.parse(ex.to_string(e), []) == e
+
+
 def test_constants():
     assert ex.parse("pi", []).eval({}) == pytest.approx(math.pi)
     assert ex.parse("e", []).eval({}) == pytest.approx(math.e)
