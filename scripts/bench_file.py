@@ -11,12 +11,16 @@ rows time fresh ``python -m hermgeo.cli`` processes on this checkout's
 ``src/``: a bare ``models list`` (start-up alone), ``analyze`` on CP^2 (the
 file is written by a ``models emit`` process first) and ``verify-theorem`` at
 each of CERTIFICATE_M.  Each row runs ONE_SHOT_RUNS processes and keeps the
-median wall time and peak RSS next to the per-run samples.  OpenBLAS is
-pinned to one thread, as in the benchmark.
+median wall time, CPU time (user + system, from the child's rusage) and
+peak RSS next to the per-run samples.  OpenBLAS is pinned to one thread, as
+in the benchmark.
 
 The earlier file is the BENCH_<k>.json next to the output with the largest
-k below n.  Exits 1 if a run fails, reports an incorrect result or a one-shot
-command exits non-zero; the file is not written then.
+k below n.  A diff line ends in "changed" when the samples of the two files
+(the runs over the seeds, or a one-shot row's processes) span disjoint
+ranges, and in "overlap" otherwise.  Exits 1 if a run fails, reports an
+incorrect result or a one-shot command exits non-zero; the file is not
+written then.
 """
 
 import argparse
@@ -62,7 +66,8 @@ def bench_runs(benchmark):
 
 
 def cli_process(*args):
-    """(wall seconds, peak RSS in MB) of one fresh hermgeo CLI process."""
+    """(wall seconds, peak RSS in MB, CPU seconds) of one fresh hermgeo CLI
+    process."""
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "hermgeo.cli", *args],
                             stdout=subprocess.DEVNULL, env=ENV)
@@ -71,14 +76,20 @@ def cli_process(*args):
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         sys.exit(f"error: hermgeo {' '.join(args)} exited {proc.returncode}")
-    return wall, usage.ru_maxrss / 1024.0
+    return wall, usage.ru_maxrss / 1024.0, usage.ru_utime + usage.ru_stime
+
+
+# one-shot metric -> the key of its per-process samples
+SAMPLES = {"wall_s": "samples_s", "peak_rss_mb": "samples_rss_mb", "cpu_s": "samples_cpu_s"}
 
 
 def sampled(*args):
-    """Median wall time and peak RSS of ONE_SHOT_RUNS processes, with the samples."""
-    walls, rss = zip(*(cli_process(*args) for _ in range(ONE_SHOT_RUNS)))
+    """Median wall time, peak RSS and CPU time of ONE_SHOT_RUNS processes,
+    with the samples."""
+    walls, rss, cpu = zip(*(cli_process(*args) for _ in range(ONE_SHOT_RUNS)))
     return {"wall_s": statistics.median(walls), "peak_rss_mb": statistics.median(rss),
-            "samples_s": list(walls), "samples_rss_mb": list(rss)}
+            "cpu_s": statistics.median(cpu), "samples_s": list(walls),
+            "samples_rss_mb": list(rss), "samples_cpu_s": list(cpu)}
 
 
 def one_shot():
@@ -116,16 +127,20 @@ def previous(path):
 
 
 def diff_lines(old, new):
-    """One line per metric present in both files: old, new and change."""
-    pairs = [(f"{w} {name}", old["workloads"][w]["median"][name], value)
-             for w, data in new["workloads"].items() if w in old["workloads"]
-             for name, value in data["median"].items() if name in old["workloads"][w]["median"]]
-    pairs += [(f"{row} {name}", old["one_shot"][row][name], value)
-              for row, data in new["one_shot"].items() if row in old["one_shot"]
-              for name, value in data.items()
-              if not name.startswith("samples") and name in old["one_shot"][row]]
+    """One line per metric present in both files: old, new, change, and
+    whether the two sample ranges are disjoint ("changed") or not ("overlap")."""
+    rows = [(f"{w} {name}", old["workloads"][w]["median"][name], value,
+             [run["metrics"][name] for run in old["workloads"][w]["runs"]],
+             [run["metrics"][name] for run in data["runs"]])
+            for w, data in new["workloads"].items() if w in old["workloads"]
+            for name, value in data["median"].items() if name in old["workloads"][w]["median"]]
+    rows += [(f"{row} {name}", old["one_shot"][row][name], data[name],
+              old["one_shot"][row][key], data[key])
+             for row, data in new["one_shot"].items() if row in old["one_shot"]
+             for name, key in SAMPLES.items() if key in data and key in old["one_shot"][row]]
     return [f"{label}: {a:.4g} -> {b:.4g}" + (f" ({(b - a) / a:+.1%})" if a else "")
-            for label, a, b in pairs]
+            + (" changed" if max(s) < min(t) or max(t) < min(s) else " overlap")
+            for label, a, b, s, t in rows]
 
 
 def main(argv=None):

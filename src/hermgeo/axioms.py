@@ -7,10 +7,12 @@ Bianchi identity.  ``curvature_space(n)`` holds an orthonormal basis of that
 Bianchi kernel inside Sym^2(Lambda^2), of dimension n^2(n^2-1)/12; tensors
 are written as coordinates in it.  The curvature identities produced by the
 umbilical-sphere axiom, and the orthogonal-quadruple criterion, are linear
-functionals on that space; sampling admissible frames until the constraint
-rank stabilizes yields the solution space, on which the conformal (Weyl)
-tensor is then evaluated.  A vanishing Weyl norm over the null space is the
-machine form of the classical conformal-flatness conclusion.
+functionals on that space.  Frames are sampled until the constraint rank
+stabilizes; the rows are then checked to vanish on exactly the space K of
+products h ⊙ g, written down in closed form, with a certified margin on its
+complement.  The conformal (Weyl) tensor is evaluated on K.  A vanishing
+Weyl norm over the null space is the machine form of the classical
+conformal-flatness conclusion.
 """
 
 import functools
@@ -239,16 +241,45 @@ def quadruple_vanishing_residual(R4, g, sampler, samples=256):
 # ---------------------------------------------------------------------------
 # null-space certificates
 
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53: the relative rounding
+    bound of a k-term sum of products."""
+    return k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
+
+
+@functools.cache
+def _products(n):
+    """Orthonormal basis (d, n(n+1)/2) of K, the Kulkarni-Nomizu products
+    h ⊙ I, in coordinates of ``curvature_space(n)``.
+
+    The products of h = e_a e_b^T + e_b e_a^T, a <= b, are written down
+    directly: each entry (ij, kl) of ``space.entries`` takes its component
+    R_ijkl (i < j, k < l), the coordinates are B^T of the entry vector, and
+    one QR of the d x n(n+1)/2 result makes them orthonormal.
+    """
+    space = curvature_space(n)
+    a, b = np.triu_indices(n)
+    h = np.zeros((len(a), n, n))
+    h[np.arange(len(a)), a, b] = h[np.arange(len(a)), b, a] = 1.0
+    i, j, k, l = space.pairs[space.entries].reshape(-1, 4).T
+    R = (h[:, i, l] * (j == k) + h[:, j, k] * (i == l)
+         - h[:, i, k] * (j == l) - h[:, j, l] * (i == k))
+    p, q = space.entries.T
+    entry = R * np.where(p == q, 2.0, 8 ** 0.5)  # R = M_pq = smat(entry)_pq / 2
+    basis = np.linalg.qr(np.einsum("kct,ct->ck", entry[:, space.index], space.weight))[0]
+    basis.flags.writeable = False
+    return basis
+
+
 def _stable_nullspace(row_batches, dim):
     """Accumulate constraint rows until the rank is unchanged for three
-    consecutive batches; return (rows, nullspace basis in coordinates, rank
-    gap).
+    consecutive batches; return (rows, rank).
 
     Each batch is projected onto the orthogonal complement of the rows seen
-    so far and only that projection is factored; the null space and its rank
-    gap come from one SVD of the whole stack at the end.  Every batch may
-    raise the rank, so the budget adds the batches a full-rank stack needs
-    to the fixed allowance.
+    so far and only that projection is factored; singular values below
+    1e-9 of the stack's Frobenius norm count as zero.  Every batch may raise
+    the rank, so the budget adds the batches a full-rank stack needs to the
+    fixed allowance.
     """
     span = np.empty((dim, dim))  # orthonormal rows spanning the stack's rows
     stack, rank, stable, sumsq, budget = [], 0, 0, 0.0, None
@@ -266,39 +297,69 @@ def _stable_nullspace(row_batches, dim):
         rank += len(new)
         stable = 0 if len(new) or count == 1 else stable + 1
         if stable >= _STABLE_BATCHES:
-            rows = np.vstack(stack)
-            return (rows, *_nullspace(rows))
+            return np.vstack(stack), rank
         if count == budget:
             raise RankStabilizationError(
                 f"constraint rank did not stabilize within {budget} batches")
 
 
-def _nullspace(rows):
-    """Orthonormal null-space basis of ``rows`` (as columns) and its rank gap:
-    the smallest kept and the largest dropped singular value relative to the
-    largest, from one SVD at the relative cut."""
-    dim = rows.shape[1]
-    _, sv, vt = scipy.linalg.svd(rows, full_matrices=rows.shape[0] < dim)
-    sv = np.concatenate([sv, np.zeros(dim - len(sv))]) / max(sv[0], 1e-300)
-    rank = int(np.sum(sv > _RANK_CUT))
-    gap = {"smallest_kept": float(sv[rank - 1]) if rank else None,
-           "largest_dropped": float(sv[rank]) if rank < dim else None}
-    return vt[rank:].T, gap
+def _check(rows, rank, products):
+    """Whether the null space of ``rows`` is the span of the orthonormal
+    columns of ``products``, and the rank gap that shows it.
+
+    With G = rows^T rows, sigma^2 its largest eigenvalue and lambda its
+    (k+1)-th smallest, k = dim K: the containment is |rows products|_2 /
+    sigma.  A floating-point Cholesky of G + sigma^2 P P^T - s I, s = lambda
+    less the allowance below, that succeeds proves G + sigma^2 P P^T > c I
+    for c = s less the allowance again (Rump, BIT 46, 2006), so |rows u| >
+    sqrt(c) for every unit u orthogonal to K.  The allowance, (gamma_{r+1} +
+    gamma_{d+1} / (1 - 2 gamma_{d+1})) times the trace, covers the rounding
+    of forming the matrix and of the Cholesky (its entries, of order
+    sigma^2, are far from underflow).  The check holds when the
+    Cholesky succeeds with sqrt(c) / sigma above the 1e-9 cut, the
+    containment is within the cut and the rank loop's nullity is k.
+    """
+    dim, k = products.shape
+    gram = rows.T @ rows
+    eig = np.linalg.eigvalsh(gram)
+    top = max(float(eig[-1]), 0.0)
+    scale = max(math.sqrt(top), 1e-300)
+    containment = float(np.linalg.norm(rows @ products, 2)) / scale
+    trace = float(np.trace(gram)) + top * k
+    rump = _gamma(dim + 1) / (1 - 2 * _gamma(dim + 1))
+    allowance = (_gamma(len(rows) + 1) + rump) * trace
+    shift = float(eig[k]) - allowance
+    bound = shift - allowance
+    certified = bound > (_RANK_CUT * scale) ** 2
+    if certified:
+        weighted = products * scale
+        gram += weighted @ weighted.T
+        gram[np.diag_indices(dim)] -= shift
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            certified = False
+    gap = {"smallest_kept": math.sqrt(bound) / scale if certified else None,
+           "largest_dropped": containment}
+    return certified and containment <= _RANK_CUT and dim - rank == k, gap
 
 
 def _certificate(space, row_batches, tolerance, own):
-    """The report both certificates share: the null space of the constraint
-    rows at stable rank and the max Weyl norm (identity metric) of its
-    tensors.  ``own(null, max_weyl)`` gives the certificate's own field as
-    (key, value, holds); it passes if that holds and the norm is within
-    ``tolerance``."""
-    rows, null, gap = _stable_nullspace(row_batches, space.dim)
+    """The report both certificates share.  The constraint rows at stable
+    rank are checked to vanish on exactly K = span{h ⊙ I}, whose orthonormal
+    basis is the ``nullspace``, and the max Weyl norm (identity metric) of
+    its tensors is taken.  ``own(null, max_weyl)`` gives the certificate's
+    own field as (key, value).  It passes if the check holds and the Weyl
+    norm is within ``tolerance``."""
+    rows, rank = _stable_nullspace(row_batches, space.dim)
+    null = _products(space.n)
+    holds, gap = _check(rows, rank, null)
     T, g = _tensors(space, null.T), np.eye(space.n)
     S, s = cv.ricci_scalar(T, g)
     max_weyl = float(np.max(np.abs(cv.weyl(T, S, s, g)), initial=0.0))
-    key, value, holds = own(null, max_weyl)
+    key, value = own(null, max_weyl)
     return {"dimension": space.n, "constraint_rows": int(rows.shape[0]),
-            "nullspace_dim": int(null.shape[1]), key: value, "max_weyl": max_weyl,
+            "nullspace_dim": space.dim - rank, key: value, "max_weyl": max_weyl,
             "tolerance": tolerance, "pass": holds and max_weyl <= tolerance,
             "rank_gap": gap, "nullspace": null}
 
@@ -319,8 +380,8 @@ def schouten_nullspace_verify(n, sampler, tolerance=1e-8):
         while True:
             yield functional_row(space, *_quadruples(g, sampler, _SCHOUTEN_BATCH))
 
-    return _certificate(space, batches(), tolerance, lambda null, _: (
-        "expected_nullspace_dim", expected, null.shape[1] == expected))
+    return _certificate(space, batches(), tolerance,
+                        lambda null, _: ("expected_nullspace_dim", expected))
 
 
 def canonical_j(n):
@@ -335,8 +396,15 @@ def canonical_j(n):
 def _identity_rows(space, entries):
     """Functional rows of identity entries (name, quadruple[, quadruple]):
     the row of the first quadruple minus that of the second, if any.  Shape
-    (E, d), or (s, E, d) frame-major for entries on stacks of s frames."""
-    return np.stack(_per_entry(functools.partial(functional_row, space), entries), axis=-2)
+    (E, d), or (s, E, d) frame-major for entries on stacks of s frames.  All
+    quadruples go through one ``functional_row`` call."""
+    quads = [quad for _, *terms in entries for quad in terms]
+    rows = functional_row(space, *(np.stack(v, axis=-2) for v in zip(*quads)))
+    first = np.cumsum([0] + [len(terms) for _, *terms in entries[:-1]])
+    paired = [e for e, (_, *terms) in enumerate(entries) if len(terms) == 2]
+    out = np.take(rows, first, axis=-2)
+    out[..., paired, :] -= np.take(rows, first[paired] + 1, axis=-2)
+    return out
 
 
 def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
@@ -372,18 +440,7 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
         residuals = {name: float(values[:, names == name].max(initial=0.0))
                      if name in names else None
                      for name in ("3.4", "3.8", "quadruple")}  # (3.8) needs m >= 4
-        return "derived_residuals", {**residuals, "weyl": max_weyl}, True
+        return "derived_residuals", {**residuals, "weyl": max_weyl}
 
     return {"m": m, **_certificate(space, batches(), tolerance, derived)}
 
-
-def containment_residual(report_inner, report_outer):
-    """Max projection defect of the inner null space onto the outer one.
-
-    Both reports must come from the same dimension (same
-    ``curvature_space``), so coordinates are comparable.
-    """
-    inner = report_inner["nullspace"]
-    outer = report_outer["nullspace"]
-    proj = outer @ (outer.T @ inner)
-    return float(np.max(np.abs(inner - proj)))

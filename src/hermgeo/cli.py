@@ -153,13 +153,11 @@ def cmd_verify_theorem(args):
         samples=args.frames)
     schouten = ax.schouten_nullspace_verify(
         n, fr.FrameSampler(args.seed, n), tolerance=args.tol)
-    containment = ax.containment_residual(theorem, schouten)
     report = {
         "command": "verify-theorem", "m": args.m, "dimension": n,
         "seed": args.seed, "tolerance": args.tol,
         "theorem": _strip_arrays(theorem),
         "schouten": _strip_arrays(schouten),
-        "containment_residual": containment,
     }
     sys.stdout.write(reportio.dump_report(report))
     failed = ", ".join(name for name in ("theorem", "schouten") if not report[name]["pass"])

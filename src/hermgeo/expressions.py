@@ -310,9 +310,11 @@ def differentiate(e, sym):
             return mul(mul(b, pow_(a, Const(b.value - 1.0))), da)
         if isinstance(a, Const):
             return mul(mul(e, call("log", a)), db)
-        # f^g with non-constant exponent: rewrite as exp(g*log f)
-        rewritten = call("exp", mul(b, call("log", a)))
-        return differentiate(rewritten, sym)
+        # f^g with non-constant exponent: exp(g*log f) * (g'*log f + g*(1/f)*f'),
+        # the tree differentiating exp(g*log f) gives, from da and db
+        log_a = call("log", a)
+        return mul(call("exp", mul(b, log_a)),
+                   add(mul(db, log_a), mul(b, mul(div(Const(1.0), a), da))))
     raise TypeError(f"not an Expr: {e!r}")
 
 

@@ -8,6 +8,9 @@ product (the document's ``j_rule``), with its exact derivative taken from the
 jet of the embedding map.
 """
 
+import json
+import re
+
 import numpy as np
 
 from . import expressions as ex
@@ -282,6 +285,9 @@ def instantiate(name, **params):
             raise ValueError(f"{key} must be an integer, got {value!r}")
     try:
         doc, expected = builder(**{**defaults, **params})
+        # an overflowed number prints as inf or nan into the document's text
+        if re.search(r"\b(?:inf|nan|Infinity|NaN)\b", json.dumps(doc)):
+            raise OverflowError("the document holds a non-finite number")
     except ArithmeticError as exc:  # a parameter whose arithmetic over- or underflows
         raise ValueError(f"{name} cannot be built with {params}: "
                          f"arithmetic out of range ({exc})") from None

@@ -101,6 +101,65 @@ def test_schouten_nullspace_dims():
         assert report["pass"]
 
 
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_products_are_an_orthonormal_basis_of_kn_products(n, rng):
+    products = ax._products(n)
+    assert products.shape == (ax.curvature_space_dim(n), n * (n + 1) // 2)
+    assert np.max(np.abs(products.T @ products - np.eye(products.shape[1]))) <= 1e-14
+    h = rng.normal(size=(n, n))
+    coords = ax.curvature_basis(n) @ cv.kulkarni_nomizu(h + h.T, np.eye(n)).reshape(-1)
+    assert np.max(np.abs(coords - products @ (products.T @ coords))) <= 1e-13
+
+
+def _schouten_stack(n, seed=0):
+    """The converged Schouten constraint rows of dimension n and their rank."""
+    space, g, sampler = ax.curvature_space(n), np.eye(n), fr.FrameSampler(seed, n)
+
+    def batches():
+        while True:
+            yield ax.functional_row(space, *ax._quadruples(g, sampler, ax._SCHOUTEN_BATCH))
+
+    return ax._stable_nullspace(batches(), space.dim)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_check_fails_on_a_row_that_does_not_vanish_on_products(n):
+    rows, rank = _schouten_stack(n)
+    products = ax._products(n)
+    assert ax._check(rows, rank, products)[0]
+    extra = np.vstack([rows, products[:, 0]])
+    for claimed in (rank + 1, rank):  # the loop's rank, and the old one
+        holds, gap = ax._check(extra, claimed, products)
+        assert not holds and gap["largest_dropped"] > 1e-9
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_check_fails_on_a_stack_cut_short(n):
+    rows, rank = _schouten_stack(n)
+    short = rows[:rank // 2]
+    for claimed in (np.linalg.matrix_rank(short), rank):
+        holds, gap = ax._check(short, claimed, ax._products(n))
+        # the Cholesky finds no positive margin on the complement
+        assert not holds and gap["smallest_kept"] is None
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_smallest_kept_is_a_bound_within_one_percent_of_the_svd(m, monkeypatch):
+    stacks, loop = [], ax._stable_nullspace
+
+    def recording(batches, dim):
+        stacks.append(loop(batches, dim))
+        return stacks[-1]
+    monkeypatch.setattr(ax, "_stable_nullspace", recording)
+    n = 2 * m
+    reports = [ax.theorem_nullspace_verify(m, fr.FrameSampler(0, n), samples=8),
+               ax.schouten_nullspace_verify(n, fr.FrameSampler(0, n))]
+    for rep, (rows, rank) in zip(reports, stacks):
+        sv = np.linalg.svd(rows, compute_uv=False)
+        kept = sv[rank - 1] / sv[0]
+        assert 0.99 * kept <= rep["rank_gap"]["smallest_kept"] <= kept
+
+
 def test_schouten_contains_kn_products(rng):
     n = 4
     report = ax.schouten_nullspace_verify(n, fr.FrameSampler(0, n))
@@ -122,8 +181,8 @@ def test_theorem_nullspace_m2():
     assert report["derived_residuals"]["quadruple"] <= 1e-9
     assert report["pass"]
     schouten = ax.schouten_nullspace_verify(4, fr.FrameSampler(0, 4))
-    assert ax.containment_residual(report, schouten) <= 1e-9
-    assert ax.containment_residual(schouten, report) <= 1e-9
+    assert report["rank_gap"]["largest_dropped"] <= 1e-9
+    assert schouten["rank_gap"]["largest_dropped"] <= 1e-9
 
 
 def test_theorem_nullspace_m3():
@@ -168,10 +227,9 @@ def test_stable_nullspace_budget_grows_with_dimension():
         while True:
             yield rng.normal(size=(batch, rank)) @ span
 
-    rows, null, _ = ax._stable_nullspace(batches(), dim)
-    assert null.shape == (dim, dim - rank)
+    rows, found = ax._stable_nullspace(batches(), dim)
+    assert found == rank
     assert rows.shape[0] == batch * (rank // batch + 3)
-    assert np.max(np.abs(span @ null)) <= 1e-9 * np.max(np.abs(span))
 
 
 @pytest.mark.parametrize("seed", [5, 11])

@@ -7,9 +7,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import bench_file  # noqa: E402
 
 
-def _doc(setup_s, wall_s):
-    return {"workloads": {"chart-cp3": {"median": {"setup_s": setup_s}}},
-            "one_shot": {"models list": {"wall_s": wall_s, "samples_s": [wall_s]}}}
+def _doc(setup_s, wall_s, cpu_s=(0.3, 0.4)):
+    """A BENCH document with the given samples; its medians are the middle ones."""
+    return {"workloads": {"chart-cp3": {
+                "runs": [{"metrics": {"setup_s": v}} for v in setup_s],
+                "median": {"setup_s": sorted(setup_s)[len(setup_s) // 2]}}},
+            "one_shot": {"models list": {"wall_s": wall_s, "samples_s": [wall_s],
+                                         "cpu_s": cpu_s[0], "samples_cpu_s": list(cpu_s)}}}
 
 
 def test_previous_is_the_newest_lower_number(tmp_path):
@@ -20,9 +24,22 @@ def test_previous_is_the_newest_lower_number(tmp_path):
 
 
 def test_diff_lines_compare_shared_metrics():
-    lines = bench_file.diff_lines(_doc(0.6, 0.64), _doc(0.3, 0.32))
-    assert lines == ["chart-cp3 setup_s: 0.6 -> 0.3 (-50.0%)",
-                     "models list wall_s: 0.64 -> 0.32 (-50.0%)"]
+    lines = bench_file.diff_lines(_doc([0.6], 0.64), _doc([0.3], 0.32))
+    assert lines == ["chart-cp3 setup_s: 0.6 -> 0.3 (-50.0%) changed",
+                     "models list wall_s: 0.64 -> 0.32 (-50.0%) changed",
+                     "models list cpu_s: 0.3 -> 0.3 (+0.0%) overlap"]
+
+
+def test_diff_lines_call_a_row_changed_only_on_disjoint_sample_ranges():
+    old = _doc([0.5, 0.6, 0.9], 1.0, cpu_s=(2.0, 2.5))
+    new = _doc([0.3, 0.4, 0.55], 1.0, cpu_s=(1.0, 1.9))
+    assert bench_file.diff_lines(old, new) == [
+        "chart-cp3 setup_s: 0.6 -> 0.4 (-33.3%) overlap",
+        "models list wall_s: 1 -> 1 (+0.0%) overlap",
+        "models list cpu_s: 2 -> 1 (-50.0%) changed"]
+    # a file written before CPU time was recorded compares the other metrics
+    del old["one_shot"]["models list"]["cpu_s"], old["one_shot"]["models list"]["samples_cpu_s"]
+    assert len(bench_file.diff_lines(old, new)) == 2
 
 
 def test_every_one_shot_row_is_a_median_of_fresh_processes(monkeypatch):
@@ -30,7 +47,7 @@ def test_every_one_shot_row_is_a_median_of_fresh_processes(monkeypatch):
 
     def fake_process(*args):
         calls.append(args)
-        return 0.1 * len(calls), 50.0 + len(calls)
+        return 0.1 * len(calls), 50.0 + len(calls), 0.05 * len(calls)
     monkeypatch.setattr(bench_file, "cli_process", fake_process)
     rows = bench_file.one_shot()
     runs = bench_file.ONE_SHOT_RUNS
@@ -39,5 +56,12 @@ def test_every_one_shot_row_is_a_median_of_fresh_processes(monkeypatch):
     assert len(calls) == 1 + runs * len(rows)  # the models emit that writes the CP^2 file
     for row in rows.values():
         assert len(row["samples_s"]) == len(row["samples_rss_mb"]) == runs
+        assert len(row["samples_cpu_s"]) == runs
         assert row["wall_s"] == sorted(row["samples_s"])[runs // 2]
         assert row["peak_rss_mb"] == sorted(row["samples_rss_mb"])[runs // 2]
+        assert row["cpu_s"] == sorted(row["samples_cpu_s"])[runs // 2]
+
+
+def test_cli_process_reports_the_child_cpu_time():
+    wall, rss, cpu = bench_file.cli_process("models", "list")
+    assert 0 < cpu <= wall and rss > 0

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -129,6 +130,24 @@ def test_diff_general_power():
     h = 1e-6
     fd = (e.eval({"x": x0 + h}) - e.eval({"x": x0 - h})) / (2 * h)
     assert e.diff("x").eval({"x": x0}) == pytest.approx(fd, rel=1e-8)
+
+
+@pytest.mark.parametrize("base", ["u", "1 + u*v"])
+def test_diff_power_tower_reuses_operand_derivatives(base):
+    # f^g with a non-constant exponent: the tree differentiating exp(g*log f)
+    # gives, built from f' and g' without differentiating them again
+    f = ex.parse(base, ["u", "v"])
+    tower = f
+    for _ in range(2, 11):
+        tower = ex.pow_(f, tower)
+        rewritten = ex.call("exp", ex.mul(tower.right, ex.call("log", tower.left)))
+        for sym in ("u", "v"):
+            assert repr(ex.differentiate(tower, sym)) == repr(ex.differentiate(rewritten, sym))
+    for _ in range(90):
+        tower = ex.pow_(f, tower)
+    start = time.perf_counter()
+    ex.differentiate(tower, "u")  # 100 levels
+    assert time.perf_counter() - start < 1.0
 
 
 def test_evaluate_examples():

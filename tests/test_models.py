@@ -25,6 +25,10 @@ def test_instantiate_errors():
         models.instantiate("round_sphere", radius=2.0)
     with pytest.raises(ValueError):
         models.instantiate("round_sphere", r=-1.0)
+    # 4 r^4 overflows to inf, which the builder would print into its document
+    for name in ("round_sphere", "s6_nearly_kahler"):
+        with pytest.raises(ValueError, match="arithmetic out of range"):
+            models.instantiate(name, r=1e77)
 
 
 def test_flat_kahler():
