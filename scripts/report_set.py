@@ -11,7 +11,8 @@ thread as in the benchmark.  The set is fixed:
 - every command of every ``perfbench/workloads.py`` workload at SEEDS, plus
   each workload's warm-up, on the manifold files the workload writes;
 - ``models emit`` of each of MODELS;
-- ``verify-theorem --m M --seed S`` for M in THEOREM_M and S in THEOREM_SEEDS.
+- ``verify-theorem --m M --seed S`` for M in THEOREM_M and S in THEOREM_SEEDS,
+  then ``verify-theorem --m 6 --seed 1``, the largest certificate (about 4 s).
 
 A line keeps the report's values, not its spelling: stdout is parsed with
 every integer read as a float (``null`` if stdout is empty), so ``1`` and
@@ -57,6 +58,7 @@ def command_set(workdir):
     out += [(["models", "emit", name], {}) for name in MODELS]
     out += [(["verify-theorem", "--m", str(m), "--seed", str(seed)], {})
             for m in THEOREM_M for seed in THEOREM_SEEDS]
+    out.append((["verify-theorem", "--m", "6", "--seed", "1"], {}))
     return out
 
 

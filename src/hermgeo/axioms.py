@@ -10,8 +10,8 @@ umbilical-sphere axiom, and the orthogonal-quadruple criterion, are linear
 functionals on that space.  Frames are sampled until the constraint rank
 stabilizes; the rows are then checked to vanish on exactly the space K of
 products h ⊙ g, written down in closed form, with a certified margin on its
-complement.  The conformal (Weyl) tensor is evaluated on K.  A vanishing
-Weyl norm over the null space is the machine form of the classical
+complement.  K and its conformal (Weyl) norm are built once per n.  A
+vanishing Weyl norm over the null space is the machine form of the classical
 conformal-flatness conclusion.
 """
 
@@ -249,26 +249,28 @@ def _gamma(k):
 
 @functools.cache
 def _products(n):
-    """Orthonormal basis (d, n(n+1)/2) of K, the Kulkarni-Nomizu products
-    h ⊙ I, in coordinates of ``curvature_space(n)``.
+    """(basis, max_weyl) of K, the Kulkarni-Nomizu products h ⊙ I: an
+    orthonormal basis (d, n(n+1)/2) in coordinates of ``curvature_space(n)``,
+    and the max Weyl norm (identity metric) of its tensors.
 
-    The products of h = e_a e_b^T + e_b e_a^T, a <= b, are written down
-    directly: each entry (ij, kl) of ``space.entries`` takes its component
-    R_ijkl (i < j, k < l), the coordinates are B^T of the entry vector, and
-    one QR of the d x n(n+1)/2 result makes them orthonormal.
+    The products of h = e_a e_b^T + e_b e_a^T, a <= b, are taken at each
+    entry (ij, kl) of ``space.entries`` as R_ijkl (i < j, k < l), the
+    coordinates are B^T of the entry vector, and one QR of the
+    d x n(n+1)/2 result makes them orthonormal.
     """
     space = curvature_space(n)
     a, b = np.triu_indices(n)
     h = np.zeros((len(a), n, n))
     h[np.arange(len(a)), a, b] = h[np.arange(len(a)), b, a] = 1.0
     i, j, k, l = space.pairs[space.entries].reshape(-1, 4).T
-    R = (h[:, i, l] * (j == k) + h[:, j, k] * (i == l)
-         - h[:, i, k] * (j == l) - h[:, j, l] * (i == k))
+    R = cv.kulkarni_nomizu(h, np.eye(n))[:, i, j, k, l]
     p, q = space.entries.T
     entry = R * np.where(p == q, 2.0, 8 ** 0.5)  # R = M_pq = smat(entry)_pq / 2
     basis = np.linalg.qr(np.einsum("kct,ct->ck", entry[:, space.index], space.weight))[0]
     basis.flags.writeable = False
-    return basis
+    T, g = _tensors(space, basis.T), np.eye(n)
+    S, s = cv.ricci_scalar(T, g)
+    return basis, float(np.max(np.abs(cv.weyl(T, S, s, g)), initial=0.0))
 
 
 def _stable_nullspace(row_batches, dim):
@@ -344,44 +346,38 @@ def _check(rows, rank, products):
     return certified and containment <= _RANK_CUT and dim - rank == k, gap
 
 
-def _certificate(space, row_batches, tolerance, own):
+def _certificate(space, row_batches, tolerance, field):
     """The report both certificates share.  The constraint rows at stable
-    rank are checked to vanish on exactly K = span{h ⊙ I}, whose orthonormal
-    basis is the ``nullspace``, and the max Weyl norm (identity metric) of
-    its tensors is taken.  ``own(null, max_weyl)`` gives the certificate's
-    own field as (key, value).  It passes if the check holds and the Weyl
-    norm is within ``tolerance``."""
+    rank are checked to vanish on exactly K = span{h ⊙ I}, whose tensors
+    have the max Weyl norm reported.  ``field`` is the certificate's own
+    (key, value).  It passes if the check holds and the Weyl norm is within
+    ``tolerance``."""
     rows, rank = _stable_nullspace(row_batches, space.dim)
-    null = _products(space.n)
-    holds, gap = _check(rows, rank, null)
-    T, g = _tensors(space, null.T), np.eye(space.n)
-    S, s = cv.ricci_scalar(T, g)
-    max_weyl = float(np.max(np.abs(cv.weyl(T, S, s, g)), initial=0.0))
-    key, value = own(null, max_weyl)
+    products, max_weyl = _products(space.n)
+    holds, gap = _check(rows, rank, products)
+    key, value = field
     return {"dimension": space.n, "constraint_rows": int(rows.shape[0]),
             "nullspace_dim": space.dim - rank, key: value, "max_weyl": max_weyl,
             "tolerance": tolerance, "pass": holds and max_weyl <= tolerance,
-            "rank_gap": gap, "nullspace": null}
+            "rank_gap": gap}
 
 
 def schouten_nullspace_verify(n, sampler, tolerance=1e-8):
     """Solution space of the orthogonal-quadruple vanishing condition.
 
     Returns a report with the null-space dimension (expected n(n+1)/2), the
-    max Weyl norm over an orthonormal null-space basis, the rank gap, and
-    that basis itself (``nullspace``, columns in coordinates of
-    ``curvature_space(n)``).
+    max Weyl norm over an orthonormal basis of K, and the rank gap.
     """
     if n < 4:
         raise cv.UnsupportedDimensionError("need dimension >= 4")
-    space, g, expected = curvature_space(n), np.eye(n), n * (n + 1) // 2
+    space, g = curvature_space(n), np.eye(n)
 
     def batches():
         while True:
             yield functional_row(space, *_quadruples(g, sampler, _SCHOUTEN_BATCH))
 
     return _certificate(space, batches(), tolerance,
-                        lambda null, _: ("expected_nullspace_dim", expected))
+                        ("expected_nullspace_dim", n * (n + 1) // 2))
 
 
 def canonical_j(n):
@@ -413,9 +409,10 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
 
     Constraints are the identities the axiom yields directly: (3.1), (3.2),
     (3.3), and for m > 2 also (3.5), (3.6), (3.7).  The derived identities
-    (3.4), (3.8), orthogonal-quadruple vanishing and the Weyl norm are then
-    verified on the resulting null space: the check functionals on all
-    sampled frames, times the null-space basis, in one product.
+    (3.4), (3.8), orthogonal-quadruple vanishing and the Weyl norm are
+    verified on K, the space the certificate then proves to be the null
+    space: the check functionals on all sampled frames, times K's basis, in
+    one product.
     """
     if m < 2:
         raise cv.UnsupportedDimensionError("need complex dimension m >= 2")
@@ -427,20 +424,17 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
             frames = fr.admissible_frames(g, J, sampler, _THEOREM_BATCH, need_z=m > 2)
             yield _identity_rows(space, _identities(J, frames, _DIRECT)).reshape(-1, space.dim)
 
-    # check frames are drawn before the rank loop: a count too large to
+    # derived residuals come before the rank loop: a check count too large to
     # allocate fails at once; their own samplers leave the loop's draws alone
     checks = _identities(J, fr.admissible_frames(
         g, J, fr.FrameSampler(sampler.seed + 1, n), samples, need_z=m > 2, need_u=m >= 4),
         ("3.4", "3.8"))
     checks.append(("quadruple", _quadruples(g, fr.FrameSampler(sampler.seed + 2, n), samples)))
 
-    def derived(null, max_weyl):
-        values = np.abs(_identity_rows(space, checks) @ null)
-        names = np.array([name for name, *_ in checks])
-        residuals = {name: float(values[:, names == name].max(initial=0.0))
-                     if name in names else None
-                     for name in ("3.4", "3.8", "quadruple")}  # (3.8) needs m >= 4
-        return "derived_residuals", {**residuals, "weyl": max_weyl}
-
-    return {"m": m, **_certificate(space, batches(), tolerance, derived)}
-
+    products, max_weyl = _products(n)
+    values = np.abs(_identity_rows(space, checks) @ products)
+    names = np.array([name for name, *_ in checks])
+    derived = {name: float(values[:, names == name].max(initial=0.0)) if name in names else None
+               for name in ("3.4", "3.8", "quadruple")}  # (3.8) needs m >= 4
+    return {"m": m, **_certificate(space, batches(), tolerance,
+                                   ("derived_residuals", {**derived, "weyl": max_weyl}))}

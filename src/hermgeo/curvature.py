@@ -143,15 +143,7 @@ class PointData:
 
 def christoffel(chart, point):
     """Levi-Civita Christoffel symbols gamma[a,i,j] = Gamma^a_ij at a point."""
-    g, dg, _ = chart.metric_jets(point)
-    return _christoffel(np.linalg.inv(g), dg)[1]
-
-
-def _christoffel(gi, d1):
-    """(low, gamma): low[m,i,j] = Gamma_m,ij = (d_i g_mj + d_j g_mi - d_m g_ij)/2
-    and gamma[a,i,j] = Gamma^a_ij = g^am low[m,i,j]."""
-    low = 0.5 * (np.einsum("imj->mij", d1) + np.einsum("jmi->mij", d1) - d1)
-    return low, np.einsum("am,mij->aij", gi, low)
+    return connection_jet(*chart.metric_jets(point))[0]
 
 
 def connection_jet(g, d1, d2):
@@ -161,7 +153,9 @@ def connection_jet(g, d1, d2):
     R4[i,j,k,l] = g(R(d_i,d_j) d_k, d_l)."""
     n = len(g)
     gi = np.linalg.inv(g)
-    low, gamma = _christoffel(gi, d1)
+    # Gamma_m,ij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2 and Gamma^a_ij = g^am Gamma_m,ij
+    low = 0.5 * (np.einsum("imj->mij", d1) + np.einsum("jmi->mij", d1) - d1)
+    gamma = np.einsum("am,mij->aij", gi, low)
     dlow = 0.5 * (np.einsum("cimj->cmij", d2) + np.einsum("cjmi->cmij", d2) - d2)
     # d_c Gamma^a_ij = g^am (d_c Gamma_m,ij - d_c g_mb Gamma^b_ij)
     dgamma = gi @ (dlow.reshape(n, n, n * n) - d1 @ gamma.reshape(n, n * n))

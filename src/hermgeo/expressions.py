@@ -441,22 +441,21 @@ def _product(value, a, b):
     return value, a[0] * b[1] + b[0] * a[1], a[0] * b[2] + b[0] * a[2] + cross + cross.T
 
 
-def _binop_jet(e, a, b):
+def _binop_jet(e, value, a, b):
+    """Jet of the binary node ``e``, given its value and its operands' jets."""
     if e.op == "+":
-        return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+        return value, a[1] + b[1], a[2] + b[2]
     if e.op == "-":
-        return a[0] - b[0], a[1] - b[1], a[2] - b[2]
+        return value, a[1] - b[1], a[2] - b[2]
     if e.op == "*":
-        return _product(a[0] * b[0], a, b)
+        return _product(value, a, b)
     if e.op == "/":
-        value = _apply_binop("/", a[0], b[0])
         return _product(value, a, _call("/", 1.0 / b[0], b))
     if isinstance(e.right, Const):
         c = e.right.value
-        return _chain(_apply_binop("^", a[0], c), c * _apply_binop("^", a[0], c - 1.0),
+        return _chain(value, c * _apply_binop("^", a[0], c - 1.0),
                       c * (c - 1.0) * _apply_binop("^", a[0], c - 2.0), a)
     # f^g with non-constant exponent, differentiated as exp(g*log f)
-    value = _apply_binop("^", a[0], b[0])
     log_a = _call("log", _apply_call("log", a[0]), a)
     return _call("exp", value, _product(b[0] * log_a[0], b, log_a))
 
@@ -469,7 +468,9 @@ def jets(exprs, coordinates, point):
     tree once (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13),
     memoised on node identity within the call, so a subtree shared between
     or within expressions is visited once.  Node values go through the same
-    domain checks as ``evaluate``.
+    domain checks as ``evaluate``.  A subtree without symbols, told by the
+    shared zero gradient of its operands, has the exact jet (value, 0, 0),
+    and dividing by it scales the jet: an infinite constant gives no NaN.
     """
     n = len(coordinates)
     zero1, zero2 = np.zeros(n), np.zeros((n, n))
@@ -489,12 +490,20 @@ def jets(exprs, coordinates, point):
             out = seeds[e.name]
         elif isinstance(e, Neg):
             v, g, h = jet(e.arg)
-            out = (-v, -g, -h)
+            out = (-v, g, h) if g is zero1 else (-v, -g, -h)
         elif isinstance(e, Call):
             u = jet(e.arg)
-            out = _call(e.fn, _apply_call(e.fn, u[0]), u)
+            value = _apply_call(e.fn, u[0])
+            out = (value, zero1, zero2) if u[1] is zero1 else _call(e.fn, value, u)
         elif isinstance(e, BinOp):
-            out = _binop_jet(e, jet(e.left), jet(e.right))
+            a, b = jet(e.left), jet(e.right)
+            value = _apply_binop(e.op, a[0], b[0])
+            if a[1] is zero1 and b[1] is zero1:
+                out = (value, zero1, zero2)
+            elif e.op == "/" and b[1] is zero1:  # 1/b, not the chain rule's 1/b^2
+                out = (value, a[1] * (1.0 / b[0]), a[2] * (1.0 / b[0]))
+            else:
+                out = _binop_jet(e, value, a, b)
         else:
             raise TypeError(f"not an Expr: {e!r}")
         memo[id(e)] = out

