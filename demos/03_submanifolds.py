@@ -36,7 +36,7 @@ def describe(label, imm, u):
     print(f"    |H| = {h_norm:.6f}   umbilicity residual = {data.umbilicity:.2e}")
     print(f"    max|D_X H| = {dh:.2e}")
     print(f"    curvature eq residual       = {r21:.2e}")
-    if r22 is None:
+    if data.umbilicity > 1e-8:  # the CLI's default --tol
         print("    umbilical reduction         = n/a (point not umbilical)")
     else:
         print(f"    umbilical reduction residual = {r22:.2e}")

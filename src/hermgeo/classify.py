@@ -1,7 +1,7 @@
 """Classification of almost Hermitian charts from precomputed point data.
 
-Checks produce residuals; a flag passes iff its residual is at most the
-tolerance.  Everything is deterministic given (chart, points, seed).
+Checks produce residuals; every flag passes iff its residual is at most the
+one tolerance.  Everything is deterministic given (chart, points, seed).
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ COHOLOMORPHIC = "coholomorphic"
 NONE = "none"
 
 _ANGLE_TOL = 1e-8  # principal-angle threshold for subspace comparisons
-_NK_TOL = 1e-6     # nearly Kahler residual tolerance
 
 
 def _require_j(chart, pd):
@@ -150,9 +149,9 @@ def classify_chart(chart, pds, seed=0, samples=32, tolerance=1e-8):
     sampler = fr.FrameSampler(seed, chart.dim)
     checks = []
 
-    def record(name, residual, tol):
+    def record(name, residual):
         checks.append({"name": name, "residual": float(residual),
-                       "pass": bool(residual <= tol), "tolerance": tol,
+                       "pass": bool(residual <= tolerance), "tolerance": tolerance,
                        "samples": samples, "seed": seed})
 
     r_sq = r_comp = 0.0
@@ -167,13 +166,13 @@ def classify_chart(chart, pds, seed=0, samples=32, tolerance=1e-8):
         if pd.weyl is not None:
             weyl_norm = max(weyl_norm, cv.relative_weyl_norm(pd))
 
-    record("j_squared", r_sq, tolerance)
-    record("j_compatible", r_comp, tolerance)
-    record("kahler", kahler, tolerance)
-    record("nearly_kahler", nk, _NK_TOL)
-    record("rk", rk, tolerance)
+    record("j_squared", r_sq)
+    record("j_compatible", r_comp)
+    record("kahler", kahler)
+    record("nearly_kahler", nk)
+    record("rk", rk)
     if chart.dim >= 4:
-        record("conformally_flat", weyl_norm, tolerance)
+        record("conformally_flat", weyl_norm)
     constancy = constancy_report(chart, pds, sampler, samples, tolerance)
     return {"chart": chart.name, "points": [list(map(float, pd.point)) for pd in pds],
             "checks": checks, "constancy": constancy}

@@ -6,6 +6,9 @@ number >= 0, or a count too large to allocate, among them), 3 mathematical
 domain error, 4 non-convergence, 5 certificate failed (the rank converged but
 a certificate missed its tolerance; the report is still printed, the message
 names the failed one).
+
+Every flag of a chart command is ``residual <= --tol``, and ``submanifold``'s
+``codazzi_2_2_residual`` is null exactly at the points not totally umbilical.
 """
 
 import argparse
@@ -127,6 +130,7 @@ def cmd_submanifold(args):
         h_norm = float(np.sqrt(max(H @ data.ambient_metric @ H, 0.0)))
         alpha_max = float(np.max(np.abs(data.alpha)))
         geodesic = alpha_max <= args.tol * max(1.0, float(np.max(np.abs(data.induced))))
+        umbilical = geodesic or data.umbilicity <= args.tol
         entry = {
             "point": [float(v) for v in u],
             "alpha_max": alpha_max,
@@ -134,10 +138,10 @@ def cmd_submanifold(args):
             "umbilicity_residual": data.umbilicity,
             "dh_residual": dh_max,
             "codazzi_2_1_residual": r21,
-            "codazzi_2_2_residual": r22,
+            "codazzi_2_2_residual": r22 if umbilical else None,
             "totally_geodesic": geodesic,
-            "totally_umbilical": geodesic or data.umbilicity <= args.tol,
-            "parallel_mean_curvature": dh_max <= args.dh_tol,
+            "totally_umbilical": umbilical,
+            "parallel_mean_curvature": dh_max <= args.tol,
         }
         report["points"].append(entry)
     sys.stdout.write(reportio.dump_report(report))
@@ -228,7 +232,6 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--point", action="append", default=[], metavar="U1,U2,...")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--dh-tol", type=float, default=1e-6)
     p.set_defaults(fn=cmd_submanifold)
 
     p = sub.add_parser("verify-theorem",
@@ -263,10 +266,10 @@ def _join_point_values(argv):
 
 
 def _check_counts(args):
-    for name, least in (("samples", 1), ("frames", 1), ("seed", 0), ("tol", 0), ("dh_tol", 0)):
+    for name, least in (("samples", 1), ("frames", 1), ("seed", 0), ("tol", 0)):
         value = getattr(args, name, None)
         if value is not None and not least <= value < math.inf:  # nan fails too
-            raise UsageError(f"--{name.replace('_', '-')} must be a finite number of at least "
+            raise UsageError(f"--{name} must be a finite number of at least "
                              f"{least}, got {value}")
 
 
@@ -282,7 +285,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     except (UsageError, reportio.ManifoldFileError, cv.AsymmetricMetricError,
             MemoryError) as exc:  # MemoryError: a count too large to allocate
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except (ex.DomainError, ex.MissingBindingError, cv.SingularMetricError,
             cv.UnsupportedDimensionError, cv.DegeneratePlaneError,

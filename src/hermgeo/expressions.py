@@ -557,6 +557,8 @@ def to_string(e):
     """Render ``e`` so that parse(to_string(e)) reproduces the same tree."""
     if isinstance(e, Const):
         v = e.value
+        if math.isinf(v):  # parse reads an out-of-range literal as inf
+            return "1e400" if v > 0 else "-1e400"
         if v == math.floor(v) and abs(v) < 1e16:
             return str(int(v))
         return repr(v)

@@ -25,7 +25,6 @@ from . import expressions as ex
 from .frames import RankDeficiencyError
 
 _RANK_TOL = 1e-8
-_UMBILICAL_TOL = 1e-8  # umbilicity up to which the umbilical reduction is reported
 
 
 @dataclass
@@ -156,8 +155,8 @@ def codazzi_residuals(data):
 
     The first compares the normal part of the ambient curvature against the
     antisymmetrized covariant derivative of the second fundamental form; the
-    second against its totally umbilical reduction in terms of D H (reported
-    only when the point is umbilical; None otherwise).
+    second against its totally umbilical reduction in terms of D H, which
+    holds only at an umbilical point (the caller decides where that is).
     """
     F, P, alpha, gamma_ind = (data.tangent, data.normal_projector, data.alpha,
                               data.induced_gamma)
@@ -175,7 +174,4 @@ def codazzi_residuals(data):
             - G[:, None, :, None] * dh[None, :, None, :])
     a, b = np.triu_indices(k, 1)
     r21 = float(np.max(np.abs(lhs - cov + cov.transpose(1, 0, 2, 3))[a, b], initial=0.0))
-    r22 = float(np.max(np.abs(lhs - rhs2)[a, b], initial=0.0))
-    if data.umbilicity > _UMBILICAL_TOL:
-        r22 = None
-    return r21, r22
+    return r21, float(np.max(np.abs(lhs - rhs2)[a, b], initial=0.0))

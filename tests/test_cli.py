@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -175,6 +176,58 @@ def test_submanifold_requires_block(tmp_path, capsys):
     code, _, err = run_cli(capsys, "submanifold", path)
     assert code == 2
     assert "immersion" in err
+
+
+def write_squashed_sphere(tmp_path):
+    # a unit sphere stretched by 1.001 along x: umbilical only up to about 3e-4
+    doc = {"name": "r3_with_squashed_sphere", "dim": 3, "coordinates": ["x", "y", "z"],
+           "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+           "immersion": {"coordinates": ["u", "v"],
+                         "map": ["1.001*cos(u)*sin(v)", "sin(u)*sin(v)", "cos(v)"]}}
+    path = tmp_path / "squashed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("tol, umbilical", [("1e-2", True), ("1e-8", False)])
+def test_umbilical_reduction_is_reported_exactly_at_umbilical_points(tmp_path, capsys,
+                                                                     tol, umbilical):
+    path = write_squashed_sphere(tmp_path)
+    code, out, _ = run_cli(capsys, "submanifold", path, "--point=0.3,0.7", "--tol", tol)
+    assert code == 0
+    entry = json.loads(out)["points"][0]
+    assert 1e-8 < entry["umbilicity_residual"] < 1e-2
+    assert entry["totally_umbilical"] is umbilical
+    assert (entry["codazzi_2_2_residual"] is None) is not umbilical
+
+
+def test_removed_dh_tol_is_usage_error(tmp_path, capsys):
+    path = write_squashed_sphere(tmp_path)
+    code, out, err = run_cli(capsys, "submanifold", path, "--dh-tol", "1e-6")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "--dh-tol" in err
+
+
+def test_nearly_kahler_is_checked_at_tol(tmp_path, capsys):
+    path = write_model(tmp_path, "s6_nearly_kahler")
+    code, out, _ = run_cli(capsys, "classify", path, "--tol", "1e-12")
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["nearly_kahler"]["tolerance"] == 1e-12
+    assert {c["tolerance"] for c in checks.values()} == {1e-12}
+
+
+@pytest.mark.parametrize("command, options", [
+    (["analyze"], {"--point", "--weyl", "--tol", "--seed", "--samples"}),
+    (["classify"], {"--point", "--tol", "--seed", "--samples"}),
+    (["submanifold"], {"--point", "--tol"}),
+    (["verify-theorem"], {"--m", "--frames", "--seed", "--tol"}),
+    (["models", "emit"], {"--out", "--param"})])
+def test_option_inventory(capsys, command, options):
+    # adding or removing a knob is a visible edit here
+    code, out, _ = run_cli(capsys, *command, "--help")
+    assert code == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == options | {"--help"}
 
 
 def test_verify_theorem(capsys):
@@ -443,6 +496,14 @@ def test_models_emit_bad_param_is_usage_error(capsys, name, param):
     assert len(lines) == 1 and lines[0].startswith("error:")
     # the message is about the parameter, not about the document built from it
     assert "failed to parse" not in lines[0]
+
+
+def test_bare_memory_error_names_itself(capsys, monkeypatch):
+    def exhausted(name, **params):
+        raise MemoryError()
+    monkeypatch.setattr(models, "instantiate", exhausted)
+    code, out, err = run_cli(capsys, "models", "emit", "flat_kahler")
+    assert code == 2 and out == "" and err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("param", ["K=1e-320", "K=5e-324"])

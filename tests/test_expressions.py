@@ -94,6 +94,14 @@ def test_folding_keeps_non_finite_results_unfolded(text):
     assert ex.parse(ex.to_string(e), []) == e
 
 
+@pytest.mark.parametrize("text", ["1e400", "-1e400", "x*1e400", "tanh(1e400 + 7)",
+                                  "(-1e400)^x"])
+def test_infinite_constants_print_and_parse_back(text):
+    e = ex.parse(text, ["x"])
+    assert ex.parse(ex.to_string(e), ["x"]) == e
+    assert ex.parse(str(e), ["x"]) == e
+
+
 def test_constants():
     assert ex.parse("pi", []).eval({}) == pytest.approx(math.pi)
     assert ex.parse("e", []).eval({}) == pytest.approx(math.e)
@@ -285,7 +293,9 @@ def test_jets_agree_with_symbolic_derivatives_on_generated_trees():
         try:
             got = ex.jets([e], coords, point)
         except ex.DomainError:
-            continue  # a derivative tree differentiate folded to 0, as of sqrt(x - x)
+            # differentiate folded the derivative tree to 0, as of sqrt(x - x); a
+            # 2-jet cannot tell x - x from x^4, so jets raises (test_jets_domain_errors)
+            continue
         for w, g in zip(want, got):
             assert np.max(np.abs(g[0] - w)) <= 1e-9 * max(1.0, np.max(np.abs(w))), str(e)
         compared += 1
@@ -315,3 +325,12 @@ def test_jets_domain_errors():
         ex.jets([ex.parse("sqrt(x^2 + y^2)", ["x", "y"])], ["x", "y"], [0.0, 0.0])
     with pytest.raises(ex.MissingBindingError):
         ex.jets([ex.parse("x + y", ["x", "y"])], ["x"], [1.0])
+    # x - x and x^4 share the 2-jet (0, 0, 0) at 0, yet sqrt(x^4) = x^2 has
+    # Hessian 2: no rule on the jet alone is right for both, so both raise
+    for text in ("sqrt(x^4)", "sqrt(x - x)"):
+        with pytest.raises(ex.DomainError):
+            ex.jets([ex.parse(text, ["x"])], ["x"], [0.0])
+    with pytest.raises(ex.DomainError):
+        _symbolic_jet(ex.parse("sqrt(x^4)", ["x"]), ["x"], [0.0])
+    # differentiate cancels x - x symbolically, so only jets raises here
+    assert _symbolic_jet(ex.parse("sqrt(x - x)", ["x"]), ["x"], [0.0])[2][0][0] == 0.0

@@ -103,11 +103,10 @@ def manifold_docs(draw):
 
 _OPTIONS = {"--seed": _mostly(st.integers(0, 9), st.just(-1)).map(str),
             "--samples": _mostly(st.integers(1, 3), st.integers(-1, 0)).map(str),
-            "--tol": _mostly(st.sampled_from(["1e-8", "0", "1", "1e-300"]), _FLOAT.map(repr)),
-            "--dh-tol": _mostly(st.sampled_from(["1e-6", "0", "1"]), _FLOAT.map(repr))}
+            "--tol": _mostly(st.sampled_from(["1e-8", "0", "1", "1e-300"]), _FLOAT.map(repr))}
 _OWN = {"analyze": ["--seed", "--samples", "--tol"],
         "classify": ["--seed", "--samples", "--tol"],
-        "submanifold": ["--tol", "--dh-tol"]}
+        "submanifold": ["--tol"]}
 
 
 @st.composite
