@@ -36,6 +36,7 @@ _STABLE_BATCHES = 3
 _MAX_BATCHES = 200      # batches allowed beyond those a full-rank stack needs
 _THEOREM_BATCH = 6      # admissible frames per batch of theorem constraints
 _SCHOUTEN_BATCH = 8     # orthonormal quadruples per batch of Schouten constraints
+_BLOCK_ROWS = 128       # constraint rows drawn at once, then handed on batch by batch
 
 
 def curvature_space_dim(n):
@@ -159,14 +160,15 @@ def functional_row(space, X, Y, Z, U):
     # diagonal; M = smat(B x) / 2 turns the weights into 1/4 on the diagonal
     # and 1/(2 sqrt 2) off it.  w is (E, k), one column per functional.
     w = (a[p] * c[q] + a[q] * c[p]) * np.where(p == q, 0.25, 8 ** -0.5)[:, None]
-    # B^T w, (d, k): each column's entries weighted and summed in entry order.
-    # The rows are returned as its transpose.  Both that sum order and that
-    # layout decide the rounding of later products, so certificates depend
-    # on them.
-    terms = w[space.index.T]
-    terms *= space.weight.T[..., None]
-    rows = terms[0] + terms[1]
-    rows += terms[2]
+    # B^T w, (d, k): each column's entries weighted and summed in entry order,
+    # one gather at a time to keep blocks of rows small in memory.  The rows
+    # are returned as its transpose.  Both that sum order and that layout
+    # decide the rounding of later products, so certificates depend on them.
+    rows = w[space.index[:, 0]] * space.weight[:, 0, None]
+    for slot in (1, 2):
+        term = w[space.index[:, slot]]
+        term *= space.weight[:, slot, None]
+        rows += term
     return rows.T.reshape(lead + (space.dim,))
 
 
@@ -273,6 +275,36 @@ def _products(n):
     return basis, float(np.max(np.abs(cv.weyl(T, S, s, g)), initial=0.0))
 
 
+def _row_batches(space, sampler, J=None):
+    """Endless constraint row batches for ``_stable_nullspace``: the Schouten
+    rows of _SCHOUTEN_BATCH orthonormal quadruples, or with ``J`` the rows of
+    the _DIRECT identities on _THEOREM_BATCH admissible frames.
+
+    A block of about _BLOCK_ROWS rows takes one draw, one orthonormalization
+    and one ``functional_row`` call, and is handed on batch by batch.  The
+    rows do not depend on the block size: the uniform stream is the same in
+    one draw or in several, a frame does not depend on its stack size, and
+    ``functional_row`` is elementwise in its stack.  Only the measure-zero
+    redraw of a degenerate frame comes after its block, not its batch."""
+    g = np.eye(space.n)
+    if J is None:
+        batch, rows_per_batch = _SCHOUTEN_BATCH, _SCHOUTEN_BATCH
+
+        def rows(count):
+            return functional_row(space, *_quadruples(g, sampler, count))
+    else:
+        # (3.1), (3.2), (3.3) per frame; for m > 2 also (3.5) twice, (3.6), (3.7)
+        need_z = space.n > 4
+        batch, rows_per_batch = _THEOREM_BATCH, _THEOREM_BATCH * (7 if need_z else 3)
+
+        def rows(count):
+            frames = fr.admissible_frames(g, J, sampler, count, need_z=need_z)
+            return _identity_rows(space, _identities(J, frames, _DIRECT)).reshape(-1, space.dim)
+    per_block = -(-_BLOCK_ROWS // rows_per_batch)
+    while True:
+        yield from np.split(rows(per_block * batch), per_block)
+
+
 def _stable_nullspace(row_batches, dim):
     """Accumulate constraint rows until the rank is unchanged for three
     consecutive batches; return (rows, rank).
@@ -353,6 +385,7 @@ def _certificate(space, row_batches, tolerance, field):
     (key, value).  It passes if the check holds and the Weyl norm is within
     ``tolerance``."""
     rows, rank = _stable_nullspace(row_batches, space.dim)
+    row_batches.close()  # frees the rest of its last block before the Gram
     products, max_weyl = _products(space.n)
     holds, gap = _check(rows, rank, products)
     key, value = field
@@ -370,13 +403,8 @@ def schouten_nullspace_verify(n, sampler, tolerance=1e-8):
     """
     if n < 4:
         raise cv.UnsupportedDimensionError("need dimension >= 4")
-    space, g = curvature_space(n), np.eye(n)
-
-    def batches():
-        while True:
-            yield functional_row(space, *_quadruples(g, sampler, _SCHOUTEN_BATCH))
-
-    return _certificate(space, batches(), tolerance,
+    space = curvature_space(n)
+    return _certificate(space, _row_batches(space, sampler), tolerance,
                         ("expected_nullspace_dim", n * (n + 1) // 2))
 
 
@@ -419,11 +447,6 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
     n = 2 * m
     space, g, J = curvature_space(n), np.eye(n), canonical_j(n)
 
-    def batches():
-        while True:
-            frames = fr.admissible_frames(g, J, sampler, _THEOREM_BATCH, need_z=m > 2)
-            yield _identity_rows(space, _identities(J, frames, _DIRECT)).reshape(-1, space.dim)
-
     # derived residuals come before the rank loop: a check count too large to
     # allocate fails at once; their own samplers leave the loop's draws alone
     checks = _identities(J, fr.admissible_frames(
@@ -436,5 +459,5 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
     names = np.array([name for name, *_ in checks])
     derived = {name: float(values[:, names == name].max(initial=0.0)) if name in names else None
                for name in ("3.4", "3.8", "quadruple")}  # (3.8) needs m >= 4
-    return {"m": m, **_certificate(space, batches(), tolerance,
+    return {"m": m, **_certificate(space, _row_batches(space, sampler, J), tolerance,
                                    ("derived_residuals", {**derived, "weyl": max_weyl}))}

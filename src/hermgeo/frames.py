@@ -75,7 +75,9 @@ def orthonormal_frames(g, raw, sampler, J=None, rows=None):
     on the rows so far (as JY on an eigenvector Y of J).  The pivot lead is
     |v| for a frame's first row, max(1, |v|) after that.  A degenerate draw
     (measure zero) is redrawn from ``sampler`` for its frame alone, after
-    the block; a frame gives up after 64 draws of one vector."""
+    the block; a frame gives up after 64 draws of one vector.  Sums run
+    frame by frame, so a frame does not depend on its stack size: ``axioms``
+    draws its certificates' frames in blocks and relies on that."""
     g = np.asarray(g, dtype=float)
     s, k, dim = raw.shape
     basis = np.zeros((s, 0, dim)) if rows is None else rows

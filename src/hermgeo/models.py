@@ -273,7 +273,12 @@ def list_models():
             for name, (_, defaults, desc) in _BUILDERS.items()]
 
 
+MAX_DIMENSION = 64  # real dimension (2m, or n) above which no model is built
+
+
 def instantiate(name, **params):
+    """The chart of model ``name``; a bad parameter, a real dimension above
+    MAX_DIMENSION (checked before building) or overflow raises ValueError."""
     if name not in _BUILDERS:
         raise UnknownModelError(name)
     builder, defaults, _ = _BUILDERS[name]
@@ -283,6 +288,10 @@ def instantiate(name, **params):
     for key, value in params.items():
         if isinstance(defaults[key], int) and not float(value).is_integer():
             raise ValueError(f"{key} must be an integer, got {value!r}")
+    for key, factor in (("m", 2), ("n", 1)):
+        if key in params and factor * float(params[key]) > MAX_DIMENSION:
+            raise ValueError(f"{key}={params[key]:g} gives a real dimension above "
+                             f"the cap of {MAX_DIMENSION}")
     try:
         doc, expected = builder(**{**defaults, **params})
         # an overflowed number prints as inf or nan into the document's text

@@ -113,13 +113,8 @@ def test_products_are_an_orthonormal_basis_of_kn_products(n, rng):
 
 def _schouten_stack(n, seed=0):
     """The converged Schouten constraint rows of dimension n and their rank."""
-    space, g, sampler = ax.curvature_space(n), np.eye(n), fr.FrameSampler(seed, n)
-
-    def batches():
-        while True:
-            yield ax.functional_row(space, *ax._quadruples(g, sampler, ax._SCHOUTEN_BATCH))
-
-    return ax._stable_nullspace(batches(), space.dim)
+    space = ax.curvature_space(n)
+    return ax._stable_nullspace(ax._row_batches(space, fr.FrameSampler(seed, n)), space.dim)
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -213,7 +208,29 @@ def test_functional_row_batches_match_single_rows(rng):
     assert rows.shape == (7, space.dim)
     for k in range(7):
         single = ax.functional_row(space, *quads[:, k])
-        assert np.max(np.abs(rows[k] - single)) <= 1e-15
+        assert np.array_equal(rows[k], single)
+
+
+def test_quadruple_block_equals_two_half_blocks():
+    n = 6
+    g, sampler, twin = np.eye(n), fr.FrameSampler(3, n), fr.FrameSampler(3, n)
+    block = ax._quadruples(g, sampler, 16)
+    halves = np.concatenate([ax._quadruples(g, twin, 8) for _ in range(2)], axis=1)
+    assert block.shape == (4, 16, n)
+    assert np.array_equal(block, halves)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_block_size_does_not_change_a_report(m, seed, monkeypatch):
+    n = 2 * m
+
+    def reports():
+        return (ax.theorem_nullspace_verify(m, fr.FrameSampler(seed, n), samples=16),
+                ax.schouten_nullspace_verify(n, fr.FrameSampler(seed, n)))
+    default = reports()
+    monkeypatch.setattr(ax, "_BLOCK_ROWS", 1)  # one batch per block
+    assert reports() == default
 
 
 def test_stable_nullspace_budget_grows_with_dimension():

@@ -498,6 +498,28 @@ def test_models_emit_bad_param_is_usage_error(capsys, name, param):
     assert "failed to parse" not in lines[0]
 
 
+@pytest.mark.parametrize("name, param", [
+    ("flat_kahler", "m=1e9"), ("fubini_study", "m=33"), ("round_sphere", "n=1e9"),
+    ("hyperbolic", "n=65"),
+])
+def test_models_emit_above_the_dimension_cap_is_refused_at_once(capsys, monkeypatch,
+                                                                name, param):
+    def never(*args, **kwargs):
+        raise AssertionError("the builder ran")
+    monkeypatch.setitem(models._BUILDERS, name, (never, *models._BUILDERS[name][1:]))
+    code, out, err = run_cli(capsys, "models", "emit", name, "--param", param)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f"cap of {models.MAX_DIMENSION}" in lines[0]
+
+
+def test_models_emit_at_the_dimension_cap_emits(capsys):
+    code, out, err = run_cli(capsys, "models", "emit", "flat_kahler", "--param", "m=32")
+    assert code == 0 and err == ""
+    assert json.loads(out)["dim"] == models.MAX_DIMENSION == 64
+
+
 def test_bare_memory_error_names_itself(capsys, monkeypatch):
     def exhausted(name, **params):
         raise MemoryError()

@@ -181,6 +181,17 @@ def test_stacked_frames_equal_sequential_frames(need_z, need_u, rng):
     assert np.array_equal(sampler.draw(1), twin.draw(1))  # as many draws on both
 
 
+def test_admissible_block_equals_two_half_blocks():
+    n = 6
+    g, J = np.eye(n), canonical_j(n)
+    sampler, twin = fr.FrameSampler(4, n), fr.FrameSampler(4, n)
+    block = fr.admissible_frames(g, J, sampler, 12, need_z=True)
+    halves = np.concatenate([fr.admissible_frames(g, J, twin, 6, need_z=True)
+                             for _ in range(2)], axis=1)
+    assert block.shape == (3, 12, n)
+    assert np.array_equal(block, halves)
+
+
 class BlockSampler:
     """Draws the given rows in order, ``count`` at a time."""
 
