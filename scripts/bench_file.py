@@ -13,14 +13,18 @@ file is written by a ``models emit`` process first) and ``verify-theorem`` at
 each of CERTIFICATE_M.  Each row runs ONE_SHOT_RUNS processes and keeps the
 median wall time, CPU time (user + system, from the child's rusage) and
 peak RSS next to the per-run samples.  OpenBLAS is pinned to one thread, as
-in the benchmark.
+in the benchmark.  The environment records ``kernel_s``, the median of
+KERNEL_PASSES passes of the benchmark's calibration kernel
+(``perfbench/calibrate.py``): how fast the host ran while the file was
+written.
 
 The earlier file is the BENCH_<k>.json next to the output with the largest
 k below n.  A diff line ends in "changed" when the samples of the two files
 (the runs over the seeds, or a one-shot row's processes) span disjoint
-ranges, and in "overlap" otherwise.  Exits 1 if a run fails, reports an
-incorrect result or a one-shot command exits non-zero; the file is not
-written then.
+ranges, and in "overlap" otherwise.  When both files record ``kernel_s``,
+the diff opens with it, so a change in host speed is told from a change in
+the code.  Exits 1 if a run fails, reports an incorrect result or a one-shot
+command exits non-zero; the file is not written then.
 """
 
 import argparse
@@ -38,6 +42,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
 ONE_SHOT_RUNS = 5
 CERTIFICATE_M = (5, 6)
+KERNEL_PASSES = 21
 ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
        "PYTHONPATH": os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
                                                    os.environ.get("PYTHONPATH")]))}
@@ -104,13 +109,20 @@ def one_shot():
     return rows
 
 
+def kernel_s():
+    """Median seconds of KERNEL_PASSES passes of the calibration kernel."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import calibrate
+    return calibrate.Kernel().seconds(KERNEL_PASSES)
+
+
 def environment():
     import numpy
     import scipy
     return {"python": platform.python_version(), "numpy": numpy.__version__,
             "scipy": scipy.__version__, "machine": platform.machine(),
             "nproc": len(os.sched_getaffinity(0)), "blas_threads": 1,
-            "seeds": list(SEEDS)}
+            "seeds": list(SEEDS), "kernel_s": kernel_s()}
 
 
 def _number(path):
@@ -126,9 +138,16 @@ def previous(path):
     return os.path.join(folder, max(earlier)[1]) if earlier else None
 
 
+def _change(a, b):
+    return f"{a:.4g} -> {b:.4g}" + (f" ({(b - a) / a:+.1%})" if a else "")
+
+
 def diff_lines(old, new):
     """One line per metric present in both files: old, new, change, and
-    whether the two sample ranges are disjoint ("changed") or not ("overlap")."""
+    whether the two sample ranges are disjoint ("changed") or not ("overlap").
+    The host's kernel_s comes first when both files record it."""
+    kernels = [doc.get("environment", {}).get("kernel_s") for doc in (old, new)]
+    host = [f"host kernel_s: {_change(*kernels)}"] if None not in kernels else []
     rows = [(f"{w} {name}", old["workloads"][w]["median"][name], value,
              [run["metrics"][name] for run in old["workloads"][w]["runs"]],
              [run["metrics"][name] for run in data["runs"]])
@@ -138,9 +157,9 @@ def diff_lines(old, new):
               old["one_shot"][row][key], data[key])
              for row, data in new["one_shot"].items() if row in old["one_shot"]
              for name, key in SAMPLES.items() if key in data and key in old["one_shot"][row]]
-    return [f"{label}: {a:.4g} -> {b:.4g}" + (f" ({(b - a) / a:+.1%})" if a else "")
-            + (" changed" if max(s) < min(t) or max(t) < min(s) else " overlap")
-            for label, a, b, s, t in rows]
+    return host + [f"{label}: {_change(a, b)}"
+                   + (" changed" if max(s) < min(t) or max(t) < min(s) else " overlap")
+                   for label, a, b, s, t in rows]
 
 
 def main(argv=None):
@@ -149,6 +168,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if _number(args.out) is None:
         parser.error("the output must be named BENCH_<n>.json")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # for kernel_s, before numpy loads
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
     doc = {"environment": environment(), "run_seconds": benchmark["run_seconds"],

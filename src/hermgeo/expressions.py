@@ -20,7 +20,10 @@ simplification.
 ``jets`` gives the values, gradients and Hessians of expressions at a point
 in one pass over the trees; it is how every derivative of chart data at a
 point is computed.  ``differentiate`` builds a derivative as a new tree, for
-callers that need the derivative itself as an expression.
+callers that need the derivative itself as an expression.  The two share one
+set of elementary rules: ``jets`` evaluates, for each function f, the trees
+``differentiate`` builds for f'(t) and f''(t).  tanh' is 1 - tanh^2, which
+stays finite where cosh^2 overflows.
 """
 
 import math
@@ -333,8 +336,8 @@ def _chain_factor(fn, u):
         return call("cosh", u)
     if fn == "cosh":
         return call("sinh", u)
-    if fn == "tanh":
-        return div(Const(1.0), pow_(call("cosh", u), Const(2.0)))
+    if fn == "tanh":  # not 1/cosh^2, which overflows where tanh is flat
+        return sub(Const(1.0), pow_(call("tanh", u), Const(2.0)))
     if fn == "sqrt":
         return div(Const(0.5), call("sqrt", u))
     raise ValueError(f"unknown function {fn!r}")
@@ -388,41 +391,16 @@ def evaluate(e, bindings):
 # ---------------------------------------------------------------------------
 # second-order jets
 
-def _square(x):
-    return _apply_binop("^", x, 2.0)
+def _derivatives(f):
+    """(f', f'') of the function ``f`` of t, as trees."""
+    f1 = differentiate(f, "t")
+    return f1, differentiate(f1, "t")
 
 
-def _reciprocal_square(h, dh):
-    """1/h^2 and -(2 h h')/(h^2)^2: f' and f'' of tan (h = cos) and tanh
-    (h = cosh), with h' = ``dh()`` evaluated after f'."""
-    f1 = _apply_binop("/", 1.0, _square(h))
-    return f1, _apply_binop("/", -(2.0 * h * dh()), _square(_square(h)))
-
-
-def _sqrt_chain(t):
-    s = _apply_call("sqrt", t)
-    f1 = _apply_binop("/", 0.5, s)
-    return f1, _apply_binop("/", -(0.5 * f1), _square(s))
-
-
-# (f', f'') at t of each function and of the reciprocal "/" (1/t).  Each is
-# computed with the same checked operations, in the same order, as
-# ``evaluate`` on the derivative trees ``differentiate`` builds, so the
-# floats and every DomainError agree with them: sqrt'(0) raises "division by
-# zero", and tanh' raises where cosh^2 overflows.
-_CHAIN = {
-    "sin": lambda t: (_apply_call("cos", t), -_apply_call("sin", t)),
-    "cos": lambda t: (-_apply_call("sin", t), -_apply_call("cos", t)),
-    "tan": lambda t: _reciprocal_square(_apply_call("cos", t), lambda: -_apply_call("sin", t)),
-    "exp": lambda t: (_apply_call("exp", t),) * 2,
-    "log": lambda t: (_apply_binop("/", 1.0, t), _apply_binop("/", -1.0, _square(t))),
-    "sinh": lambda t: (_apply_call("cosh", t), _apply_call("sinh", t)),
-    "cosh": lambda t: (_apply_call("sinh", t), _apply_call("cosh", t)),
-    "tanh": lambda t: _reciprocal_square(_apply_call("cosh", t), lambda: _apply_call("sinh", t)),
-    "sqrt": _sqrt_chain,
-    "/": lambda t: (_apply_binop("/", -1.0, _square(t)),
-                    _apply_binop("/", 2.0 * t, _square(_square(t)))),
-}
+# (f', f'') of each function and of the reciprocal "/" (1/t): jets evaluate
+# differentiate's own trees, so their floats and DomainErrors agree with it.
+_CHAIN = {fn: _derivatives(call(fn, Sym("t"))) for fn in FUNCTIONS}
+_CHAIN["/"] = _derivatives(div(Const(1.0), Sym("t")))
 
 
 def _chain(value, f1, f2, u):
@@ -432,7 +410,9 @@ def _chain(value, f1, f2, u):
 
 def _call(fn, value, u):
     """Jet of fn(u), given its value, for fn a key of _CHAIN."""
-    return _chain(value, *_CHAIN[fn](u[0]), u)
+    f1, f2 = _CHAIN[fn]
+    t = {"t": u[0]}
+    return _chain(value, evaluate(f1, t), evaluate(f2, t), u)
 
 
 def _product(value, a, b):

@@ -42,6 +42,22 @@ def test_diff_lines_call_a_row_changed_only_on_disjoint_sample_ranges():
     assert len(bench_file.diff_lines(old, new)) == 2
 
 
+def test_diff_lines_open_with_the_host_kernel_when_both_files_record_it():
+    old, new = _doc([0.6], 0.64), _doc([0.3], 0.32)
+    old["environment"], new["environment"] = {"kernel_s": 0.0125}, {"kernel_s": 0.015}
+    lines = bench_file.diff_lines(old, new)
+    assert lines[0] == "host kernel_s: 0.0125 -> 0.015 (+20.0%)"
+    assert lines[1:] == bench_file.diff_lines(_doc([0.6], 0.64), _doc([0.3], 0.32))
+    # a file written before kernel_s was recorded gives no host line
+    del old["environment"]["kernel_s"]
+    assert not bench_file.diff_lines(old, new)[0].startswith("host")
+    assert not bench_file.diff_lines(new, {**old, "environment": {}})[0].startswith("host")
+
+
+def test_kernel_s_times_the_calibration_kernel():
+    assert 0 < bench_file.kernel_s() < 1
+
+
 def test_every_one_shot_row_is_a_median_of_fresh_processes(monkeypatch):
     calls = []
 

@@ -446,6 +446,19 @@ def test_symmetry_check_skips_points_where_an_entry_is_undefined(tmp_path, capsy
     assert json.loads(out)["command"] == "analyze"
 
 
+@pytest.mark.parametrize("point", ["200,0", "-400,0"])
+def test_tanh_metric_is_analysed_far_from_zero(tmp_path, capsys, point):
+    # tanh is smooth and flat there; its derivatives must not overflow
+    path = tmp_path / "tanh.json"
+    path.write_text(json.dumps({
+        "name": "tanh", "dim": 2, "coordinates": ["x", "y"],
+        "metric": [["2 + tanh(x)", "0"], ["0", "1"]],
+    }), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path), f"--point={point}")
+    assert code == 0 and err == ""
+    assert json.loads(out)["command"] == "analyze"
+
+
 def test_asymmetric_metric_is_checked_at_the_evaluated_point(tmp_path, capsys):
     # both entries are undefined at the default point (0, 0); at x = 3 they
     # are defined and disagree

@@ -176,38 +176,55 @@ def _random_expr(rng, coords, depth):
         return ex.Sym(coords[rng.integers(len(coords))])
     choice = rng.uniform()
     if choice < 0.55:
-        op = ["+", "-", "*"][rng.integers(3)]
-        ctor = {"+": ex.add, "-": ex.sub, "*": ex.mul}[op]
+        ctor = [ex.add, ex.sub, ex.mul, ex.div][rng.integers(4)]
         return ctor(_random_expr(rng, coords, depth - 1),
                     _random_expr(rng, coords, depth - 1))
     if choice < 0.7:
         return ex.pow_(_random_expr(rng, coords, depth - 1),
                        ex.Const(float(rng.integers(1, 4))))
-    fn = ["sin", "cos", "exp", "sinh", "cosh", "tanh"][rng.integers(6)]
+    fn = sorted(ex.FUNCTIONS)[rng.integers(len(ex.FUNCTIONS))]
     return ex.call(fn, _random_expr(rng, coords, depth - 1))
 
 
+def _rules(e):
+    """Names of the functions in ``e`` and "/" if it divides: the elementary
+    rules that differentiating ``e`` uses."""
+    if isinstance(e, ex.Call):
+        return {e.fn} | _rules(e.arg)
+    if isinstance(e, ex.BinOp):
+        return ({"/"} if e.op == "/" else set()) | _rules(e.left) | _rules(e.right)
+    if isinstance(e, ex.Neg):
+        return _rules(e.arg)
+    return set()
+
+
 def test_derivative_matches_finite_differences(rng):
+    # checks the elementary rules themselves: the first derivative against
+    # central differences of values, the second against those of the first
     coords = ["x", "y", "z"]
-    checked = 0
-    for _ in range(200):
+    checked, rules = 0, set()
+    for _ in range(400):
         e = _random_expr(rng, coords, 4)
         sym = coords[rng.integers(3)]
         point = {c: float(rng.uniform(-1, 1)) for c in coords}
-        try:
-            value = e.eval(point)
-            d = e.diff(sym).eval(point)
-        except ex.ExprError:
-            continue
-        if abs(value) > 1e3 or abs(d) > 1e3:
-            continue
         h = 1e-5
         up = dict(point, **{sym: point[sym] + h})
         dn = dict(point, **{sym: point[sym] - h})
-        fd = (e.eval(up) - e.eval(dn)) / (2 * h)
-        assert abs(d - fd) <= 1e-7 * (1 + abs(value) + abs(d))
+        d1 = e.diff(sym)
+        try:
+            value, d, d2 = e.eval(point), d1.eval(point), d1.diff(sym).eval(point)
+            fd = (e.eval(up) - e.eval(dn)) / (2 * h)
+            fd2 = (d1.eval(up) - d1.eval(dn)) / (2 * h)
+        except ex.ExprError:
+            continue
+        if max(abs(value), abs(d), abs(d2)) > 1e3:
+            continue
+        assert abs(d - fd) <= 1e-7 * (1 + abs(value) + abs(d)), str(e)
+        assert abs(d2 - fd2) <= 1e-7 * (1 + abs(d) + abs(d2)), str(e)
         checked += 1
-    assert checked > 150
+        rules |= _rules(e)
+    assert checked > 250
+    assert rules == set(ex.FUNCTIONS) | {"/"}
 
 
 def test_print_parse_roundtrip_is_fixed_point(rng):
@@ -275,7 +292,9 @@ def _domain_expr(rng, coords, depth):
 
 
 def test_jets_agree_with_symbolic_derivatives_on_generated_trees():
-    # two independent derivative engines: jets, and evaluate on differentiate's trees
+    # checks the jet algebra (chain, product, quotient and power rules on Taylor
+    # coefficients) against evaluate on differentiate's trees; the two share the
+    # elementary rules, which test_derivative_matches_finite_differences checks
     rng = np.random.default_rng(20)
     coords = ["x", "y"]
     compared = raised = 0
@@ -334,3 +353,32 @@ def test_jets_domain_errors():
         _symbolic_jet(ex.parse("sqrt(x^4)", ["x"]), ["x"], [0.0])
     # differentiate cancels x - x symbolically, so only jets raises here
     assert _symbolic_jet(ex.parse("sqrt(x - x)", ["x"]), ["x"], [0.0])[2][0][0] == 0.0
+
+
+_EDGES = [("log", 0.0), ("log", -1.0), ("sqrt", 0.0), ("sqrt", -1.0), ("/", 0.0), ("/", -0.0)]
+_EDGES += [(fn, sign * x) for fn in ("exp", "sinh", "cosh") for x in (709.7, 710.5)
+           for sign in (1.0, -1.0)]
+_EDGES += [("tan", x) for x in (math.pi / 2, math.nextafter(math.pi / 2, 0.0), -math.pi / 2)]
+_EDGES += [("tanh", x) for x in (200.0, -200.0, 400.0, -400.0, 1e300)]
+_EDGES += [(fn, x) for fn in ("sin", "cos") for x in (0.0, 1e300)]
+
+
+@pytest.mark.parametrize("fn, x", _EDGES)
+def test_jets_and_derivative_trees_agree_at_domain_edges(fn, x):
+    e = ex.parse("1/x" if fn == "/" else f"{fn}(x)", ["x"])
+    try:
+        want = _symbolic_jet(e, ["x"], [x])
+    except ex.DomainError:
+        with pytest.raises(ex.DomainError):
+            ex.jets([e], ["x"], [x])
+        return
+    got = ex.jets([e], ["x"], [x])
+    assert [g.ravel().tolist() for g in got] == [np.ravel(w).tolist() for w in want]
+
+
+@pytest.mark.parametrize("x", [200.0, -200.0, 400.0, -400.0])
+def test_tanh_jet_is_flat_far_from_zero(x):
+    # 1/cosh^2 overflows there; 1 - tanh^2 does not
+    values, gradients, hessians = ex.jets([ex.parse("tanh(x)", ["x"])], ["x"], [x])
+    assert values.tolist() == [math.copysign(1.0, x)]
+    assert np.array_equal(gradients, [[0.0]]) and np.array_equal(hessians, [[[0.0]]])
