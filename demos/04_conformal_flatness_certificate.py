@@ -1,10 +1,12 @@
 """Null-space certificate for the conformal-flatness theorem.
 
 The sphere-axiom curvature identities are linear functionals on the space
-of algebraic curvature tensors.  Sampling admissible frames until the
-constraint rank stabilizes yields the solution space; evaluating the Weyl
-tensor on an orthonormal basis of that space shows it vanishes identically,
-which is the pointwise-algebra form of the conformal-flatness conclusion.
+of algebraic curvature tensors.  Enough sampled admissible frames for full
+rank on the complement of the expected solution space, with three batches
+to spare, pin that space down; a certified margin shows the rows vanish on
+exactly it, and evaluating the Weyl tensor on an orthonormal basis of it
+shows it vanishes identically, which is the pointwise-algebra form of the
+conformal-flatness conclusion.
 
 The same machinery verifies the classical criterion: curvature tensors with
 R(X,Y,Z,U) = 0 on orthonormal quadruples are exactly the products h * g,

@@ -7,9 +7,10 @@ Bianchi identity.  ``curvature_space(n)`` holds an orthonormal basis of that
 Bianchi kernel inside Sym^2(Lambda^2), of dimension n^2(n^2-1)/12; tensors
 are written as coordinates in it.  The curvature identities produced by the
 umbilical-sphere axiom, and the orthogonal-quadruple criterion, are linear
-functionals on that space.  Frames are sampled until the constraint rank
-stabilizes; the rows are then checked to vanish on exactly the space K of
-products h ⊙ g, written down in closed form, with a certified margin on its
+functionals on that space.  A fixed number of frames, enough for full rank
+on the complement of K with three batches to spare, gives the constraint
+rows; they are then checked to vanish on exactly the space K of products
+h ⊙ g, written down in closed form, with a certified margin on its
 complement.  K and its conformal (Weyl) norm are built once per n.  A
 vanishing Weyl norm over the null space is the machine form of the classical
 conformal-flatness conclusion.
@@ -21,22 +22,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
+import scipy  # unused; kept only because perfbench/tracing.py proxies axioms.scipy
 
 from . import curvature as cv
 from . import frames as fr
 
 
-class RankStabilizationError(RuntimeError):
-    pass
-
-
-_RANK_CUT = 1e-9        # singular values below cut * max are treated as zero
-_STABLE_BATCHES = 3
-_MAX_BATCHES = 200      # batches allowed beyond those a full-rank stack needs
+_RANK_CUT = 1e-9        # margins below cut * max are treated as zero
+_SPARE_BATCHES = 3      # batches drawn beyond those a full-rank stack needs
 _THEOREM_BATCH = 6      # admissible frames per batch of theorem constraints
 _SCHOUTEN_BATCH = 8     # orthonormal quadruples per batch of Schouten constraints
-_BLOCK_ROWS = 128       # constraint rows drawn at once, then handed on batch by batch
+_BLOCK_ROWS = 128       # constraint rows drawn at once
 
 
 def curvature_space_dim(n):
@@ -275,69 +271,51 @@ def _products(n):
     return basis, float(np.max(np.abs(cv.weyl(T, S, s, g)), initial=0.0))
 
 
-def _row_batches(space, sampler, J=None):
-    """Endless constraint row batches for ``_stable_nullspace``: the Schouten
-    rows of _SCHOUTEN_BATCH orthonormal quadruples, or with ``J`` the rows of
-    the _DIRECT identities on _THEOREM_BATCH admissible frames.
+def _constraint_rows(space, sampler, J=None):
+    """The constraint rows of a certificate, shape (r, d): the Schouten rows
+    of orthonormal quadruples, column-major as ``functional_row`` gives them,
+    or with ``J`` the rows of the _DIRECT identities on admissible frames,
+    row-major.  The layout decides the rounding of the check's products.
+
+    A batch of b rows (_SCHOUTEN_BATCH quadruples, or _THEOREM_BATCH frames
+    times the identities per frame) can raise the rank by b, so
+    ceil((d - k) / b) batches reach rank d - k for k = dim K, and
+    _SPARE_BATCHES more follow: r = b (ceil((d - k) / b) + _SPARE_BATCHES).
+    If some batch fell short of full rank, the rows would leave more than K
+    unconstrained and ``_check`` would fail; the count cannot pass wrongly.
 
     A block of about _BLOCK_ROWS rows takes one draw, one orthonormalization
-    and one ``functional_row`` call, and is handed on batch by batch.  The
-    rows do not depend on the block size: the uniform stream is the same in
-    one draw or in several, a frame does not depend on its stack size, and
-    ``functional_row`` is elementwise in its stack.  Only the measure-zero
-    redraw of a degenerate frame comes after its block, not its batch."""
+    and one ``functional_row`` call.  The rows do not depend on the block
+    size: the uniform stream is the same in one draw or in several, a frame
+    does not depend on its stack size, and ``functional_row`` is elementwise
+    in its stack.  Only the measure-zero redraw of a degenerate frame comes
+    after its block."""
     g = np.eye(space.n)
     if J is None:
-        batch, rows_per_batch = _SCHOUTEN_BATCH, _SCHOUTEN_BATCH
+        batch, per_item, order = _SCHOUTEN_BATCH, 1, "F"
 
         def rows(count):
             return functional_row(space, *_quadruples(g, sampler, count))
     else:
-        # (3.1), (3.2), (3.3) per frame; for m > 2 also (3.5) twice, (3.6), (3.7)
+        # for m > 2 the frames need Z, for (3.5), (3.6) and (3.7)
         need_z = space.n > 4
-        batch, rows_per_batch = _THEOREM_BATCH, _THEOREM_BATCH * (7 if need_z else 3)
+        batch, order = _THEOREM_BATCH, "C"
+        per_item = len(_identities(J, np.zeros((2 + need_z, space.n)), _DIRECT))
 
         def rows(count):
             frames = fr.admissible_frames(g, J, sampler, count, need_z=need_z)
             return _identity_rows(space, _identities(J, frames, _DIRECT)).reshape(-1, space.dim)
-    per_block = -(-_BLOCK_ROWS // rows_per_batch)
-    while True:
-        yield from np.split(rows(per_block * batch), per_block)
+    size = batch * per_item
+    batches = -(-(space.dim - space.n * (space.n + 1) // 2) // size) + _SPARE_BATCHES
+    out = np.empty((batches * size, space.dim), order=order)
+    per_block = -(-_BLOCK_ROWS // size)
+    for start in range(0, batches, per_block):
+        count = min(per_block, batches - start)
+        out[start * size:(start + count) * size] = rows(count * batch)
+    return out
 
 
-def _stable_nullspace(row_batches, dim):
-    """Accumulate constraint rows until the rank is unchanged for three
-    consecutive batches; return (rows, rank).
-
-    Each batch is projected onto the orthogonal complement of the rows seen
-    so far and only that projection is factored; singular values below
-    1e-9 of the stack's Frobenius norm count as zero.  Every batch may raise
-    the rank, so the budget adds the batches a full-rank stack needs to the
-    fixed allowance.
-    """
-    span = np.empty((dim, dim))  # orthonormal rows spanning the stack's rows
-    stack, rank, stable, sumsq, budget = [], 0, 0, 0.0, None
-    for count, batch in enumerate(row_batches, 1):
-        budget = budget or _MAX_BATCHES + math.ceil(dim / len(batch))
-        stack.append(batch)
-        # the Frobenius norm of the stack bounds its largest singular value
-        sumsq += float(np.sum(batch * batch))
-        basis = span[:rank]
-        part = batch - (batch @ basis.T) @ basis
-        part -= (part @ basis.T) @ basis
-        _, sv, vt = scipy.linalg.svd(part, full_matrices=False)
-        new = vt[sv > _RANK_CUT * math.sqrt(sumsq)]
-        span[rank:rank + len(new)] = new
-        rank += len(new)
-        stable = 0 if len(new) or count == 1 else stable + 1
-        if stable >= _STABLE_BATCHES:
-            return np.vstack(stack), rank
-        if count == budget:
-            raise RankStabilizationError(
-                f"constraint rank did not stabilize within {budget} batches")
-
-
-def _check(rows, rank, products):
+def _check(rows, products):
     """Whether the null space of ``rows`` is the span of the orthonormal
     columns of ``products``, and the rank gap that shows it.
 
@@ -350,8 +328,8 @@ def _check(rows, rank, products):
     gamma_{d+1} / (1 - 2 gamma_{d+1})) times the trace, covers the rounding
     of forming the matrix and of the Cholesky (its entries, of order
     sigma^2, are far from underflow).  The check holds when the
-    Cholesky succeeds with sqrt(c) / sigma above the 1e-9 cut, the
-    containment is within the cut and the rank loop's nullity is k.
+    Cholesky succeeds with sqrt(c) / sigma above the 1e-9 cut and the
+    containment is within the cut.
     """
     dim, k = products.shape
     gram = rows.T @ rows
@@ -375,24 +353,22 @@ def _check(rows, rank, products):
             certified = False
     gap = {"smallest_kept": math.sqrt(bound) / scale if certified else None,
            "largest_dropped": containment}
-    return certified and containment <= _RANK_CUT and dim - rank == k, gap
+    return certified and containment <= _RANK_CUT, gap
 
 
-def _certificate(space, row_batches, tolerance, field):
-    """The report both certificates share.  The constraint rows at stable
-    rank are checked to vanish on exactly K = span{h ⊙ I}, whose tensors
-    have the max Weyl norm reported.  ``field`` is the certificate's own
-    (key, value).  It passes if the check holds and the Weyl norm is within
-    ``tolerance``."""
-    rows, rank = _stable_nullspace(row_batches, space.dim)
-    row_batches.close()  # frees the rest of its last block before the Gram
+def _certificate(space, rows, tolerance, field):
+    """The report both certificates share.  The constraint rows are checked
+    to vanish on exactly K = span{h ⊙ I}, whose tensors have the max Weyl
+    norm reported; ``nullspace_dim`` is dim K if the check holds, else None.
+    ``field`` is the certificate's own (key, value).  It passes if the check
+    holds and the Weyl norm is within ``tolerance``."""
     products, max_weyl = _products(space.n)
-    holds, gap = _check(rows, rank, products)
+    holds, gap = _check(rows, products)
     key, value = field
     return {"dimension": space.n, "constraint_rows": int(rows.shape[0]),
-            "nullspace_dim": space.dim - rank, key: value, "max_weyl": max_weyl,
-            "tolerance": tolerance, "pass": holds and max_weyl <= tolerance,
-            "rank_gap": gap}
+            "nullspace_dim": products.shape[1] if holds else None, key: value,
+            "max_weyl": max_weyl, "tolerance": tolerance,
+            "pass": holds and max_weyl <= tolerance, "rank_gap": gap}
 
 
 def schouten_nullspace_verify(n, sampler, tolerance=1e-8):
@@ -404,7 +380,7 @@ def schouten_nullspace_verify(n, sampler, tolerance=1e-8):
     if n < 4:
         raise cv.UnsupportedDimensionError("need dimension >= 4")
     space = curvature_space(n)
-    return _certificate(space, _row_batches(space, sampler), tolerance,
+    return _certificate(space, _constraint_rows(space, sampler), tolerance,
                         ("expected_nullspace_dim", n * (n + 1) // 2))
 
 
@@ -447,8 +423,8 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
     n = 2 * m
     space, g, J = curvature_space(n), np.eye(n), canonical_j(n)
 
-    # derived residuals come before the rank loop: a check count too large to
-    # allocate fails at once; their own samplers leave the loop's draws alone
+    # derived residuals come before the constraint rows: a check count too
+    # large to allocate fails at once; their own samplers leave the rows' draws alone
     checks = _identities(J, fr.admissible_frames(
         g, J, fr.FrameSampler(sampler.seed + 1, n), samples, need_z=m > 2, need_u=m >= 4),
         ("3.4", "3.8"))
@@ -459,5 +435,5 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
     names = np.array([name for name, *_ in checks])
     derived = {name: float(values[:, names == name].max(initial=0.0)) if name in names else None
                for name in ("3.4", "3.8", "quadruple")}  # (3.8) needs m >= 4
-    return {"m": m, **_certificate(space, _row_batches(space, sampler, J), tolerance,
+    return {"m": m, **_certificate(space, _constraint_rows(space, sampler, J), tolerance,
                                    ("derived_residuals", {**derived, "weyl": max_weyl}))}

@@ -3,9 +3,9 @@
 Exit codes: 0 data-complete (classification failures are data, not errors),
 2 usage, parse or asymmetric-metric error (a tolerance that is not a finite
 number >= 0, or a count too large to allocate, among them), 3 mathematical
-domain error, 4 non-convergence, 5 certificate failed (the rank converged but
-a certificate missed its tolerance; the report is still printed, the message
-names the failed one).
+domain error, 5 certificate failed (the report is still printed, the message
+names the failed one).  Exit 4, once non-convergence of a rank loop, is
+retired: no path reaches it.
 
 Every flag of a chart command is ``residual <= --tol``, and ``submanifold``'s
 ``codazzi_2_2_residual`` is null exactly at the points not totally umbilical.
@@ -30,7 +30,6 @@ from . import reportio
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-EXIT_NONCONVERGENCE = 4
 EXIT_CERTIFICATE_FAILED = 5
 
 
@@ -293,9 +292,6 @@ def main(argv=None):
             fr.IncompatibleStructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ax.RankStabilizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

@@ -111,41 +111,37 @@ def test_products_are_an_orthonormal_basis_of_kn_products(n, rng):
     assert np.max(np.abs(coords - products @ (products.T @ coords))) <= 1e-13
 
 
-def _schouten_stack(n, seed=0):
-    """The converged Schouten constraint rows of dimension n and their rank."""
-    space = ax.curvature_space(n)
-    return ax._stable_nullspace(ax._row_batches(space, fr.FrameSampler(seed, n)), space.dim)
+def _schouten_rows(n, seed=0):
+    """The Schouten constraint rows of dimension n."""
+    return ax._constraint_rows(ax.curvature_space(n), fr.FrameSampler(seed, n))
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_check_fails_on_a_row_that_does_not_vanish_on_products(n):
-    rows, rank = _schouten_stack(n)
+    rows = _schouten_rows(n)
     products = ax._products(n)[0]
-    assert ax._check(rows, rank, products)[0]
-    extra = np.vstack([rows, products[:, 0]])
-    for claimed in (rank + 1, rank):  # the loop's rank, and the old one
-        holds, gap = ax._check(extra, claimed, products)
-        assert not holds and gap["largest_dropped"] > 1e-9
+    assert ax._check(rows, products)[0]
+    holds, gap = ax._check(np.vstack([rows, products[:, 0]]), products)
+    assert not holds and gap["largest_dropped"] > 1e-9
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_check_fails_on_a_stack_cut_short(n):
-    rows, rank = _schouten_stack(n)
-    short = rows[:rank // 2]
-    for claimed in (np.linalg.matrix_rank(short), rank):
-        holds, gap = ax._check(short, claimed, ax._products(n)[0])
-        # the Cholesky finds no positive margin on the complement
-        assert not holds and gap["smallest_kept"] is None
+    products = ax._products(n)[0]
+    dim, k = products.shape
+    holds, gap = ax._check(_schouten_rows(n)[:(dim - k) // 2], products)
+    # the Cholesky finds no positive margin on the complement
+    assert not holds and gap["smallest_kept"] is None
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_smallest_kept_is_a_bound_within_one_percent_of_the_svd(m, monkeypatch):
-    stacks, loop = [], ax._stable_nullspace
+    stacks, check = [], ax._check
 
-    def recording(batches, dim):
-        stacks.append(loop(batches, dim))
-        return stacks[-1]
-    monkeypatch.setattr(ax, "_stable_nullspace", recording)
+    def recording(rows, products):
+        stacks.append((rows, products.shape[0] - products.shape[1]))  # rank d - k
+        return check(rows, products)
+    monkeypatch.setattr(ax, "_check", recording)
     n = 2 * m
     reports = [ax.theorem_nullspace_verify(m, fr.FrameSampler(0, n), samples=8),
                ax.schouten_nullspace_verify(n, fr.FrameSampler(0, n))]
@@ -233,20 +229,12 @@ def test_block_size_does_not_change_a_report(m, seed, monkeypatch):
     assert reports() == default
 
 
-def test_stable_nullspace_budget_grows_with_dimension():
-    # rank 450 arrives two rows per batch, so it needs 225 batches: more than
-    # the fixed allowance of 200
-    rng = np.random.default_rng(0)
-    dim, rank, batch = 500, 450, 2
-    span = rng.normal(size=(rank, dim))
-
-    def batches():
-        while True:
-            yield rng.normal(size=(batch, rank)) @ span
-
-    rows, found = ax._stable_nullspace(batches(), dim)
-    assert found == rank
-    assert rows.shape[0] == batch * (rank // batch + 3)
+def test_theorem_row_count_follows_the_direct_identities(monkeypatch):
+    # m = 2: d - k = 10; six frames of two rows make a batch of 12, so 1 + 3
+    # batches (the default three identities give 72 rows, pinned below)
+    monkeypatch.setattr(ax, "_DIRECT", ("3.2", "3.3"))
+    rep = ax.theorem_nullspace_verify(2, fr.FrameSampler(1, 4), samples=8)
+    assert rep["constraint_rows"] == 48 and rep["pass"]
 
 
 @pytest.mark.parametrize("seed", [5, 11])

@@ -324,10 +324,10 @@ def test_out_of_range_input_is_usage_error(tmp_path, capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
-def test_too_many_frames_refused_before_rank_loop(capsys, monkeypatch):
-    def rank_loop(*args):
-        raise AssertionError("the rank loop ran before the frame count was refused")
-    monkeypatch.setattr(ax, "_stable_nullspace", rank_loop)
+def test_too_many_frames_refused_before_constraint_rows(capsys, monkeypatch):
+    def constraint_rows(*args):
+        raise AssertionError("the constraint rows were drawn before the frame count was refused")
+    monkeypatch.setattr(ax, "_constraint_rows", constraint_rows)
     code, _, err = run_cli(capsys, "verify-theorem", "--m", "5",
                            "--frames", "1000000000000000")
     assert code == 2
@@ -551,11 +551,20 @@ def test_models_emit_tiny_curvature_writes_a_loadable_file(tmp_path, capsys, par
     reportio.load_manifold_file(str(path))
 
 
-def test_rank_that_never_stabilizes_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(ax, "_MAX_BATCHES", 0)
+def test_rows_short_of_full_rank_fail_closed_with_exit_5(capsys, monkeypatch):
+    # one-frame or one-quadruple batches and one batch fewer than full rank
+    # needs: each certificate has d - k - 1 = 9 rows, so more than K is free
+    monkeypatch.setattr(ax, "_THEOREM_BATCH", 1)
+    monkeypatch.setattr(ax, "_SCHOUTEN_BATCH", 1)
+    monkeypatch.setattr(ax, "_SPARE_BATCHES", -1)
     code, out, err = run_cli(capsys, "verify-theorem", "--m", "2")
-    assert code == 4 and out == ""
-    assert err == "error: constraint rank did not stabilize within 2 batches\n"
+    assert code == 5
+    doc = json.loads(out)
+    for part in ("theorem", "schouten"):
+        rep = doc[part]
+        assert rep["constraint_rows"] == 9 and not rep["pass"]
+        assert rep["rank_gap"]["smallest_kept"] is None and rep["nullspace_dim"] is None
+    assert err == "error: certificate failed: theorem, schouten\n"
 
 
 def test_parser_is_reused_without_carrying_state(tmp_path, capsys):

@@ -148,7 +148,7 @@ def _check(argv):
     if code == 0:
         json.loads(out, parse_constant=_reject)
     else:
-        assert code in (2, 3, 4, 5), (argv, code, err)
+        assert code in (2, 3, 5), (argv, code, err)
         assert err.endswith("\n") and err.count("\n") == 1, (argv, code, err)
 
 
