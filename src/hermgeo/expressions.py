@@ -13,7 +13,10 @@ Identifiers are [A-Za-z_][A-Za-z0-9_]*.  Known functions: sin cos tan exp
 log sinh cosh tanh sqrt.  Known constants: pi, e.  There is no implicit
 multiplication; "2x" is a syntax error.
 
-Expressions are immutable trees, so they are safe to share between workers.
+Expressions are immutable DAGs: the constructors below and the parser's
+leaves hash-cons their nodes (Filliatre & Conchon, Type-safe modular
+hash-consing, 2006), so equal subtrees built while the first is alive are
+one object, and ``jets`` evaluates each distinct subtree once per point.
 Only constant folding is performed, and only to finite values; no canonical
 simplification.
 
@@ -28,6 +31,7 @@ stays finite where cosh^2 overflows.
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +75,6 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 class Expr:
     """Base class of expression nodes."""
 
-    def diff(self, sym):
-        return differentiate(self, sym)
-
-    def eval(self, bindings):
-        return evaluate(self, bindings)
-
     def __str__(self):
         return to_string(self)
 
@@ -110,14 +108,44 @@ class BinOp(Expr):
 
 
 # ---------------------------------------------------------------------------
-# folding constructors
+# hash-consing and folding constructors
+
+# structure key -> the live node with that structure.  A child is keyed by its
+# id, which is enough because children built here are unique too; a live node
+# keeps its children alive, so no id in a live entry's key can be reused.
+# Weak values: an entry goes with the last tree that holds its node, so
+# nothing outlives a command's trees.  No result depends on sharing: a race
+# between threads only builds a twin node.
+_NODES = weakref.WeakValueDictionary()
+
+
+def _interned(key, cls, *fields):
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = cls(*fields)
+    return node
+
+
+def const(value):
+    """The constant ``value``; keyed by its bits, so 0.0 and -0.0 stay apart."""
+    value = float(value)
+    return _interned(("const", value.hex()), Const, value)
+
+
+def symbol(name):
+    return _interned(("sym", name), Sym, name)
+
+
+def _binop(op, a, b):
+    return _interned((op, id(a), id(b)), BinOp, op, a, b)
+
 
 def neg(a):
     if isinstance(a, Const):
-        return Const(-a.value)
+        return const(-a.value)
     if isinstance(a, Neg):
         return a.arg
-    return Neg(a)
+    return _interned(("neg", id(a)), Neg, a)
 
 
 def _fold(op, a, b):
@@ -129,7 +157,7 @@ def _fold(op, a, b):
         value = _apply_binop(op, a.value, b.value)
     except ExprError:
         return None
-    return Const(value) if math.isfinite(value) else None
+    return const(value) if math.isfinite(value) else None
 
 
 def add(a, b):
@@ -139,7 +167,7 @@ def add(a, b):
         return b
     if isinstance(b, Const) and b.value == 0.0:
         return a
-    return BinOp("+", a, b)
+    return _binop("+", a, b)
 
 
 def sub(a, b):
@@ -149,7 +177,7 @@ def sub(a, b):
         return a
     if isinstance(a, Const) and a.value == 0.0:
         return neg(b)
-    return BinOp("-", a, b)
+    return _binop("-", a, b)
 
 
 def mul(a, b):
@@ -157,15 +185,15 @@ def mul(a, b):
         return folded
     if isinstance(a, Const):
         if a.value == 0.0:
-            return Const(0.0)
+            return const(0.0)
         if a.value == 1.0:
             return b
     if isinstance(b, Const):
         if b.value == 0.0:
-            return Const(0.0)
+            return const(0.0)
         if b.value == 1.0:
             return a
-    return BinOp("*", a, b)
+    return _binop("*", a, b)
 
 
 def div(a, b):
@@ -173,7 +201,7 @@ def div(a, b):
         return folded
     if isinstance(b, Const) and b.value == 1.0:
         return a
-    return BinOp("/", a, b)
+    return _binop("/", a, b)
 
 
 def pow_(a, b):
@@ -183,17 +211,17 @@ def pow_(a, b):
         if b.value == 1.0:
             return a
         if b.value == 0.0:
-            return Const(1.0)
-    return BinOp("^", a, b)
+            return const(1.0)
+    return _binop("^", a, b)
 
 
 def call(fn, a):
     if isinstance(a, Const):
         try:
-            return Const(_apply_call(fn, a.value))
+            return const(_apply_call(fn, a.value))
         except ExprError:
             pass
-    return Call(fn, a)
+    return _interned((fn, id(a)), Call, fn, a)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +287,7 @@ def parse(text, symbols):
         kind, value, pos = tokens[i]
         if kind == "num":
             i += 1
-            return Const(float(value))
+            return const(float(value))
         if kind != "ident":
             raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input",
                              pos)
@@ -269,9 +297,9 @@ def parse(text, symbols):
                 raise ParseError(f"unknown function {value!r}", pos)
             return call(value, group())
         if value in names:
-            return Sym(value)
+            return symbol(value)
         if value in CONSTANTS:
-            return Const(CONSTANTS[value])
+            return const(CONSTANTS[value])
         raise ParseError(f"unknown identifier {value!r}", pos)
 
     try:
@@ -289,9 +317,9 @@ def parse(text, symbols):
 def differentiate(e, sym):
     """Exact partial derivative of ``e`` with respect to coordinate ``sym``."""
     if isinstance(e, Const):
-        return Const(0.0)
+        return const(0.0)
     if isinstance(e, Sym):
-        return Const(1.0 if e.name == sym else 0.0)
+        return const(1.0 if e.name == sym else 0.0)
     if isinstance(e, Neg):
         return neg(differentiate(e.arg, sym))
     if isinstance(e, Call):
@@ -307,17 +335,17 @@ def differentiate(e, sym):
         if e.op == "*":
             return add(mul(da, b), mul(a, db))
         if e.op == "/":
-            return div(sub(mul(da, b), mul(a, db)), pow_(b, Const(2.0)))
+            return div(sub(mul(da, b), mul(a, db)), pow_(b, const(2.0)))
         # power
         if isinstance(b, Const):
-            return mul(mul(b, pow_(a, Const(b.value - 1.0))), da)
+            return mul(mul(b, pow_(a, const(b.value - 1.0))), da)
         if isinstance(a, Const):
             return mul(mul(e, call("log", a)), db)
         # f^g with non-constant exponent: exp(g*log f) * (g'*log f + g*(1/f)*f'),
         # the tree differentiating exp(g*log f) gives, from da and db
         log_a = call("log", a)
         return mul(call("exp", mul(b, log_a)),
-                   add(mul(db, log_a), mul(b, mul(div(Const(1.0), a), da))))
+                   add(mul(db, log_a), mul(b, mul(div(const(1.0), a), da))))
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -327,19 +355,19 @@ def _chain_factor(fn, u):
     if fn == "cos":
         return neg(call("sin", u))
     if fn == "tan":
-        return div(Const(1.0), pow_(call("cos", u), Const(2.0)))
+        return div(const(1.0), pow_(call("cos", u), const(2.0)))
     if fn == "exp":
         return call("exp", u)
     if fn == "log":
-        return div(Const(1.0), u)
+        return div(const(1.0), u)
     if fn == "sinh":
         return call("cosh", u)
     if fn == "cosh":
         return call("sinh", u)
     if fn == "tanh":  # not 1/cosh^2, which overflows where tanh is flat
-        return sub(Const(1.0), pow_(call("tanh", u), Const(2.0)))
+        return sub(const(1.0), pow_(call("tanh", u), const(2.0)))
     if fn == "sqrt":
-        return div(Const(0.5), call("sqrt", u))
+        return div(const(0.5), call("sqrt", u))
     raise ValueError(f"unknown function {fn!r}")
 
 
@@ -399,8 +427,8 @@ def _derivatives(f):
 
 # (f', f'') of each function and of the reciprocal "/" (1/t): jets evaluate
 # differentiate's own trees, so their floats and DomainErrors agree with it.
-_CHAIN = {fn: _derivatives(call(fn, Sym("t"))) for fn in FUNCTIONS}
-_CHAIN["/"] = _derivatives(div(Const(1.0), Sym("t")))
+_CHAIN = {fn: _derivatives(call(fn, symbol("t"))) for fn in FUNCTIONS}
+_CHAIN["/"] = _derivatives(div(const(1.0), symbol("t")))
 
 
 def _chain(value, f1, f2, u):
@@ -446,11 +474,13 @@ def jets(exprs, coordinates, point):
 
     Exact second-order Taylor coefficients are pushed forward through each
     tree once (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13),
-    memoised on node identity within the call, so a subtree shared between
-    or within expressions is visited once.  Node values go through the same
-    domain checks as ``evaluate``.  A subtree without symbols, told by the
-    shared zero gradient of its operands, has the exact jet (value, 0, 0),
-    and dividing by it scales the jet: an infinite constant gives no NaN.
+    memoised on node identity within the call.  Equal subtrees built by the
+    parser and the constructors are one node, so each distinct subtree is
+    evaluated once, however many entries repeat it.  Node values go through
+    the same domain checks as ``evaluate``.  A subtree without symbols, told
+    by the shared zero gradient of its operands, has the exact jet (value,
+    0, 0), and dividing by it scales the jet: an infinite constant gives no
+    NaN.
     """
     n = len(coordinates)
     zero1, zero2 = np.zeros(n), np.zeros((n, n))

@@ -67,7 +67,7 @@ class Immersion:
         gsub = [[ex.substitute(e, mapping) for e in row] for row in self.target.metric]
         jac, N = self._jacobian, len(self.map_exprs)
         G = [[functools.reduce(ex.add, (ex.mul(ex.mul(jac[p][a], jac[q][b]), gsub[p][q])
-                                        for p in range(N) for q in range(N)), ex.Const(0.0))
+                                        for p in range(N) for q in range(N)), ex.const(0.0))
               for b in range(self.k)] for a in range(self.k)]
         return cv.ManifoldChart(name=f"{self.target.name}_pullback",
                                 coordinates=list(self.coordinates), metric=G)

@@ -229,11 +229,11 @@ def product_chart(chart_a, chart_b, name=None):
     na, nb = chart_a.dim, chart_b.dim
 
     def lift(exprs, prefix, old_coords):
-        mapping = {c: ex.Sym(f"{prefix}_{c}") for c in old_coords}
+        mapping = {c: ex.symbol(f"{prefix}_{c}") for c in old_coords}
         return [[ex.substitute(e, mapping) for e in row] for row in exprs]
 
     def block_diag(rows_a, rows_b):
-        zero = ex.Const(0.0)
+        zero = ex.const(0.0)
         return ([row + [zero] * nb for row in lift(rows_a, "a", chart_a.coordinates)]
                 + [[zero] * na + row for row in lift(rows_b, "b", chart_b.coordinates)])
 

@@ -64,7 +64,9 @@ def _block(data, key, fields):
 
 def load_manifold(data):
     """Build (chart, immersion-or-None) from a parsed manifold file dict; nothing
-    is evaluated.  Equal expression strings share one parsed tree, so one jet per point."""
+    is evaluated.  Each distinct expression string is parsed once, and the
+    parser interns its nodes, so a subtree repeated across entries (a shared
+    denominator) is one node and gets one jet per point."""
     _require(isinstance(data, dict), "manifold file must be a JSON object")
     for key in ("name", "dim", "coordinates", "metric"):
         _require(key in data, f"missing field {key!r}")

@@ -1,9 +1,13 @@
+import gc
+import importlib
 import math
+import os
 import time
 
 import numpy as np
 import pytest
 
+from hermgeo import cli, reportio
 from hermgeo import expressions as ex
 
 
@@ -90,7 +94,7 @@ def test_deep_nesting_is_a_parse_error():
                                   "(1e308*10)-(1e308*10)"])
 def test_folding_keeps_non_finite_results_unfolded(text):
     e = ex.parse(text, [])
-    assert isinstance(e, ex.BinOp) and not math.isfinite(e.eval({}))
+    assert isinstance(e, ex.BinOp) and not math.isfinite(ex.evaluate(e, {}))
     assert ex.parse(ex.to_string(e), []) == e
 
 
@@ -103,32 +107,33 @@ def test_infinite_constants_print_and_parse_back(text):
 
 
 def test_constants():
-    assert ex.parse("pi", []).eval({}) == pytest.approx(math.pi)
-    assert ex.parse("e", []).eval({}) == pytest.approx(math.e)
+    assert ex.evaluate(ex.parse("pi", []), {}) == pytest.approx(math.pi)
+    assert ex.evaluate(ex.parse("e", []), {}) == pytest.approx(math.e)
 
 
 def test_precedence_and_unary_minus():
     e = ex.parse("-x^2", ["x"])
-    assert e.eval({"x": 3.0}) == -9.0
-    assert ex.parse("2*x^2", ["x"]).eval({"x": 3.0}) == 18.0
-    assert ex.parse("2^3^2", ["x"]).eval({}) == 512.0  # right associative
+    assert ex.evaluate(e, {"x": 3.0}) == -9.0
+    assert ex.evaluate(ex.parse("2*x^2", ["x"]), {"x": 3.0}) == 18.0
+    assert ex.evaluate(ex.parse("2^3^2", ["x"]), {}) == 512.0  # right associative
 
 
 def test_diff_power():
     e = ex.parse("x^2", ["x"])
-    assert e.diff("x").eval({"x": 5.0}) == 10.0
+    assert ex.evaluate(ex.differentiate(e, "x"), {"x": 5.0}) == 10.0
 
 
 def test_diff_independent_symbol():
     e = ex.parse("sin(y)", ["x", "y"])
-    assert e.diff("x") == ex.Const(0.0)
+    assert ex.differentiate(e, "x") == ex.Const(0.0)
 
 
 def test_diff_trig_product():
     e = ex.parse("-sin(t)*cos(t)", ["t"])
     t = math.pi / 4
-    assert e.eval({"t": t}) == pytest.approx(-0.5)
-    assert e.diff("t").eval({"t": t}) == pytest.approx(-math.cos(math.pi / 2), abs=1e-12)
+    assert ex.evaluate(e, {"t": t}) == pytest.approx(-0.5)
+    assert ex.evaluate(ex.differentiate(e, "t"), {"t": t}) == pytest.approx(
+        -math.cos(math.pi / 2), abs=1e-12)
 
 
 def test_diff_general_power():
@@ -136,8 +141,8 @@ def test_diff_general_power():
     e = ex.parse("(1 + x^2)^(x)", ["x"])
     x0 = 0.7
     h = 1e-6
-    fd = (e.eval({"x": x0 + h}) - e.eval({"x": x0 - h})) / (2 * h)
-    assert e.diff("x").eval({"x": x0}) == pytest.approx(fd, rel=1e-8)
+    fd = (ex.evaluate(e, {"x": x0 + h}) - ex.evaluate(e, {"x": x0 - h})) / (2 * h)
+    assert ex.evaluate(ex.differentiate(e, "x"), {"x": x0}) == pytest.approx(fd, rel=1e-8)
 
 
 @pytest.mark.parametrize("base", ["u", "1 + u*v"])
@@ -159,14 +164,14 @@ def test_diff_power_tower_reuses_operand_derivatives(base):
 
 
 def test_evaluate_examples():
-    assert ex.parse("x*y", ["x", "y"]).eval({"x": 2, "y": 3}) == 6.0
-    assert ex.parse("exp(2*x)", ["x"]).eval({"x": 0.5}) == pytest.approx(math.e)
+    assert ex.evaluate(ex.parse("x*y", ["x", "y"]), {"x": 2, "y": 3}) == 6.0
+    assert ex.evaluate(ex.parse("exp(2*x)", ["x"]), {"x": 0.5}) == pytest.approx(math.e)
     with pytest.raises(ex.DomainError):
-        ex.parse("log(x)", ["x"]).eval({"x": 0.0})
+        ex.evaluate(ex.parse("log(x)", ["x"]), {"x": 0.0})
     with pytest.raises(ex.DomainError):
-        ex.parse("1/x", ["x"]).eval({"x": 0.0})
+        ex.evaluate(ex.parse("1/x", ["x"]), {"x": 0.0})
     with pytest.raises(ex.MissingBindingError):
-        ex.parse("x + y", ["x", "y"]).eval({"x": 1.0})
+        ex.evaluate(ex.parse("x + y", ["x", "y"]), {"x": 1.0})
 
 
 def _random_expr(rng, coords, depth):
@@ -210,11 +215,12 @@ def test_derivative_matches_finite_differences(rng):
         h = 1e-5
         up = dict(point, **{sym: point[sym] + h})
         dn = dict(point, **{sym: point[sym] - h})
-        d1 = e.diff(sym)
+        d1 = ex.differentiate(e, sym)
         try:
-            value, d, d2 = e.eval(point), d1.eval(point), d1.diff(sym).eval(point)
-            fd = (e.eval(up) - e.eval(dn)) / (2 * h)
-            fd2 = (d1.eval(up) - d1.eval(dn)) / (2 * h)
+            value, d = ex.evaluate(e, point), ex.evaluate(d1, point)
+            d2 = ex.evaluate(ex.differentiate(d1, sym), point)
+            fd = (ex.evaluate(e, up) - ex.evaluate(e, dn)) / (2 * h)
+            fd2 = (ex.evaluate(d1, up) - ex.evaluate(d1, dn)) / (2 * h)
         except ex.ExprError:
             continue
         if max(abs(value), abs(d), abs(d2)) > 1e3:
@@ -240,14 +246,15 @@ def test_print_parse_roundtrip_is_fixed_point(rng):
 def test_substitute_pullback():
     e = ex.parse("x^2 + y", ["x", "y"])
     sub = ex.substitute(e, {"x": ex.parse("sin(u)", ["u"]), "y": ex.parse("u*2", ["u"])})
-    assert sub.eval({"u": 0.3}) == pytest.approx(math.sin(0.3) ** 2 + 0.6)
+    assert ex.evaluate(sub, {"u": 0.3}) == pytest.approx(math.sin(0.3) ** 2 + 0.6)
 
 
 def _symbolic_jet(e, coords, point):
     b = dict(zip(coords, point))
-    grad = [e.diff(c).eval(b) for c in coords]
-    hess = [[e.diff(c).diff(d).eval(b) for d in coords] for c in coords]
-    return e.eval(b), np.array(grad), np.array(hess)
+    grad = [ex.evaluate(ex.differentiate(e, c), b) for c in coords]
+    hess = [[ex.evaluate(ex.differentiate(ex.differentiate(e, c), d), b) for d in coords]
+            for c in coords]
+    return ex.evaluate(e, b), np.array(grad), np.array(hess)
 
 
 def _assert_jet_matches(e, coords, point):
@@ -274,11 +281,12 @@ def test_jets_match_symbolic_derivatives(rng):
 
 def _domain_expr(rng, coords, depth):
     """Random trees that also divide, take log, sqrt and tan, and raise to
-    non-constant powers, so that some leave the real domain at some points."""
+    non-constant powers, so that some leave the real domain at some points.
+    Their leaves and nodes are interned, so equal subtrees are one node."""
     if depth == 0 or rng.uniform() < 0.25:
         if rng.uniform() < 0.4:
-            return ex.Const(float(rng.choice([0.0, 1.0, 2.0, 0.17, -1.263])))
-        return ex.Sym(coords[rng.integers(len(coords))])
+            return ex.const(rng.choice([0.0, 1.0, 2.0, 0.17, -1.263]))
+        return ex.symbol(coords[rng.integers(len(coords))])
     a = _domain_expr(rng, coords, depth - 1)
     choice = rng.integers(4)
     if choice == 0:
@@ -291,17 +299,24 @@ def _domain_expr(rng, coords, depth):
     return [ex.add, ex.sub, ex.mul, ex.div][rng.integers(4)](a, b)
 
 
+def _generated_cases():
+    """2000 (tree, point) pairs in x and y; about 30% of the points lie on a
+    grid that meets the domain edges."""
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        e = _domain_expr(rng, ["x", "y"], 4)
+        point = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=2) if rng.uniform() < 0.3 \
+            else rng.uniform(-1.5, 1.5, size=2)
+        yield e, point
+
+
 def test_jets_agree_with_symbolic_derivatives_on_generated_trees():
     # checks the jet algebra (chain, product, quotient and power rules on Taylor
     # coefficients) against evaluate on differentiate's trees; the two share the
     # elementary rules, which test_derivative_matches_finite_differences checks
-    rng = np.random.default_rng(20)
     coords = ["x", "y"]
     compared = raised = 0
-    for _ in range(2000):
-        e = _domain_expr(rng, coords, 4)
-        point = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=2) if rng.uniform() < 0.3 \
-            else rng.uniform(-1.5, 1.5, size=2)
+    for e, point in _generated_cases():
         try:
             want = _symbolic_jet(e, coords, point)
         except ex.DomainError:
@@ -319,6 +334,98 @@ def test_jets_agree_with_symbolic_derivatives_on_generated_trees():
             assert np.max(np.abs(g[0] - w)) <= 1e-9 * max(1.0, np.max(np.abs(w))), str(e)
         compared += 1
     assert compared >= 1000 and raised >= 100
+
+
+def _unshared(e):
+    """A copy of ``e`` built from the raw node classes, which intern nothing:
+    no two of its nodes are one object."""
+    if isinstance(e, ex.Const):
+        return ex.Const(e.value)
+    if isinstance(e, ex.Sym):
+        return ex.Sym(e.name)
+    if isinstance(e, ex.Neg):
+        return ex.Neg(_unshared(e.arg))
+    if isinstance(e, ex.Call):
+        return ex.Call(e.fn, _unshared(e.arg))
+    return ex.BinOp(e.op, _unshared(e.left), _unshared(e.right))
+
+
+def _nodes(e):
+    """Every node of ``e``, once per path that reaches it."""
+    yield e
+    for child in (getattr(e, name) for name in ("arg", "left", "right") if hasattr(e, name)):
+        yield from _nodes(child)
+
+
+def _jets_or_error(e, coords, point):
+    try:
+        return ex.jets([e], coords, point)
+    except ex.ExprError as exc:
+        return type(exc), str(exc)
+
+
+def test_shared_subtrees_give_the_jets_of_unshared_trees_bit_for_bit():
+    # interning only merges objects: every distinct subtree runs the same float
+    # operations, and the first DomainError is raised with the same message
+    coords = ["x", "y"]
+    shared = raised = 0
+    for e, point in _generated_cases():
+        copy = _unshared(e)
+        assert copy == e
+        shared += len({id(n) for n in _nodes(e)}) < len(list(_nodes(e)))
+        want, got = _jets_or_error(copy, coords, point), _jets_or_error(e, coords, point)
+        if isinstance(want[0], type):
+            assert got == want, str(e)
+            raised += 1
+            continue
+        for w, g in zip(want, got):
+            assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w)), str(e)
+    assert shared >= 600 and raised >= 500
+
+
+def _cp3_file(tmp_path, monkeypatch):
+    """The benchmark's CP^3 chart: all 36 metric entries divide by one
+    denominator written out in full, (1 + x1^2 + ... + y3^2)^2."""
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    workloads = importlib.import_module("perfbench.workloads")
+    return workloads._cp3_files(str(tmp_path))["chart"]
+
+
+def test_chart_entries_reach_one_denominator_object(tmp_path, monkeypatch):
+    chart, _ = reportio.load_manifold_file(_cp3_file(tmp_path, monkeypatch))
+    entries = [e for row in chart.metric for e in row]
+    assert len(entries) == 36 and all(e.op == "/" and e.right.op == "^" for e in entries)
+    (den,) = {id(e.right.left): e.right.left for e in entries}.values()
+    assert ex.to_string(den).startswith("1 + x1^2 + y1^2")
+    # so do the six diagonal entries' numerators, den - (xi*xi + yi*yi)
+    assert sum(getattr(e.left, "left", None) is den for e in entries) == 6
+
+
+def test_interned_zeros_keep_their_sign():
+    zero, negative_zero = ex.parse("0.0", []), ex.parse("-0.0", [])
+    assert zero is not negative_zero
+    assert math.copysign(1.0, zero.value) == 1.0
+    assert math.copysign(1.0, negative_zero.value) == -1.0
+    assert ex.parse("0", []) is zero and ex.neg(zero) is negative_zero
+
+
+def test_intern_table_holds_no_tree_across_commands(tmp_path, monkeypatch, capsys):
+    # the table is weak: a command's trees leave it when the command is done,
+    # so a long-lived library user neither grows it nor shares trees between
+    # commands
+    cp3 = _cp3_file(tmp_path, monkeypatch)
+    sizes = []
+    for _ in range(20):
+        assert cli.main(["analyze", cp3, "--seed", "0"]) == 0
+        gc.collect()
+        sizes.append(len(ex._NODES))
+    capsys.readouterr()
+    assert sizes[-1] == sizes[0]
+    chart = reportio.load_manifold_file(cp3)
+    assert len(ex._NODES) > sizes[0]
+    del chart
+    gc.collect()
+    assert len(ex._NODES) == sizes[0]
 
 
 @pytest.mark.parametrize("text", [
