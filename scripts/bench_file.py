@@ -13,10 +13,11 @@ file is written by a ``models emit`` process first) and ``verify-theorem`` at
 each of CERTIFICATE_M.  Each row runs ONE_SHOT_RUNS processes and keeps the
 median wall time, CPU time (user + system, from the child's rusage) and
 peak RSS next to the per-run samples.  OpenBLAS is pinned to one thread, as
-in the benchmark.  The environment records ``kernel_s``, the median of
-KERNEL_PASSES passes of the benchmark's calibration kernel
-(``perfbench/calibrate.py``): how fast the host ran while the file was
-written.
+in the benchmark.  The one-shot rows run first, while this script is
+small, since a forked child's peak RSS counts the parent's RSS at fork
+time.  The environment records ``kernel_s``, the median of KERNEL_PASSES
+passes of the benchmark's calibration kernel (``perfbench/calibrate.py``):
+how fast the host ran while the file was written.
 
 The earlier file is the BENCH_<k>.json next to the output with the largest
 k below n.  A diff line ends in "changed" when the samples of the two files
@@ -171,8 +172,9 @@ def main(argv=None):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # for kernel_s, before numpy loads
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
+    shots = one_shot()  # before environment() loads numpy
     doc = {"environment": environment(), "run_seconds": benchmark["run_seconds"],
-           "workloads": bench_runs(benchmark), "one_shot": one_shot()}
+           "workloads": bench_runs(benchmark), "one_shot": shots}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -205,6 +205,15 @@ def _per_entry(value, entries):
             for _, *terms in entries]
 
 
+def _identity_rows(space, entries):
+    """Functional rows of identity entries by the rule of ``_per_entry``:
+    shape (E, d), or (s, E, d) frame-major for entries on stacks of s frames.
+    The stack is C-contiguous; its layout fixes the rounding of products
+    with it."""
+    rows = _per_entry(functools.partial(functional_row, space), entries)
+    return np.ascontiguousarray(np.stack(rows, axis=-2))
+
+
 def proof_identity_residuals(R4, g, J, sampler, frames=64):
     """Max residual of each identity over sampled admissible frames.
 
@@ -216,8 +225,8 @@ def proof_identity_residuals(R4, g, J, sampler, frames=64):
     n = g.shape[0]
     worst = dict.fromkeys(_IDENTITY_NAMES)
     if n > 2 and frames:
-        entries = _identities(J, fr.admissible_frames(g, J, sampler, frames, need_z=n >= 6,
-                                                      need_u=n >= 8))
+        entries = _identities(J, fr.admissible_frames(g, J, sampler, frames,
+                                                      2 + (n >= 6) + (n >= 8)))
         values = _per_entry(functools.partial(cv.curvature_values, R4), entries)
         for (name, *_), value in zip(entries, values):
             worst[name] = max(worst[name] or 0.0, float(np.max(np.abs(value))))
@@ -271,47 +280,35 @@ def _products(n):
     return basis, float(np.max(np.abs(cv.weyl(T, S, s, g)), initial=0.0))
 
 
-def _constraint_rows(space, sampler, J=None):
-    """The constraint rows of a certificate, shape (r, d): the Schouten rows
-    of orthonormal quadruples, column-major as ``functional_row`` gives them,
-    or with ``J`` the rows of the _DIRECT identities on admissible frames,
-    row-major.  The layout decides the rounding of the check's products.
+def _constraint_rows(space, entries, batch, order):
+    """The constraint rows of a certificate, shape (r, d) in ``order`` ("F"
+    or "C"; the layout decides the rounding of the check's products), item
+    by item: ``entries(count)`` draws ``count`` items (frames or quadruples)
+    and gives their identity entries for ``_identity_rows``.
 
-    A batch of b rows (_SCHOUTEN_BATCH quadruples, or _THEOREM_BATCH frames
-    times the identities per frame) can raise the rank by b, so
+    Entries on no item draw nothing, so a batch of ``batch`` items is b =
+    batch * len(entries(0)) rows.  It can raise the rank by b, so
     ceil((d - k) / b) batches reach rank d - k for k = dim K, and
     _SPARE_BATCHES more follow: r = b (ceil((d - k) / b) + _SPARE_BATCHES).
     If some batch fell short of full rank, the rows would leave more than K
     unconstrained and ``_check`` would fail; the count cannot pass wrongly.
 
-    A block of about _BLOCK_ROWS rows takes one draw, one orthonormalization
-    and one ``functional_row`` call.  The rows do not depend on the block
-    size: the uniform stream is the same in one draw or in several, a frame
-    does not depend on its stack size, and ``functional_row`` is elementwise
-    in its stack.  Only the measure-zero redraw of a degenerate frame comes
-    after its block."""
-    g = np.eye(space.n)
-    if J is None:
-        batch, per_item, order = _SCHOUTEN_BATCH, 1, "F"
-
-        def rows(count):
-            return functional_row(space, *_quadruples(g, sampler, count))
-    else:
-        # for m > 2 the frames need Z, for (3.5), (3.6) and (3.7)
-        need_z = space.n > 4
-        batch, order = _THEOREM_BATCH, "C"
-        per_item = len(_identities(J, np.zeros((2 + need_z, space.n)), _DIRECT))
-
-        def rows(count):
-            frames = fr.admissible_frames(g, J, sampler, count, need_z=need_z)
-            return _identity_rows(space, _identities(J, frames, _DIRECT)).reshape(-1, space.dim)
-    size = batch * per_item
+    A block of about _BLOCK_ROWS rows takes one draw and one
+    orthonormalization.  The rows do not depend on the block size: the
+    uniform stream is the same in one draw or in several, a frame does not
+    depend on its stack size, and ``functional_row`` is elementwise in its
+    stack.  Only the measure-zero redraw of a degenerate frame comes after
+    its block."""
+    size = batch * len(entries(0))
+    if not size:
+        raise ValueError(f"no constraint identity applies in dimension {space.n}")
     batches = -(-(space.dim - space.n * (space.n + 1) // 2) // size) + _SPARE_BATCHES
     out = np.empty((batches * size, space.dim), order=order)
     per_block = -(-_BLOCK_ROWS // size)
     for start in range(0, batches, per_block):
         count = min(per_block, batches - start)
-        out[start * size:(start + count) * size] = rows(count * batch)
+        rows = _identity_rows(space, entries(count * batch))
+        out[start * size:(start + count) * size] = rows.reshape(-1, space.dim)
     return out
 
 
@@ -379,9 +376,10 @@ def schouten_nullspace_verify(n, sampler, tolerance=1e-8):
     """
     if n < 4:
         raise cv.UnsupportedDimensionError("need dimension >= 4")
-    space = curvature_space(n)
-    return _certificate(space, _constraint_rows(space, sampler), tolerance,
-                        ("expected_nullspace_dim", n * (n + 1) // 2))
+    space, g = curvature_space(n), np.eye(n)
+    rows = _constraint_rows(space, lambda count: [("quadruple", _quadruples(g, sampler, count))],
+                            _SCHOUTEN_BATCH, "F")
+    return _certificate(space, rows, tolerance, ("expected_nullspace_dim", n * (n + 1) // 2))
 
 
 def canonical_j(n):
@@ -393,30 +391,17 @@ def canonical_j(n):
     return J
 
 
-def _identity_rows(space, entries):
-    """Functional rows of identity entries (name, quadruple[, quadruple]):
-    the row of the first quadruple minus that of the second, if any.  Shape
-    (E, d), or (s, E, d) frame-major for entries on stacks of s frames.  All
-    quadruples go through one ``functional_row`` call."""
-    quads = [quad for _, *terms in entries for quad in terms]
-    rows = functional_row(space, *(np.stack(v, axis=-2) for v in zip(*quads)))
-    first = np.cumsum([0] + [len(terms) for _, *terms in entries[:-1]])
-    paired = [e for e, (_, *terms) in enumerate(entries) if len(terms) == 2]
-    out = np.take(rows, first, axis=-2)
-    out[..., paired, :] -= np.take(rows, first[paired] + 1, axis=-2)
-    return out
-
-
 def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
     """Certificate that the sphere-axiom identities force the Weyl tensor to
     vanish, for complex dimension m (real dimension n = 2m).
 
-    Constraints are the identities the axiom yields directly: (3.1), (3.2),
-    (3.3), and for m > 2 also (3.5), (3.6), (3.7).  The derived identities
-    (3.4), (3.8), orthogonal-quadruple vanishing and the Weyl norm are
-    verified on K, the space the certificate then proves to be the null
-    space: the check functionals on all sampled frames, times K's basis, in
-    one product.
+    Constraints are the identities the axiom yields directly (``_DIRECT``):
+    (3.1), (3.2), (3.3), and for m > 2 also (3.5), (3.6), (3.7).  The derived
+    identities (3.4), (3.8), the orthogonal-quadruple entry of the Schouten
+    rows and the Weyl norm are verified on K, the space the certificate then
+    proves to be the null space: the rows of the check entries on all
+    sampled frames, times K's basis, in one product.  ValueError if no
+    identity of ``_DIRECT`` applies at m.
     """
     if m < 2:
         raise cv.UnsupportedDimensionError("need complex dimension m >= 2")
@@ -426,8 +411,7 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
     # derived residuals come before the constraint rows: a check count too
     # large to allocate fails at once; their own samplers leave the rows' draws alone
     checks = _identities(J, fr.admissible_frames(
-        g, J, fr.FrameSampler(sampler.seed + 1, n), samples, need_z=m > 2, need_u=m >= 4),
-        ("3.4", "3.8"))
+        g, J, fr.FrameSampler(sampler.seed + 1, n), samples, min(m, 4)), ("3.4", "3.8"))
     checks.append(("quadruple", _quadruples(g, fr.FrameSampler(sampler.seed + 2, n), samples)))
 
     products, max_weyl = _products(n)
@@ -435,5 +419,9 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
     names = np.array([name for name, *_ in checks])
     derived = {name: float(values[:, names == name].max(initial=0.0)) if name in names else None
                for name in ("3.4", "3.8", "quadruple")}  # (3.8) needs m >= 4
-    return {"m": m, **_certificate(space, _constraint_rows(space, sampler, J), tolerance,
-                                   ("derived_residuals", {**derived, "weyl": max_weyl}))}
+
+    # for m > 2 the frames need Z, for (3.5), (3.6) and (3.7)
+    def entries(count):
+        return _identities(J, fr.admissible_frames(g, J, sampler, count, min(m, 3)), _DIRECT)
+    return {"m": m, **_certificate(space, _constraint_rows(space, entries, _THEOREM_BATCH, "C"),
+                                   tolerance, ("derived_residuals", {**derived, "weyl": max_weyl}))}

@@ -112,12 +112,11 @@ def sample_orthonormal_set(g, k, sampler, constraints=None):
     return orthonormal_frames(g, sampler.draw(k)[None], sampler, rows=rows[None])[:, 0]
 
 
-def admissible_frames(g, J, sampler, count, need_z=False, need_u=False):
-    """(X, Y[, Z[, U]]) of ``count`` frames, shape (k, count, n): g-unit
-    vectors, each g-orthogonal to the earlier ones and their J-images.  Y is
-    drawn first, then X, Z, U."""
-    k = 2 + need_z + (need_z and need_u)
-    Y, X, *rest = orthonormal_frames(g, sampler.draw(count * k).reshape(count, k, len(g)),
+def admissible_frames(g, J, sampler, count, size=2):
+    """(X, Y[, Z[, U]]) of ``count`` frames of ``size`` 2, 3 or 4, shape
+    (size, count, n): g-unit vectors, each g-orthogonal to the earlier ones
+    and their J-images.  Y is drawn first, then X, Z, U.  No frame, no draw."""
+    Y, X, *rest = orthonormal_frames(g, sampler.draw(count * size).reshape(count, size, len(g)),
                                       sampler, J)
     return np.array([X, Y, *rest])
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -113,7 +115,10 @@ def test_products_are_an_orthonormal_basis_of_kn_products(n, rng):
 
 def _schouten_rows(n, seed=0):
     """The Schouten constraint rows of dimension n."""
-    return ax._constraint_rows(ax.curvature_space(n), fr.FrameSampler(seed, n))
+    g, sampler = np.eye(n), fr.FrameSampler(seed, n)
+    return ax._constraint_rows(ax.curvature_space(n),
+                               lambda count: [("quadruple", ax._quadruples(g, sampler, count))],
+                               ax._SCHOUTEN_BATCH, "F")
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -216,6 +221,17 @@ def test_quadruple_block_equals_two_half_blocks():
     assert np.array_equal(block, halves)
 
 
+def test_no_frame_draws_nothing():
+    # _constraint_rows counts the rows per item on entries of no item
+    n = 8
+    g, J = np.eye(n), ax.canonical_j(n)
+    sampler, twin = fr.FrameSampler(2, n), fr.FrameSampler(2, n)
+    assert ax._quadruples(g, sampler, 0).shape == (4, 0, n)
+    for size in (2, 3, 4):
+        assert fr.admissible_frames(g, J, sampler, 0, size).shape == (size, 0, n)
+    assert np.array_equal(sampler.draw(3), twin.draw(3))
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_block_size_does_not_change_a_report(m, seed, monkeypatch):
@@ -235,6 +251,33 @@ def test_theorem_row_count_follows_the_direct_identities(monkeypatch):
     monkeypatch.setattr(ax, "_DIRECT", ("3.2", "3.3"))
     rep = ax.theorem_nullspace_verify(2, fr.FrameSampler(1, 4), samples=8)
     assert rep["constraint_rows"] == 48 and rep["pass"]
+
+
+# Minimal sets of direct identities that pass the theorem certificate at
+# seeds 1-3 under the closed-form row count.  A superset need not pass: at
+# m = 4, {3.1, 3.2, 3.3} and {3.1, 3.2, 3.6} fail, as the budget counts rows
+# per frame, not the rank they add.
+MINIMAL_DIRECT = {
+    2: [("3.2", "3.3")],
+    3: [("3.1", "3.5"), ("3.1", "3.6"), ("3.2", "3.3"), ("3.2", "3.5"), ("3.2", "3.6"),
+        ("3.1", "3.3", "3.7")],
+    4: [("3.1", "3.5"), ("3.2", "3.3"), ("3.2", "3.5"), ("3.2", "3.6"),
+        ("3.1", "3.3", "3.6"), ("3.1", "3.3", "3.7"), ("3.1", "3.6", "3.7")],
+}
+
+
+def test_minimal_identity_sets_pass_and_their_maximal_subsets_fail(monkeypatch):
+    def passes(m, direct, seed):
+        monkeypatch.setattr(ax, "_DIRECT", direct)
+        return ax.theorem_nullspace_verify(m, fr.FrameSampler(seed, 2 * m), samples=8)["pass"]
+    for m, sets in MINIMAL_DIRECT.items():
+        for minimal, seed in itertools.product(sets, (1, 2, 3)):
+            assert passes(m, minimal, seed), (m, minimal, seed)
+            for subset in itertools.combinations(minimal, len(minimal) - 1):
+                assert not passes(m, subset, seed), (m, subset, seed)
+    # no identity of the set applies to the two-vector frames of m = 2
+    with pytest.raises(ValueError, match="no constraint identity applies in dimension 4"):
+        passes(2, ("3.5",), 1)
 
 
 @pytest.mark.parametrize("seed", [5, 11])
@@ -266,7 +309,7 @@ def test_batched_checks_match_curvature_value(m, rng):
     g, J = np.eye(n), ax.canonical_j(n)
     check_sampler = fr.FrameSampler(seed + 1, n)
     checks = [entry for _ in range(samples) for entry in ax._identities(
-        J, fr.admissible_frames(g, J, check_sampler, 1, need_z=m > 2, need_u=m >= 4)[:, 0],
+        J, fr.admissible_frames(g, J, check_sampler, 1, 2 + (m > 2) + (m >= 4))[:, 0],
         ("3.4", "3.8"))]
     quad_sampler = fr.FrameSampler(seed + 2, n)
     checks += [("quadruple", fr.sample_orthonormal_set(g, 4, quad_sampler))
@@ -312,7 +355,7 @@ def test_proof_identity_residuals_match_per_frame_loop(n, rng):
     sampler = fr.FrameSampler(2, n)
     worst = dict.fromkeys(out)
     for _ in range(12):
-        frame = fr.admissible_frames(g, J, sampler, 1, need_z=n >= 6, need_u=n >= 8)[:, 0]
+        frame = fr.admissible_frames(g, J, sampler, 1, 2 + (n >= 6) + (n >= 8))[:, 0]
         for name, *terms in ax._identities(J, frame):
             values = [np.einsum("ijkl,i,j,k,l->", R4, *quad) for quad in terms]
             value = abs(values[0] - values[1]) if len(terms) == 2 else abs(values[0])

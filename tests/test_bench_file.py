@@ -1,5 +1,6 @@
 """The BENCH file script's comparison logic (no benchmark is run here)."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -81,3 +82,18 @@ def test_every_one_shot_row_is_a_median_of_fresh_processes(monkeypatch):
 def test_cli_process_reports_the_child_cpu_time():
     wall, rss, cpu = bench_file.cli_process("models", "list")
     assert 0 < cpu <= wall and rss > 0
+
+
+def test_one_shot_rows_run_before_the_environment_is_read(monkeypatch, tmp_path):
+    # environment() loads numpy, and a forked child's peak RSS counts the
+    # parent's RSS at fork time
+    order = []
+    for stage in ("one_shot", "environment", "bench_runs"):
+        monkeypatch.setattr(bench_file, stage,
+                            lambda *args, stage=stage: order.append(stage) or {})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    out = tmp_path / "BENCH_1.json"
+    assert bench_file.main([str(out)]) == 0
+    assert order == ["one_shot", "environment", "bench_runs"]
+    assert list(json.loads(out.read_text())) == ["environment", "run_seconds", "workloads",
+                                                  "one_shot"]

@@ -166,17 +166,17 @@ def test_degenerate_draws_give_up_after_64():
     assert sampler.draws == 64
 
 
-@pytest.mark.parametrize("need_z, need_u", [(False, False), (True, False), (True, True)])
-def test_stacked_frames_equal_sequential_frames(need_z, need_u, rng):
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_stacked_frames_equal_sequential_frames(size, rng):
     n, count = 8, 6
     A = rng.normal(size=(n, n)) + 3 * np.eye(n)
     Ainv = np.linalg.inv(A)
     J, g = A @ canonical_j(n) @ Ainv, Ainv.T @ Ainv  # a compatible pair
     sampler, twin = fr.FrameSampler(5, n), fr.FrameSampler(5, n)
-    stacked = fr.admissible_frames(g, J, sampler, count, need_z, need_u)
-    single = np.stack([fr.admissible_frames(g, J, twin, 1, need_z, need_u)[:, 0]
+    stacked = fr.admissible_frames(g, J, sampler, count, size)
+    single = np.stack([fr.admissible_frames(g, J, twin, 1, size)[:, 0]
                        for _ in range(count)], axis=1)
-    assert stacked.shape == single.shape == (2 + need_z + need_u, count, n)
+    assert stacked.shape == single.shape == (size, count, n)
     assert np.max(np.abs(stacked - single)) <= 1e-15
     assert np.array_equal(sampler.draw(1), twin.draw(1))  # as many draws on both
 
@@ -185,8 +185,8 @@ def test_admissible_block_equals_two_half_blocks():
     n = 6
     g, J = np.eye(n), canonical_j(n)
     sampler, twin = fr.FrameSampler(4, n), fr.FrameSampler(4, n)
-    block = fr.admissible_frames(g, J, sampler, 12, need_z=True)
-    halves = np.concatenate([fr.admissible_frames(g, J, twin, 6, need_z=True)
+    block = fr.admissible_frames(g, J, sampler, 12, size=3)
+    halves = np.concatenate([fr.admissible_frames(g, J, twin, 6, size=3)
                              for _ in range(2)], axis=1)
     assert block.shape == (3, 12, n)
     assert np.array_equal(block, halves)
@@ -221,6 +221,6 @@ def test_j_identity_keeps_je_as_zero_rows(n):
     # Je = e depends on the rows so far: it adds a zero row, no constraint,
     # so the frame still fills the whole space
     frames = fr.admissible_frames(np.eye(n), np.eye(n), fr.FrameSampler(1, n), 5,
-                                  need_z=n == 3)
+                                  size=n)
     for frame in np.moveaxis(frames, 1, 0):
         assert np.max(np.abs(frame @ frame.T - np.eye(n))) <= 1e-12
