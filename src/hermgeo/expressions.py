@@ -230,72 +230,116 @@ def call(fn, a):
 _TOKEN_RE = re.compile(
     r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()])|(?P<bad>\S)"
+    r"|(?P<op>[-+*/^])|(?P<bad>\S)"
 )
+_PAREN_RE = re.compile(r"[()]")
+MAX_NESTING = 100
+
+# (text, names) -> the live node that text parsed to, for every whole string
+# and every parenthesized group parsed.  A group's node depends only on its
+# text and the names, so a later string holding the same group (a conformal
+# factor written into every metric entry) takes the node without reading the
+# group again.  Weak values, as in _NODES: an entry lives while a tree holds
+# its node.
+_TEXTS = weakref.WeakValueDictionary()
 
 
 def parse(text, symbols):
-    """Parse ``text`` into an Expr over the given coordinate names."""
-    names = list(symbols)
+    """Parse ``text`` into an Expr over the given coordinate names.  A bad
+    character is reported before any syntax error, and a text whose
+    parentheses nest more than MAX_NESTING deep is rejected at the first one
+    past that depth."""
+    names = tuple(symbols)
+    if (node := _TEXTS.get((text, names))) is not None:  # only distinct names get in
+        return node
     if len(set(names)) != len(names):
         raise ValueError("coordinate names must be distinct")
-    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    # No token holds a parenthesis, so the text is tokenized piecewise between
+    # them, and a matched group already in _TEXTS becomes one "group" token.
+    marks, close, opened, deep = [], {}, [], None
+    for m in _PAREN_RE.finditer(text):
+        p = m.start()
+        marks.append(p)
+        if text[p] == "(":
+            opened.append(p)
+            if len(opened) > MAX_NESTING and deep is None:
+                deep = p
+        elif opened:
+            close[opened.pop()] = p
+    if deep is not None:
+        close = {}  # rejected below; looking up its groups would slice each one
+    tokens, known, start = [], {}, 0
+    for p in marks:
+        if p < start:
+            continue
+        tokens += [(m.lastgroup, m.group(), m.start())
+                   for m in _TOKEN_RE.finditer(text, start, p)]
+        q = close.get(p)
+        if q is not None and (node := _TEXTS.get((text[p:q + 1], names))) is not None:
+            tokens.append(("group", "(", p))
+            known[p] = node
+            start = q + 1
+        else:
+            tokens.append((text[p], text[p], p))
+            start = p + 1
+    tokens += [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text, start)]
     for kind, value, pos in tokens:
         if kind == "bad":
             raise ParseError(f"unexpected character {value!r}", pos)
+    if deep is not None:
+        raise ParseError("expression nested too deeply", deep)
     tokens.append(("end", "", len(text)))
     i = 0
 
-    def take(ops):
-        """Consume the next token if it is one of the operators ``ops``."""
-        nonlocal i
-        kind, value, _ = tokens[i]
-        if kind == "op" and value in ops:
-            i += 1
-            return value
-        return None
-
     def expr():
+        nonlocal i
         node = term()
-        while op := take("+-"):
+        while (op := tokens[i][1]) in ("+", "-"):
+            i += 1
             node = (add if op == "+" else sub)(node, term())
         return node
 
     def term():
+        nonlocal i
         node = factor()
-        while op := take("*/"):
+        while (op := tokens[i][1]) in ("*", "/"):
+            i += 1
             node = (mul if op == "*" else div)(node, factor())
         return node
 
     def factor():
-        negate = take("-")
+        nonlocal i
+        negate = tokens[i][1] == "-"
+        i += negate
         node = atom()
-        if take("^"):
+        if tokens[i][1] == "^":
+            i += 1
             node = pow_(node, factor())
         return neg(node) if negate else node
 
-    def group():
-        node = expr()
-        if not take(")"):
-            raise ParseError("expected ')'", tokens[i][2])
-        return node
-
     def atom():
         nonlocal i
-        if take("("):
-            return group()
         kind, value, pos = tokens[i]
-        if kind == "num":
+        i += 1
+        if kind == "group":
+            return known[pos]
+        if kind == "(":
+            node = expr()
+            kind, _, end = tokens[i]
+            if kind != ")":
+                raise ParseError("expected ')'", end)
             i += 1
+            _TEXTS[text[pos:end + 1], names] = node
+            return node
+        if kind == "num":
             return const(float(value))
         if kind != "ident":
             raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input",
                              pos)
-        i += 1
-        if take("("):
+        if tokens[i][0] in ("(", "group"):
             if value not in FUNCTIONS:
                 raise ParseError(f"unknown function {value!r}", pos)
-            return call(value, group())
+            return call(value, atom())
         if value in names:
             return symbol(value)
         if value in CONSTANTS:
@@ -308,6 +352,7 @@ def parse(text, symbols):
         raise ParseError("expression nested too deeply", tokens[i][2]) from None
     if tokens[i][0] != "end":
         raise ParseError(f"unexpected token {tokens[i][1]!r}", tokens[i][2])
+    _TEXTS[text, names] = node
     return node
 
 

@@ -64,9 +64,10 @@ def _block(data, key, fields):
 
 def load_manifold(data):
     """Build (chart, immersion-or-None) from a parsed manifold file dict; nothing
-    is evaluated.  Each distinct expression string is parsed once, and the
-    parser interns its nodes, so a subtree repeated across entries (a shared
-    denominator) is one node and gets one jet per point."""
+    is evaluated.  The parser reads each distinct string and parenthesized
+    group once while its tree is alive and interns its nodes, so a subtree
+    repeated across entries (a shared denominator) is one node and gets one
+    jet per point."""
     _require(isinstance(data, dict), "manifold file must be a JSON object")
     for key in ("name", "dim", "coordinates", "metric"):
         _require(key in data, f"missing field {key!r}")
@@ -74,16 +75,13 @@ def load_manifold(data):
     dim = _integer(data["dim"], "dim")
     _require(dim >= 1, f"dim must be at least 1, got {dim}")
     _require(len(coords) == dim, "dim does not match number of coordinates")
-    trees = {}
 
     def parse(text, symbols, field):
         _require(isinstance(text, str), f"expression must be a string, got {text!r}")
-        if (text, *symbols) not in trees:
-            try:
-                trees[text, *symbols] = ex.parse(text, symbols)
-            except ex.ParseError as exc:
-                raise ManifoldFileError(f"{field} entry failed to parse: {exc}") from exc
-        return trees[text, *symbols]
+        try:
+            return ex.parse(text, symbols)
+        except ex.ParseError as exc:
+            raise ManifoldFileError(f"{field} entry failed to parse: {exc}") from exc
 
     metric = [[parse(e, coords, "metric") for e in row]
               for row in _square(data["metric"], dim, "metric")]

@@ -3,6 +3,7 @@ import importlib
 import math
 import os
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_no_implicit_multiplication():
         ex.parse("2x", ["x"])
 
 
-@pytest.mark.parametrize("text, message, position", [
+PARSE_ERRORS = [
     ("", "unexpected end of input", 0),
     ("   ", "unexpected end of input", 3),
     ("x +", "unexpected end of input", 3),
@@ -54,12 +55,73 @@ def test_no_implicit_multiplication():
     ("sin x", "unknown identifier 'sin'", 0),
     ("foo(x)", "unknown function 'foo'", 0),
     ("sin(x", "expected ')'", 5),
-])
+]
+
+
+@pytest.mark.parametrize("text, message, position", PARSE_ERRORS)
 def test_parse_errors_name_the_failing_position(text, message, position):
     with pytest.raises(ex.ParseError) as err:
         ex.parse(text, ["x", "y"])
     assert str(err.value) == f"{message} (at position {position})"
     assert err.value.position == position
+
+
+def _outcome(text, coords, table):
+    """The tree ``text`` parses to with ``table`` as the text table, or the
+    error it raises."""
+    saved, ex._TEXTS = ex._TEXTS, table
+    try:
+        return ex.parse(text, coords)
+    except ex.ParseError as exc:
+        return str(exc), exc.position
+    finally:
+        ex._TEXTS = saved
+
+
+def _warm_table(*texts, coords=("x", "y")):
+    """A text table holding every group of ``texts``, and the trees that keep
+    its entries alive."""
+    table = weakref.WeakValueDictionary()
+    return table, [_outcome(t, coords, table) for t in texts]
+
+
+@pytest.mark.parametrize("text, message, position", PARSE_ERRORS)
+def test_known_groups_keep_every_parse_error(text, message, position):
+    # a group already parsed becomes one token; the error a text raises, and
+    # where, must not depend on whether its groups are known
+    table, held = _warm_table("(x + 1)")
+    prefix = "(x + 1)*"
+    cold = _outcome(prefix + text, ["x", "y"], weakref.WeakValueDictionary())
+    assert cold == (f"{message} (at position {position + len(prefix)})", position + len(prefix))
+    assert _outcome(prefix + text, ["x", "y"], table) == cold
+    inside = text.replace("x", "(x + 1)")
+    assert _outcome(inside, ["x", "y"], table) == \
+        _outcome(inside, ["x", "y"], weakref.WeakValueDictionary())
+
+
+def test_known_group_is_neither_served_unclosed_nor_past_an_unknown_function():
+    table, held = _warm_table("(x + 1)", "sin(x + 1)")
+    assert _outcome("(x + 1", ["x", "y"], table) == ("expected ')' (at position 6)", 6)
+    assert _outcome("foo(x + 1)", ["x", "y"], table) == \
+        ("unknown function 'foo' (at position 0)", 0)
+    assert _outcome("cos(x + 1)", ["x", "y"], table) == \
+        ex.call("cos", ex.add(ex.symbol("x"), ex.const(1.0)))
+
+
+def test_known_group_is_not_parsed_again(monkeypatch):
+    table, held = _warm_table("(x + 1)")
+    built = []
+    monkeypatch.setattr(ex, "symbol", lambda name: built.append(name) or ex.Sym(name))
+    assert _outcome("2*(x + 1) - y", ["x", "y"], table) == \
+        ex.sub(ex.mul(ex.const(2.0), held[0]), ex.Sym("y"))
+    assert built == ["y"]
+
+
+def test_known_group_serves_only_its_own_names():
+    table, held = _warm_table("(x + 1)", coords=["x"])
+    for text in ("(x + 1)", "2*(x + 1)", "sin(x + 1)"):
+        assert _outcome(text, ["y"], table) == ("unknown identifier 'x' (at position "
+                                                f"{text.index('x')})", text.index("x"))
 
 
 X, Y, Z = ex.Sym("x"), ex.Sym("y"), ex.Sym("z")
@@ -88,6 +150,24 @@ def test_parse_grammar_shapes(text, coords, tree):
 def test_deep_nesting_is_a_parse_error():
     with pytest.raises(ex.ParseError, match="nested too deeply"):
         ex.parse("(" * 2000 + "x" + ")" * 2000, ["x"])
+
+
+def test_nesting_limit_depends_on_the_text_alone():
+    # the limit comes from counting parentheses, not from the parser's stack,
+    # so a held group that is nested deep inside does not lift it
+    deepest = "(" * ex.MAX_NESTING + "x" + ")" * ex.MAX_NESTING
+    table, held = _warm_table(deepest, coords=["x"])
+    assert held == [ex.symbol("x")]
+    for text, position in [("(" + deepest + ")", ex.MAX_NESTING),
+                           ("(" * 200 + "x" + ")" * 200, ex.MAX_NESTING),
+                           ("x + sin(" + deepest + ")", 7 + ex.MAX_NESTING),
+                           ("sin(" * 300 + "x" + ")" * 300, 4 * ex.MAX_NESTING + 3)]:
+        want = (f"expression nested too deeply (at position {position})", position)
+        assert _outcome(text, ["x"], weakref.WeakValueDictionary()) == want
+        assert _outcome(text, ["x"], table) == want
+    # a bad character is still reported first
+    assert _outcome("(" * 200 + "x @" + ")" * 200, ["x"], table) == \
+        ("unexpected character '@' (at position 202)", 202)
 
 
 @pytest.mark.parametrize("text", ["1e308*10", "1e308+1e308", "4/1e-320",
@@ -410,22 +490,39 @@ def test_interned_zeros_keep_their_sign():
 
 
 def test_intern_table_holds_no_tree_across_commands(tmp_path, monkeypatch, capsys):
-    # the table is weak: a command's trees leave it when the command is done,
-    # so a long-lived library user neither grows it nor shares trees between
-    # commands
+    # the node and text tables are weak: a command's trees leave them when the
+    # command is done, so a long-lived library user neither grows them nor
+    # shares trees between commands
     cp3 = _cp3_file(tmp_path, monkeypatch)
     sizes = []
     for _ in range(20):
         assert cli.main(["analyze", cp3, "--seed", "0"]) == 0
         gc.collect()
-        sizes.append(len(ex._NODES))
+        sizes.append((len(ex._NODES), len(ex._TEXTS)))
     capsys.readouterr()
     assert sizes[-1] == sizes[0]
     chart = reportio.load_manifold_file(cp3)
-    assert len(ex._NODES) > sizes[0]
+    assert len(ex._NODES) > sizes[0][0] and len(ex._TEXTS) > sizes[0][1]
     del chart
     gc.collect()
-    assert len(ex._NODES) == sizes[0]
+    assert (len(ex._NODES), len(ex._TEXTS)) == sizes[0]
+
+
+def test_warm_text_table_gives_the_trees_of_an_empty_one():
+    # every generated tree printed and parsed again, once from an empty table
+    # and once from a table holding the groups of all trees before it
+    coords = ["x", "y"]
+    warm, held = weakref.WeakValueDictionary(), []
+    served = 0
+    for e, _ in _generated_cases():
+        text = ex.to_string(e)
+        cold = _outcome(text, coords, weakref.WeakValueDictionary())
+        warm.pop((text, tuple(coords)), None)
+        served += any(key[0] != text and key[0] in text for key in list(warm.keys()))
+        got = _outcome(text, coords, warm)
+        assert got is cold and cold == e, text
+        held.append(got)
+    assert served >= 500
 
 
 @pytest.mark.parametrize("text", [
