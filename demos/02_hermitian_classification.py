@@ -22,7 +22,7 @@ def main():
     for name, points in cases.items():
         chart = models.instantiate(name)
         pds = [cv.point_data(chart, p) for p in points]
-        out = cl.classify_chart(chart, pds, seed=0, samples=24)
+        out, _ = cl.classify_chart(chart, pds, seed=0, samples=24)
         flags = "  ".join(f"{c['name']}={'Y' if c['pass'] else 'n'}"
                           for c in out["checks"])
         print(f"{chart.name:22s} {flags}")
@@ -33,8 +33,8 @@ def main():
 
     # the full machine-readable record for one model
     chart = models.instantiate("product_K")
-    out = cl.classify_chart(chart, [cv.point_data(chart, [0.1, -0.2, 0.07, 0.03])],
-                            seed=0, samples=24)
+    out, _ = cl.classify_chart(chart, [cv.point_data(chart, [0.1, -0.2, 0.07, 0.03])],
+                               seed=0, samples=24)
     print(reportio.dump_report(out))
 
 

@@ -9,12 +9,13 @@ printed, then every changed field of the line (argv, exit code, stderr and
 report) as ``path: old -> new``, with the values in JSON.  A path joins
 object keys and list indices with dots; a field or line that one file
 lacks reads ``absent``.  Exits 0 when the files are identical and 1 when
-they differ.
+they differ, also when the reader of its output stops early.
 """
 
 import argparse
 import itertools
 import json
+import os
 import sys
 
 
@@ -66,7 +67,11 @@ def main(argv=None):
         with open(path, encoding="utf-8") as fh:
             sets.append(fh.read().splitlines())
     lines = diff_lines(*sets)
-    print("\n".join(lines) if lines else "identical")
+    try:
+        print("\n".join(lines) if lines else "identical", flush=True)
+    except BrokenPipeError:  # a reader that stopped early, such as ``| head``
+        # stdout is flushed again at exit: let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if lines else 0
 
 

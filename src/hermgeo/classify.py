@@ -106,10 +106,11 @@ def constancy_report(chart, pds, sampler, samples=32, tolerance=1e-8):
     holomorphic sectional curvature, antiholomorphic sectional curvature,
     and the constant-type value, over the point data ``pds``.
 
-    Returns a list of check records; the reported constant is the sample
-    mean, "pointwise" passes when every per-point std is within tolerance,
-    "global" additionally requires the per-point means to agree.  An
-    invariant that does not exist in the chart's dimension has null values.
+    Returns (records, per_point): a check record per invariant, whose
+    constant is the sample mean, "pointwise" passes when every per-point std
+    is within tolerance and "global" also needs the per-point means to agree;
+    and per invariant name, its (mean, std) at each point.  An invariant that
+    does not exist in the chart's dimension has null values and None pairs.
     """
     stats = {"holomorphic_sectional": [], "antiholomorphic_sectional": [],
              "constant_type": []}
@@ -139,13 +140,13 @@ def constancy_report(chart, pds, sampler, samples=32, tolerance=1e-8):
             })
         record.update({"tolerance": tolerance, "samples": samples, "seed": sampler.seed})
         report.append(record)
-    return report
+    return report, stats
 
 
 def classify_chart(chart, pds, seed=0, samples=32, tolerance=1e-8):
-    """Full classification record for a chart with an almost complex
-    structure, over the point data ``pds``: compatibility, Kahler/NK/RK
-    flags, conformal flatness, and the constancy report."""
+    """(record, per_point): the classification record of a chart with an almost
+    complex structure over the point data ``pds`` (compatibility, Kahler/NK/RK
+    flags, conformal flatness, constancy) and constancy_report's per_point."""
     sampler = fr.FrameSampler(seed, chart.dim)
     checks = []
 
@@ -173,6 +174,6 @@ def classify_chart(chart, pds, seed=0, samples=32, tolerance=1e-8):
     record("rk", rk)
     if chart.dim >= 4:
         record("conformally_flat", weyl_norm)
-    constancy = constancy_report(chart, pds, sampler, samples, tolerance)
+    constancy, per_point = constancy_report(chart, pds, sampler, samples, tolerance)
     return {"chart": chart.name, "points": [list(map(float, pd.point)) for pd in pds],
-            "checks": checks, "constancy": constancy}
+            "checks": checks, "constancy": constancy}, per_point

@@ -2,10 +2,10 @@
 
 Exit codes: 0 data-complete (classification failures are data, not errors),
 2 usage, parse or asymmetric-metric error (a tolerance that is not a finite
-number >= 0, or a count too large to allocate, among them), 3 mathematical
-domain error, 5 certificate failed (the report is still printed, the message
-names the failed one).  Exit 4, once non-convergence of a rank loop, is
-retired: no path reaches it.
+number >= 0, a count too large to allocate, or an expression too deep to
+evaluate, among them), 3 mathematical domain error, 5 certificate failed
+(the report is still printed, the message names the failed one).  Exit 4,
+once non-convergence of a rank loop, is retired: no path reaches it.
 
 Every flag of a chart command is ``residual <= --tol``, and ``submanifold``'s
 ``codazzi_2_2_residual`` is null exactly at the points not totally umbilical.
@@ -64,31 +64,27 @@ def _analyze_report(chart, points, seed, tol, samples, require_weyl):
     if require_weyl and chart.dim < 4:
         raise cv.UnsupportedDimensionError(
             f"conformal curvature requested but dimension is {chart.dim}")
-    sampler = fr.FrameSampler(seed, chart.dim)
     report = {
         "command": "analyze", "chart": chart.name, "dim": chart.dim,
         "seed": seed, "tolerance": tol, "samples": samples, "points": [],
     }
     pds = [cv.point_data(chart, point) for point in points]
-    for pd in pds:
-        entry = {"point": [float(v) for v in pd.point], "scalar_curvature": pd.scalar}
-        if pd.weyl is not None:
-            entry["weyl_norm"] = cv.relative_weyl_norm(pd)
-        if pd.J is not None:
-            hs, _, lam = cl.sample_invariants(pd, sampler, samples)
-            entry["holomorphic_sectional"] = {"mean": float(np.mean(hs)),
-                                              "std": float(np.std(hs))}
-            entry["constant_type"] = None if lam is None else {
-                "mean": float(np.mean(lam)), "std": float(np.std(lam))}
-        report["points"].append(entry)
+    per_point = {}
     if chart.has_j():
-        classification = cl.classify_chart(chart, pds, seed=seed,
-                                           samples=samples, tolerance=tol)
-        report["checks"] = classification["checks"]
-        report["constancy"] = classification["constancy"]
+        classification, per_point = cl.classify_chart(chart, pds, seed=seed,
+                                                      samples=samples, tolerance=tol)
+        report.update(checks=classification["checks"], constancy=classification["constancy"])
         report["identity_residuals"] = ax.proof_identity_residuals(
             pds[0].riemann, pds[0].g, pds[0].J, fr.FrameSampler(seed, chart.dim),
             frames=samples)
+    for i, pd in enumerate(pds):
+        entry = {"point": [float(v) for v in pd.point], "scalar_curvature": pd.scalar}
+        if pd.weyl is not None:
+            entry["weyl_norm"] = cv.relative_weyl_norm(pd)
+        for key in ("holomorphic_sectional", "constant_type") if per_point else ():
+            stat = per_point[key][i]  # this point's constancy samples
+            entry[key] = None if stat is None else dict(zip(("mean", "std"), stat))
+        report["points"].append(entry)
     return report
 
 
@@ -107,8 +103,8 @@ def cmd_classify(args):
         raise UsageError(f"chart {chart.name!r} has no almost complex structure to classify")
     pds = [cv.point_data(chart, point)
            for point in _parse_points(chart.dim, args.point, chart.domain_hint)]
-    report = cl.classify_chart(chart, pds, seed=args.seed,
-                               samples=args.samples, tolerance=args.tol)
+    report, _ = cl.classify_chart(chart, pds, seed=args.seed,
+                                  samples=args.samples, tolerance=args.tol)
     report = {"command": "classify", **report, "seed": args.seed, "tolerance": args.tol}
     sys.stdout.write(reportio.dump_report(report))
     return EXIT_OK
@@ -285,6 +281,9 @@ def main(argv=None):
     except (UsageError, reportio.ManifoldFileError, cv.AsymmetricMetricError,
             MemoryError) as exc:  # MemoryError: a count too large to allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:  # a tree deeper than the stack, such as a long sum
+        print("error: expression nested too deeply to evaluate", file=sys.stderr)
         return EXIT_USAGE
     except (ex.DomainError, ex.MissingBindingError, cv.SingularMetricError,
             cv.UnsupportedDimensionError, cv.DegeneratePlaneError,

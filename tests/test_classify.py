@@ -25,7 +25,7 @@ def test_classify_chart_incompatible_structure():
          ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
         j_entries=[["0", "-1", "0", "0"], ["1", "0", "0", "0"],
                    ["0", "0", "0", "-1"], ["0", "0", "1", "0"]])
-    out = cl.classify_chart(chart, [cv.point_data(chart, [0.0] * 4)], samples=8)
+    out, _ = cl.classify_chart(chart, [cv.point_data(chart, [0.0] * 4)], samples=8)
     checks = {c["name"]: c for c in out["checks"]}
     assert checks["j_squared"]["residual"] == 0.0
     assert checks["j_squared"]["pass"]
@@ -126,8 +126,8 @@ def test_constancy_fubini_study():
     chart = models.instantiate("fubini_study", m=2)
     sampler = fr.FrameSampler(0, 4)
     points = [[0.0, 0.0, 0.0, 0.0], [0.2, -0.1, 0.1, 0.3]]
-    report = cl.constancy_report(chart, [cv.point_data(chart, p) for p in points], sampler,
-                                 samples=24)
+    report, _ = cl.constancy_report(chart, [cv.point_data(chart, p) for p in points],
+                                    sampler, samples=24)
     by_name = {r["name"]: r for r in report}
     assert by_name["holomorphic_sectional"]["constant"] == pytest.approx(4.0, abs=1e-8)
     assert by_name["holomorphic_sectional"]["global_pass"]
@@ -139,16 +139,16 @@ def test_constancy_fubini_study():
 def test_constancy_fails_on_product():
     chart = models.instantiate("product_K", K=1.0)
     sampler = fr.FrameSampler(0, 4)
-    report = cl.constancy_report(chart, [cv.point_data(chart, [0.1, 0.2, 0.05, -0.1])], sampler,
-                                 samples=24)
+    report, _ = cl.constancy_report(chart, [cv.point_data(chart, [0.1, 0.2, 0.05, -0.1])],
+                                    sampler, samples=24)
     by_name = {r["name"]: r for r in report}
     assert not by_name["holomorphic_sectional"]["pass"]
 
 
 def test_classify_chart_product():
     chart = models.instantiate("product_K", K=1.0)
-    out = cl.classify_chart(chart, [cv.point_data(chart, [0.1, -0.2, 0.07, 0.03])],
-                            seed=0, samples=24)
+    out, _ = cl.classify_chart(chart, [cv.point_data(chart, [0.1, -0.2, 0.07, 0.03])],
+                               seed=0, samples=24)
     checks = {c["name"]: c for c in out["checks"]}
     assert checks["j_squared"]["pass"]
     assert checks["j_compatible"]["pass"]
@@ -160,8 +160,8 @@ def test_classify_chart_product():
 
 def test_classify_chart_s6():
     chart = models.instantiate("s6_nearly_kahler")
-    out = cl.classify_chart(chart, [cv.point_data(chart, [0.1, 0.0, -0.2, 0.3, 0.05, 0.0])],
-                            seed=0, samples=16)
+    out, _ = cl.classify_chart(chart, [cv.point_data(chart, [0.1, 0.0, -0.2, 0.3, 0.05, 0.0])],
+                               seed=0, samples=16)
     checks = {c["name"]: c for c in out["checks"]}
     assert not checks["kahler"]["pass"]
     assert checks["nearly_kahler"]["pass"]
@@ -170,10 +170,10 @@ def test_classify_chart_s6():
 
 def test_classify_deterministic():
     chart = models.instantiate("fubini_study", m=2)
-    a = cl.classify_chart(chart, [cv.point_data(chart, [0.1, 0.2, 0.0, -0.1])],
-                          seed=7, samples=16)
-    b = cl.classify_chart(chart, [cv.point_data(chart, [0.1, 0.2, 0.0, -0.1])],
-                          seed=7, samples=16)
+    a, _ = cl.classify_chart(chart, [cv.point_data(chart, [0.1, 0.2, 0.0, -0.1])],
+                             seed=7, samples=16)
+    b, _ = cl.classify_chart(chart, [cv.point_data(chart, [0.1, 0.2, 0.0, -0.1])],
+                             seed=7, samples=16)
     assert a == b
 
 

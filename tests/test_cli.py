@@ -88,6 +88,26 @@ def test_analyze_hermitian_fields(tmp_path, capsys):
         assert check["pass"] == (check["residual"] <= check["tolerance"])
 
 
+@pytest.mark.parametrize("points", [["0.3,0.1,0.2,-0.1"],
+                                    ["0.3,0.1,0.2,-0.1", "-0.2,0.4,0.1,0.3"]])
+def test_analyze_entries_are_the_constancy_samples(tmp_path, capsys, points):
+    # product_K's holomorphic sectional curvature varies with the plane, so
+    # two samplings of one point would disagree: each entry must state the
+    # numbers its constancy record was computed from
+    path = write_model(tmp_path, "product_K", K=1.0)
+    code, out, _ = run_cli(capsys, "analyze", path, "--seed", "3",
+                           *(f"--point={p}" for p in points))
+    assert code == 0
+    doc = json.loads(out)
+    records = {r["name"]: r for r in doc["constancy"]}
+    assert records["holomorphic_sectional"]["residual"] > 1e-3
+    for key in ("holomorphic_sectional", "constant_type"):
+        for i, entry in enumerate(doc["points"]):
+            assert entry[key]["mean"] == records[key]["per_point_means"][i]
+        if len(points) == 1:
+            assert doc["points"][0][key]["std"] == records[key]["residual"]
+
+
 def test_analyze_weyl_dim_too_low(tmp_path, capsys):
     path = write_model(tmp_path, "hyperbolic", n=2)
     code, _, err = run_cli(capsys, "analyze", path, "--weyl")
@@ -419,6 +439,10 @@ def test_non_finite_report_value_is_domain_error(tmp_path, capsys, monkeypatch):
     ({"metric": [["sin(" * 300 + "x" + ")" * 300, "0"], ["0", "1"]]}, "nested too deeply"),
     ({"immersion": {"coordinates": [], "map": ["1", "0"]}},
      "immersion needs at least one coordinate"),
+    ({"metric": [[" + ".join(["x"] * 1200), "0"], ["0", "1"]]},
+     "expression nested too deeply to evaluate"),
+    ({"immersion": {"coordinates": ["u"], "map": ["u", " + ".join(["u"] * 1200)]}},
+     "expression nested too deeply to evaluate"),
 ])
 def test_malformed_manifold_file_is_usage_error(tmp_path, capsys, change, message):
     doc = {"name": "plane", "dim": 2, "coordinates": ["x", "y"],

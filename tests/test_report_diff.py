@@ -1,10 +1,12 @@
 """The report-diff script on two hand-written report-set lines."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_diff.py"
+sys.path.insert(0, str(SCRIPT.parent))
 import report_diff  # noqa: E402
 
 OLD = {"argv": ["verify-theorem", "--m", "2", "--seed", "1"], "exit": 0.0, "stderr": "",
@@ -42,3 +44,16 @@ def test_a_line_only_one_set_has_is_printed_whole(tmp_path):
     lines = report_diff.diff_lines([json.dumps(OLD)], [])
     assert lines[0] == "line 1: verify-theorem --m 2 --seed 1"
     assert "  report.pass: true -> absent" in lines and len(lines) == 1 + 14  # 14 fields
+
+
+def test_a_closed_pipe_ends_the_script_quietly(tmp_path):
+    # as under ``report_diff.py OLD NEW | head``: the reader is gone before the
+    # first write, and the output (about 180 KB) is more than a pipe holds
+    new = {**OLD, "exit": 5.0}
+    old = _write(tmp_path / "old.jsonl", *[OLD] * 3000)
+    proc = subprocess.Popen([sys.executable, str(SCRIPT), old,
+                             _write(tmp_path / "new.jsonl", *[new] * 3000)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 1
