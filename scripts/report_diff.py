@@ -10,11 +10,15 @@ report) as ``path: old -> new``, with the values in JSON.  A path joins
 object keys and list indices with dots; a field or line that one file
 lacks reads ``absent``.  Exits 0 when the files are identical and 1 when
 they differ, also when the reader of its output stops early.
+
+``close`` is the looser rule of the tier-1 report-set test: a float may
+move by 1e-9 relative plus 1e-13 absolute, every other field must match.
 """
 
 import argparse
 import itertools
 import json
+import operator
 import os
 import sys
 
@@ -41,19 +45,30 @@ def _show(value):
     return "absent" if value is _ABSENT else json.dumps(value)
 
 
-def diff_lines(old, new):
-    """The printed lines for two report sets, given as lists of JSON lines."""
+def close(x, y):
+    """Whether a new field value ``y`` may stand for the old ``x``: floats
+    within 1e-9 * |x| + 1e-13, anything else (flags, strings, nulls, absent
+    fields) equal and of the same type.  Every report number is a float, so
+    an integer count cannot move by one below 1e8."""
+    if type(x) is float and type(y) is float:
+        return abs(x - y) <= 1e-9 * abs(x) + 1e-13
+    return type(x) is type(y) and x == y
+
+
+def diff_lines(old, new, same=operator.eq):
+    """The printed lines for two report sets, given as lists of JSON lines:
+    every field for which ``same(old value, new value)`` is false."""
     out = []
     for number, (a, b) in enumerate(itertools.zip_longest(old, new), 1):
         if a == b:
             continue
         a, b = (leaves(json.loads(line)) if line is not None else {} for line in (a, b))
-        argv = [v for p, v in (b or a).items() if p.startswith("argv.")]
-        out.append(f"line {number}: {' '.join(argv)}")
-        for path in [*a, *(p for p in b if p not in a)]:
-            x, y = a.get(path, _ABSENT), b.get(path, _ABSENT)
-            if x != y:
-                out.append(f"  {path}: {_show(x)} -> {_show(y)}")
+        fields = [f"  {path}: {_show(x)} -> {_show(y)}"
+                  for path in [*a, *(p for p in b if p not in a)]
+                  if not same(x := a.get(path, _ABSENT), y := b.get(path, _ABSENT))]
+        if fields:
+            argv = [v for p, v in (b or a).items() if p.startswith("argv.")]
+            out += [f"line {number}: {' '.join(argv)}", *fields]
     return out
 
 

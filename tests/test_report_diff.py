@@ -57,3 +57,20 @@ def test_a_closed_pipe_ends_the_script_quietly(tmp_path):
     proc.stdout.close()
     assert proc.stderr.read() == b""
     assert proc.wait(timeout=60) == 1
+
+
+def test_close_lets_floats_move_by_roundoff_alone():
+    assert report_diff.close(1.0, 1.0 + 5e-10) and report_diff.close(0.0, 1e-13)
+    assert not report_diff.close(1.0, 1.0 + 1e-6) and not report_diff.close(0.0, 1e-12)
+    assert not report_diff.close(True, 1.0) and not report_diff.close(None, 0.0)
+    assert not report_diff.close("a", "b") and report_diff.close(None, None)
+
+
+def test_diff_lines_with_close_prints_only_fields_past_the_tolerance():
+    moved = {**OLD, "report": {**OLD["report"], "points": [1.0 + 1e-12, 2.5]}}
+    lines = report_diff.diff_lines([json.dumps(OLD)] * 2, [json.dumps(moved), json.dumps(OLD)],
+                                   report_diff.close)
+    assert lines == ["line 1: verify-theorem --m 2 --seed 1", "  report.points.1: 2.0 -> 2.5"]
+    roundoff = {**OLD, "report": {**OLD["report"], "points": [1.0 + 1e-12, 2.0]}}
+    assert report_diff.diff_lines([json.dumps(OLD)], [json.dumps(roundoff)],
+                                  report_diff.close) == []

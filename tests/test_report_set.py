@@ -1,10 +1,12 @@
-"""The report-set script's command set and path labels (only one command runs)."""
+"""The report-set script's command set and path labels, and the committed
+report set against a fresh run of it."""
 
 import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import report_diff  # noqa: E402
 import report_set  # noqa: E402
 import workloads  # noqa: E402  (put on the path by report_set)
 
@@ -27,3 +29,16 @@ def test_record_replaces_paths_by_labels(tmp_path):
     assert doc["argv"] == ["analyze", "<chart>", "--seed", "0"]
     assert doc["exit"] == 0 and doc["stderr"] == ""
     assert doc["report"]["command"] == "analyze"
+
+
+DATA = Path(__file__).resolve().parent / "data" / "report_set.jsonl"
+
+
+def test_fresh_report_set_matches_the_data_file(tmp_path):
+    # the manifold files go to tmp_path; every field of every line must pass
+    # report_diff.close, so a change of verdict, count or message fails here
+    old = DATA.read_text(encoding="utf-8").splitlines()
+    new = [report_set.record(argv, labels)
+           for argv, labels in report_set.command_set(str(tmp_path))]
+    changed = report_diff.diff_lines(old, new, report_diff.close)
+    assert not changed, "report set changed:\n" + "\n".join(changed)
