@@ -8,9 +8,10 @@ Every workload of BENCHMARK.json runs through ``perfbench/run.py --trace 0``
 at each of SEEDS for the declared ``run_seconds``, one process at a time.
 The file keeps each run's metrics and their median over the seeds.  One-shot
 rows time fresh ``python -m hermgeo.cli`` processes on this checkout's
-``src/``: a bare ``models list`` (start-up alone), ``analyze`` on CP^2 (the
-file is written by a ``models emit`` process first) and ``verify-theorem`` at
-each of CERTIFICATE_M.  Each row runs ONE_SHOT_RUNS processes and keeps the
+``src/``: a bare ``models list`` (start-up alone), ``analyze`` on CP^2 and
+``classify`` on S^6 at the four S6_POINTS, one stack of points (each file is
+written by a ``models emit`` process first), and ``verify-theorem`` at each of
+CERTIFICATE_M.  Each row runs ONE_SHOT_RUNS processes and keeps the
 median wall time, CPU time (user + system, from the child's rusage) and
 peak RSS next to the per-run samples.  OpenBLAS is pinned to one thread, as
 in the benchmark.  The one-shot rows run first, while this script is
@@ -43,6 +44,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
 ONE_SHOT_RUNS = 5
 CERTIFICATE_M = (5, 6)
+S6_POINTS = ("0.1,-0.2,0.3,0.05,-0.4,0.2", "-0.3,0.1,0.2,-0.1,0.25,0.4",
+             "0.45,0.3,-0.15,0.2,0.1,-0.35", "-0.05,-0.4,0.1,0.35,-0.2,0.15")
 KERNEL_PASSES = 21
 ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
        "PYTHONPATH": os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
@@ -101,10 +104,13 @@ def sampled(*args):
 def one_shot():
     """{row: {metric: value}} of the one-shot CLI rows."""
     with tempfile.TemporaryDirectory() as workdir:
-        path = os.path.join(workdir, "cp2.json")
+        path, s6 = os.path.join(workdir, "cp2.json"), os.path.join(workdir, "s6.json")
         cli_process("models", "emit", "fubini_study", "--param", "m=2", "--out", path)
+        cli_process("models", "emit", "s6_nearly_kahler", "--out", s6)
         rows = {"models list": sampled("models", "list"),
-                "analyze fubini_study m=2": sampled("analyze", path)}
+                "analyze fubini_study m=2": sampled("analyze", path),
+                "classify s6_nearly_kahler 4 points": sampled(
+                    "classify", s6, *(f"--point={p}" for p in S6_POINTS))}
     for m in CERTIFICATE_M:
         rows[f"verify-theorem --m {m}"] = sampled("verify-theorem", "--m", str(m))
     return rows

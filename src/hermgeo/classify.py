@@ -29,34 +29,44 @@ def _require_j(chart, pd):
 
 
 def nabla_j(chart, pd):
-    """Covariant derivative (nabla J)[k,i,j] = nabla_k J^i_j at a point."""
+    """Covariant derivative (nabla J)[k,i,j] = nabla_k J^i_j at each point."""
     J = _require_j(chart, pd)
-    return (pd.dJ + np.einsum("ikm,mj->kij", pd.gamma, J)
-            - np.einsum("mkj,im->kij", pd.gamma, J))
+    return (pd.dJ + np.einsum("...ikm,...mj->...kij", pd.gamma, J)
+            - np.einsum("...mkj,...im->...kij", pd.gamma, J))
+
+
+def _per_frame(a, samples):
+    """The (n, n) matrices of a stack of points, each repeated ``samples``
+    times: one per frame of a sampling site's stack, point after point."""
+    return np.repeat(a.reshape(-1, *a.shape[-2:]), samples, axis=0)
 
 
 def nabla_J_residuals(chart, pd, sampler, samples=32):
-    """(kahler_residual, nk_residual) at a point.
+    """(kahler_residual, nk_residual) over the points of ``pd``.
 
     kahler_residual is the max component of nabla J; nk_residual is the max
-    g-norm of (nabla_X J) X over sampled unit X.
+    g-norm of (nabla_X J) X over sampled unit X, one draw for every point.
     """
     nj = nabla_j(chart, pd)
-    (X,) = fr.orthonormal_frames(pd.g, sampler.draw(samples)[:, None], sampler)
-    v = np.einsum("kij,sk,sj->si", nj, X, X)
-    nk = np.max(np.sum((v @ pd.g) * v, axis=1), initial=0.0)
+    g = _per_frame(pd.g, samples)
+    (X,) = fr.orthonormal_frames(g, sampler.draw(len(g))[:, None], sampler)
+    X = X.reshape(*pd.g.shape[:-2], samples, -1)
+    v = np.einsum("...kij,...sk,...sj->...si", nj, X, X)
+    nk = np.max(np.sum((v @ pd.g) * v, axis=-1), initial=0.0)
     return float(np.max(np.abs(nj))), float(np.sqrt(nk))
 
 
 def rk_residual(R4, J):
-    """Max deviation of R(X,Y,Z,U) = R(JX,JY,JZ,JU) on basis vectors.
+    """Max deviation of R(X,Y,Z,U) = R(JX,JY,JZ,JU) on basis vectors, the
+    largest over a stack (..., n, n, n, n) of tensors.
 
     The condition is tensorial, so checking coordinate indices is complete;
-    each tensordot rotates one index by J and moves it last (n^5 work).
+    each product rotates one index by J and moves it last (n^5 work).
     """
+    n = J.shape[-1]
     rot = R4
     for _ in range(4):
-        rot = np.tensordot(rot, J, axes=(0, 0))
+        rot = (np.moveaxis(rot, -4, -1).reshape(*J.shape[:-2], n ** 3, n) @ J).reshape(R4.shape)
     return float(np.max(np.abs(R4 - rot)))
 
 
@@ -86,25 +96,30 @@ def plane_type(vectors, g, J):
 
 def sample_invariants(pd, sampler, samples):
     """Arrays of holomorphic sectional, antiholomorphic sectional and
-    constant-type values at a point, one of each per sample: a unit X for
-    the first, then an antiholomorphic unit pair (X, Y) for the other two.
-    In dimension 2 no antiholomorphic pair exists (X must avoid Y and JY),
-    and the last two are None.  One block draw gives each sample's [unit, Y, X]."""
-    pairs = pd.g.shape[0] > 2
-    raw = sampler.draw(samples * (3 if pairs else 1)).reshape(samples, -1, len(pd.g))
-    (units,) = fr.orthonormal_frames(pd.g, raw[:, :1], sampler)
-    hvals = cv.holomorphic_sectional(pd.riemann, pd.g, pd.J, units)
+    constant-type values at each point, ``samples`` of each per point
+    (shape: the points' leading axes, then samples): a unit X for the first,
+    then an antiholomorphic unit pair (X, Y) for the other two.  In
+    dimension 2 no antiholomorphic pair exists (X must avoid Y and JY), and
+    the last two are None.  One block draw gives each sample's [unit, Y, X],
+    point after point."""
+    n = pd.g.shape[-1]
+    pairs = n > 2
+    g, shape = _per_frame(pd.g, samples), (*pd.g.shape[:-2], samples, n)
+    raw = sampler.draw(len(g) * (3 if pairs else 1)).reshape(len(g), -1, n)
+    (units,) = fr.orthonormal_frames(g, raw[:, :1], sampler)
+    hvals = cv.holomorphic_sectional(pd.riemann, pd.g, pd.J, units.reshape(shape))
     if not pairs:
         return hvals, None, None
-    Y, X = fr.orthonormal_frames(pd.g, raw[:, 1:], sampler, pd.J)
+    Y, X = (v.reshape(shape)
+            for v in fr.orthonormal_frames(g, raw[:, 1:], sampler, _per_frame(pd.J, samples)))
     return (hvals, cv.sectional(pd.riemann, pd.g, X, Y),
             cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y))
 
 
-def constancy_report(chart, pds, sampler, samples=32, tolerance=1e-8):
+def constancy_report(chart, pd, sampler, samples=32, tolerance=1e-8):
     """Per-point and cross-point constancy of the three chart invariants:
     holomorphic sectional curvature, antiholomorphic sectional curvature,
-    and the constant-type value, over the point data ``pds``.
+    and the constant-type value, over the points of ``pd``.
 
     Returns (records, per_point): a check record per invariant, whose
     constant is the sample mean, "pointwise" passes when every per-point std
@@ -112,13 +127,13 @@ def constancy_report(chart, pds, sampler, samples=32, tolerance=1e-8):
     and per invariant name, its (mean, std) at each point.  An invariant that
     does not exist in the chart's dimension has null values and None pairs.
     """
-    stats = {"holomorphic_sectional": [], "antiholomorphic_sectional": [],
-             "constant_type": []}
-    for pd in pds:
-        _require_j(chart, pd)
-        for key, vals in zip(stats, sample_invariants(pd, sampler, samples)):
-            stats[key].append(None if vals is None
-                              else (float(np.mean(vals)), float(np.std(vals))))
+    _require_j(chart, pd)
+    count = pd.point.size // chart.dim
+    names = ("holomorphic_sectional", "antiholomorphic_sectional", "constant_type")
+    stats = {name: [None] * count if vals is None else list(zip(
+                 np.mean(vals.reshape(count, samples), axis=-1).tolist(),
+                 np.std(vals.reshape(count, samples), axis=-1).tolist()))
+             for name, vals in zip(names, sample_invariants(pd, sampler, samples))}
 
     report = []
     for name, per_point in stats.items():
@@ -143,10 +158,12 @@ def constancy_report(chart, pds, sampler, samples=32, tolerance=1e-8):
     return report, stats
 
 
-def classify_chart(chart, pds, seed=0, samples=32, tolerance=1e-8):
+def classify_chart(chart, pd, seed=0, samples=32, tolerance=1e-8):
     """(record, per_point): the classification record of a chart with an almost
-    complex structure over the point data ``pds`` (compatibility, Kahler/NK/RK
-    flags, conformal flatness, constancy) and constancy_report's per_point."""
+    complex structure over the points of ``pd`` (compatibility, Kahler/NK/RK
+    flags, conformal flatness, constancy) and constancy_report's per_point.
+    Each check reads the whole stack once; its residual is the largest over
+    the points."""
     sampler = fr.FrameSampler(seed, chart.dim)
     checks = []
 
@@ -155,25 +172,15 @@ def classify_chart(chart, pds, seed=0, samples=32, tolerance=1e-8):
                        "pass": bool(residual <= tolerance), "tolerance": tolerance,
                        "samples": samples, "seed": seed})
 
-    r_sq = r_comp = 0.0
-    kahler = nk = rk = 0.0
-    weyl_norm = 0.0
-    for pd in pds:
-        a, b = fr.hermitian_residuals(pd.g, _require_j(chart, pd))
-        r_sq, r_comp = max(r_sq, a), max(r_comp, b)
-        ka, nka = nabla_J_residuals(chart, pd, sampler, samples)
-        kahler, nk = max(kahler, ka), max(nk, nka)
-        rk = max(rk, rk_residual(pd.riemann, pd.J))
-        if pd.weyl is not None:
-            weyl_norm = max(weyl_norm, cv.relative_weyl_norm(pd))
-
+    r_sq, r_comp = fr.hermitian_residuals(pd.g, _require_j(chart, pd))
+    kahler, nk = nabla_J_residuals(chart, pd, sampler, samples)
     record("j_squared", r_sq)
     record("j_compatible", r_comp)
     record("kahler", kahler)
     record("nearly_kahler", nk)
-    record("rk", rk)
+    record("rk", rk_residual(pd.riemann, pd.J))
     if chart.dim >= 4:
-        record("conformally_flat", weyl_norm)
-    constancy, per_point = constancy_report(chart, pds, sampler, samples, tolerance)
-    return {"chart": chart.name, "points": [list(map(float, pd.point)) for pd in pds],
+        record("conformally_flat", np.max(cv.relative_weyl_norm(pd)))
+    constancy, per_point = constancy_report(chart, pd, sampler, samples, tolerance)
+    return {"chart": chart.name, "points": pd.point.reshape(-1, chart.dim).tolist(),
             "checks": checks, "constancy": constancy}, per_point

@@ -68,19 +68,19 @@ def _analyze_report(chart, points, seed, tol, samples, require_weyl):
         "command": "analyze", "chart": chart.name, "dim": chart.dim,
         "seed": seed, "tolerance": tol, "samples": samples, "points": [],
     }
-    pds = [cv.point_data(chart, point) for point in points]
+    pd = cv.point_data(chart, points)
     per_point = {}
     if chart.has_j():
-        classification, per_point = cl.classify_chart(chart, pds, seed=seed,
+        classification, per_point = cl.classify_chart(chart, pd, seed=seed,
                                                       samples=samples, tolerance=tol)
         report.update(checks=classification["checks"], constancy=classification["constancy"])
         report["identity_residuals"] = ax.proof_identity_residuals(
-            pds[0].riemann, pds[0].g, pds[0].J, fr.FrameSampler(seed, chart.dim),
-            frames=samples)
-    for i, pd in enumerate(pds):
-        entry = {"point": [float(v) for v in pd.point], "scalar_curvature": pd.scalar}
-        if pd.weyl is not None:
-            entry["weyl_norm"] = cv.relative_weyl_norm(pd)
+            pd.riemann[0], pd.g[0], pd.J[0], fr.FrameSampler(seed, chart.dim), frames=samples)
+    weyl_norms = cv.relative_weyl_norm(pd) if pd.weyl is not None else None
+    for i, point in enumerate(pd.point):
+        entry = {"point": point.tolist(), "scalar_curvature": float(pd.scalar[i])}
+        if weyl_norms is not None:
+            entry["weyl_norm"] = float(weyl_norms[i])
         for key in ("holomorphic_sectional", "constant_type") if per_point else ():
             stat = per_point[key][i]  # this point's constancy samples
             entry[key] = None if stat is None else dict(zip(("mean", "std"), stat))
@@ -101,9 +101,8 @@ def cmd_classify(args):
     chart, _ = reportio.load_manifold_file(args.file)
     if not chart.has_j():
         raise UsageError(f"chart {chart.name!r} has no almost complex structure to classify")
-    pds = [cv.point_data(chart, point)
-           for point in _parse_points(chart.dim, args.point, chart.domain_hint)]
-    report, _ = cl.classify_chart(chart, pds, seed=args.seed,
+    pd = cv.point_data(chart, _parse_points(chart.dim, args.point, chart.domain_hint))
+    report, _ = cl.classify_chart(chart, pd, seed=args.seed,
                                   samples=args.samples, tolerance=args.tol)
     report = {"command": "classify", **report, "seed": args.seed, "tolerance": args.tol}
     sys.stdout.write(reportio.dump_report(report))

@@ -7,8 +7,9 @@ into the Christoffel symbols, their first derivatives and the curvature; the
 chart pipeline and the submanifold geometry (immersions.py) both read from it.
 No finite difference is taken anywhere; test oracles write their own.
 
-``point_data`` is the one evaluation of a chart point: metric, Christoffel
-symbols, curvature, Ricci, Weyl, J and dJ.  Everything downstream reads from it.
+``point_data`` is the one evaluation of the points of a command: metric,
+Christoffel symbols, curvature, Ricci, Weyl, J and dJ, each with a leading
+point axis.  Everything downstream reads from it.
 
 Index conventions, pinned by the round-sphere normalization tests:
 
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
+from .frames import RankDeficiencyError
 
 
 class SingularMetricError(ValueError):
@@ -59,7 +61,8 @@ class ManifoldChart:
     coordinates: list
     metric: list                       # dim x dim of Expr
     complex_structure: list | None = None   # dim x dim of Expr, J^i_j
-    complex_structure_fn: object | None = None  # point -> (J, dJ), pointwise J
+    # pointwise J: stacks of the embedding's map jets (p, F, H) -> (J, dJ)
+    complex_structure_fn: object | None = None
     domain_hint: list | None = None    # per-coordinate (lo, hi)
     embedding: Embedding | None = None
     expected: dict = field(default_factory=dict)  # regression table for models
@@ -87,18 +90,44 @@ class ManifoldChart:
             point, np.array([[ex.evaluate(e, b) for e in row] for row in self.metric]))
 
     def j_at(self, point):
-        return self._j_jets(point)[0]
+        return self._j_point(point)[0]
 
     def dj_at(self, point):
         """dJ[k,i,j] = d_k J^i_j, exact for symbolic and pointwise J."""
-        return self._j_jets(point)[1]
+        return self._j_point(point)[1]
+
+    def _j_point(self, point):
+        J, dJ = self._j_stack(*(np.array([a]) for a in self._j_jets(point)))
+        return (None, None) if J is None else (J[0], dJ[0])
 
     def _j_jets(self, point):
+        """The part of J at a point that can fail: the jets (J, dJ) of a
+        symbolic J, or the embedding's map jets (p, F, H) of a pointwise J,
+        F checked to have full rank; () without J."""
         if self.complex_structure is not None:
             return _matrix_jets(self.complex_structure, self.coordinates, point)[:2]
-        if self.complex_structure_fn is not None:
-            return self.complex_structure_fn(np.asarray(point, dtype=float))
-        return None, None
+        if self.complex_structure_fn is None:
+            return ()
+        p, F, H = ex.jets(self.embedding.map_exprs, self.coordinates, point)
+        check_rank(F, "embedding", point)
+        return p, F, H
+
+    def _j_stack(self, *stacks):
+        """(J, dJ) with a leading point axis from the ``_j_jets`` of every
+        point, stacked; (None, None) without J."""
+        if not stacks:
+            return None, None
+        return stacks if self.complex_structure is not None else self.complex_structure_fn(*stacks)
+
+
+def check_rank(F, kind, point):
+    """Raise RankDeficiencyError unless the Jacobian F of an immersion or
+    embedding at ``point`` has full column rank (smallest singular value
+    above 1e-8 of the largest)."""
+    sv = np.linalg.svd(F, compute_uv=False)
+    if sv[-1] <= 1e-8 * sv[0]:
+        raise RankDeficiencyError(
+            f"{kind} rank deficient at {np.asarray(point).tolist()} (singular values {sv})")
 
 
 def _checked_metric(point, g, *derivatives):
@@ -129,15 +158,18 @@ def _matrix_jets(rows, coordinates, point):
 
 @dataclass(frozen=True)
 class PointData:
+    """Everything the chart pipeline reads at the points of a command.  Every
+    field carries the leading axes of ``point``: a stack (P, n) of points puts
+    the point axis first, one point (n,) gives that point's fields alone."""
     point: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
     J: np.ndarray | None
-    dJ: np.ndarray | None      # dJ[k,i,j] = d_k J^i_j
-    gamma: np.ndarray          # gamma[a,i,j] = Gamma^a_ij
-    riemann: np.ndarray        # all-lower R4[i,j,k,l]
+    dJ: np.ndarray | None      # dJ[..., k,i,j] = d_k J^i_j
+    gamma: np.ndarray          # gamma[..., a,i,j] = Gamma^a_ij
+    riemann: np.ndarray        # all-lower R4[..., i,j,k,l]
     ricci: np.ndarray
-    scalar: float
+    scalar: np.ndarray         # one per point
     weyl: np.ndarray | None    # None below dimension 4
 
 
@@ -147,22 +179,24 @@ def christoffel(chart, point):
 
 
 def connection_jet(g, d1, d2):
-    """(gamma, dgamma, R4) from a metric jet (g, dg, ddg): the Levi-Civita
-    symbols gamma[a,i,j] = Gamma^a_ij, their derivatives
-    dgamma[c,a,i,j] = d_c Gamma^a_ij, and the all-lower curvature tensor
-    R4[i,j,k,l] = g(R(d_i,d_j) d_k, d_l)."""
-    n = len(g)
+    """(gamma, dgamma, R4) from a metric jet (g, dg, ddg), also of stacks
+    with leading axes: the Levi-Civita symbols gamma[a,i,j] = Gamma^a_ij,
+    their derivatives dgamma[c,a,i,j] = d_c Gamma^a_ij, and the all-lower
+    curvature tensor R4[i,j,k,l] = g(R(d_i,d_j) d_k, d_l)."""
+    lead, n = g.shape[:-2], g.shape[-1]
     gi = np.linalg.inv(g)
     # Gamma_m,ij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2 and Gamma^a_ij = g^am Gamma_m,ij
-    low = 0.5 * (np.einsum("imj->mij", d1) + np.einsum("jmi->mij", d1) - d1)
-    gamma = np.einsum("am,mij->aij", gi, low)
-    dlow = 0.5 * (np.einsum("cimj->cmij", d2) + np.einsum("cjmi->cmij", d2) - d2)
+    low = 0.5 * (np.einsum("...imj->...mij", d1) + np.einsum("...jmi->...mij", d1) - d1)
+    gamma = np.einsum("...am,...mij->...aij", gi, low)
+    dlow = 0.5 * (np.einsum("...cimj->...cmij", d2) + np.einsum("...cjmi->...cmij", d2) - d2)
     # d_c Gamma^a_ij = g^am (d_c Gamma_m,ij - d_c g_mb Gamma^b_ij)
-    dgamma = gi @ (dlow.reshape(n, n, n * n) - d1 @ gamma.reshape(n, n * n))
+    dgamma = gi[..., None, :, :] @ (dlow.reshape(*lead, n, n, n * n)
+                                    - d1 @ gamma.reshape(*lead, 1, n, n * n))
     # R_ijkl = d_i Gamma_l,jk - d_j Gamma_l,ik - Gamma_m,il G^m_jk + Gamma_m,jl G^m_ik
-    R4 = (np.einsum("iljk->ijkl", dlow) - np.einsum("jlik->ijkl", dlow)
-          - np.einsum("mil,mjk->ijkl", low, gamma) + np.einsum("mjl,mik->ijkl", low, gamma))
-    return gamma, dgamma.reshape(n, n, n, n), R4
+    R4 = (np.einsum("...iljk->...ijkl", dlow) - np.einsum("...jlik->...ijkl", dlow)
+          - np.einsum("...mil,...mjk->...ijkl", low, gamma)
+          + np.einsum("...mjl,...mik->...ijkl", low, gamma))
+    return gamma, dgamma.reshape(*lead, n, n, n, n), R4
 
 
 def riemann(chart, point):
@@ -198,31 +232,43 @@ def weyl(R4, S, s, g):
     return R4 - kulkarni_nomizu(S, g) / (n - 2) + scale * kulkarni_nomizu(g, g)
 
 
-def point_data(chart, point):
-    """Everything the chart pipeline reads at one point, from one ``riemann``."""
-    point = np.asarray(point, dtype=float)
-    g, gamma, R4 = riemann(chart, point)
-    gi = np.linalg.inv(g)
+def point_data(chart, points):
+    """Everything the chart pipeline reads at ``points``, a stack (P, n) or
+    one point (n,), as one PointData.  The steps that can fail (the metric's
+    jet and its checks, the jets of J, the embedding's rank) run point by
+    point in order, so the first bad point names the error; the rest runs
+    once on the whole stack."""
+    points = np.asarray(points, dtype=float)
+    flat = points.reshape(-1, chart.dim)
+    jets = [chart.metric_jets(x) + chart._j_jets(x) for x in flat]
+    g, d1, d2, *j = (np.array(a) for a in zip(*jets))
+    J, dJ = chart._j_stack(*j)
+    gamma, _, R4 = connection_jet(g, d1, d2)
     S, s = ricci_scalar(R4, g)
     C = weyl(R4, S, s, g) if chart.dim >= 4 else None
-    J, dJ = chart._j_jets(point)
-    return PointData(point=point, g=g, g_inv=gi, J=J, dJ=dJ, gamma=gamma,
-                     riemann=R4, ricci=S, scalar=float(s), weyl=C)
+    fields = dict(point=flat, g=g, g_inv=np.linalg.inv(g), J=J, dJ=dJ, gamma=gamma,
+                  riemann=R4, ricci=S, scalar=s, weyl=C)
+    return PointData(**{name: None if a is None else a.reshape(points.shape[:-1] + a.shape[1:])
+                        for name, a in fields.items()})
 
 
 def relative_weyl_norm(pd):
-    """max |C| / max(max |R|, 1) of point data that carries the Weyl tensor."""
-    scale = max(np.max(np.abs(pd.riemann)), 1.0)
-    return float(np.max(np.abs(pd.weyl)) / scale)
+    """max |C| / max(max |R|, 1) at each point of point data that carries
+    the Weyl tensor."""
+    axes = (-4, -3, -2, -1)
+    return (np.max(np.abs(pd.weyl), axis=axes)
+            / np.maximum(np.max(np.abs(pd.riemann), axis=axes), 1.0))
 
 
 def curvature_values(R4, X, Y, Z, U):
     """R(X,Y,Z,U) for vectors (n,), or for every row of stacks (s, n): R4 as
-    an n^2 x n^2 matrix between the rows of X (x) Y and Z (x) U."""
-    n = R4.shape[0]
-    left, right = (np.einsum("...i,...j->...ij", A, B).reshape(-1, n * n)
+    an n^2 x n^2 matrix between the rows of X (x) Y and Z (x) U.  A stack of
+    tensors (P, n, n, n, n) takes stacks (P, s, n), one gemm per point."""
+    n = R4.shape[-1]
+    R = R4.reshape(*R4.shape[:-4], n * n, n * n)
+    left, right = (np.einsum("...i,...j->...ij", A, B).reshape(*R.shape[:-2], -1, n * n)
                    for A, B in ((X, Y), (Z, U)))
-    rows = np.sum((left @ R4.reshape(n * n, n * n)) * right, axis=1)
+    rows = np.sum((left @ R) * right, axis=-1)
     return rows.reshape(np.shape(X)[:-1])
 
 
@@ -235,7 +281,8 @@ def _inner(g, X, Y):
     return np.sum((X @ g) * Y, axis=-1)
 
 
-# the invariants below also take stacks (s, n), checked row by row
+# the invariants below also take stacks (s, n), checked row by row, and
+# stacks (P, s, n) with one (g, J, R4) per point
 def sectional(R4, g, X, Y):
     xx, yy = _inner(g, X, X), _inner(g, Y, Y)
     denom = xx * yy - _inner(g, X, Y) ** 2
@@ -249,7 +296,7 @@ def holomorphic_sectional(R4, g, J, X):
     nrm2 = _inner(g, X, X)
     if np.any(nrm2 <= 0.0):
         raise DegeneratePlaneError("zero vector")
-    JX = X @ J.T
+    JX = X @ np.swapaxes(J, -1, -2)
     return curvature_values(R4, X, JX, JX, X) / nrm2 ** 2
 
 
@@ -262,7 +309,8 @@ def lambda_type(R4, g, J, X, Y):
     if np.any(nx <= 0.0) or np.any(ny <= 0.0):
         raise DegeneratePlaneError("zero vector")
     X, Y = X / np.sqrt(nx)[..., None], Y / np.sqrt(ny)[..., None]
-    return curvature_values(R4, X, Y, Y, X) - curvature_values(R4, X, Y, Y @ J.T, X @ J.T)
+    Jt = np.swapaxes(J, -1, -2)
+    return curvature_values(R4, X, Y, Y, X) - curvature_values(R4, X, Y, Y @ Jt, X @ Jt)
 
 
 def symmetry_residuals(R4):

@@ -34,17 +34,18 @@ class FrameSampler:
 
 
 def _norms(g, v):
-    return np.sqrt(np.sum(np.einsum("ij,...j->...i", g, v) * v, axis=-1))
+    return np.sqrt(np.sum(np.einsum("...ij,...j->...i", g, v) * v, axis=-1))
 
 
 def _project(rows, v, g, lead):
     """The one orthonormalization step, on a stack: each ``v`` (s, n) projected
-    off its frame's g-orthonormal ``rows`` (s, m, n) by two classical
-    Gram-Schmidt passes, then normalized; returns (unit vectors, mask of the
-    pivots above 1e-10 * lead, pivots), a zero row where masked out.  Sums
-    run row by row (einsum), so a frame does not depend on its stack size."""
+    off its frame's g-orthonormal ``rows`` (s, m, n), in the shared metric
+    ``g`` (n, n) or its frame's (s, n, n), by two classical Gram-Schmidt
+    passes, then normalized; returns (unit vectors, mask of the pivots above
+    1e-10 * lead, pivots), a zero row where masked out.  Sums run row by row
+    (einsum), so a frame does not depend on its stack size."""
     for _ in range(2 if rows.shape[1] else 0):
-        v = v - np.einsum("smn,sm->sn", rows, np.einsum("smn,nk,sk->sm", rows, g, v))
+        v = v - np.einsum("smn,sm->sn", rows, np.einsum("...mn,...nk,...k->...m", rows, g, v))
     nrm = _norms(g, v)
     ok = nrm > _PIVOT * lead
     return np.where(ok[:, None], v / np.where(ok, nrm, 1.0)[:, None], 0.0), ok, nrm
@@ -71,15 +72,17 @@ def gram_schmidt(vectors, g, drop_dependent=False):
 def orthonormal_frames(g, raw, sampler, J=None, rows=None):
     """Orthonormalize the raw vectors (s, k, n) of s frames, in order and off
     each frame's g-orthonormal ``rows`` (s, r, n); returns shape (k, s, n).
-    With ``J`` each vector e is followed by Je, a zero row where it depends
-    on the rows so far (as JY on an eigenvector Y of J).  The pivot lead is
-    |v| for a frame's first row, max(1, |v|) after that.  A degenerate draw
-    (measure zero) is redrawn from ``sampler`` for its frame alone, after
-    the block; a frame gives up after 64 draws of one vector.  Sums run
-    frame by frame, so a frame does not depend on its stack size: ``axioms``
-    draws its certificates' frames in blocks and relies on that."""
-    g = np.asarray(g, dtype=float)
+    ``g`` and ``J`` are either one (n, n) matrix shared by every frame or one
+    per frame, (s, n, n): the points of a command share one stack.  With
+    ``J`` each vector e is followed by Je, a zero row where it depends on the
+    rows so far (as JY on an eigenvector Y of J).  The pivot lead is |v| for
+    a frame's first row, max(1, |v|) after that.  A degenerate draw (measure
+    zero) is redrawn from ``sampler`` for its frame alone, after the whole
+    block; a frame gives up after 64 draws of one vector.  Sums run frame by
+    frame, so a frame does not depend on its stack size: ``axioms`` draws its
+    certificates' frames in blocks and relies on that."""
     s, k, dim = raw.shape
+    g = np.asarray(g, dtype=float)
     basis = np.zeros((s, 0, dim)) if rows is None else rows
     out = np.empty((k, s, dim))
     for i in range(k):
@@ -88,10 +91,11 @@ def orthonormal_frames(g, raw, sampler, J=None, rows=None):
         if need + found > dim:
             raise RankDeficiencyError(
                 f"cannot fit {need} vectors orthogonal to {found} constraints in dim {dim}")
-        v, todo, floor = raw[:, i], np.arange(s), min(basis.shape[1], 1)
+        v, todo, gt, floor = raw[:, i], np.arange(s), g, min(basis.shape[1], 1)
         for attempt in range(64):
-            v = sampler.draw(len(todo)) if attempt else v
-            e, ok, _ = _project(basis[todo], v, g, np.maximum(floor, _norms(g, v)))
+            if attempt:
+                v, gt = sampler.draw(len(todo)), g[todo] if g.ndim > 2 else g
+            e, ok, _ = _project(basis[todo], v, gt, np.maximum(floor, _norms(gt, v)))
             out[i, todo[ok]], todo = e[ok], todo[~ok]
             if not len(todo):
                 break
@@ -99,7 +103,7 @@ def orthonormal_frames(g, raw, sampler, J=None, rows=None):
             raise RankDeficiencyError("could not sample an independent vector")
         basis = np.concatenate([basis, out[i][:, None]], axis=1)
         if J is not None and i + 1 < k:  # Je only constrains later draws
-            Je = np.einsum("ij,sj->si", J, out[i])
+            Je = np.einsum("...ij,...j->...i", J, out[i])
             e, _, _ = _project(basis, Je, g, np.maximum(1.0, _norms(g, Je)))
             basis = np.concatenate([basis, e[:, None]], axis=1)
     return out
@@ -122,10 +126,11 @@ def admissible_frames(g, J, sampler, count, size=2):
 
 
 def hermitian_residuals(g, J):
-    """Max-norm residuals (|J^2 + I|, |g(J.,J.) - g|) of a pair (g, J)."""
+    """Max-norm residuals (|J^2 + I|, |g(J.,J.) - g|) of a pair (g, J), or the
+    largest over stacks (..., n, n) of pairs."""
     g, J = np.asarray(g, dtype=float), np.asarray(J, dtype=float)
-    return (float(np.max(np.abs(J @ J + np.eye(J.shape[0])))),
-            float(np.max(np.abs(J.T @ g @ J - g))))
+    return (float(np.max(np.abs(J @ J + np.eye(J.shape[-1])))),
+            float(np.max(np.abs(np.swapaxes(J, -1, -2) @ g @ J - g))))
 
 
 def adapted_hermitian_frame(g, J, sampler):

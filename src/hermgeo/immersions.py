@@ -22,9 +22,6 @@ import numpy as np
 
 from . import curvature as cv
 from . import expressions as ex
-from .frames import RankDeficiencyError
-
-_RANK_TOL = 1e-8
 
 
 @dataclass
@@ -51,10 +48,7 @@ class Immersion:
         trees = self.map_exprs + [d for row in self._jacobian for d in row]
         v, d1, d2 = ex.jets(trees, self.coordinates, u)
         x, F, hess = v[:N], d1[:N], d2[:N]
-        sv = np.linalg.svd(F, compute_uv=False)
-        if sv[-1] <= _RANK_TOL * sv[0]:
-            raise RankDeficiencyError(
-                f"immersion rank deficient at {np.asarray(u).tolist()} (singular values {sv})")
+        cv.check_rank(F, "immersion", u)
         return x, F, hess, d2[N:].reshape(N, k, k, k)
 
     def induced_chart(self):

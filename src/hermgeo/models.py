@@ -8,6 +8,7 @@ product (the document's ``j_rule``), with its exact derivative taken from the
 jet of the embedding map.
 """
 
+import functools
 import json
 import re
 
@@ -60,33 +61,38 @@ def octonion_cross(a, b):
     return np.einsum("ijk,i,j->k", _OCTONION_EPS, a, b)
 
 
-def embedding_j_fn(coordinates, embedding):
+def embedding_j_fn(embedding):
     """Pointwise J on a chart, pulled back from an ambient cross-product rule,
-    as a function point -> (J, dJ) with dJ[k,i,j] = d_k J^i_j.
+    as a function of the embedding's map jets at a stack of P points,
+    (p, F, H) -> (J, dJ), with F[P,q,a] = d_a p^q, H[P,q,a,k] = d_k F[P,q,a]
+    and dJ[P,k,i,j] = d_k J^i_j.
 
-    At a chart point with embedding p and Jacobian F, J = A^-1 B with
-    A = F^T F, B = F^T W and W = (p/r) x F; the cross product preserves the
-    tangent space, so the pullback is exact.  dJ comes from the same jet of
-    the map through the solve: d_k J = A^-1 (d_k B - d_k A J).
+    At a point with embedding p and Jacobian F, J = A^-1 B with A = F^T F,
+    B = F^T W and W = (p/r) x F; the cross product preserves the tangent
+    space, so the pullback is exact.  dJ comes from the same jet of the map
+    through the solve: d_k J = A^-1 (d_k B - d_k A J).  Every contraction is
+    a matrix product; (x)^T is the transpose of the last two axes.
     """
     if embedding.j_rule != "octonion_cross" or embedding.ambient_dim != 7:
         raise ValueError(f"unknown ambient J rule {embedding.j_rule!r} for ambient_dim "
                          f"{embedding.ambient_dim} (octonion_cross needs 7)")
+    eps = _OCTONION_EPS.reshape(7, 49)
 
-    def j_at(point):
-        p, F, H = ex.jets(embedding.map_exprs, coordinates, point)  # H[p,a,k] = d_k F[p,a]
-        unit, dunit = p / embedding.radius, F / embedding.radius
-        W = np.einsum("ijp,i,ja->pa", _OCTONION_EPS, unit, F)
-        dW = (np.einsum("ijp,ik,ja->kpa", _OCTONION_EPS, dunit, F)
-              + np.einsum("ijp,i,jak->kpa", _OCTONION_EPS, unit, H))
-        A = F.T @ F
-        J = np.linalg.solve(A, F.T @ W)
-        dA = np.einsum("pak,pb->kab", H, F)
-        dA = dA + np.swapaxes(dA, 1, 2)
-        dB = np.einsum("pak,pb->kab", H, W) + np.einsum("pa,kpb->kab", F, dW)
-        return J, np.linalg.solve(A, dB - dA @ J)
+    def j_from_jets(p, F, H):
+        P, _, n = F.shape
+        T = functools.partial(np.swapaxes, axis1=-1, axis2=-2)
+        cross = (p / embedding.radius @ eps).reshape(P, 7, 7)   # [j,q] = sum_i u_i eps_ijq
+        dcross = (T(F) / embedding.radius @ eps).reshape(P, n, 7, 7)  # its d_k
+        W = T(cross) @ F
+        dW = T(dcross) @ F[:, None] + np.moveaxis(
+            (T(cross) @ H.reshape(P, 7, n * n)).reshape(P, 7, n, n), -1, 1)
+        A, Hk = T(F) @ F, np.moveaxis(H, -1, 1)                 # Hk[k,q,a] = d_k F[q,a]
+        J = np.linalg.solve(A, T(F) @ W)
+        dA = T(Hk) @ F[:, None]
+        dB = T(Hk) @ W[:, None] + T(F)[:, None] @ dW
+        return J, np.linalg.solve(A[:, None], dB - (dA + T(dA)) @ J[:, None])
 
-    return j_at
+    return j_from_jets
 
 
 # ---------------------------------------------------------------------------

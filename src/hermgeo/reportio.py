@@ -112,7 +112,7 @@ def load_manifold(data):
             radius=_finite(raw_emb.get("radius", 1.0), "embedding radius"))
         if embedding.j_rule is not None:
             try:
-                j_fn = models.embedding_j_fn(coords, embedding)
+                j_fn = models.embedding_j_fn(embedding)
             except ValueError as exc:
                 raise ManifoldFileError(f"embedding: {exc}") from None
 

@@ -68,9 +68,13 @@ def test_every_one_shot_row_is_a_median_of_fresh_processes(monkeypatch):
     monkeypatch.setattr(bench_file, "cli_process", fake_process)
     rows = bench_file.one_shot()
     runs = bench_file.ONE_SHOT_RUNS
-    assert list(rows) == ["models list", "analyze fubini_study m=2"] + [
+    assert list(rows) == ["models list", "analyze fubini_study m=2",
+                          "classify s6_nearly_kahler 4 points"] + [
         f"verify-theorem --m {m}" for m in bench_file.CERTIFICATE_M]
-    assert len(calls) == 1 + runs * len(rows)  # the models emit that writes the CP^2 file
+    assert len(calls) == 2 + runs * len(rows)  # the models emits that write the two files
+    classify = [args for args in calls if args[0] == "classify"]
+    assert len(classify) == runs and all(
+        sum(a.startswith("--point=") for a in args) == 4 for args in classify)
     for row in rows.values():
         assert len(row["samples_s"]) == len(row["samples_rss_mb"]) == runs
         assert len(row["samples_cpu_s"]) == runs

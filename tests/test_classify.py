@@ -13,7 +13,7 @@ from hermgeo.axioms import canonical_j
 def test_classify_chart_missing_structure():
     chart = flat_chart(4)
     with pytest.raises(cl.MissingStructureError):
-        cl.classify_chart(chart, [cv.point_data(chart, [0, 0, 0, 0])])
+        cl.classify_chart(chart, cv.point_data(chart, [[0, 0, 0, 0]]))
 
 
 def test_classify_chart_incompatible_structure():
@@ -25,7 +25,7 @@ def test_classify_chart_incompatible_structure():
          ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
         j_entries=[["0", "-1", "0", "0"], ["1", "0", "0", "0"],
                    ["0", "0", "0", "-1"], ["0", "0", "1", "0"]])
-    out, _ = cl.classify_chart(chart, [cv.point_data(chart, [0.0] * 4)], samples=8)
+    out, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.0] * 4]), samples=8)
     checks = {c["name"]: c for c in out["checks"]}
     assert checks["j_squared"]["residual"] == 0.0
     assert checks["j_squared"]["pass"]
@@ -126,7 +126,7 @@ def test_constancy_fubini_study():
     chart = models.instantiate("fubini_study", m=2)
     sampler = fr.FrameSampler(0, 4)
     points = [[0.0, 0.0, 0.0, 0.0], [0.2, -0.1, 0.1, 0.3]]
-    report, _ = cl.constancy_report(chart, [cv.point_data(chart, p) for p in points],
+    report, _ = cl.constancy_report(chart, cv.point_data(chart, points),
                                     sampler, samples=24)
     by_name = {r["name"]: r for r in report}
     assert by_name["holomorphic_sectional"]["constant"] == pytest.approx(4.0, abs=1e-8)
@@ -139,7 +139,7 @@ def test_constancy_fubini_study():
 def test_constancy_fails_on_product():
     chart = models.instantiate("product_K", K=1.0)
     sampler = fr.FrameSampler(0, 4)
-    report, _ = cl.constancy_report(chart, [cv.point_data(chart, [0.1, 0.2, 0.05, -0.1])],
+    report, _ = cl.constancy_report(chart, cv.point_data(chart, [[0.1, 0.2, 0.05, -0.1]]),
                                     sampler, samples=24)
     by_name = {r["name"]: r for r in report}
     assert not by_name["holomorphic_sectional"]["pass"]
@@ -147,7 +147,7 @@ def test_constancy_fails_on_product():
 
 def test_classify_chart_product():
     chart = models.instantiate("product_K", K=1.0)
-    out, _ = cl.classify_chart(chart, [cv.point_data(chart, [0.1, -0.2, 0.07, 0.03])],
+    out, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.1, -0.2, 0.07, 0.03]]),
                                seed=0, samples=24)
     checks = {c["name"]: c for c in out["checks"]}
     assert checks["j_squared"]["pass"]
@@ -160,7 +160,7 @@ def test_classify_chart_product():
 
 def test_classify_chart_s6():
     chart = models.instantiate("s6_nearly_kahler")
-    out, _ = cl.classify_chart(chart, [cv.point_data(chart, [0.1, 0.0, -0.2, 0.3, 0.05, 0.0])],
+    out, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.1, 0.0, -0.2, 0.3, 0.05, 0.0]]),
                                seed=0, samples=16)
     checks = {c["name"]: c for c in out["checks"]}
     assert not checks["kahler"]["pass"]
@@ -170,9 +170,9 @@ def test_classify_chart_s6():
 
 def test_classify_deterministic():
     chart = models.instantiate("fubini_study", m=2)
-    a, _ = cl.classify_chart(chart, [cv.point_data(chart, [0.1, 0.2, 0.0, -0.1])],
+    a, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.1, 0.2, 0.0, -0.1]]),
                              seed=7, samples=16)
-    b, _ = cl.classify_chart(chart, [cv.point_data(chart, [0.1, 0.2, 0.0, -0.1])],
+    b, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.1, 0.2, 0.0, -0.1]]),
                              seed=7, samples=16)
     assert a == b
 
@@ -237,3 +237,53 @@ def test_nabla_J_residuals_match_per_sample_loop(rng):
         worst = max(worst, float(np.sqrt(v @ pd.g @ v)))
     assert kahler == float(np.max(np.abs(nj))) and kahler > 1e-3
     assert worst > 1e-3 and _close(nk, worst)
+
+
+@pytest.mark.parametrize("name, params", [("s6_nearly_kahler", {}), ("fubini_study", {"m": 2}),
+                                          ("flat_kahler", {"m": 1})])
+def test_stacked_sampling_sites_draw_the_per_point_frames(name, params):
+    # one block for all points gives each point the frames it gets when the
+    # points are sampled one after another from an equally advanced sampler
+    chart = models.instantiate(name, **params)
+    points = np.random.default_rng(6).uniform(-0.3, 0.3, size=(3, chart.dim))
+    stack = cv.point_data(chart, points)
+    ones = [cv.point_data(chart, point) for point in points]
+    stacked, single = fr.FrameSampler(9, chart.dim), fr.FrameSampler(9, chart.dim)
+    stacked.draw(5), single.draw(5)
+    assert cl.nabla_J_residuals(chart, stack, stacked, 8) == tuple(
+        max(r) for r in zip(*[cl.nabla_J_residuals(chart, pd, single, 8) for pd in ones]))
+    per_point = [cl.sample_invariants(pd, single, 8) for pd in ones]
+    for k, values in enumerate(cl.sample_invariants(stack, stacked, 8)):
+        if values is None:  # dimension 2: no antiholomorphic pair
+            assert chart.dim == 2 and all(v[k] is None for v in per_point)
+        else:
+            assert values.shape == (3, 8)
+            assert np.array_equal(values, [v[k] for v in per_point])
+
+
+@pytest.mark.parametrize("name, params, count", [("fubini_study", {"m": 2}, 1),
+                                                 ("flat_kahler", {"m": 1}, 3)])
+def test_classify_chart_of_a_stack(name, params, count):
+    # one point, and a 2-dimensional chart (no antiholomorphic pairs)
+    chart = models.instantiate(name, **params)
+    points = np.random.default_rng(2).uniform(-0.3, 0.3, size=(count, chart.dim))
+    report, per_point = cl.classify_chart(chart, cv.point_data(chart, points), seed=4,
+                                          samples=8)
+    assert report["points"] == points.tolist()
+    checks = {c["name"]: c["pass"] for c in report["checks"]}
+    assert checks["kahler"] and checks["rk"] and checks["j_compatible"]
+    by_name = {r["name"]: r for r in report["constancy"]}
+    assert len(per_point["holomorphic_sectional"]) == count
+    assert len(by_name["holomorphic_sectional"]["per_point_means"]) == count
+    anti = by_name["antiholomorphic_sectional"]
+    assert (anti["constant"] is None) == (chart.dim == 2)
+
+
+def test_a_stack_without_j_raises_missing_structure():
+    chart = flat_chart(4)
+    pd = cv.point_data(chart, [[0.0] * 4, [0.1] * 4])
+    for check in (lambda: cl.classify_chart(chart, pd),
+                  lambda: cl.constancy_report(chart, pd, fr.FrameSampler(0, 4)),
+                  lambda: cl.nabla_J_residuals(chart, pd, fr.FrameSampler(0, 4))):
+        with pytest.raises(cl.MissingStructureError):
+            check()

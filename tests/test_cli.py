@@ -162,6 +162,40 @@ def test_analyze_derivative_domain_error(tmp_path, capsys, entry, message):
     assert out == "" and err == message + "\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_domain_error_at_the_second_of_three_points_names_that_point(tmp_path, capsys,
+                                                                     command):
+    # the third point fails too; the error is the second's, as point by point
+    path = tmp_path / "logm.json"
+    path.write_text(json.dumps({
+        "name": "logm", "dim": 2, "coordinates": ["x", "y"],
+        "metric": [["1 + log(x)^2", "0"], ["0", "1"]],
+        "complex_structure": [["0", "-1"], ["1", "0"]],
+    }), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path), "--point=0.5,0.1",
+                             "--point=-0.5,0.1", "--point=-0.25,0.1")
+    assert code == 3 and out == "" and err == "error: log(-0.5) out of domain\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_rank_deficient_embedding_is_one_line_domain_error(tmp_path, capsys, command):
+    # d(u1^2)/du1 vanishes at the origin: the cross-product J has no solve there
+    coords = [f"u{k + 1}" for k in range(6)]
+    path = tmp_path / "flat_embedding.json"
+    path.write_text(json.dumps({
+        "name": "flat", "dim": 6, "coordinates": coords,
+        "metric": [["1" if i == j else "0" for j in range(6)] for i in range(6)],
+        "embedding": {"ambient_dim": 7, "map": ["u1^2", *coords[1:], "1"],
+                      "j_rule": "octonion_cross"},
+    }), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path), "--point=0.5,0,0,0,0,0",
+                             "--point=0,0,0,0,0,0")
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: embedding rank deficient at [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]")
+
+
 def test_classify_product(tmp_path, capsys):
     path = write_model(tmp_path, "product_K", K=1.0)
     code, out, _ = run_cli(capsys, "classify", path,
@@ -398,7 +432,7 @@ def test_dump_report_writes_numpy_values_as_plain_json():
 
 def test_non_finite_report_value_is_domain_error(tmp_path, capsys, monkeypatch):
     path = write_model(tmp_path, "fubini_study", m=2)
-    monkeypatch.setattr(cv, "relative_weyl_norm", lambda pd: float("nan"))
+    monkeypatch.setattr(cv, "relative_weyl_norm", lambda pd: np.full(pd.scalar.shape, np.nan))
     code, out, err = run_cli(capsys, "analyze", path)
     assert code == 3 and out == ""
     lines = err.strip().splitlines()

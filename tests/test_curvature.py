@@ -268,3 +268,21 @@ def test_asymmetric_metric_jet_is_rejected(g01, point):
     with pytest.raises(cv.AsymmetricMetricError,
                        match=r"^metric entries \(0,1\) and \(1,0\) disagree at "):
         cv.point_data(chart, point)
+
+
+@pytest.mark.parametrize("name, params", [("s6_nearly_kahler", {}), ("fubini_study", {"m": 3}),
+                                          ("hyperbolic", {"n": 2}), ("round_sphere", {"n": 3})])
+def test_point_data_of_a_stack_is_each_point_alone(name, params):
+    # every field, J's solve included, is one slice of the stacked evaluation
+    chart = models.instantiate(name, **params)
+    points = np.random.default_rng(4).uniform(-0.3, 0.3, size=(3, chart.dim))
+    stack = cv.point_data(chart, points)
+    assert stack.g.shape == (3, chart.dim, chart.dim) and stack.scalar.shape == (3,)
+    for i, point in enumerate(points):
+        for one in (cv.point_data(chart, point), cv.point_data(chart, [point])):
+            for name_, field in vars(stack).items():
+                alone = getattr(one, name_)
+                if field is None:
+                    assert alone is None
+                else:
+                    assert np.array_equal(field[i], alone.reshape(field.shape[1:])), name_

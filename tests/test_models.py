@@ -178,8 +178,8 @@ def test_expected_tables_present():
 
 def test_fubini_study_expected_matches_constancy():
     chart = models.instantiate("fubini_study", m=2)
-    pds = [cv.point_data(chart, p) for p in ([0.0] * 4, [0.2, -0.1, 0.1, 0.3])]
-    report, _ = cl.constancy_report(chart, pds, fr.FrameSampler(0, 4), samples=16)
+    pd = cv.point_data(chart, [[0.0] * 4, [0.2, -0.1, 0.1, 0.3]])
+    report, _ = cl.constancy_report(chart, pd, fr.FrameSampler(0, 4), samples=16)
     constants = {r["name"]: r["constant"] for r in report}
     for name, key in (("holomorphic_sectional", "hsc"),
                       ("antiholomorphic_sectional", "antiholomorphic_sectional"),
