@@ -97,7 +97,7 @@ class ManifoldChart:
         return self._j_point(point)[1]
 
     def _j_point(self, point):
-        J, dJ = self._j_stack(*(np.array([a]) for a in self._j_jets(point)))
+        J, dJ = self._j_stack(*(a[None] for a in self._j_jets(point)))
         return (None, None) if J is None else (J[0], dJ[0])
 
     def _j_jets(self, point):
@@ -121,9 +121,8 @@ class ManifoldChart:
 
 
 def check_rank(F, kind, point):
-    """Raise RankDeficiencyError unless the Jacobian F of an immersion or
-    embedding at ``point`` has full column rank (smallest singular value
-    above 1e-8 of the largest)."""
+    """Raise RankDeficiencyError unless the Jacobian F of an immersion or embedding
+    at ``point`` has full rank: its least singular value above 1e-8 of the largest."""
     sv = np.linalg.svd(F, compute_uv=False)
     if sv[-1] <= 1e-8 * sv[0]:
         raise RankDeficiencyError(
@@ -241,6 +240,7 @@ def point_data(chart, points):
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, chart.dim)
     jets = [chart.metric_jets(x) + chart._j_jets(x) for x in flat]
+    # C-contiguous stacks, which einsum reads fastest (its order of sums follows the layout)
     g, d1, d2, *j = (np.array(a) for a in zip(*jets))
     J, dJ = chart._j_stack(*j)
     gamma, _, R4 = connection_jet(g, d1, d2)
@@ -253,8 +253,7 @@ def point_data(chart, points):
 
 
 def relative_weyl_norm(pd):
-    """max |C| / max(max |R|, 1) at each point of point data that carries
-    the Weyl tensor."""
+    """max |C| / max(max |R|, 1) at each point of point data with a Weyl tensor."""
     axes = (-4, -3, -2, -1)
     return (np.max(np.abs(pd.weyl), axis=axes)
             / np.maximum(np.max(np.abs(pd.riemann), axis=axes), 1.0))
