@@ -63,9 +63,11 @@ def diff_lines(old, new, same=operator.eq):
         if a == b:
             continue
         a, b = (leaves(json.loads(line)) if line is not None else {} for line in (a, b))
-        fields = [f"  {path}: {_show(x)} -> {_show(y)}"
-                  for path in [*a, *(p for p in b if p not in a)]
-                  if not same(x := a.get(path, _ABSENT), y := b.get(path, _ABSENT))]
+        fields = []
+        for path in [*a, *(p for p in b if p not in a)]:
+            x, y = a.get(path, _ABSENT), b.get(path, _ABSENT)
+            if not same(x, y):
+                fields.append(f"  {path}: {_show(x)} -> {_show(y)}")
         if fields:
             argv = [v for p, v in (b or a).items() if p.startswith("argv.")]
             out += [f"line {number}: {' '.join(argv)}", *fields]
