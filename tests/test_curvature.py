@@ -280,9 +280,9 @@ def test_point_data_of_a_stack_is_each_point_alone(name, params):
     assert stack.g.shape == (3, chart.dim, chart.dim) and stack.scalar.shape == (3,)
     for i, point in enumerate(points):
         for one in (cv.point_data(chart, point), cv.point_data(chart, [point])):
-            for name_, field in vars(stack).items():
-                alone = getattr(one, name_)
-                if field is None:
+            for field, stacked in vars(stack).items():
+                alone = getattr(one, field)
+                if stacked is None:
                     assert alone is None
                 else:
-                    assert np.array_equal(field[i], alone.reshape(field.shape[1:])), name_
+                    assert np.array_equal(stacked[i], alone.reshape(stacked.shape[1:])), field
