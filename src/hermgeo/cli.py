@@ -113,11 +113,12 @@ def cmd_submanifold(args):
     chart, immersion = reportio.load_manifold_file(args.file)
     if immersion is None:
         raise UsageError(f"manifold file {args.file} has no immersion block")
-    points = _parse_points(immersion.k, args.point, None)
+    points = np.array(_parse_points(immersion.k, args.point, None))
     report = {"command": "submanifold", "chart": chart.name,
               "sub_dim": immersion.k, "tolerance": args.tol, "points": []}
-    for u in points:
-        data = im.second_fundamental_form(immersion, u)
+    jets = immersion.point_jets(points)
+    for i, u in enumerate(points):
+        data = im.second_fundamental_form(immersion, u, [a[i] for a in jets])
         dh_max = float(np.max(np.abs(im.normal_connection_DH(data))))
         r21, r22 = im.codazzi_residuals(data)
         H = data.mean_curvature

@@ -7,9 +7,9 @@ into the Christoffel symbols, their first derivatives and the curvature; the
 chart pipeline and the submanifold geometry (immersions.py) both read from it.
 No finite difference is taken anywhere; test oracles write their own.
 
-``point_data`` is the one evaluation of the points of a command: metric,
-Christoffel symbols, curvature, Ricci, Weyl, J and dJ, each with a leading
-point axis.  Everything downstream reads from it.
+``point_data`` is the one evaluation of the points of a command, one jet
+per tree set: metric, Christoffel symbols, curvature, Ricci, Weyl, J and
+dJ, each with a leading point axis.  Everything downstream reads from it.
 
 Index conventions, pinned by the round-sphere normalization tests:
 
@@ -84,6 +84,14 @@ class ManifoldChart:
             raise
         return _checked_metric(point, g, dg, ddg), dg, ddg
 
+    def metric_stack(self, points):
+        """``metric_jets`` of a stack (P, n) from one jet, checked point by point;
+        a failed jet names no point (callers take the points one at a time)."""
+        g, dg, ddg = _matrix_jets(self.metric, self.coordinates, points)
+        for x, *jet in zip(points, g, dg, ddg):
+            _checked_metric(x, *jet)
+        return g, dg, ddg
+
     def metric_at(self, point):
         b = dict(zip(self.coordinates, point))
         return _checked_metric(
@@ -97,19 +105,20 @@ class ManifoldChart:
         return self._j_point(point)[1]
 
     def _j_point(self, point):
-        J, dJ = self._j_stack(*(a[None] for a in self._j_jets(point)))
+        J, dJ = self._j_stack(*self._j_jets(np.asarray(point, dtype=float)[None]))
         return (None, None) if J is None else (J[0], dJ[0])
 
-    def _j_jets(self, point):
-        """The part of J at a point that can fail: the jets (J, dJ) of a
-        symbolic J, or the embedding's map jets (p, F, H) of a pointwise J,
-        F checked to have full rank; () without J."""
+    def _j_jets(self, points):
+        """The part of J at a stack (P, n) of points that can fail, one jet: the
+        jets (J, dJ) of a symbolic J, or the embedding's map jets (p, F, H) of
+        a pointwise J, F checked to have full rank point by point; () without J."""
         if self.complex_structure is not None:
-            return _matrix_jets(self.complex_structure, self.coordinates, point)[:2]
+            return _matrix_jets(self.complex_structure, self.coordinates, points)[:2]
         if self.complex_structure_fn is None:
             return ()
-        p, F, H = ex.jets(self.embedding.map_exprs, self.coordinates, point)
-        check_rank(F, "embedding", point)
+        p, F, H = ex.jets(self.embedding.map_exprs, self.coordinates, points)
+        for x, f in zip(points, F):
+            check_rank(f, "embedding", x)
         return p, F, H
 
     def _j_stack(self, *stacks):
@@ -146,13 +155,14 @@ def _checked_metric(point, g, *derivatives):
     return g
 
 
-def _matrix_jets(rows, coordinates, point):
-    """(M, dM, ddM) of a square matrix of expressions at a point, with
-    dM[k,i,j] = d_k M_ij and ddM[c,k,i,j] = d_c d_k M_ij."""
+def _matrix_jets(rows, coordinates, points):
+    """(M, dM, ddM) of a square matrix of expressions at a point or a stack
+    of points, with dM[..., k,i,j] = d_k M_ij and ddM[..., c,k,i,j] = d_c d_k M_ij."""
     n = len(coordinates)
-    v, d1, d2 = ex.jets([e for row in rows for e in row], coordinates, point)
-    return (v.reshape(n, n), np.moveaxis(d1.reshape(n, n, n), 2, 0),
-            np.moveaxis(d2.reshape(n, n, n, n), (2, 3), (0, 1)))
+    v, d1, d2 = ex.jets([e for row in rows for e in row], coordinates, points)
+    lead = v.shape[:-1]
+    return (v.reshape(*lead, n, n), np.moveaxis(d1.reshape(*lead, n, n, n), -1, -3),
+            np.moveaxis(d2.reshape(*lead, n, n, n, n), (-2, -1), (-4, -3)))
 
 
 @dataclass(frozen=True)
@@ -177,13 +187,13 @@ def christoffel(chart, point):
     return connection_jet(*chart.metric_jets(point))[0]
 
 
-def connection_jet(g, d1, d2):
-    """(gamma, dgamma, R4) from a metric jet (g, dg, ddg), also of stacks
-    with leading axes: the Levi-Civita symbols gamma[a,i,j] = Gamma^a_ij,
-    their derivatives dgamma[c,a,i,j] = d_c Gamma^a_ij, and the all-lower
-    curvature tensor R4[i,j,k,l] = g(R(d_i,d_j) d_k, d_l)."""
+def connection_jet(g, d1, d2, gi=None):
+    """(gamma, dgamma, R4) from a metric jet (g, dg, ddg) and g's inverse gi
+    if known, also of stacks with leading axes: the Levi-Civita symbols
+    gamma[a,i,j] = Gamma^a_ij, their derivatives dgamma[c,a,i,j] = d_c Gamma^a_ij,
+    and the all-lower curvature tensor R4[i,j,k,l] = g(R(d_i,d_j) d_k, d_l)."""
     lead, n = g.shape[:-2], g.shape[-1]
-    gi = np.linalg.inv(g)
+    gi = np.linalg.inv(g) if gi is None else gi
     # Gamma_m,ij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2 and Gamma^a_ij = g^am Gamma_m,ij
     low = 0.5 * (np.einsum("...imj->...mij", d1) + np.einsum("...jmi->...mij", d1) - d1)
     gamma = np.einsum("...am,...mij->...aij", gi, low)
@@ -206,9 +216,9 @@ def riemann(chart, point):
     return g, gamma, R4
 
 
-def ricci_scalar(R4, g):
+def ricci_scalar(R4, g, gi=None):
     """(S, s): Ricci tensor and scalar curvature, also of stacks (..., n, n, n, n)."""
-    gi = np.linalg.inv(g)
+    gi = np.linalg.inv(g) if gi is None else gi
     S = np.einsum("...il,...ijkl->...jk", gi, R4)
     return S, np.einsum("...jk,...jk->...", gi, S)
 
@@ -233,20 +243,28 @@ def weyl(R4, S, s, g):
 
 def point_data(chart, points):
     """Everything the chart pipeline reads at ``points``, a stack (P, n) or
-    one point (n,), as one PointData.  The steps that can fail (the metric's
-    jet and its checks, the jets of J, the embedding's rank) run point by
-    point in order, so the first bad point names the error; the rest runs
-    once on the whole stack."""
+    one point (n,), as one PointData.  Each tree set (metric, J) is one jet
+    of the whole stack, and the rest runs once on it.  If a step fails (a
+    jet, a metric check, the embedding's rank), the points are taken again
+    one at a time in order, so the first bad point names the error."""
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, chart.dim)
-    jets = [chart.metric_jets(x) + chart._j_jets(x) for x in flat]
+    try:
+        g, d1, d2 = chart.metric_stack(flat)
+        j = chart._j_jets(flat)
+    except (ex.DomainError, ValueError):
+        for x in flat:
+            chart.metric_jets(x)
+            chart._j_jets(x[None])
+        raise
     # C-contiguous stacks, which einsum reads fastest (its order of sums follows the layout)
-    g, d1, d2, *j = (np.array(a) for a in zip(*jets))
+    g, d1, d2, *j = (np.ascontiguousarray(a) for a in (g, d1, d2, *j))
     J, dJ = chart._j_stack(*j)
-    gamma, _, R4 = connection_jet(g, d1, d2)
-    S, s = ricci_scalar(R4, g)
+    g_inv = np.linalg.inv(g)
+    gamma, _, R4 = connection_jet(g, d1, d2, g_inv)
+    S, s = ricci_scalar(R4, g, g_inv)
     C = weyl(R4, S, s, g) if chart.dim >= 4 else None
-    fields = dict(point=flat, g=g, g_inv=np.linalg.inv(g), J=J, dJ=dJ, gamma=gamma,
+    fields = dict(point=flat, g=g, g_inv=g_inv, J=J, dJ=dJ, gamma=gamma,
                   riemann=R4, ricci=S, scalar=s, weyl=C)
     return PointData(**{name: None if a is None else a.reshape(points.shape[:-1] + a.shape[1:])
                         for name, a in fields.items()})

@@ -16,14 +16,14 @@ multiplication; "2x" is a syntax error.
 Expressions are immutable DAGs: the constructors below and the parser's
 leaves hash-cons their nodes (Filliatre & Conchon, Type-safe modular
 hash-consing, 2006), so equal subtrees built while the first is alive are
-one object, and ``jets`` evaluates each distinct subtree once per point.
+one object, and ``jets`` evaluates each distinct subtree once per call.
 Only constant folding is performed, and only to finite values; no canonical
 simplification.
 
-``jets`` gives the values, gradients and Hessians of expressions at a point
-in one pass over the trees; it is how every derivative of chart data at a
-point is computed.  ``differentiate`` builds a derivative as a new tree, for
-callers that need the derivative itself as an expression.  The two share one
+``jets`` gives the values, gradients and Hessians of expressions at a stack
+of points in one pass over the trees; it is how every derivative of chart
+data at a point is computed.  ``differentiate`` builds a derivative as a new
+tree, for callers that need the derivative itself as an expression.  The two share one
 set of elementary rules: ``jets`` evaluates, for each function f, the trees
 ``differentiate`` builds for f'(t) and f''(t).  tanh' is 1 - tanh^2, which
 stays finite where cosh^2 overflows.
@@ -476,101 +476,156 @@ _CHAIN = {fn: _derivatives(call(fn, symbol("t"))) for fn in FUNCTIONS}
 _CHAIN["/"] = _derivatives(div(const(1.0), symbol("t")))
 
 
-def _chain(value, f1, f2, u):
-    """Jet of f(u) from f, f', f'' at the value of u and the jet of u."""
-    return value, f1 * u[1], f1 * u[2] + f2 * np.outer(u[1], u[1])
-
-
-def _call(fn, value, u):
-    """Jet of fn(u), given its value, for fn a key of _CHAIN."""
+def _factors(fn, t):
+    """(f'(t), f''(t)) of ``fn``, a key of _CHAIN, from its derivative trees."""
     f1, f2 = _CHAIN[fn]
-    t = {"t": u[0]}
-    return _chain(value, evaluate(f1, t), evaluate(f2, t), u)
+    return evaluate(f1, {"t": t}), evaluate(f2, {"t": t})
 
 
-def _product(value, a, b):
+def _chain(value, f1, f2, u, n):
+    """Jet of f(u) from each point's value of f, f', f'' at u and the jet of u."""
+    out, g = f1 * u, u[1:n + 1]
+    h = out[n + 1:].reshape(n, n, -1)
+    h += f2 * (g[:, None] * g)
+    out[0] = value
+    return out
+
+
+def _product(value, a, b, n):
     """Jet of a*b, given its value."""
-    cross = np.outer(a[1], b[1])
-    return value, a[0] * b[1] + b[0] * a[1], a[0] * b[2] + b[0] * a[2] + cross + cross.T
+    out, cross = a[0] * b, a[1:n + 1, None] * b[1:n + 1]
+    out += b[0] * a
+    h = out[n + 1:].reshape(n, n, -1)
+    h += cross
+    h += cross.transpose(1, 0, 2)
+    out[0] = value
+    return out
 
 
-def _binop_jet(e, value, a, b):
-    """Jet of the binary node ``e``, given its value and its operands' jets."""
-    if e.op == "+":
-        return value, a[1] + b[1], a[2] + b[2]
-    if e.op == "-":
-        return value, a[1] - b[1], a[2] - b[2]
-    if e.op == "*":
-        return _product(value, a, b)
-    if e.op == "/":
-        return _product(value, a, _call("/", 1.0 / b[0], b))
-    if isinstance(e.right, Const):
-        c = e.right.value
-        return _chain(value, c * _apply_binop("^", a[0], c - 1.0),
-                      c * (c - 1.0) * _apply_binop("^", a[0], c - 2.0), a)
-    # f^g with non-constant exponent, differentiated as exp(g*log f)
-    log_a = _call("log", _apply_call("log", a[0]), a)
-    return _call("exp", value, _product(b[0] * log_a[0], b, log_a))
-
-
-def jets(exprs, coordinates, point):
-    """Values, gradients and Hessians of ``exprs`` at ``point``, as arrays
-    of shape (m,), (m, n) and (m, n, n) for m expressions in n coordinates.
+def jets(exprs, coordinates, points):
+    """Values, gradients and Hessians of ``exprs`` at ``points``, a stack
+    (P, n) or one point (n,), as arrays (P, m), (P, m, n) and (P, m, n, n)
+    for m expressions in n coordinates (no P axis for one point).
 
     Exact second-order Taylor coefficients are pushed forward through each
-    tree once (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13),
-    memoised on node identity within the call.  Equal subtrees built by the
-    parser and the constructors are one node, so each distinct subtree is
-    evaluated once, however many entries repeat it.  Node values go through
-    the same domain checks as ``evaluate``.  A subtree without symbols, told
-    by the shared zero gradient of its operands, has the exact jet (value,
-    0, 0), and dividing by it scales the jet: an infinite constant gives no
-    NaN.
+    distinct subtree once for all points (Griewank & Walther, Evaluating
+    Derivatives, 2nd ed., ch. 13); a node's jet is one array (1 + n + n^2, P).
+    ``+ - * /`` run as numpy operations, which round as Python floats do, and
+    function values, powers and the chain factors (``differentiate``'s trees
+    for f', f'') go point by point through ``math``: each point gets the
+    floats it gets alone.  A point keeps its first DomainError in its own walk
+    order and carries NaN on; the first bad point raises.  A subtree without
+    symbols has the exact jet (value, 0, 0), and dividing by it scales the
+    jet: an infinite constant gives no NaN.
     """
+    points = np.asarray(points, dtype=float)
     n = len(coordinates)
-    zero1, zero2 = np.zeros(n), np.zeros((n, n))
-    seeds = {c: (float(x), unit, zero2)
-             for c, x, unit in zip(coordinates, point, np.eye(n))}
-    memo = {}
+    stack = points.reshape(-1, n)
+    P, size = len(stack), 1 + n + n * n
+    memo = {}    # node id -> (jet, whether the subtree is free of symbols)
+    recips = {}  # denominator node id -> the jet of its reciprocal
+    errors = {}  # point -> its first DomainError; point 0's is raised at once
+
+    def fail(p, exc):  # a later point's error waits: an earlier point may fail further on
+        if p == 0:
+            raise exc
+        errors.setdefault(p, exc)
+
+    def each(f, *columns):
+        """The columns of f, a tuple of floats, at each point's floats; NaN where f fails."""
+        rows = []
+        for p, args in enumerate(zip(*[c.tolist() for c in columns])):
+            try:
+                rows.append(f(*args))
+            except DomainError as exc:
+                fail(p, exc)
+                rows.append((math.nan,) * len(rows[0]))
+        return np.array(rows).T
+
+    def flat(value):  # the jet (value, 0, 0) of a subtree without symbols
+        out = np.zeros((size, P))
+        out[0] = value
+        return out
+
+    def reciprocal(e, b):  # the jet of 1/e, taken once per denominator
+        if id(e) not in recips:
+            recips[id(e)] = _chain(1.0 / b[0], *each(lambda t: _factors("/", t), b[0]), b, n)
+        return recips[id(e)]
+
+    def binop(e, a, b, free):
+        op = e.op
+        if op in "+-":
+            return a + b if op == "+" else a - b
+        if op == "^" and not free and isinstance(e.right, Const):
+            c = e.right.value
+            return _chain(*each(lambda x: (_apply_binop("^", x, c),
+                                           c * _apply_binop("^", x, c - 1.0),
+                                           c * (c - 1.0) * _apply_binop("^", x, c - 2.0)), a[0]),
+                          a, n)
+        if op == "/" and not b[0].all():
+            for p in np.flatnonzero(b[0] == 0.0).tolist():
+                fail(p, DomainError("division by zero"))
+        value = (a[0] * b[0] if op == "*" else a[0] / b[0] if op == "/" else
+                 each(lambda x, y: (_apply_binop("^", x, y),), a[0], b[0])[0])
+        if free:
+            return flat(value)
+        if op == "*":
+            return _product(value, a, b, n)
+        if op == "/":
+            if not memo[id(e.right)][1]:
+                return _product(value, a, reciprocal(e.right, b), n)
+            out = a * (1.0 / b[0])  # 1/b, not the chain rule's 1/b^2
+            out[0] = value
+            return out
+        # f^g with non-constant exponent, differentiated as exp(g*log f)
+        log_a = _chain(*each(lambda x: (_apply_call("log", x), *_factors("log", x)), a[0]), a, n)
+        t = b[0] * log_a[0]
+        return _chain(value, *each(lambda x: _factors("exp", x), t), _product(t, b, log_a, n), n)
+
+    seeds = {}
+    for i, (c, x) in enumerate(zip(coordinates, stack.T)):
+        seeds[c] = seed = np.zeros((size, P))
+        seed[0], seed[1 + i] = x, 1.0
 
     def jet(e):
         out = memo.get(id(e))
         if out is not None:
             return out
-        if isinstance(e, Const):
-            out = (e.value, zero1, zero2)
+        if isinstance(e, BinOp):
+            (a, free_a), (b, free_b) = jet(e.left), jet(e.right)
+            out = (binop(e, a, b, free_a and free_b), free_a and free_b)
         elif isinstance(e, Sym):
             if e.name not in seeds:
                 raise MissingBindingError(f"no binding for {e.name!r}")
-            out = seeds[e.name]
+            out = (seeds[e.name], False)
+        elif isinstance(e, Const):
+            out = (flat(e.value), True)
         elif isinstance(e, Neg):
-            v, g, h = jet(e.arg)
-            out = (-v, g, h) if g is zero1 else (-v, -g, -h)
+            u, free = jet(e.arg)
+            out = (flat(-u[0]) if free else -u, free)
         elif isinstance(e, Call):
-            u = jet(e.arg)
-            value = _apply_call(e.fn, u[0])
-            out = (value, zero1, zero2) if u[1] is zero1 else _call(e.fn, value, u)
-        elif isinstance(e, BinOp):
-            a, b = jet(e.left), jet(e.right)
-            value = _apply_binop(e.op, a[0], b[0])
-            if a[1] is zero1 and b[1] is zero1:
-                out = (value, zero1, zero2)
-            elif e.op == "/" and b[1] is zero1:  # 1/b, not the chain rule's 1/b^2
-                out = (value, a[1] * (1.0 / b[0]), a[2] * (1.0 / b[0]))
-            else:
-                out = _binop_jet(e, value, a, b)
+            u, free = jet(e.arg)
+            f = each(lambda x: (_apply_call(e.fn, x), *(() if free else _factors(e.fn, x))), u[0])
+            out = (flat(f[0]) if free else _chain(*f, u, n), free)
         else:
             raise TypeError(f"not an Expr: {e!r}")
         memo[id(e)] = out
         return out
 
-    with np.errstate(all="ignore"):  # a non-finite result raises DomainError below
-        out = [jet(e) for e in exprs]
-    arrays = tuple(np.array([j[order] for j in out]).reshape((len(out),) + (n,) * order)
-                   for order in range(3))
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise DomainError(f"a value or derivative is not finite at {np.asarray(point).tolist()}")
-    return arrays
+    try:
+        with np.errstate(all="ignore"):  # a non-finite result raises DomainError below
+            roots = np.array([jet(e)[0] for e in exprs]).reshape(len(exprs), size, P)
+    finally:  # the nested functions form a cycle, which would free the jets late
+        memo.clear(), recips.clear()
+    roots = roots.transpose(2, 0, 1)  # (P, m, size)
+    bad = set(errors) | set(np.flatnonzero(~np.isfinite(roots).all(axis=(1, 2))).tolist())
+    if bad:
+        p = min(bad)
+        raise errors.get(p) or DomainError(
+            f"a value or derivative is not finite at {stack[p].tolist()}")
+    lead = points.shape[:-1] + (len(exprs),)
+    return tuple(np.ascontiguousarray(roots[..., part]).reshape(lead + shape) for part, shape in
+                 ((0, ()), (slice(1, n + 1), (n,)), (slice(n + 1, None), (n, n))))
 
 
 def substitute(e, mapping):

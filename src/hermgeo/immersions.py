@@ -5,6 +5,7 @@ Everything at a sub-chart point is exact and comes from two jets: one of the
 immersion map together with its first-derivative trees (so it also carries
 the map's third derivatives), and one of the target metric (Christoffel
 symbols, their derivatives and the curvature, ``curvature.connection_jet``).
+``Immersion.point_jets`` takes each of them once for all points of a command.
 With h_ab = d_a d_b x + Gamma(F_a, F_b) and the normal projector
 P = I - F G^-1 F^T g, the form is alpha_ab = P h_ab; its derivatives follow
 by the product rule, and the Gauss formula gives the induced connection
@@ -40,16 +41,31 @@ class Immersion:
         return [[ex.differentiate(f, c) for c in self.coordinates] for f in self.map_exprs]
 
     def map_jets(self, u):
-        """(x, F, hess, third) at sub-chart point ``u`` from one jet of the map
-        and its first-derivative trees: the ambient point, the Jacobian
-        F[p,a] = d_a x^p (checked to have full rank), hess[p,a,b] = d_a d_b x^p
-        and third[p,a,b,c] = d_a d_b d_c x^p."""
+        """(x, F, hess, third) at sub-chart point ``u``, or a stack of them,
+        from one jet of the map and its first-derivative trees: the ambient
+        point, the Jacobian F[p,a] = d_a x^p (checked to have full rank, point
+        by point), hess[p,a,b] = d_a d_b x^p and third[p,a,b,c] = d_a d_b d_c x^p."""
         N, k = len(self.map_exprs), self.k
         trees = self.map_exprs + [d for row in self._jacobian for d in row]
         v, d1, d2 = ex.jets(trees, self.coordinates, u)
-        x, F, hess = v[:N], d1[:N], d2[:N]
-        cv.check_rank(F, "immersion", u)
-        return x, F, hess, d2[N:].reshape(N, k, k, k)
+        lead = v.shape[:-1]
+        x, F, hess = v[..., :N], d1[..., :N, :], d2[..., :N, :, :]
+        for point, f in zip(np.reshape(u, (-1, k)), F.reshape(-1, N, k)):
+            cv.check_rank(f, "immersion", point)
+        return x, F, hess, d2[..., N:, :, :].reshape(*lead, N, k, k, k)
+
+    def point_jets(self, points):
+        """``map_jets`` and the target's ``metric_stack`` at the mapped points of
+        a stack (P, k), one jet each.  If a step fails, the points are taken
+        again one at a time, so the first bad point names the error."""
+        try:
+            x, F, hess, third = self.map_jets(points)
+            g, dg, ddg = self.target.metric_stack(x)
+        except (ex.DomainError, ValueError):
+            for u in points:
+                self.target.metric_jets(self.map_jets(u)[0])
+            raise
+        return x, F, hess, third, g, dg, ddg
 
     def induced_chart(self):
         """Exact pullback metric as a chart over the sub coordinates."""
@@ -87,17 +103,18 @@ class SecondFundamentalData:
     ambient_riemann: np.ndarray       # (N, N, N, N) all-lower target curvature there
 
 
-def second_fundamental_form(imm, u):
+def second_fundamental_form(imm, u, jets=None):
     """Exact second fundamental form data at sub-chart point ``u``, from one
-    jet of the immersion map and one jet of the target metric.
+    jet of the immersion map and one jet of the target metric; ``jets`` is
+    that point's slice of ``Immersion.point_jets``, if the caller has it.
 
     alpha(d_a, d_b) is the normal projection of the second derivative of the
     immersion corrected by the ambient Christoffel symbols.  Sign convention:
     the outward-normal round sphere of radius r gets alpha = -(1/r) g n.
     """
-    u = np.asarray(u, dtype=float)
-    x, F, hess, third = imm.map_jets(u)
-    g, dg, ddg = imm.target.metric_jets(x)
+    if jets is None:
+        jets = [a[0] for a in imm.point_jets(np.asarray(u, dtype=float)[None])]
+    x, F, hess, third, g, dg, ddg = jets
     gamma, dgamma, R4 = cv.connection_jet(g, dg, ddg)
     N, k = imm.target.dim, imm.k
     dF = np.moveaxis(hess, 2, 0)                      # dF[c] = d_c F

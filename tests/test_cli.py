@@ -178,6 +178,62 @@ def test_domain_error_at_the_second_of_three_points_names_that_point(tmp_path, c
 
 
 @pytest.mark.parametrize("command", ["analyze", "classify"])
+@pytest.mark.parametrize("g00, points, message", [
+    # the first point fails at sqrt; the second fails at log, which the walk reaches first
+    ("1 + log(x)^2", ["0.5,-0.5", "-0.5,0.5"], "error: sqrt(-0.5) out of domain\n"),
+    # the first point's metric is singular; the second's jet fails at sqrt
+    ("x", ["0,0.5", "0.5,-0.5"], "error: metric not positive definite at [0.0, 0.5] "),
+])
+def test_first_bad_point_names_the_error_though_a_later_point_fails_earlier(
+        tmp_path, capsys, command, g00, points, message):
+    path = tmp_path / "two_edges.json"
+    path.write_text(json.dumps({
+        "name": "two_edges", "dim": 2, "coordinates": ["x", "y"],
+        "metric": [[g00, "0"], ["0", "1 + sqrt(y)"]],
+        "complex_structure": [["0", "-1"], ["1", "0"]],
+    }), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path), *(f"--point={p}" for p in points))
+    assert code == 3 and out == "" and err.startswith(message) and err.count("\n") == 1
+
+
+def test_submanifold_names_the_first_bad_point_before_a_later_rank_deficiency(tmp_path,
+                                                                              capsys):
+    # the target metric is undefined at the first mapped point; the map is
+    # rank deficient at the second
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({
+        "name": "r3", "dim": 3, "coordinates": ["x", "y", "z"],
+        "metric": [["1 + sqrt(x)", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "immersion": {"coordinates": ["u", "v"], "map": ["u", "v^2", "0"]},
+    }), encoding="utf-8")
+    code, out, err = run_cli(capsys, "submanifold", str(path), "--point=-0.5,0.5",
+                             "--point=0.5,0")
+    assert code == 3 and out == "" and err == "error: sqrt(-0.5) out of domain\n"
+    code, out, err = run_cli(capsys, "submanifold", str(path), "--point=0.5,0",
+                             "--point=-0.5,0.5")
+    assert code == 3 and out == ""
+    assert err.startswith("error: immersion rank deficient at [0.5, 0.0]")
+
+
+@pytest.mark.parametrize("model, command", [
+    ("s6_nearly_kahler", "classify"), ("fubini_study", "analyze"), ("sphere", "submanifold")])
+def test_a_command_takes_one_jet_per_tree_set(tmp_path, capsys, monkeypatch, model, command):
+    # metric and J (or embedding map), or immersion map and target metric:
+    # two walks for all three points
+    calls = []
+    jets = ex.jets
+    monkeypatch.setattr(ex, "jets", lambda *args: calls.append(args) or jets(*args))
+    if model == "sphere":
+        path, dim = write_sphere_immersion(tmp_path), 2
+    else:
+        path, dim = write_model(tmp_path, model), models.instantiate(model).dim
+    points = [",".join([str(0.1 * (i + 1))] * dim) for i in range(3)]
+    code, _, err = run_cli(capsys, command, path, *(f"--point={p}" for p in points))
+    assert code == 0 and err == ""
+    assert [len(args[2]) for args in calls] == [3, 3]
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
 def test_rank_deficient_embedding_is_one_line_domain_error(tmp_path, capsys, command):
     # d(u1^2)/du1 vanishes at the origin: the cross-product J has no solve there
     coords = [f"u{k + 1}" for k in range(6)]

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hermgeo import cli, reportio
+from hermgeo import cli, models, reportio
 from hermgeo import expressions as ex
 
 
@@ -578,6 +578,53 @@ def test_jets_and_derivative_trees_agree_at_domain_edges(fn, x):
         return
     got = ex.jets([e], ["x"], [x])
     assert [g.ravel().tolist() for g in got] == [np.ravel(w).tolist() for w in want]
+
+
+def _tree_sets():
+    """(name, coordinates, trees, points) of every built-in model's metric,
+    J or embedding map, and of trees that use each function, both kinds of
+    power, a symbol-free subtree and a division by an infinite constant."""
+    rng = np.random.default_rng(27)
+    for name in models._BUILDERS:
+        chart = models.instantiate(name)
+        points = rng.uniform(-0.3, 0.3, size=(3, chart.dim))
+        yield name, chart.coordinates, [e for row in chart.metric for e in row], points
+        if chart.complex_structure is not None:
+            trees = [e for row in chart.complex_structure for e in row]
+            yield name + " J", chart.coordinates, trees, points
+        if chart.embedding is not None:
+            yield name + " map", chart.coordinates, chart.embedding.map_exprs, points
+    texts = [f"{fn}(0.3*x + y)*x" for fn in ex.FUNCTIONS] + [
+        "(1 + x^2)^1.5/y^3", "(1 + x^2)^(x*y)", "2^(x*y) - sqrt(2)*x", "x*x/(1e308*10)",
+        "tanh(1e400 + 7) + x*y", "-(x - y)/(2*pi + e)"]
+    points = rng.uniform(0.2, 0.9, size=(3, 2))
+    yield "functions", ["x", "y"], [ex.parse(t, ["x", "y"]) for t in texts], points
+
+
+@pytest.mark.parametrize("name, coords, trees, points",
+                         list(_tree_sets()), ids=lambda v: v if isinstance(v, str) else "")
+def test_a_stack_of_points_is_each_point_alone_bit_for_bit(name, coords, trees, points):
+    for stack in (points[:1], points):
+        got = ex.jets(trees, coords, stack)
+        assert [a.shape[:2] for a in got] == [(len(stack), len(trees))] * 3
+        for i, point in enumerate(stack):
+            alone = ex.jets(trees, coords, point)
+            for g, w in zip(got, alone):
+                assert g[i].tobytes() == w.tobytes(), name
+    assert not np.isnan(ex.jets(trees, coords, points)[2]).any()
+
+
+def test_the_first_bad_point_names_the_error_across_nodes():
+    # the first point fails at sqrt, a later node than the second's log
+    trees = [ex.parse(t, ["x", "y"]) for t in ("1 + log(x)^2", "1 + sqrt(y)")]
+    with pytest.raises(ex.DomainError, match=r"^sqrt\(-0\.5\) out of domain$"):
+        ex.jets(trees, ["x", "y"], [[0.5, -0.5], [-0.5, 0.5]])
+    with pytest.raises(ex.DomainError, match=r"^log\(-0\.5\) out of domain$"):
+        ex.jets(trees, ["x", "y"], [[0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]])
+    # a point that is only not finite comes before a later domain error
+    with pytest.raises(ex.DomainError, match=r"not finite at \[1\.0, 0\.5\]$"):
+        ex.jets([*trees, ex.parse("x*1e300*1e300", ["x", "y"])], ["x", "y"],
+                [[1.0, 0.5], [-0.5, 0.5]])
 
 
 @pytest.mark.parametrize("x", [200.0, -200.0, 400.0, -400.0])
