@@ -28,12 +28,10 @@ def flat(n):
 
 def describe(label, imm, u):
     data = im.second_fundamental_form(imm, u)
-    H = data.mean_curvature
-    h_norm = float(np.sqrt(max(H @ data.ambient_metric @ H, 0.0)))
     dh = float(np.max(np.abs(im.normal_connection_DH(data))))
     r21, r22 = im.codazzi_residuals(data)
     print(f"{label}:")
-    print(f"    |H| = {h_norm:.6f}   umbilicity residual = {data.umbilicity:.2e}")
+    print(f"    |H| = {data.mean_curvature_norm:.6f}   umbilicity residual = {data.umbilicity:.2e}")
     print(f"    max|D_X H| = {dh:.2e}")
     print(f"    curvature eq residual       = {r21:.2e}")
     if data.umbilicity > 1e-8:  # the CLI's default --tol

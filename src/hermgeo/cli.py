@@ -116,29 +116,27 @@ def cmd_submanifold(args):
     points = np.array(_parse_points(immersion.k, args.point, None))
     report = {"command": "submanifold", "chart": chart.name,
               "sub_dim": immersion.k, "tolerance": args.tol, "points": []}
-    jets = immersion.point_jets(points)
+    data = im.second_fundamental_form(immersion, points)
+    dh = im.normal_connection_DH(data)
+    r21, r22 = im.codazzi_residuals(data)
     for i, u in enumerate(points):
-        data = im.second_fundamental_form(immersion, u, [a[i] for a in jets])
-        dh_max = float(np.max(np.abs(im.normal_connection_DH(data))))
-        r21, r22 = im.codazzi_residuals(data)
-        H = data.mean_curvature
-        h_norm = float(np.sqrt(max(H @ data.ambient_metric @ H, 0.0)))
-        alpha_max = float(np.max(np.abs(data.alpha)))
-        geodesic = alpha_max <= args.tol * max(1.0, float(np.max(np.abs(data.induced))))
-        umbilical = geodesic or data.umbilicity <= args.tol
-        entry = {
+        dh_max = float(np.max(np.abs(dh[i])))
+        alpha_max = float(np.max(np.abs(data.alpha[i])))
+        geodesic = alpha_max <= args.tol * max(1.0, float(np.max(np.abs(data.induced[i]))))
+        umbilicity = float(data.umbilicity[i])
+        umbilical = geodesic or umbilicity <= args.tol
+        report["points"].append({
             "point": [float(v) for v in u],
             "alpha_max": alpha_max,
-            "mean_curvature_norm": h_norm,
-            "umbilicity_residual": data.umbilicity,
+            "mean_curvature_norm": float(data.mean_curvature_norm[i]),
+            "umbilicity_residual": umbilicity,
             "dh_residual": dh_max,
-            "codazzi_2_1_residual": r21,
-            "codazzi_2_2_residual": r22 if umbilical else None,
+            "codazzi_2_1_residual": float(r21[i]),
+            "codazzi_2_2_residual": float(r22[i]) if umbilical else None,
             "totally_geodesic": geodesic,
             "totally_umbilical": umbilical,
             "parallel_mean_curvature": dh_max <= args.tol,
-        }
-        report["points"].append(entry)
+        })
     sys.stdout.write(reportio.dump_report(report))
     return EXIT_OK
 

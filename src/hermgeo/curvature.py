@@ -74,22 +74,19 @@ class ManifoldChart:
     def has_j(self):
         return self.complex_structure is not None or self.complex_structure_fn is not None
 
-    def metric_jets(self, point):
-        """(g, dg, ddg) at a point from one jet of the metric entries, with
-        dg[k,i,j] = d_k g_ij and ddg[c,k,i,j] = d_c d_k g_ij."""
+    def metric_jets(self, points):
+        """(g, dg, ddg) at a point (n,) or a stack (P, n) from one jet of the
+        metric entries, with dg[..., k,i,j] = d_k g_ij and ddg[..., c,k,i,j] =
+        d_c d_k g_ij, each point's metric checked in order.  At one point, a
+        failed jet names an undefined, asymmetric or singular metric first."""
         try:
-            g, dg, ddg = _matrix_jets(self.metric, self.coordinates, point)
+            g, dg, ddg = _matrix_jets(self.metric, self.coordinates, points)
         except ex.DomainError:
-            self.metric_at(point)  # an undefined, asymmetric or singular metric is named first
+            if np.ndim(points) == 1:
+                self.metric_at(points)
             raise
-        return _checked_metric(point, g, dg, ddg), dg, ddg
-
-    def metric_stack(self, points):
-        """``metric_jets`` of a stack (P, n) from one jet, checked point by point;
-        a failed jet names no point (callers take the points one at a time)."""
-        g, dg, ddg = _matrix_jets(self.metric, self.coordinates, points)
-        for x, *jet in zip(points, g, dg, ddg):
-            _checked_metric(x, *jet)
+        for i in np.ndindex(g.shape[:-2]):
+            _checked_metric(np.asarray(points)[i], g[i], dg[i], ddg[i])
         return g, dg, ddg
 
     def metric_at(self, point):
@@ -109,16 +106,15 @@ class ManifoldChart:
         return (None, None) if J is None else (J[0], dJ[0])
 
     def _j_jets(self, points):
-        """The part of J at a stack (P, n) of points that can fail, one jet: the
-        jets (J, dJ) of a symbolic J, or the embedding's map jets (p, F, H) of
-        a pointwise J, F checked to have full rank point by point; () without J."""
+        """The part of J at a point (n,) or a stack (P, n) that can fail, one
+        jet: the jets (J, dJ) of a symbolic J, or the embedding's map jets
+        (p, F, H) of a pointwise J, F checked to have full rank; () without J."""
         if self.complex_structure is not None:
             return _matrix_jets(self.complex_structure, self.coordinates, points)[:2]
         if self.complex_structure_fn is None:
             return ()
         p, F, H = ex.jets(self.embedding.map_exprs, self.coordinates, points)
-        for x, f in zip(points, F):
-            check_rank(f, "embedding", x)
+        check_rank(F, "embedding", points)
         return p, F, H
 
     def _j_stack(self, *stacks):
@@ -129,13 +125,25 @@ class ManifoldChart:
         return stacks if self.complex_structure is not None else self.complex_structure_fn(*stacks)
 
 
-def check_rank(F, kind, point):
-    """Raise RankDeficiencyError unless the Jacobian F of an immersion or embedding
-    at ``point`` has full rank: its least singular value above 1e-8 of the largest."""
-    sv = np.linalg.svd(F, compute_uv=False)
-    if sv[-1] <= 1e-8 * sv[0]:
-        raise RankDeficiencyError(
-            f"{kind} rank deficient at {np.asarray(point).tolist()} (singular values {sv})")
+def check_rank(F, kind, points):
+    """Raise RankDeficiencyError unless each Jacobian F (..., N, k) of an immersion
+    or embedding at ``points`` (..., k) has full rank: its least singular value
+    above 1e-8 of the largest.  The first bad point names the error."""
+    sv = np.linalg.svd(F, compute_uv=False).reshape(-1, F.shape[-1])
+    for x, s in zip(np.reshape(points, (len(sv), -1)).tolist(), sv):
+        if s[-1] <= 1e-8 * s[0]:
+            raise RankDeficiencyError(f"{kind} rank deficient at {x} (singular values {s})")
+
+
+def first_bad_point(step, points):
+    """``step(points)`` on a stack (P, n).  If it fails, ``step`` runs on each
+    point (n,) alone, in order, so the first bad point names the error."""
+    try:
+        return step(points)
+    except (ex.DomainError, ValueError):
+        for x in points:
+            step(x)
+        raise
 
 
 def _checked_metric(point, g, *derivatives):
@@ -245,18 +253,11 @@ def point_data(chart, points):
     """Everything the chart pipeline reads at ``points``, a stack (P, n) or
     one point (n,), as one PointData.  Each tree set (metric, J) is one jet
     of the whole stack, and the rest runs once on it.  If a step fails (a
-    jet, a metric check, the embedding's rank), the points are taken again
-    one at a time in order, so the first bad point names the error."""
+    jet, a metric check, the embedding's rank), the first bad point names
+    the error (``first_bad_point``)."""
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, chart.dim)
-    try:
-        g, d1, d2 = chart.metric_stack(flat)
-        j = chart._j_jets(flat)
-    except (ex.DomainError, ValueError):
-        for x in flat:
-            chart.metric_jets(x)
-            chart._j_jets(x[None])
-        raise
+    g, d1, d2, *j = first_bad_point(lambda x: (*chart.metric_jets(x), *chart._j_jets(x)), flat)
     # C-contiguous stacks, which einsum reads fastest (its order of sums follows the layout)
     g, d1, d2, *j = (np.ascontiguousarray(a) for a in (g, d1, d2, *j))
     J, dJ = chart._j_stack(*j)

@@ -10,10 +10,10 @@ With h_ab = d_a d_b x + Gamma(F_a, F_b) and the normal projector
 P = I - F G^-1 F^T g, the form is alpha_ab = P h_ab; its derivatives follow
 by the product rule, and the Gauss formula gives the induced connection
 Gamma^d_ab = (G^-1 F^T g h_ab)_d (B.-Y. Chen, Geometry of Submanifolds,
-1973).  ``second_fundamental_form`` evaluates all of it once per point; the
-normal connection and the Codazzi residuals read from its data.  The exact
-symbolic pullback chart (``Immersion.induced_chart``) gives the intrinsic
-curvature; the reports do not need it.
+1973).  ``second_fundamental_form`` evaluates all of it once on the stack of
+points; the normal connection and the Codazzi residuals read from its data.
+The exact symbolic pullback chart (``Immersion.induced_chart``) gives the
+intrinsic curvature; the reports do not need it.
 """
 
 import functools
@@ -41,31 +41,24 @@ class Immersion:
         return [[ex.differentiate(f, c) for c in self.coordinates] for f in self.map_exprs]
 
     def map_jets(self, u):
-        """(x, F, hess, third) at sub-chart point ``u``, or a stack of them,
+        """(x, F, hess, third) at sub-chart point ``u`` (k,) or a stack (P, k),
         from one jet of the map and its first-derivative trees: the ambient
-        point, the Jacobian F[p,a] = d_a x^p (checked to have full rank, point
-        by point), hess[p,a,b] = d_a d_b x^p and third[p,a,b,c] = d_a d_b d_c x^p."""
+        point, the Jacobian F[p,a] = d_a x^p (checked to have full rank),
+        hess[p,a,b] = d_a d_b x^p and third[p,a,b,c] = d_a d_b d_c x^p."""
         N, k = len(self.map_exprs), self.k
         trees = self.map_exprs + [d for row in self._jacobian for d in row]
         v, d1, d2 = ex.jets(trees, self.coordinates, u)
-        lead = v.shape[:-1]
-        x, F, hess = v[..., :N], d1[..., :N, :], d2[..., :N, :, :]
-        for point, f in zip(np.reshape(u, (-1, k)), F.reshape(-1, N, k)):
-            cv.check_rank(f, "immersion", point)
-        return x, F, hess, d2[..., N:, :, :].reshape(*lead, N, k, k, k)
+        cv.check_rank(d1[..., :N, :], "immersion", u)
+        return (v[..., :N], d1[..., :N, :], d2[..., :N, :, :],
+                d2[..., N:, :, :].reshape(*v.shape[:-1], N, k, k, k))
 
     def point_jets(self, points):
-        """``map_jets`` and the target's ``metric_stack`` at the mapped points of
-        a stack (P, k), one jet each.  If a step fails, the points are taken
-        again one at a time, so the first bad point names the error."""
-        try:
-            x, F, hess, third = self.map_jets(points)
-            g, dg, ddg = self.target.metric_stack(x)
-        except (ex.DomainError, ValueError):
-            for u in points:
-                self.target.metric_jets(self.map_jets(u)[0])
-            raise
-        return x, F, hess, third, g, dg, ddg
+        """``map_jets`` and the target's ``metric_jets`` at the mapped points of a
+        stack (P, k), one jet each; ``curvature.first_bad_point`` names an error."""
+        def step(u):
+            x, F, hess, third = self.map_jets(u)
+            return (x, F, hess, third, *self.target.metric_jets(x))
+        return cv.first_bad_point(step, points)
 
     def induced_chart(self):
         """Exact pullback metric as a chart over the sub coordinates."""
@@ -85,83 +78,91 @@ class Immersion:
 
 @dataclass(frozen=True)
 class SecondFundamentalData:
-    """The second fundamental form at a sub-chart point, its exact first
-    derivatives d_c along each sub-coordinate direction, and the ambient
-    data they were built from."""
+    """The second fundamental form, its exact first derivatives d_c along each
+    sub-coordinate direction and its ambient data, with the points' leading axes."""
     point: np.ndarray                 # ambient coordinates
     tangent: np.ndarray               # (N, k) pushforward columns F
     induced: np.ndarray               # (k, k) pullback metric G
     alpha: np.ndarray                 # (k, k, N) normal-valued form
     mean_curvature: np.ndarray        # ambient normal vector H
-    umbilicity: float
+    mean_curvature_norm: np.ndarray   # () |H| in the target metric
+    umbilicity: np.ndarray            # () max |alpha - G H| over its scale
     normal_projector: np.ndarray      # (N, N) P = I - F G^-1 F^T g
     induced_gamma: np.ndarray         # (k, k, k) induced symbols Gamma^d_ab
     dalpha: np.ndarray                # (k, k, k, N): dalpha[c] = d_c alpha
     dmean: np.ndarray                 # (k, N): dmean[c] = d_c H
     ambient_metric: np.ndarray        # (N, N) target metric at ``point``
+    ambient_metric_inv: np.ndarray    # (N, N) its inverse
     ambient_gamma: np.ndarray         # (N, N, N) target Christoffel symbols there
     ambient_riemann: np.ndarray       # (N, N, N, N) all-lower target curvature there
 
 
-def second_fundamental_form(imm, u, jets=None):
-    """Exact second fundamental form data at sub-chart point ``u``, from one
-    jet of the immersion map and one jet of the target metric; ``jets`` is
-    that point's slice of ``Immersion.point_jets``, if the caller has it.
+def second_fundamental_form(imm, points):
+    """Exact second fundamental form data at sub-chart ``points``, a stack
+    (P, k) or one point (k,), from one jet of the map and one of the target
+    metric (``Immersion.point_jets``); the rest runs once on the stack.
 
     alpha(d_a, d_b) is the normal projection of the second derivative of the
     immersion corrected by the ambient Christoffel symbols.  Sign convention:
     the outward-normal round sphere of radius r gets alpha = -(1/r) g n.
     """
-    if jets is None:
-        jets = [a[0] for a in imm.point_jets(np.asarray(u, dtype=float)[None])]
-    x, F, hess, third, g, dg, ddg = jets
-    gamma, dgamma, R4 = cv.connection_jet(g, dg, ddg)
+    points = np.asarray(points, dtype=float)
+    x, F, hess, third, g, dg, ddg = imm.point_jets(points.reshape(-1, imm.k))
+    gi = np.linalg.inv(g)
+    gamma, dgamma, R4 = cv.connection_jet(g, dg, ddg, gi)
     N, k = imm.target.dim, imm.k
-    dF = np.moveaxis(hess, 2, 0)                      # dF[c] = d_c F
-    dg_u = np.einsum("mc,mpq->cpq", F, dg)            # d_c of g along u
-    dgamma_u = np.einsum("mc,mlpq->clpq", F, dgamma)  # d_c of Gamma along u
+    FT = np.swapaxes(F, -1, -2)
+    dF = np.moveaxis(hess, -1, 1)                          # dF[:, c] = d_c F
+    dg_u = np.einsum("...mc,...mpq->...cpq", F, dg)        # d_c of g along u
+    dgamma_u = np.einsum("...mc,...mlpq->...clpq", F, dgamma)  # d_c of Gamma along u
 
     # h[a,b] = d_a d_b x + Gamma(F_a, F_b), and its derivatives d_c
-    h = np.moveaxis(hess, 0, 2) + np.einsum("lpq,pa,qb->abl", gamma, F, F)
-    t = np.einsum("lpq,cpa,qb->cabl", gamma, dF, F)
-    dh = (np.moveaxis(third, 0, 3) + t + t.transpose(0, 2, 1, 3)
-          + np.einsum("clpq,pa,qb->cabl", dgamma_u, F, F))
+    h = np.moveaxis(hess, 1, -1) + np.einsum("...lpq,...pa,...qb->...abl", gamma, F, F)
+    t = np.einsum("...lpq,...cpa,...qb->...cabl", gamma, dF, F)
+    dh = (np.moveaxis(third, 1, -1) + t + np.swapaxes(t, 2, 3)
+          + np.einsum("...clpq,...pa,...qb->...cabl", dgamma_u, F, F))
 
-    G = F.T @ g @ F
+    G = FT @ g @ F
     Gi = np.linalg.inv(G)
-    T = Gi @ F.T @ g                                  # tangent coordinates: v -> G^-1 F^T g v
+    T = Gi @ FT @ g                                   # tangent coordinates: v -> G^-1 F^T g v
     P = np.eye(N) - F @ T
-    alpha = h @ P.T
-    H = np.einsum("ab,abl->l", Gi, alpha) / k
+    PT = np.swapaxes(P, -1, -2)[:, None]              # P^T for each row a of alpha
+    alpha = h @ PT
+    H = np.einsum("...ab,...abl->...l", Gi, alpha) / k
 
-    dG = np.einsum("cpa,pq,qb->cab", dF, g, F)
-    dG = dG + dG.transpose(0, 2, 1) + np.einsum("pa,cpq,qb->cab", F, dg_u, F)
-    dGi = -Gi @ dG @ Gi
-    dT = dGi @ F.T @ g + Gi @ dF.transpose(0, 2, 1) @ g + Gi @ F.T @ dg_u
-    dP = -(dF @ T + F @ dT)
-    dalpha = np.einsum("clm,abm->cabl", dP, h) + dh @ P.T
-    dmean = (np.einsum("cab,abl->cl", dGi, alpha)
-             + np.einsum("ab,cabl->cl", Gi, dalpha)) / k
+    dG = np.einsum("...cpa,...pq,...qb->...cab", dF, g, F)
+    dG = dG + np.swapaxes(dG, -1, -2) + np.einsum("...pa,...cpq,...qb->...cab", F, dg_u, F)
+    dGi = -Gi[:, None] @ dG @ Gi[:, None]
+    dT = (dGi @ FT[:, None] @ g[:, None] + Gi[:, None] @ np.swapaxes(dF, -1, -2) @ g[:, None]
+          + Gi[:, None] @ FT[:, None] @ dg_u)
+    dP = -(dF @ T[:, None] + F[:, None] @ dT)
+    dalpha = np.einsum("...clm,...abm->...cabl", dP, h) + dh @ PT[:, None]
+    dmean = (np.einsum("...cab,...abl->...cl", dGi, alpha)
+             + np.einsum("...ab,...cabl->...cl", Gi, dalpha)) / k
 
-    scale = max(np.max(np.abs(alpha)),
-                np.max(np.abs(G)) * max(np.sqrt(abs(H @ g @ H)), 0.0), 1e-300)
-    umb = np.max(np.abs(alpha - np.einsum("ab,l->abl", G, H))) / scale
-    return SecondFundamentalData(
+    h_norm = np.sqrt(np.maximum((H[:, None] @ g @ H[..., None])[:, 0, 0], 0.0))
+    scale = np.maximum(np.maximum(np.max(np.abs(alpha), axis=(1, 2, 3)),
+                                  np.max(np.abs(G), axis=(1, 2)) * h_norm), 1e-300)
+    umb = np.max(np.abs(alpha - G[..., None] * H[:, None, None]), axis=(1, 2, 3)) / scale
+    fields = dict(
         point=x, tangent=F, induced=G, alpha=alpha, mean_curvature=H,
-        umbilicity=float(umb), normal_projector=P,
-        induced_gamma=np.einsum("dl,abl->dab", T, h), dalpha=dalpha, dmean=dmean,
-        ambient_metric=g, ambient_gamma=gamma, ambient_riemann=R4)
+        mean_curvature_norm=h_norm, umbilicity=umb, normal_projector=P,
+        induced_gamma=np.einsum("...dl,...abl->...dab", T, h), dalpha=dalpha, dmean=dmean,
+        ambient_metric=g, ambient_metric_inv=gi, ambient_gamma=gamma, ambient_riemann=R4)
+    return SecondFundamentalData(**{name: a.reshape(points.shape[:-1] + a.shape[1:])
+                                    for name, a in fields.items()})
 
 
 def normal_connection_DH(data):
     """Normal-connection derivatives D_c H = P (d_c H + Gamma(F_c, H)) along
-    each sub-coordinate direction c, as rows of a (k, N) array."""
-    return (data.dmean + np.einsum("lpm,pc,m->cl", data.ambient_gamma,
-                                   data.tangent, data.mean_curvature)) @ data.normal_projector.T
+    each sub-coordinate direction c, as rows of a (k, N) array per point."""
+    return (data.dmean + np.einsum("...lpm,...pc,...m->...cl", data.ambient_gamma,
+                                   data.tangent, data.mean_curvature)
+            ) @ np.swapaxes(data.normal_projector, -1, -2)
 
 
 def codazzi_residuals(data):
-    """Residuals of the two normal-component curvature equations at the
+    """Residuals of the two normal-component curvature equations at each
     point of ``data``, over every triple (a < b, c).
 
     The first compares the normal part of the ambient curvature against the
@@ -169,20 +170,19 @@ def codazzi_residuals(data):
     second against its totally umbilical reduction in terms of D H, which
     holds only at an umbilical point (the caller decides where that is).
     """
-    F, P, alpha, gamma_ind = (data.tangent, data.normal_projector, data.alpha,
-                              data.induced_gamma)
-    k = len(alpha)
+    F, alpha, gamma_ind = data.tangent, data.alpha, data.induced_gamma
+    PT = np.swapaxes(data.normal_projector, -1, -2)[..., None, None, :, :]
     # cov[a,b,c] = (nabla-bar_a alpha)(b, c)
-    cov = ((data.dalpha + np.einsum("lpm,pa,bcm->abcl", data.ambient_gamma, F, alpha)) @ P.T
-           - np.einsum("dab,dcl->abcl", gamma_ind, alpha)
-           - np.einsum("dac,bdl->abcl", gamma_ind, alpha))
+    cov = ((data.dalpha + np.einsum("...lpm,...pa,...bcm->...abcl", data.ambient_gamma, F, alpha))
+           @ PT
+           - np.einsum("...dab,...dcl->...abcl", gamma_ind, alpha)
+           - np.einsum("...dac,...bdl->...abcl", gamma_ind, alpha))
     # normal part of R(F_a, F_b) F_c
-    lhs = (np.einsum("ijkm,ia,jb,kc->abcm", data.ambient_riemann, F, F, F)
-           @ np.linalg.inv(data.ambient_metric) @ P.T)
-    dh = normal_connection_DH(data)
-    G = data.induced
-    rhs2 = (G[None, :, :, None] * dh[:, None, None, :]
-            - G[:, None, :, None] * dh[None, :, None, :])
-    a, b = np.triu_indices(k, 1)
-    r21 = float(np.max(np.abs(lhs - cov + cov.transpose(1, 0, 2, 3))[a, b], initial=0.0))
-    return r21, float(np.max(np.abs(lhs - rhs2)[a, b], initial=0.0))
+    lhs = (np.einsum("...ijkm,...ia,...jb,...kc->...abcm", data.ambient_riemann, F, F, F)
+           @ data.ambient_metric_inv[..., None, None, :, :] @ PT)
+    dh, G = normal_connection_DH(data), data.induced
+    rhs2 = (G[..., None, :, :, None] * dh[..., :, None, None, :]
+            - G[..., :, None, :, None] * dh[..., None, :, None, :])
+    a, b = np.triu_indices(alpha.shape[-2], 1)
+    residuals = np.abs(np.stack([lhs - cov + np.swapaxes(cov, -4, -3), lhs - rhs2]))
+    return tuple(np.max(residuals[..., a, b, :, :], axis=(-3, -2, -1), initial=0.0))

@@ -9,6 +9,7 @@ from hermgeo import axioms as ax
 from hermgeo import cli, models, reportio
 from hermgeo import curvature as cv
 from hermgeo import expressions as ex
+from hermgeo import immersions as im
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +184,9 @@ def test_domain_error_at_the_second_of_three_points_names_that_point(tmp_path, c
     ("1 + log(x)^2", ["0.5,-0.5", "-0.5,0.5"], "error: sqrt(-0.5) out of domain\n"),
     # the first point's metric is singular; the second's jet fails at sqrt
     ("x", ["0,0.5", "0.5,-0.5"], "error: metric not positive definite at [0.0, 0.5] "),
+    # sqrt'(0) fails at the first point, log(-0.5) at the second; and in reverse order
+    ("2 + log(x)", ["1,0", "-0.5,0.5"], "error: division by zero\n"),
+    ("2 + log(x)", ["-0.5,0.5", "1,0"], "error: log(-0.5) out of domain\n"),
 ])
 def test_first_bad_point_names_the_error_though_a_later_point_fails_earlier(
         tmp_path, capsys, command, g00, points, message):
@@ -233,6 +237,18 @@ def test_a_command_takes_one_jet_per_tree_set(tmp_path, capsys, monkeypatch, mod
     assert [len(args[2]) for args in calls] == [3, 3]
 
 
+
+def test_submanifold_takes_one_geometry_pass_for_all_points(tmp_path, capsys, monkeypatch):
+    calls = []
+    for module, name in ((im, "second_fundamental_form"), (cv, "connection_jet")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    points = ["0.8,0.4", "1.0,0.7", "0.3,-0.5"]
+    code, out, err = run_cli(capsys, "submanifold", write_sphere_immersion(tmp_path),
+                             *(f"--point={p}" for p in points))
+    assert code == 0 and err == "" and len(json.loads(out)["points"]) == 3
+    assert sorted(calls) == ["connection_jet", "second_fundamental_form"]
 @pytest.mark.parametrize("command", ["analyze", "classify"])
 def test_rank_deficient_embedding_is_one_line_domain_error(tmp_path, capsys, command):
     # d(u1^2)/du1 vanishes at the origin: the cross-product J has no solve there

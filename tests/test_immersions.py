@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,13 +113,16 @@ def test_codazzi_cylinder_umbilical_form_holds_without_umbilicity():
     assert r22 <= 1e-13
 
 
-def test_codazzi_geodesic_sphere_in_round_three_sphere():
+def geodesic_sphere_in_s3():
     # coordinate sphere in the stereographic chart of S^3 is a geodesic
     # sphere: umbilical with parallel mean curvature
-    target = models.instantiate("round_sphere", n=3, r=1.0)
-    imm = make_immersion(
-        ["u", "v"], target,
+    return make_immersion(
+        ["u", "v"], models.instantiate("round_sphere", n=3, r=1.0),
         ["0.5*sin(u)*cos(v)", "0.5*sin(u)*sin(v)", "0.5*cos(u)"])
+
+
+def test_codazzi_geodesic_sphere_in_round_three_sphere():
+    imm = geodesic_sphere_in_s3()
     u = [1.0, 0.7]
     data = im.second_fundamental_form(imm, u)
     assert data.umbilicity <= 1e-8
@@ -128,6 +133,37 @@ def test_codazzi_geodesic_sphere_in_round_three_sphere():
     assert r22 <= 1e-13
 
 
+
+@pytest.mark.parametrize("make", [lambda: sphere_in_r3(2.0), lambda: cylinder_in_r3(1.0),
+                                  geodesic_sphere_in_s3],
+                         ids=["sphere", "cylinder", "geodesic_sphere"])
+def test_a_stack_of_points_is_each_point_alone(make):
+    imm = make()
+    N, k = imm.target.dim, imm.k
+    one_point_shapes = {
+        "point": (N,), "tangent": (N, k), "induced": (k, k), "alpha": (k, k, N),
+        "mean_curvature": (N,), "mean_curvature_norm": (), "umbilicity": (),
+        "normal_projector": (N, N), "induced_gamma": (k, k, k), "dalpha": (k, k, k, N),
+        "dmean": (k, N), "ambient_metric": (N, N), "ambient_metric_inv": (N, N),
+        "ambient_gamma": (N, N, N), "ambient_riemann": (N, N, N, N)}
+    points = np.array([[0.8, 0.4], [1.0, 0.7], [0.3, -0.5]])
+    stack = im.second_fundamental_form(imm, points)
+    alone = [im.second_fundamental_form(imm, u) for u in points]
+
+    def same(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    assert sorted(one_point_shapes) == sorted(f.name for f in dataclasses.fields(stack))
+    for name, shape in one_point_shapes.items():
+        assert np.shape(getattr(alone[0], name)) == shape, name
+        same(getattr(stack, name), np.array([getattr(d, name) for d in alone]))
+    assert im.normal_connection_DH(alone[0]).shape == (k, N)
+    same(im.normal_connection_DH(stack), np.array([im.normal_connection_DH(d) for d in alone]))
+    assert [np.shape(r) for r in im.codazzi_residuals(alone[0])] == [(), ()]
+    for got, want in zip(im.codazzi_residuals(stack),
+                         zip(*(im.codazzi_residuals(d) for d in alone))):
+        same(got, np.array(want))
 def test_curve_immersion_in_surface():
     # one-dimensional submanifold: a great circle of the round 2-sphere
     target = models.instantiate("round_sphere", n=2, r=1.0)
