@@ -2,10 +2,10 @@
 
 Exit codes: 0 data-complete (classification failures are data, not errors),
 2 usage, parse or asymmetric-metric error (a tolerance that is not a finite
-number >= 0, a count too large to allocate, or an expression too deep to
-evaluate, among them), 3 mathematical domain error, 5 certificate failed
-(the report is still printed, the message names the failed one).  Exit 4,
-once non-convergence of a rank loop, is retired: no path reaches it.
+number >= 0 or a count too large to allocate among them), 3 mathematical
+domain error, 5 certificate failed (the report is still printed, the message
+names the failed one).  Exit 4, once non-convergence of a rank loop, is
+retired: no path reaches it.
 
 Every flag of a chart command is ``residual <= --tol``, and ``submanifold``'s
 ``codazzi_2_2_residual`` is null exactly at the points not totally umbilical.
@@ -279,9 +279,6 @@ def main(argv=None):
     except (UsageError, reportio.ManifoldFileError, cv.AsymmetricMetricError,
             MemoryError) as exc:  # MemoryError: a count too large to allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_USAGE
-    except RecursionError:  # a tree deeper than the stack, such as a long sum
-        print("error: expression nested too deeply to evaluate", file=sys.stderr)
         return EXIT_USAGE
     except (ex.DomainError, ex.MissingBindingError, cv.SingularMetricError,
             cv.UnsupportedDimensionError, cv.DegeneratePlaneError,

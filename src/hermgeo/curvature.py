@@ -90,9 +90,8 @@ class ManifoldChart:
         return g, dg, ddg
 
     def metric_at(self, point):
-        b = dict(zip(self.coordinates, point))
-        return _checked_metric(
-            point, np.array([[ex.evaluate(e, b) for e in row] for row in self.metric]))
+        v = ex.values([e for row in self.metric for e in row], dict(zip(self.coordinates, point)))
+        return _checked_metric(point, np.reshape(v, (self.dim, self.dim)))
 
     def j_at(self, point):
         return self._j_point(point)[0]
@@ -133,17 +132,6 @@ def check_rank(F, kind, points):
     for x, s in zip(np.reshape(points, (len(sv), -1)).tolist(), sv):
         if s[-1] <= 1e-8 * s[0]:
             raise RankDeficiencyError(f"{kind} rank deficient at {x} (singular values {s})")
-
-
-def first_bad_point(step, points):
-    """``step(points)`` on a stack (P, n).  If it fails, ``step`` runs on each
-    point (n,) alone, in order, so the first bad point names the error."""
-    try:
-        return step(points)
-    except (ex.DomainError, ValueError):
-        for x in points:
-            step(x)
-        raise
 
 
 def _checked_metric(point, g, *derivatives):
@@ -257,7 +245,7 @@ def point_data(chart, points):
     the error (``first_bad_point``)."""
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, chart.dim)
-    g, d1, d2, *j = first_bad_point(lambda x: (*chart.metric_jets(x), *chart._j_jets(x)), flat)
+    g, d1, d2, *j = ex.first_bad_point(lambda x: (*chart.metric_jets(x), *chart._j_jets(x)), flat)
     # C-contiguous stacks, which einsum reads fastest (its order of sums follows the layout)
     g, d1, d2, *j = (np.ascontiguousarray(a) for a in (g, d1, d2, *j))
     J, dJ = chart._j_stack(*j)

@@ -29,6 +29,7 @@ set of elementary rules: ``jets`` evaluates, for each function f, the trees
 stays finite where cosh^2 overflows.
 """
 
+import functools
 import math
 import re
 import weakref
@@ -307,15 +308,23 @@ def parse(text, symbols):
             node = (mul if op == "*" else div)(node, factor())
         return node
 
-    def factor():
+    def factor():  # "a ^ -b ^ c" is a^(-(b^c)): a chain folds from the right, in a loop
         nonlocal i
         negate = tokens[i][1] == "-"
         i += negate
         node = atom()
-        if tokens[i][1] == "^":
-            i += 1
-            node = pow_(node, factor())
-        return neg(node) if negate else node
+        if tokens[i][1] != "^":
+            return neg(node) if negate else node
+        links = [(negate, node)]  # (negate, base) of each link
+        while tokens[i][1] == "^":
+            negate = tokens[i + 1][1] == "-"
+            i += 1 + negate
+            links.append((negate, atom()))
+        node = None
+        for negate, base in reversed(links):
+            node = base if node is None else pow_(base, node)
+            node = neg(node) if negate else node
+        return node
 
     def atom():
         nonlocal i
@@ -346,10 +355,7 @@ def parse(text, symbols):
             return const(CONSTANTS[value])
         raise ParseError(f"unknown identifier {value!r}", pos)
 
-    try:
-        node = expr()
-    except RecursionError:
-        raise ParseError("expression nested too deeply", tokens[i][2]) from None
+    node = expr()
     if tokens[i][0] != "end":
         raise ParseError(f"unexpected token {tokens[i][1]!r}", tokens[i][2])
     _TEXTS[text, names] = node
@@ -357,41 +363,85 @@ def parse(text, symbols):
 
 
 # ---------------------------------------------------------------------------
+# walking the DAG
+
+def _walk(roots, rule):
+    """{id(node): rule(node, out)} for the distinct nodes reachable from ``roots``,
+    ``out`` holding the results so far, each node after its children, left first
+    (as a memoised recursion finishes them); a loop, so depth costs no stack."""
+    out, todo, entered = {}, list(reversed(roots)), []
+    while todo:
+        e = todo.pop()
+        if e is None:  # the children of the node entered last are done
+            e = entered.pop()
+            out[id(e)] = rule(e, out)
+        elif id(e) not in out:
+            if isinstance(e, BinOp):
+                todo += None, e.right, e.left
+            elif isinstance(e, (Neg, Call)):
+                todo += None, e.arg
+            elif isinstance(e, (Const, Sym)):
+                out[id(e)] = rule(e, out)
+                continue
+            else:
+                raise TypeError(f"not an Expr: {e!r}")
+            entered.append(e)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # differentiation
 
 def differentiate(e, sym):
     """Exact partial derivative of ``e`` with respect to coordinate ``sym``."""
+    return gradients([e], [sym])[0][0]
+
+
+def gradients(exprs, coordinates):
+    """[[d e/d c for c in coordinates] for e in exprs], exact, as trees from
+    one walk: each distinct subtree is differentiated once."""
+    def rule(e, out):
+        if isinstance(e, BinOp):
+            kids = out[id(e.left)], out[id(e.right)]
+        else:
+            kids = (out[id(e.arg)],) if isinstance(e, (Neg, Call)) else (coordinates,)
+        return tuple(map(functools.partial(_derivative, e), *kids))
+
+    out = _walk(exprs, rule)
+    return [list(out[id(e)]) for e in exprs]
+
+
+def _derivative(e, da, db=None):
+    """The derivative of the node ``e`` from the derivatives of its children,
+    ``da`` of its argument or left operand and ``db`` of its right operand, or
+    of the leaf ``e`` with respect to the coordinate ``da``."""
     if isinstance(e, Const):
         return const(0.0)
     if isinstance(e, Sym):
-        return const(1.0 if e.name == sym else 0.0)
+        return const(1.0 if e.name == da else 0.0)
     if isinstance(e, Neg):
-        return neg(differentiate(e.arg, sym))
+        return neg(da)
     if isinstance(e, Call):
-        du = differentiate(e.arg, sym)
-        return mul(_chain_factor(e.fn, e.arg), du)
-    if isinstance(e, BinOp):
-        a, b = e.left, e.right
-        da, db = differentiate(a, sym), differentiate(b, sym)
-        if e.op == "+":
-            return add(da, db)
-        if e.op == "-":
-            return sub(da, db)
-        if e.op == "*":
-            return add(mul(da, b), mul(a, db))
-        if e.op == "/":
-            return div(sub(mul(da, b), mul(a, db)), pow_(b, const(2.0)))
-        # power
-        if isinstance(b, Const):
-            return mul(mul(b, pow_(a, const(b.value - 1.0))), da)
-        if isinstance(a, Const):
-            return mul(mul(e, call("log", a)), db)
-        # f^g with non-constant exponent: exp(g*log f) * (g'*log f + g*(1/f)*f'),
-        # the tree differentiating exp(g*log f) gives, from da and db
-        log_a = call("log", a)
-        return mul(call("exp", mul(b, log_a)),
-                   add(mul(db, log_a), mul(b, mul(div(const(1.0), a), da))))
-    raise TypeError(f"not an Expr: {e!r}")
+        return mul(_chain_factor(e.fn, e.arg), da)
+    a, b = e.left, e.right
+    if e.op == "+":
+        return add(da, db)
+    if e.op == "-":
+        return sub(da, db)
+    if e.op == "*":
+        return add(mul(da, b), mul(a, db))
+    if e.op == "/":
+        return div(sub(mul(da, b), mul(a, db)), pow_(b, const(2.0)))
+    # power
+    if isinstance(b, Const):
+        return mul(mul(b, pow_(a, const(b.value - 1.0))), da)
+    if isinstance(a, Const):
+        return mul(mul(e, call("log", a)), db)
+    # f^g with non-constant exponent: exp(g*log f) * (g'*log f + g*(1/f)*f'),
+    # the tree differentiating exp(g*log f) gives, from da and db
+    log_a = call("log", a)
+    return mul(call("exp", mul(b, log_a)),
+               add(mul(db, log_a), mul(b, mul(div(const(1.0), a), da))))
 
 
 def _chain_factor(fn, u):
@@ -461,6 +511,20 @@ def evaluate(e, bindings):
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def values(exprs, bindings):
+    """``[evaluate(e, bindings) for e in exprs]`` from one walk, which raises
+    the error ``evaluate`` would raise first, for trees of any depth."""
+    def rule(e, out):
+        if isinstance(e, BinOp):
+            return _apply_binop(e.op, out[id(e.left)], out[id(e.right)])
+        if isinstance(e, Call):
+            return _apply_call(e.fn, out[id(e.arg)])
+        return -out[id(e.arg)] if isinstance(e, Neg) else evaluate(e, bindings)
+
+    out = _walk(exprs, rule)
+    return [out[id(e)] for e in exprs]
+
+
 # ---------------------------------------------------------------------------
 # second-order jets
 
@@ -502,45 +566,47 @@ def _product(value, a, b, n):
     return out
 
 
+def first_bad_point(step, points):
+    """``step(points)`` on one point (n,) or a stack (P, n).  If a stack fails,
+    ``step`` runs on each point alone, in order, so the first bad point names
+    the error."""
+    try:
+        return step(points)
+    except (DomainError, ValueError):
+        for x in points if np.ndim(points) > 1 else ():
+            step(x)
+        raise
+
+
 def jets(exprs, coordinates, points):
     """Values, gradients and Hessians of ``exprs`` at ``points``, a stack
     (P, n) or one point (n,), as arrays (P, m), (P, m, n) and (P, m, n, n)
     for m expressions in n coordinates (no P axis for one point).
 
     Exact second-order Taylor coefficients are pushed forward through each
-    distinct subtree once for all points (Griewank & Walther, Evaluating
-    Derivatives, 2nd ed., ch. 13); a node's jet is one array (1 + n + n^2, P).
-    ``+ - * /`` run as numpy operations, which round as Python floats do, and
-    function values, powers and the chain factors (``differentiate``'s trees
-    for f', f'') go point by point through ``math``: each point gets the
-    floats it gets alone.  A point keeps its first DomainError in its own walk
-    order and carries NaN on; the first bad point raises.  A subtree without
-    symbols has the exact jet (value, 0, 0), and dividing by it scales the
-    jet: an infinite constant gives no NaN.
+    distinct subtree once for all points, in one ``_walk`` (Griewank &
+    Walther, Evaluating Derivatives, 2nd ed., ch. 13); a node's jet is one
+    array (1 + n + n^2, P).  ``+ - * /`` run as numpy operations, which round
+    as Python floats do, and function values, powers and the chain factors
+    (``differentiate``'s trees for f', f'') go point by point through
+    ``math``: each point gets the floats it gets alone.  The walk stops at the
+    first DomainError it meets, and ``first_bad_point`` names the error of a
+    stack.  A subtree without symbols has the exact jet (value, 0, 0), and
+    dividing by it scales the jet: an infinite constant gives no NaN.
     """
-    points = np.asarray(points, dtype=float)
+    return first_bad_point(functools.partial(_jets, exprs, coordinates),
+                           np.asarray(points, dtype=float))
+
+
+def _jets(exprs, coordinates, points):
     n = len(coordinates)
     stack = points.reshape(-1, n)
     P, size = len(stack), 1 + n + n * n
-    memo = {}    # node id -> (jet, whether the subtree is free of symbols)
     recips = {}  # denominator node id -> the jet of its reciprocal
-    errors = {}  # point -> its first DomainError; point 0's is raised at once
-
-    def fail(p, exc):  # a later point's error waits: an earlier point may fail further on
-        if p == 0:
-            raise exc
-        errors.setdefault(p, exc)
 
     def each(f, *columns):
-        """The columns of f, a tuple of floats, at each point's floats; NaN where f fails."""
-        rows = []
-        for p, args in enumerate(zip(*[c.tolist() for c in columns])):
-            try:
-                rows.append(f(*args))
-            except DomainError as exc:
-                fail(p, exc)
-                rows.append((math.nan,) * len(rows[0]))
-        return np.array(rows).T
+        """The columns of f, a tuple of floats, at each point's floats."""
+        return np.array([f(*args) for args in zip(*[c.tolist() for c in columns])]).T
 
     def flat(value):  # the jet (value, 0, 0) of a subtree without symbols
         out = np.zeros((size, P))
@@ -552,7 +618,7 @@ def jets(exprs, coordinates, points):
             recips[id(e)] = _chain(1.0 / b[0], *each(lambda t: _factors("/", t), b[0]), b, n)
         return recips[id(e)]
 
-    def binop(e, a, b, free):
+    def binop(e, a, b, free, free_b):
         op = e.op
         if op in "+-":
             return a + b if op == "+" else a - b
@@ -563,8 +629,7 @@ def jets(exprs, coordinates, points):
                                            c * (c - 1.0) * _apply_binop("^", x, c - 2.0)), a[0]),
                           a, n)
         if op == "/" and not b[0].all():
-            for p in np.flatnonzero(b[0] == 0.0).tolist():
-                fail(p, DomainError("division by zero"))
+            raise DomainError("division by zero")
         value = (a[0] * b[0] if op == "*" else a[0] / b[0] if op == "/" else
                  each(lambda x, y: (_apply_binop("^", x, y),), a[0], b[0])[0])
         if free:
@@ -572,7 +637,7 @@ def jets(exprs, coordinates, points):
         if op == "*":
             return _product(value, a, b, n)
         if op == "/":
-            if not memo[id(e.right)][1]:
+            if not free_b:
                 return _product(value, a, reciprocal(e.right, b), n)
             out = a * (1.0 / b[0])  # 1/b, not the chain rule's 1/b^2
             out[0] = value
@@ -587,42 +652,29 @@ def jets(exprs, coordinates, points):
         seeds[c] = seed = np.zeros((size, P))
         seed[0], seed[1 + i] = x, 1.0
 
-    def jet(e):
-        out = memo.get(id(e))
-        if out is not None:
-            return out
+    def jet(e, out):  # (jet, whether the subtree is free of symbols)
         if isinstance(e, BinOp):
-            (a, free_a), (b, free_b) = jet(e.left), jet(e.right)
-            out = (binop(e, a, b, free_a and free_b), free_a and free_b)
-        elif isinstance(e, Sym):
+            (a, free_a), (b, free_b) = out[id(e.left)], out[id(e.right)]
+            return binop(e, a, b, free_a and free_b, free_b), free_a and free_b
+        if isinstance(e, Sym):
             if e.name not in seeds:
                 raise MissingBindingError(f"no binding for {e.name!r}")
-            out = (seeds[e.name], False)
-        elif isinstance(e, Const):
-            out = (flat(e.value), True)
-        elif isinstance(e, Neg):
-            u, free = jet(e.arg)
-            out = (flat(-u[0]) if free else -u, free)
-        elif isinstance(e, Call):
-            u, free = jet(e.arg)
-            f = each(lambda x: (_apply_call(e.fn, x), *(() if free else _factors(e.fn, x))), u[0])
-            out = (flat(f[0]) if free else _chain(*f, u, n), free)
-        else:
-            raise TypeError(f"not an Expr: {e!r}")
-        memo[id(e)] = out
-        return out
+            return seeds[e.name], False
+        if isinstance(e, Const):
+            return flat(e.value), True
+        u, free = out[id(e.arg)]
+        if isinstance(e, Neg):
+            return flat(-u[0]) if free else -u, free
+        f = each(lambda x: (_apply_call(e.fn, x), *(() if free else _factors(e.fn, x))), u[0])
+        return flat(f[0]) if free else _chain(*f, u, n), free
 
-    try:
-        with np.errstate(all="ignore"):  # a non-finite result raises DomainError below
-            roots = np.array([jet(e)[0] for e in exprs]).reshape(len(exprs), size, P)
-    finally:  # the nested functions form a cycle, which would free the jets late
-        memo.clear(), recips.clear()
+    with np.errstate(all="ignore"):  # a non-finite result raises DomainError below
+        out = _walk(exprs, jet)
+    roots = np.array([out[id(e)][0] for e in exprs]).reshape(len(exprs), size, P)
     roots = roots.transpose(2, 0, 1)  # (P, m, size)
-    bad = set(errors) | set(np.flatnonzero(~np.isfinite(roots).all(axis=(1, 2))).tolist())
-    if bad:
-        p = min(bad)
-        raise errors.get(p) or DomainError(
-            f"a value or derivative is not finite at {stack[p].tolist()}")
+    bad = np.flatnonzero(~np.isfinite(roots).all(axis=(1, 2)))
+    if len(bad):
+        raise DomainError(f"a value or derivative is not finite at {stack[bad[0]].tolist()}")
     lead = points.shape[:-1] + (len(exprs),)
     return tuple(np.ascontiguousarray(roots[..., part]).reshape(lead + shape) for part, shape in
                  ((0, ()), (slice(1, n + 1), (n,)), (slice(n + 1, None), (n, n))))
@@ -630,18 +682,17 @@ def jets(exprs, coordinates, points):
 
 def substitute(e, mapping):
     """Replace coordinate symbols by expressions (used for pullbacks)."""
-    if isinstance(e, Sym):
-        return mapping.get(e.name, e)
-    if isinstance(e, Neg):
-        return neg(substitute(e.arg, mapping))
-    if isinstance(e, Call):
-        return call(e.fn, substitute(e.arg, mapping))
-    if isinstance(e, BinOp):
-        left = substitute(e.left, mapping)
-        right = substitute(e.right, mapping)
-        ctor = {"+": add, "-": sub, "*": mul, "/": div, "^": pow_}[e.op]
-        return ctor(left, right)
-    return e
+    def rule(node, out):
+        if isinstance(node, BinOp):
+            ctor = {"+": add, "-": sub, "*": mul, "/": div, "^": pow_}[node.op]
+            return ctor(out[id(node.left)], out[id(node.right)])
+        if isinstance(node, Call):
+            return call(node.fn, out[id(node.arg)])
+        if isinstance(node, Neg):
+            return neg(out[id(node.arg)])
+        return mapping.get(node.name, node) if isinstance(node, Sym) else node
+
+    return _walk([e], rule)[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +709,16 @@ def _prec(e):
     return {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}[e.op]
 
 
-def _wrap(e, minimum):
-    s = to_string(e)
-    return f"({s})" if _prec(e) < minimum else s
-
-
 def to_string(e):
     """Render ``e`` so that parse(to_string(e)) reproduces the same tree."""
+    return _walk([e], _string)[id(e)]
+
+
+def _string(e, out):
+    def wrap(child, minimum):
+        s = out[id(child)]
+        return f"({s})" if _prec(child) < minimum else s
+
     if isinstance(e, Const):
         v = e.value
         if math.isinf(v):  # parse reads an out-of-range literal as inf
@@ -675,14 +729,12 @@ def to_string(e):
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, 3)
+        return "-" + wrap(e.arg, 3)
     if isinstance(e, Call):
-        return f"{e.fn}({to_string(e.arg)})"
-    if isinstance(e, BinOp):
-        if e.op in "+-":
-            return f"{_wrap(e.left, 1)} {e.op} {_wrap(e.right, 2)}"
-        if e.op in "*/":
-            return f"{_wrap(e.left, 2)}{e.op}{_wrap(e.right, 2.5)}"
-        # ^ : left must be an atom, right a factor
-        return f"{_wrap(e.left, 4)}^{_wrap(e.right, 2.5)}"
-    raise TypeError(f"not an Expr: {e!r}")
+        return f"{e.fn}({out[id(e.arg)]})"
+    if e.op in "+-":
+        return f"{wrap(e.left, 1)} {e.op} {wrap(e.right, 2)}"
+    if e.op in "*/":
+        return f"{wrap(e.left, 2)}{e.op}{wrap(e.right, 2.5)}"
+    # ^ : left must be an atom, right a factor
+    return f"{wrap(e.left, 4)}^{wrap(e.right, 2.5)}"

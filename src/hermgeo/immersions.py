@@ -38,7 +38,7 @@ class Immersion:
     @functools.cached_property
     def _jacobian(self):
         """The trees of d_a x^p as [[d_a x^p for a] for p]."""
-        return [[ex.differentiate(f, c) for c in self.coordinates] for f in self.map_exprs]
+        return ex.gradients(self.map_exprs, self.coordinates)
 
     def map_jets(self, u):
         """(x, F, hess, third) at sub-chart point ``u`` (k,) or a stack (P, k),
@@ -54,11 +54,11 @@ class Immersion:
 
     def point_jets(self, points):
         """``map_jets`` and the target's ``metric_jets`` at the mapped points of a
-        stack (P, k), one jet each; ``curvature.first_bad_point`` names an error."""
+        stack (P, k), one jet each; ``expressions.first_bad_point`` names an error."""
         def step(u):
             x, F, hess, third = self.map_jets(u)
             return (x, F, hess, third, *self.target.metric_jets(x))
-        return cv.first_bad_point(step, points)
+        return ex.first_bad_point(step, points)
 
     def induced_chart(self):
         """Exact pullback metric as a chart over the sub coordinates."""

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,18 @@ def conformal_rescale(chart, phi):
     metric = [[ex.mul(factor, e) for e in row] for row in chart.metric]
     return cv.ManifoldChart(name=chart.name + "_conformal",
                             coordinates=list(chart.coordinates), metric=metric)
+
+
+def with_headroom(frames, fn):
+    """fn(), called from nesting deep enough that only ``frames`` frames are
+    left below the recursion limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def nest(k):
+        return fn() if k == 0 else nest(k - 1)
+    return nest(sys.getrecursionlimit() - frames - depth - 1)
 
 
 @pytest.fixture

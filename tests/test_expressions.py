@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import with_headroom
 from hermgeo import cli, models, reportio
 from hermgeo import expressions as ex
 
@@ -170,6 +171,19 @@ def test_nesting_limit_depends_on_the_text_alone():
         ("unexpected character '@' (at position 202)", 202)
 
 
+def test_parse_stack_use_is_bounded_by_the_text():
+    # a sum or a ^ chain folds in a loop, so only parentheses take frames:
+    # the deepest calls MAX_NESTING allows parse with 600 frames left
+    n = ex.MAX_NESTING
+    for text, down, steps in [("sin(" * n + "x" + ")" * n, "arg", n),
+                              ("^".join(["x"] * 5000), "right", 4999),
+                              (" + ".join(["x"] * 5000), "left", 4999)]:
+        node = with_headroom(600, lambda: _outcome(text, ["x"], weakref.WeakValueDictionary()))
+        for _ in range(steps):
+            node = getattr(node, down)
+        assert node == ex.symbol("x")
+
+
 @pytest.mark.parametrize("text", ["1e308*10", "1e308+1e308", "4/1e-320",
                                   "(1e308*10)-(1e308*10)"])
 def test_folding_keeps_non_finite_results_unfolded(text):
@@ -241,6 +255,29 @@ def test_diff_power_tower_reuses_operand_derivatives(base):
     start = time.perf_counter()
     ex.differentiate(tower, "u")  # 100 levels
     assert time.perf_counter() - start < 1.0
+
+
+def test_tree_passes_take_time_linear_in_the_dag():
+    # 18 levels of e*(e + 1): 37 distinct nodes, but 2^18 paths to x
+    x = ex.symbol("x")
+    e = x
+    for _ in range(18):
+        e = ex.mul(e, ex.add(e, ex.const(1.0)))
+    for run in (lambda: ex.differentiate(e, "x"), lambda: ex.substitute(e, {"x": ex.neg(x)})):
+        start = time.perf_counter()
+        run()
+        assert time.perf_counter() - start < 0.1
+
+
+def test_gradients_are_the_derivatives_of_each_entry(tmp_path, monkeypatch):
+    # one walk over all the trees builds what differentiate builds per entry
+    s6 = models.instantiate("s6_nearly_kahler")
+    sphere_file = _workloads(monkeypatch)._sub_files(str(tmp_path))["chart"]
+    _, sphere = reportio.load_manifold_file(sphere_file)
+    for exprs, coords in [(s6.embedding.map_exprs, s6.coordinates),
+                          (sphere.map_exprs, sphere.coordinates)]:
+        want = [[ex.differentiate(e, c) for c in coords] for e in exprs]
+        assert repr(ex.gradients(exprs, coords)) == repr(want)
 
 
 def test_evaluate_examples():
@@ -463,12 +500,16 @@ def test_shared_subtrees_give_the_jets_of_unshared_trees_bit_for_bit():
     assert shared >= 600 and raised >= 500
 
 
+def _workloads(monkeypatch):
+    """The benchmark's workload module, which writes its manifold files."""
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    return importlib.import_module("perfbench.workloads")
+
+
 def _cp3_file(tmp_path, monkeypatch):
     """The benchmark's CP^3 chart: all 36 metric entries divide by one
     denominator written out in full, (1 + x1^2 + ... + y3^2)^2."""
-    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    workloads = importlib.import_module("perfbench.workloads")
-    return workloads._cp3_files(str(tmp_path))["chart"]
+    return _workloads(monkeypatch)._cp3_files(str(tmp_path))["chart"]
 
 
 def test_chart_entries_reach_one_denominator_object(tmp_path, monkeypatch):
