@@ -21,19 +21,21 @@ Only constant folding is performed, and only to finite values; no canonical
 simplification.
 
 ``jets`` gives the values, gradients and Hessians of expressions at a stack
-of points in one pass over the trees; it is how every derivative of chart
-data at a point is computed.  ``differentiate`` builds a derivative as a new
-tree, for callers that need the derivative itself as an expression.  The two share one
-set of elementary rules: ``jets`` evaluates, for each function f, the trees
-``differentiate`` builds for f'(t) and f''(t).  tanh' is 1 - tanh^2, which
+of points, one numpy operation per level of the DAG and kind of node; it is
+how every derivative of chart data at a point is computed.  ``differentiate``
+builds a derivative as a new tree, for callers that need the derivative
+itself as an expression.  The two share one set of elementary rules:
+``jets`` evaluates, for each function f, the trees ``differentiate`` builds
+for f'(t) and f''(t).  tanh' is 1 - tanh^2, which
 stays finite where cosh^2 overflows.
 """
 
+import collections
+import dataclasses
 import functools
 import math
 import re
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,34 +76,63 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
 class Expr:
-    """Base class of expression nodes."""
+    """Base class of expression nodes.  The hash is structural, so equal trees
+    hash alike whether or not they share nodes.  A node's hash is taken from
+    its children's on first use and kept: a loop hashes the nodes below it
+    that have none yet, so each node is hashed once, with no stack, and
+    building a node costs nothing more.  ``repr`` and ``str`` print in one
+    loop, so depth costs no stack."""
+
+    _hash = None  # the node's own hash, once taken
+
+    def __hash__(self):
+        todo = [self]
+        while todo:  # self and the unhashed nodes below it, each after its children
+            e = todo.pop()
+            fields = [getattr(e, name) for name in e.__match_args__]
+            if kids := [v for v in fields if isinstance(v, Expr) and v._hash is None]:
+                todo += [e, *kids]
+            elif e._hash is None:
+                object.__setattr__(e, "_hash", hash((type(e).__name__, *[
+                    v._hash if isinstance(v, Expr) else v for v in fields])))
+        return self._hash
+
+    def __repr__(self):
+        return _text(self, _fields)
 
     def __str__(self):
         return to_string(self)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """``cls`` as a frozen dataclass with Expr's hash and repr."""
+    cls = dataclasses.dataclass(frozen=True, repr=False)(cls)
+    cls.__hash__ = Expr.__hash__
+    return cls
+
+
+@_node
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@_node
 class Sym(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Expr):
     fn: str
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class BinOp(Expr):
     op: str  # one of + - * / ^
     left: Expr
@@ -547,22 +578,23 @@ def _factors(fn, t):
 
 
 def _chain(value, f1, f2, u, n):
-    """Jet of f(u) from each point's value of f, f', f'' at u and the jet of u."""
-    out, g = f1 * u, u[1:n + 1]
-    h = out[n + 1:].reshape(n, n, -1)
-    h += f2 * (g[:, None] * g)
-    out[0] = value
+    """Jets (G, size, P) of f(u) for a group of G nodes, from each node's and
+    point's value of f, f', f'' at u (G, P) and the jets of u."""
+    out, g = f1[:, None] * u, u[:, 1:n + 1]
+    h = out[:, n + 1:].reshape(len(out), n, n, -1)
+    h += f2[:, None, None] * (g[:, :, None] * g[:, None])
+    out[:, 0] = value
     return out
 
 
 def _product(value, a, b, n):
-    """Jet of a*b, given its value."""
-    out, cross = a[0] * b, a[1:n + 1, None] * b[1:n + 1]
-    out += b[0] * a
-    h = out[n + 1:].reshape(n, n, -1)
+    """Jets of a*b for a group, given their values."""
+    out, cross = a[:, :1] * b, a[:, 1:n + 1, None] * b[:, None, 1:n + 1]
+    out += b[:, :1] * a
+    h = out[:, n + 1:].reshape(len(out), n, n, -1)
     h += cross
-    h += cross.transpose(1, 0, 2)
-    out[0] = value
+    h += cross.transpose(0, 2, 1, 3)
+    out[:, 0] = value
     return out
 
 
@@ -584,99 +616,138 @@ def jets(exprs, coordinates, points):
     for m expressions in n coordinates (no P axis for one point).
 
     Exact second-order Taylor coefficients are pushed forward through each
-    distinct subtree once for all points, in one ``_walk`` (Griewank &
-    Walther, Evaluating Derivatives, 2nd ed., ch. 13); a node's jet is one
-    array (1 + n + n^2, P).  ``+ - * /`` run as numpy operations, which round
-    as Python floats do, and function values, powers and the chain factors
-    (``differentiate``'s trees for f', f'') go point by point through
-    ``math``: each point gets the floats it gets alone.  The walk stops at the
-    first DomainError it meets, and ``first_bad_point`` names the error of a
-    stack.  A subtree without symbols has the exact jet (value, 0, 0), and
-    dividing by it scales the jet: an infinite constant gives no NaN.
+    distinct subtree once for all points (Griewank & Walther, Evaluating
+    Derivatives, 2nd ed., ch. 13).  One ``_walk`` files each node under its
+    level (one more than its deepest child's) and kind; level by level, each
+    group takes one numpy operation per step of its rule on one buffer
+    (nodes, 1 + n + n^2, P).  ``+ - * /`` round in numpy as Python floats do,
+    and function values, powers and the chain factors (``differentiate``'s
+    trees for f', f'') go point by point through ``math``: each point gets
+    the floats it gets alone.  A DomainError is kept at its point and node,
+    which then carries NaN.  The first point with an error or a non-finite
+    value or derivative names the error, the one it meets first in
+    post-order alone.  A subtree free of symbols has the exact jet (value,
+    0, 0); dividing by it scales the jet, so an infinite one gives no NaN.
     """
-    return first_bad_point(functools.partial(_jets, exprs, coordinates),
-                           np.asarray(points, dtype=float))
-
-
-def _jets(exprs, coordinates, points):
+    points = np.asarray(points, dtype=float)
     n = len(coordinates)
     stack = points.reshape(-1, n)
     P, size = len(stack), 1 + n + n * n
-    recips = {}  # denominator node id -> the jet of its reciprocal
+    seeds = {c: i for i, c in enumerate(coordinates)}
+    # post-order (node, left or only child row, right child row); (level,
+    # kind) -> rows; denominator row -> row of its reciprocal's jet, just
+    # before its first quotient's row, so its errors rank as that quotient's
+    nodes, groups, recips = [], collections.defaultdict(list), {}
+    failures = []  # (point, row, error)
 
-    def each(f, *columns):
-        """The columns of f, a tuple of floats, at each point's floats."""
-        return np.array([f(*args) for args in zip(*[c.tolist() for c in columns])]).T
-
-    def flat(value):  # the jet (value, 0, 0) of a subtree without symbols
-        out = np.zeros((size, P))
-        out[0] = value
-        return out
-
-    def reciprocal(e, b):  # the jet of 1/e, taken once per denominator
-        if id(e) not in recips:
-            recips[id(e)] = _chain(1.0 / b[0], *each(lambda t: _factors("/", t), b[0]), b, n)
-        return recips[id(e)]
-
-    def binop(e, a, b, free, free_b):
-        op = e.op
-        if op in "+-":
-            return a + b if op == "+" else a - b
-        if op == "^" and not free and isinstance(e.right, Const):
-            c = e.right.value
-            return _chain(*each(lambda x: (_apply_binop("^", x, c),
-                                           c * _apply_binop("^", x, c - 1.0),
-                                           c * (c - 1.0) * _apply_binop("^", x, c - 2.0)), a[0]),
-                          a, n)
-        if op == "/" and not b[0].all():
-            raise DomainError("division by zero")
-        value = (a[0] * b[0] if op == "*" else a[0] / b[0] if op == "/" else
-                 each(lambda x, y: (_apply_binop("^", x, y),), a[0], b[0])[0])
-        if free:
-            return flat(value)
-        if op == "*":
-            return _product(value, a, b, n)
-        if op == "/":
-            if not free_b:
-                return _product(value, a, reciprocal(e.right, b), n)
-            out = a * (1.0 / b[0])  # 1/b, not the chain rule's 1/b^2
-            out[0] = value
-            return out
-        # f^g with non-constant exponent, differentiated as exp(g*log f)
-        log_a = _chain(*each(lambda x: (_apply_call("log", x), *_factors("log", x)), a[0]), a, n)
-        t = b[0] * log_a[0]
-        return _chain(value, *each(lambda x: _factors("exp", x), t), _product(t, b, log_a, n), n)
-
-    seeds = {}
-    for i, (c, x) in enumerate(zip(coordinates, stack.T)):
-        seeds[c] = seed = np.zeros((size, P))
-        seed[0], seed[1 + i] = x, 1.0
-
-    def jet(e, out):  # (jet, whether the subtree is free of symbols)
+    def schedule(e, out):  # (row, level, free of symbols), filed under (level, kind)
+        row = len(nodes)
         if isinstance(e, BinOp):
-            (a, free_a), (b, free_b) = out[id(e.left)], out[id(e.right)]
-            return binop(e, a, b, free_a and free_b, free_b), free_a and free_b
-        if isinstance(e, Sym):
-            if e.name not in seeds:
-                raise MissingBindingError(f"no binding for {e.name!r}")
-            return seeds[e.name], False
-        if isinstance(e, Const):
-            return flat(e.value), True
-        u, free = out[id(e.arg)]
-        if isinstance(e, Neg):
-            return flat(-u[0]) if free else -u, free
-        f = each(lambda x: (_apply_call(e.fn, x), *(() if free else _factors(e.fn, x))), u[0])
-        return flat(f[0]) if free else _chain(*f, u, n), free
+            op, (ra, la, free), (rb, lb, flag) = e.op, out[id(e.left)], out[id(e.right)]
+            if op == "/" and not flag and rb not in recips:  # 1/b, run before its quotients
+                groups[lb + 0.5, "1/", False, False].append(row)
+                recips[rb], row = row, row + 1
+                nodes.append((e.right, rb, None))
+            free = free and flag
+            # the variant: a free denominator, or a constant exponent
+            variant = flag if op == "/" else op == "^" and isinstance(e.right, Const)
+            key = (la if la > lb else lb) + 1, op, free, variant
+        elif isinstance(e, (Neg, Call)):
+            (ra, level, free), rb = out[id(e.arg)], None
+            key = level + 1, type(e).__name__, free, False
+        else:
+            ra, rb, free = None, None, isinstance(e, Const)
+            key = 0, type(e).__name__, free, False
+        groups[key].append(row)
+        nodes.append((e, ra, rb))
+        return row, key[0], free
 
+    def take(rows):  # the jets (G, size, P) of the rows, a view for one row
+        return J[rows[0]:rows[0] + 1] if len(rows) == 1 else J.take(rows, axis=0)
+
+    def each(width, f, rows, *columns):  # f(node, *floats) -> width floats, as (width, G, P)
+        out = []
+        for row, *args in zip(rows, *[c.tolist() for c in columns]):
+            for p, xs in enumerate(zip(*args)):
+                try:
+                    out.append(f(nodes[row][0], *xs))
+                except DomainError as exc:
+                    failures.append((p, row, exc))
+                    out.append((math.nan,) * width)
+        return np.array(out).reshape(len(rows), P, width).transpose(2, 0, 1)
+
+    def power(e, x):  # x^c, c x^(c-1) and c (c-1) x^(c-2) for the constant c
+        c = e.right.value
+        return (_apply_binop("^", x, c), c * _apply_binop("^", x, c - 1.0),
+                c * (c - 1.0) * _apply_binop("^", x, c - 2.0))
+
+    scheduled = _walk(exprs, schedule)
+    J = np.zeros((len(nodes), size, P))
     with np.errstate(all="ignore"):  # a non-finite result raises DomainError below
-        out = _walk(exprs, jet)
-    roots = np.array([out[id(e)][0] for e in exprs]).reshape(len(exprs), size, P)
-    roots = roots.transpose(2, 0, 1)  # (P, m, size)
-    bad = np.flatnonzero(~np.isfinite(roots).all(axis=(1, 2)))
-    if len(bad):
-        raise DomainError(f"a value or derivative is not finite at {stack[bad[0]].tolist()}")
+        for (_, op, free, variant), rows in sorted(groups.items(), key=lambda g: g[0][0]):
+            at = slice(rows[0], rows[0] + 1) if len(rows) == 1 else rows  # a view for one row
+            left, right = [nodes[r][1] for r in rows], [nodes[r][2] for r in rows]
+            a, b = left[0] is not None and take(left), right[0] is not None and take(right)
+            if op == "Const":
+                J[at, 0] = [[nodes[r][0].value] for r in rows]
+            elif op == "Sym":  # the seeds (x_i, e_i, 0)
+                for r in rows:
+                    if (i := seeds.get(nodes[r][0].name)) is not None:
+                        J[r, 0], J[r, 1 + i] = stack[:, i], 1.0
+                    else:  # an error at every point
+                        exc = MissingBindingError(f"no binding for {nodes[r][0].name!r}")
+                        failures += [(p, r, exc) for p in range(P)]
+            elif op == "Neg":
+                if free:
+                    J[at, 0] = -a[:, 0]
+                else:
+                    J[at] = -a
+            elif op == "Call":
+                f = each(1 if free else 3, lambda e, x: (_apply_call(e.fn, x), *(
+                    () if free else _factors(e.fn, x))), rows, a[:, 0])
+                if free:
+                    J[at, 0] = f[0]
+                else:
+                    J[at] = _chain(*f, a, n)
+            elif op == "1/":
+                f = each(2, lambda e, t: _factors("/", t), rows, a[:, 0])
+                J[at] = _chain(1.0 / a[:, 0], *f, a, n)
+            elif op in "+-":
+                J[at] = a + b if op == "+" else a - b
+            elif op == "^" and not free and variant:
+                J[at] = _chain(*each(3, power, rows, a[:, 0]), a, n)
+            else:
+                if op == "/" and not b[:, 0].all():
+                    failures += [(p, rows[g], DomainError("division by zero"))
+                                 for g, p in zip(*np.nonzero(b[:, 0] == 0.0))]
+                value = (a[:, 0] * b[:, 0] if op == "*" else a[:, 0] / b[:, 0] if op == "/" else
+                         each(1, lambda e, x, y: (_apply_binop("^", x, y),),
+                              rows, a[:, 0], b[:, 0])[0])
+                if free:
+                    J[at, 0] = value
+                elif op == "*":
+                    J[at] = _product(value, a, b, n)
+                elif op == "/" and variant:
+                    J[at] = a * (1.0 / b[:, :1])  # 1/b, not the chain rule's 1/b^2
+                    J[at, 0] = value
+                elif op == "/":  # times the jet of 1/b
+                    J[at] = _product(value, a, take([recips[k] for k in right]), n)
+                else:  # f^g with non-constant exponent, differentiated as exp(g*log f)
+                    f = each(3, lambda e, x: (_apply_call("log", x), *_factors("log", x)),
+                             rows, a[:, 0])
+                    log_a = _chain(*f, a, n)
+                    t = b[:, 0] * log_a[:, 0]
+                    J[at] = _chain(value, *each(2, lambda e, x: _factors("exp", x), rows, t),
+                                    _product(t, b, log_a, n), n)
+    jet = take([scheduled[id(e)][0] for e in exprs]).transpose(2, 0, 1)  # (P, m, size)
+    if failures or not np.isfinite(jet).all():
+        bad = np.flatnonzero(~np.isfinite(jet).all(axis=(1, 2))).tolist()
+        p = min([q for q, _, _ in failures] + bad)
+        if errors := [(row, exc) for q, row, exc in failures if q == p]:
+            raise min(errors, key=lambda f: f[0])[1]
+        raise DomainError(f"a value or derivative is not finite at {stack[p].tolist()}")
     lead = points.shape[:-1] + (len(exprs),)
-    return tuple(np.ascontiguousarray(roots[..., part]).reshape(lead + shape) for part, shape in
+    return tuple(np.ascontiguousarray(jet[..., part]).reshape(lead + shape) for part, shape in
                  ((0, ()), (slice(1, n + 1), (n,)), (slice(n + 1, None), (n, n))))
 
 
@@ -711,30 +782,52 @@ def _prec(e):
 
 def to_string(e):
     """Render ``e`` so that parse(to_string(e)) reproduces the same tree."""
-    return _walk([e], _string)[id(e)]
+    return _text(e, _string)
 
 
-def _string(e, out):
+def _text(e, parts):
+    """The text of ``e`` from ``parts(node)``, the node's strings and children
+    in printing order, joined from one list filled in one loop: memory in the
+    length of the text, and no stack."""
+    out, todo = [], [e]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            todo += reversed(parts(item))
+    return "".join(out)
+
+
+def _fields(e):  # the dataclass repr, Name(field=value, ...)
+    parts = [f"{type(e).__name__}("]
+    for i, field in enumerate(dataclasses.fields(e)):
+        value = getattr(e, field.name)
+        parts += [", " * (i > 0) + field.name + "=",
+                  value if isinstance(value, Expr) else repr(value)]
+    return parts + [")"]
+
+
+def _string(e):
     def wrap(child, minimum):
-        s = out[id(child)]
-        return f"({s})" if _prec(child) < minimum else s
+        return ["(", child, ")"] if _prec(child) < minimum else [child]
 
     if isinstance(e, Const):
         v = e.value
         if math.isinf(v):  # parse reads an out-of-range literal as inf
-            return "1e400" if v > 0 else "-1e400"
+            return ["1e400" if v > 0 else "-1e400"]
         if v == math.floor(v) and abs(v) < 1e16:
-            return str(int(v))
-        return repr(v)
+            return [str(int(v))]
+        return [repr(v)]
     if isinstance(e, Sym):
-        return e.name
+        return [e.name]
     if isinstance(e, Neg):
-        return "-" + wrap(e.arg, 3)
+        return ["-", *wrap(e.arg, 3)]
     if isinstance(e, Call):
-        return f"{e.fn}({out[id(e.arg)]})"
+        return [f"{e.fn}(", e.arg, ")"]
     if e.op in "+-":
-        return f"{wrap(e.left, 1)} {e.op} {wrap(e.right, 2)}"
+        return [*wrap(e.left, 1), f" {e.op} ", *wrap(e.right, 2)]
     if e.op in "*/":
-        return f"{wrap(e.left, 2)}{e.op}{wrap(e.right, 2.5)}"
+        return [*wrap(e.left, 2), e.op, *wrap(e.right, 2.5)]
     # ^ : left must be an atom, right a factor
-    return f"{wrap(e.left, 4)}^{wrap(e.right, 2.5)}"
+    return [*wrap(e.left, 4), "^", *wrap(e.right, 2.5)]

@@ -3,6 +3,7 @@ import importlib
 import math
 import os
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -267,6 +268,48 @@ def test_tree_passes_take_time_linear_in_the_dag():
         start = time.perf_counter()
         run()
         assert time.perf_counter() - start < 0.1
+
+
+def _long_sum():
+    """x + 2*x + ... + 5000*x, parsed: a left-nested sum 5,000 terms deep."""
+    return ex.parse(" + ".join(f"{i}*x" for i in range(1, 5001)), ["x"])
+
+
+def test_hash_and_repr_take_no_stack_and_follow_nodes_not_paths():
+    long_sum = _long_sum()
+    text = repr(long_sum)
+    assert text.startswith("BinOp(op='+', left=BinOp(op='+', left=BinOp(op='+', left=")
+    assert text.endswith(", right=BinOp(op='*', left=Const(value=5000.0), right=Sym(name='x')))")
+    # the 18-level DAG e*(e + 1) has 37 distinct nodes and 2^18 paths; the
+    # copy built from the raw node classes shares nothing with it
+    dag, copy = ex.symbol("x"), ex.Sym("x")
+    for _ in range(18):
+        dag = ex.mul(dag, ex.add(dag, ex.const(1.0)))
+        copy = ex.BinOp("*", copy, ex.BinOp("+", copy, ex.Const(1.0)))
+    start = time.perf_counter()
+    assert hash(dag) == hash(copy) and copy is not dag
+    assert time.perf_counter() - start < 0.05
+    assert hash(long_sum) == hash(ex.parse(ex.to_string(long_sum), ["x"]))
+    # equal trees hash and print alike, whether or not they share nodes
+    for depth in (0, 1, 6):
+        small = ex.symbol("x")
+        for _ in range(depth):
+            small = ex.mul(small, ex.add(ex.call("sin", small), ex.neg(ex.symbol("y"))))
+        assert hash(_unshared(small)) == hash(small)
+        assert repr(_unshared(small)) == repr(small)
+
+
+def test_printing_a_long_sum_takes_memory_in_its_length():
+    long_sum = _long_sum()
+    tracemalloc.start()
+    try:
+        text = ex.to_string(long_sum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.startswith("x + 2*x + 3*x") and text.endswith(" + 5000*x")
+    assert ex.parse(text, ["x"]) is long_sum
+    assert peak < 4e6  # a table of every prefix's text held about 100 MB
 
 
 def test_gradients_are_the_derivatives_of_each_entry(tmp_path, monkeypatch):
@@ -652,7 +695,13 @@ def test_a_stack_of_points_is_each_point_alone_bit_for_bit(name, coords, trees, 
             alone = ex.jets(trees, coords, point)
             for g, w in zip(got, alone):
                 assert g[i].tobytes() == w.tobytes(), name
-    assert not np.isnan(ex.jets(trees, coords, points)[2]).any()
+    # the nodes of one level and kind share numpy operations across trees:
+    # each tree alone gets the same bits, signs of zero included
+    got = ex.jets(trees, coords, points)
+    for k, tree in enumerate(trees):
+        for g, w in zip(got, ex.jets([tree], coords, points)):
+            assert g[:, k].tobytes() == w[:, 0].tobytes(), (name, k)
+    assert not np.isnan(got[2]).any()
 
 
 def test_the_first_bad_point_names_the_error_across_nodes():
@@ -666,6 +715,21 @@ def test_the_first_bad_point_names_the_error_across_nodes():
     with pytest.raises(ex.DomainError, match=r"not finite at \[1\.0, 0\.5\]$"):
         ex.jets([*trees, ex.parse("x*1e300*1e300", ["x", "y"])], ["x", "y"],
                 [[1.0, 0.5], [-0.5, 0.5]])
+
+
+def test_the_first_error_in_post_order_is_raised_where_level_order_differs():
+    # at (-1, 0) both operands fail; the division sits a level above log(x),
+    # so a walk by levels meets log(x) first, and a walk of the point alone
+    # meets the left operand first
+    coords = ["x", "y"]
+    with pytest.raises(ex.DomainError, match=r"^division by zero$"):
+        ex.jets([ex.parse("1/(y - y) + log(x)", coords)], coords, [-1.0, 0.0])
+    for text, message in [("1/(y*y) + log(x)", r"^division by zero$"),
+                          ("log(x) + 1/(y*y)", r"^log\(-1\.0\) out of domain$")]:
+        tree = ex.parse(text, coords)
+        for points in ([-1.0, 0.0], [[1.0, 0.5], [-1.0, 0.0]]):
+            with pytest.raises(ex.DomainError, match=message):
+                ex.jets([tree], coords, points)
 
 
 @pytest.mark.parametrize("x", [200.0, -200.0, 400.0, -400.0])
