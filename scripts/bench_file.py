@@ -52,22 +52,29 @@ ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                                                    os.environ.get("PYTHONPATH")]))}
 
 
+def run_once(root, workload, seed, seconds):
+    """{metric: value} of one ``perfbench/run.py --trace 0`` process of the
+    checkout at ``root``; with no PYTHONPATH, it imports hermgeo from its own
+    ``src/``.  Exits if the run fails or reports an incorrect result."""
+    argv = [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    env = {k: v for k, v in ENV.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    result = json.loads(proc.stdout.strip().splitlines()[-1]) if proc.stdout.strip() else {}
+    if proc.returncode != 0 or not result.get("correct"):
+        sys.exit(f"error: {root} {workload} seed {seed} failed:\n{proc.stderr}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
 def bench_runs(benchmark):
     """{workload: {"runs": [{"seed", "metrics"}], "median": {metric: value}}}."""
     out = {}
     for workload in (w["name"] for w in benchmark["workloads"]):
         runs = []
         for seed in SEEDS:
-            argv = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
-                    "--workload", workload, "--seed", str(seed),
-                    "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
             print(f"running {workload} seed {seed}", file=sys.stderr, flush=True)
-            proc = subprocess.run(argv, capture_output=True, text=True, env=ENV)
-            result = json.loads(proc.stdout.strip().splitlines()[-1]) if proc.stdout else {}
-            if proc.returncode != 0 or not result.get("correct"):
-                sys.exit(f"error: {workload} seed {seed} failed:\n{proc.stderr}")
-            runs.append({"seed": seed, "metrics": {name: m["value"]
-                                                   for name, m in result["metrics"].items()}})
+            runs.append({"seed": seed, "metrics": run_once(ROOT, workload, seed,
+                                                           benchmark["run_seconds"])})
         out[workload] = {"runs": runs, "median": {
             name: statistics.median(run["metrics"][name] for run in runs)
             for name in runs[0]["metrics"]}}

@@ -4,9 +4,10 @@
     python3 scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT --workload W --pairs 10
 
 Pair i runs each root's own ``perfbench/run.py --workload W --seed S+i
---trace 0`` once, one process at a time; the side that goes first alternates
-from pair to pair, so a drift in host speed falls on both sides alike.  Each
-child gets no PYTHONPATH, so each imports hermgeo from its own ``src/``.
+--trace 0`` once, for BENCHMARK.json's ``run_seconds``, one process at a
+time; the side that goes first alternates from pair to pair, so a drift in
+host speed falls on both sides alike.  Each child gets no PYTHONPATH, so
+each imports hermgeo from its own ``src/``.
 For every end-to-end metric of this checkout's BENCHMARK.json the script
 prints each side's median and quartiles, the change of the medians, how many
 pairs the change won, and the verdict of the rule a claimed gain must pass:
@@ -21,23 +22,11 @@ import json
 import math
 import os
 import statistics
-import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from bench_file import ROOT, run_once
+
 WIN_SHARE = 0.9  # pairs the better side must win
-
-
-def run_once(root, workload, seed, seconds):
-    """{metric: value} of one ``perfbench/run.py --trace 0`` process of ``root``."""
-    argv = [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
-    result = json.loads(proc.stdout.strip().splitlines()[-1]) if proc.stdout.strip() else {}
-    if proc.returncode != 0 or not result.get("correct"):
-        sys.exit(f"error: {root} {workload} seed {seed} failed:\n{proc.stderr}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
 
 
 def pairs(roots, workload, count, seed, seconds, runner=run_once):
@@ -99,13 +88,12 @@ def main(argv=None, runner=run_once):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=801, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, help="run seconds (BENCHMARK.json's by default)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     samples = pairs((args.parent, args.change), args.workload, args.pairs, args.seed, seconds,
                     runner)
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1},"

@@ -77,24 +77,13 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 
 class Expr:
     """Base class of expression nodes.  The hash is structural, so equal trees
-    hash alike whether or not they share nodes.  A node's hash is taken from
-    its children's on first use and kept: a loop hashes the nodes below it
-    that have none yet, so each node is hashed once, with no stack, and
-    building a node costs nothing more.  ``repr`` and ``str`` print in one
-    loop, so depth costs no stack."""
-
-    _hash = None  # the node's own hash, once taken
+    hash alike whether or not they share nodes.  Each node takes its hash at
+    construction from its children's, so hashing costs O(1) per node and no
+    stack; each class spells its ``__post_init__`` out, since a loop over the
+    fields doubled what hashing adds to parsing.  ``repr`` and ``str`` print
+    in one loop, so depth costs no stack."""
 
     def __hash__(self):
-        todo = [self]
-        while todo:  # self and the unhashed nodes below it, each after its children
-            e = todo.pop()
-            fields = [getattr(e, name) for name in e.__match_args__]
-            if kids := [v for v in fields if isinstance(v, Expr) and v._hash is None]:
-                todo += [e, *kids]
-            elif e._hash is None:
-                object.__setattr__(e, "_hash", hash((type(e).__name__, *[
-                    v._hash if isinstance(v, Expr) else v for v in fields])))
         return self._hash
 
     def __repr__(self):
@@ -115,15 +104,24 @@ def _node(cls):
 class Const(Expr):
     value: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(("Const", self.value)))
+
 
 @_node
 class Sym(Expr):
     name: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(("Sym", self.name)))
+
 
 @_node
 class Neg(Expr):
     arg: Expr
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(("Neg", self.arg._hash)))
 
 
 @_node
@@ -131,12 +129,19 @@ class Call(Expr):
     fn: str
     arg: Expr
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(("Call", self.fn, self.arg._hash)))
+
 
 @_node
 class BinOp(Expr):
     op: str  # one of + - * / ^
     left: Expr
     right: Expr
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(("BinOp", self.op, self.left._hash,
+                                                 self.right._hash)))
 
 
 # ---------------------------------------------------------------------------

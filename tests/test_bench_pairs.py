@@ -1,9 +1,11 @@
 """The pair script's schedule and verdicts, with a stubbed benchmark runner."""
 
+import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))
 import bench_pairs  # noqa: E402
 
 
@@ -49,10 +51,12 @@ def test_main_prints_one_verdict_per_reported_metric(capsys):
     calls = []
     old = [100.0 + i for i in range(10)]
     runner = _runner({"P": old, "C": [v * 1.1 for v in old]}, calls)
-    assert bench_pairs.main(["P", "C", "--workload", "chart-cp3", "--pairs", "10",
-                             "--seconds", "5"], runner=runner) == 0
+    assert bench_pairs.main(["P", "C", "--workload", "chart-cp3", "--pairs", "10"],
+                            runner=runner) == 0
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert {s for *_, s in calls} == {seconds}  # every run takes the benchmark's length
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "chart-cp3: 10 pairs, seeds 801-810, 5 s per run"
+    assert lines[0] == f"chart-cp3: 10 pairs, seeds 801-810, {seconds:g} s per run"
     rows = {line.split()[0]: line.split() for line in lines[2:]}
     # BENCHMARK.json's order; metrics the runs lack are left out
     assert list(rows) == ["cmd_s.p50", "items_per_s", "ops_ok_frac"]
