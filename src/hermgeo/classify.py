@@ -1,11 +1,18 @@
 """Classification of almost Hermitian charts from precomputed point data.
 
 Checks produce residuals; every flag passes iff its residual is at most the
-one tolerance.  Everything is deterministic given (chart, points, seed).
+one tolerance.  Every verdict that holds "for all vectors" or "for all
+frames" is decided exactly at each point, with no sampled frame: nearly
+Kahler by a norm of the symmetric part of nabla J, the constancy of the
+holomorphic and antiholomorphic sectional curvature, constant type and the
+identities (3.1)...(3.8) by the distance of R, written in the adapted frame
+of the point, from a fixed subspace (``axioms.verdict_spaces``).  Reports
+depend on the chart and its points alone.
 """
 
 import numpy as np
 
+from . import axioms as ax
 from . import curvature as cv
 from . import frames as fr
 
@@ -35,39 +42,50 @@ def nabla_j(chart, pd):
             - np.einsum("...mkj,...im->...kij", pd.gamma, J))
 
 
-def _per_frame(a, samples):
-    """The (n, n) matrices of a stack of points, each repeated ``samples``
-    times: one per frame of a sampling site's stack, point after point."""
-    return np.repeat(a.reshape(-1, *a.shape[-2:]), samples, axis=0)
+def nabla_J_residuals(chart, pd):
+    """(kahler_residual, nk_bound) over the points of ``pd``.
 
-
-def nabla_J_residuals(chart, pd, sampler, samples=32):
-    """(kahler_residual, nk_residual) over the points of ``pd``.
-
-    kahler_residual is the max component of nabla J; nk_residual is the max
-    g-norm of (nabla_X J) X over sampled unit X, one draw for every point.
+    kahler_residual is the max component of nabla J.  nk_bound is the largest
+    over the points of |S|, the norm in a g-orthonormal frame (L^-T, for
+    g = L L^T) of the part S[k,i,j] = (nabla_k J^i_j + nabla_j J^i_k) / 2 of
+    nabla J symmetric in the derivative index and the argument.  It bounds
+    |(nabla_X J) X| = |S(X, ., X)| for every g-unit X, and vanishes exactly
+    where the chart is nearly Kahler (Gray, J. Diff. Geom. 4, 1970).
     """
     nj = nabla_j(chart, pd)
-    g = _per_frame(pd.g, samples)
-    (X,) = fr.orthonormal_frames(g, sampler.draw(len(g))[:, None], sampler)
-    X = X.reshape(*pd.g.shape[:-2], samples, -1)
-    v = np.einsum("...kij,...sk,...sj->...si", nj, X, X)
-    nk = np.max(np.sum((v @ pd.g) * v, axis=-1), initial=0.0)
-    return float(np.max(np.abs(nj))), float(np.sqrt(nk))
+    lowered = pd.g[..., None, :, :] @ (nj + np.swapaxes(nj, -3, -1)) / 2
+    frame = np.swapaxes(np.linalg.inv(np.linalg.cholesky(pd.g)), -1, -2)
+    nk = np.sqrt(np.sum(_each_index(lowered, frame) ** 2, axis=(-3, -2, -1)))
+    return float(np.max(np.abs(nj))), float(np.max(nk))
+
+
+def _each_index(T, M):
+    """The stack T (..., n, ..., n) of tensors with the matrices M (..., n, n)
+    applied to each tensor index: out[a,b,...] = T[i,j,...] M[i,a] M[j,b] ...
+    Each product moves one index last (n^5 work for four indices)."""
+    n, k = M.shape[-1], T.ndim - M.ndim + 2
+    for _ in range(k):
+        T = (np.moveaxis(T, -k, -1).reshape(*M.shape[:-2], -1, n) @ M).reshape(T.shape)
+    return T
 
 
 def rk_residual(R4, J):
     """Max deviation of R(X,Y,Z,U) = R(JX,JY,JZ,JU) on basis vectors, the
-    largest over a stack (..., n, n, n, n) of tensors.
+    largest over a stack (..., n, n, n, n) of tensors.  The condition is
+    tensorial, so checking coordinate indices is complete."""
+    return float(np.max(np.abs(R4 - _each_index(R4, J))))
 
-    The condition is tensorial, so checking coordinate indices is complete;
-    each product rotates one index by J and moves it last (n^5 work).
-    """
-    n = J.shape[-1]
-    rot = R4
-    for _ in range(4):
-        rot = (np.moveaxis(rot, -4, -1).reshape(*J.shape[:-2], n ** 3, n) @ J).reshape(R4.shape)
-    return float(np.max(np.abs(R4 - rot)))
+
+def frame_coordinates(R4, g, J, tolerance):
+    """Coordinates (..., d) in ``axioms.curvature_space(n)`` of the tensors R4
+    (..., n, n, n, n) written in the adapted frame of each pair (g, J)
+    (``frames.adapted_frames``), NaN where there is none: at a point where
+    j_squared or j_compatible fails within ``tolerance``, and in odd
+    dimension."""
+    r_square, r_compat = fr.hermitian_residuals(g, J)
+    ok = (r_square <= tolerance) & (r_compat <= tolerance) & (g.shape[-1] % 2 == 0)
+    coords = ax.coordinates(_each_index(R4, fr.adapted_frames(g, J)))
+    return np.where(ok[..., None], coords, np.nan)
 
 
 def plane_type(vectors, g, J):
@@ -94,93 +112,87 @@ def plane_type(vectors, g, J):
     return NONE, None
 
 
-def sample_invariants(pd, sampler, samples):
-    """Arrays of holomorphic sectional, antiholomorphic sectional and
-    constant-type values at each point, ``samples`` of each per point
-    (shape: the points' leading axes, then samples): a unit X for the first,
-    then an antiholomorphic unit pair (X, Y) for the other two.  In
-    dimension 2 no antiholomorphic pair exists (X must avoid Y and JY), and
-    the last two are None.  One block draw gives each sample's [unit, Y, X],
-    point after point."""
-    n = pd.g.shape[-1]
-    pairs = n > 2
-    g, shape = _per_frame(pd.g, samples), (*pd.g.shape[:-2], samples, n)
-    raw = sampler.draw(len(g) * (3 if pairs else 1)).reshape(len(g), -1, n)
-    (units,) = fr.orthonormal_frames(g, raw[:, :1], sampler)
-    hvals = cv.holomorphic_sectional(pd.riemann, pd.g, pd.J, units.reshape(shape))
-    if not pairs:
-        return hvals, None, None
-    Y, X = (v.reshape(shape)
-            for v in fr.orthonormal_frames(g, raw[:, 1:], sampler, _per_frame(pd.J, samples)))
-    return (hvals, cv.sectional(pd.riemann, pd.g, X, Y),
-            cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y))
+def _means(pd):
+    """{invariant: its mean over all frames of its kind, at each point}, for
+    the ``axioms.CONSTANCY`` invariants.  A mean is U(m)-invariant, so a
+    combination of R's products with the tensors of constant sectional and
+    of constant holomorphic curvature, which lie in every V; so it is also
+    the invariant's value on the projection of R onto V.  With the scalar
+    curvature s and A = R_ijkl w^ij w^kl, w = g^-1 J^T, the means are
+    (2s - 3A) / (2n(n+2)), and for n > 2 (2(n+1)s + 3A) / (2n(n-2)(n+2)) and
+    (2s + A) / (2n(n-2))."""
+    n, s = pd.g.shape[-1], pd.scalar
+    w = (pd.g_inv @ np.swapaxes(pd.J, -1, -2)).reshape(*s.shape, n * n, 1)
+    A = (np.swapaxes(w, -1, -2) @ pd.riemann.reshape(*s.shape, n * n, n * n) @ w)[..., 0, 0]
+    out = {"holomorphic_sectional": (2 * s - 3 * A) / (2 * n * (n + 2))}
+    if n > 2:
+        out["antiholomorphic_sectional"] = (2 * (n + 1) * s + 3 * A) / (2 * n * (n - 2) * (n + 2))
+        out["constant_type"] = (2 * s + A) / (2 * n * (n - 2))
+    return out
 
 
-def constancy_report(chart, pd, sampler, samples=32, tolerance=1e-8):
-    """Per-point and cross-point constancy of the three chart invariants:
-    holomorphic sectional curvature, antiholomorphic sectional curvature,
-    and the constant-type value, over the points of ``pd``.
+def constancy_report(chart, pd, coords=None, tolerance=1e-8):
+    """Per-point and cross-point constancy of the three chart invariants
+    (``axioms.CONSTANCY``) over the points of ``pd``, from their
+    ``frame_coordinates`` ``coords`` (computed if not given).
 
-    Returns (records, per_point): a check record per invariant, whose
-    constant is the sample mean, "pointwise" passes when every per-point std
-    is within tolerance and "global" also needs the per-point means to agree;
-    and per invariant name, its (mean, std) at each point.  An invariant that
-    does not exist in the chart's dimension has null values and None pairs.
+    Returns (records, per_point).  per_point holds, per invariant, its
+    (mean, bound) at each point: the exact mean of ``_means`` and the bound
+    of ``axioms.verdict_bounds`` on its deviation from that mean on every
+    frame; None at a point with no adapted frame, or where the invariant
+    does not exist (dimension 2).  A record's constant is the mean of the
+    per-point means; "pointwise" passes when every bound is within
+    tolerance, and "global" also needs the means to agree.  A record with a
+    None pair has null values.
     """
     _require_j(chart, pd)
+    if coords is None:
+        coords = frame_coordinates(pd.riemann, pd.g, pd.J, tolerance)
     count = pd.point.size // chart.dim
-    names = ("holomorphic_sectional", "antiholomorphic_sectional", "constant_type")
-    stats = {name: [None] * count if vals is None else list(zip(
-                 np.mean(vals.reshape(count, samples), axis=-1).tolist(),
-                 np.std(vals.reshape(count, samples), axis=-1).tolist()))
-             for name, vals in zip(names, sample_invariants(pd, sampler, samples))}
-
-    report = []
-    for name, per_point in stats.items():
+    means, bounds = _means(pd), ax.verdict_bounds(coords, chart.dim, ax.CONSTANCY)
+    stats, report = {}, []
+    for name in ax.CONSTANCY:
+        pairs = stats[name] = [None] * count if name not in bounds else [
+            None if np.isnan(b) else (m, b) for m, b in zip(
+                np.reshape(means[name], count).tolist(), np.reshape(bounds[name], count).tolist())]
         record = {"name": name, **dict.fromkeys(
             ("constant", "per_point_means", "residual", "cross_point_residual",
-             "pass", "global_pass"))}
-        if None not in per_point:
-            means = [m for m, _ in per_point]
-            pointwise = max(s for _, s in per_point)
-            overall = float(np.mean(means))
-            cross = max(abs(m - overall) for m in means) if len(means) > 1 else 0.0
-            record.update({
-                "constant": overall,
-                "per_point_means": means,
-                "residual": float(pointwise),
-                "cross_point_residual": float(cross),
-                "pass": pointwise <= tolerance,
-                "global_pass": pointwise <= tolerance and cross <= tolerance,
-            })
-        record.update({"tolerance": tolerance, "samples": samples, "seed": sampler.seed})
+             "pass", "global_pass")), "tolerance": tolerance}
+        if None not in pairs:
+            values = [m for m, _ in pairs]
+            pointwise = max(b for _, b in pairs)
+            overall = float(np.mean(values))
+            cross = max(abs(m - overall) for m in values) if count > 1 else 0.0
+            record.update({"constant": overall, "per_point_means": values,
+                           "residual": pointwise, "cross_point_residual": cross,
+                           "pass": pointwise <= tolerance,
+                           "global_pass": pointwise <= tolerance and cross <= tolerance})
         report.append(record)
     return report, stats
 
 
-def classify_chart(chart, pd, seed=0, samples=32, tolerance=1e-8):
+def classify_chart(chart, pd, tolerance=1e-8, coords=None):
     """(record, per_point): the classification record of a chart with an almost
     complex structure over the points of ``pd`` (compatibility, Kahler/NK/RK
     flags, conformal flatness, constancy) and constancy_report's per_point.
     Each check reads the whole stack once; its residual is the largest over
-    the points."""
-    sampler = fr.FrameSampler(seed, chart.dim)
+    the points.  ``coords`` are ``frame_coordinates`` of the points, computed
+    if not given."""
     checks = []
 
     def record(name, residual):
         checks.append({"name": name, "residual": float(residual),
-                       "pass": bool(residual <= tolerance), "tolerance": tolerance,
-                       "samples": samples, "seed": seed})
+                       "pass": bool(residual <= tolerance), "tolerance": tolerance})
 
     r_sq, r_comp = fr.hermitian_residuals(pd.g, _require_j(chart, pd))
-    kahler, nk = nabla_J_residuals(chart, pd, sampler, samples)
-    record("j_squared", r_sq)
-    record("j_compatible", r_comp)
+    kahler, nk = nabla_J_residuals(chart, pd)
+    record("j_squared", np.max(r_sq))
+    record("j_compatible", np.max(r_comp))
     record("kahler", kahler)
     record("nearly_kahler", nk)
     record("rk", rk_residual(pd.riemann, pd.J))
     if chart.dim >= 4:
         record("conformally_flat", np.max(cv.relative_weyl_norm(pd)))
-    constancy, per_point = constancy_report(chart, pd, sampler, samples, tolerance)
+    constancy, per_point = constancy_report(chart, pd, coords, tolerance)
     return {"chart": chart.name, "points": pd.point.reshape(-1, chart.dim).tolist(),
             "checks": checks, "constancy": constancy}, per_point

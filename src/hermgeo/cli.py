@@ -60,30 +60,27 @@ def _parse_points(chart_dim, point_args, hint):
     return points
 
 
-def _analyze_report(chart, points, seed, tol, samples, require_weyl):
+def _analyze_report(chart, points, tol, require_weyl):
     if require_weyl and chart.dim < 4:
         raise cv.UnsupportedDimensionError(
             f"conformal curvature requested but dimension is {chart.dim}")
-    report = {
-        "command": "analyze", "chart": chart.name, "dim": chart.dim,
-        "seed": seed, "tolerance": tol, "samples": samples, "points": [],
-    }
+    report = {"command": "analyze", "chart": chart.name, "dim": chart.dim,
+              "tolerance": tol, "points": []}
     pd = cv.point_data(chart, points)
     per_point = {}
     if chart.has_j():
-        classification, per_point = cl.classify_chart(chart, pd, seed=seed,
-                                                      samples=samples, tolerance=tol)
+        coords = cl.frame_coordinates(pd.riemann, pd.g, pd.J, tol)
+        classification, per_point = cl.classify_chart(chart, pd, tolerance=tol, coords=coords)
         report.update(checks=classification["checks"], constancy=classification["constancy"])
-        report["identity_residuals"] = ax.proof_identity_residuals(
-            pd.riemann[0], pd.g[0], pd.J[0], fr.FrameSampler(seed, chart.dim), frames=samples)
+        report["identity_residuals"] = ax.proof_identity_residuals(coords, chart.dim)
     weyl_norms = cv.relative_weyl_norm(pd) if pd.weyl is not None else None
     for i, point in enumerate(pd.point):
         entry = {"point": point.tolist(), "scalar_curvature": float(pd.scalar[i])}
         if weyl_norms is not None:
             entry["weyl_norm"] = float(weyl_norms[i])
         for key in ("holomorphic_sectional", "constant_type") if per_point else ():
-            stat = per_point[key][i]  # this point's constancy samples
-            entry[key] = None if stat is None else dict(zip(("mean", "std"), stat))
+            stat = per_point[key][i]  # this point's constancy (mean, bound)
+            entry[key] = None if stat is None else dict(zip(("mean", "bound"), stat))
         report["points"].append(entry)
     return report
 
@@ -91,8 +88,7 @@ def _analyze_report(chart, points, seed, tol, samples, require_weyl):
 def cmd_analyze(args):
     chart, _ = reportio.load_manifold_file(args.file)
     points = _parse_points(chart.dim, args.point, chart.domain_hint)
-    report = _analyze_report(chart, points, args.seed, args.tol, args.samples,
-                             require_weyl=args.weyl)
+    report = _analyze_report(chart, points, args.tol, require_weyl=args.weyl)
     sys.stdout.write(reportio.dump_report(report))
     return EXIT_OK
 
@@ -102,9 +98,8 @@ def cmd_classify(args):
     if not chart.has_j():
         raise UsageError(f"chart {chart.name!r} has no almost complex structure to classify")
     pd = cv.point_data(chart, _parse_points(chart.dim, args.point, chart.domain_hint))
-    report, _ = cl.classify_chart(chart, pd, seed=args.seed,
-                                  samples=args.samples, tolerance=args.tol)
-    report = {"command": "classify", **report, "seed": args.seed, "tolerance": args.tol}
+    report, _ = cl.classify_chart(chart, pd, tolerance=args.tol)
+    report = {"command": "classify", **report, "tolerance": args.tol}
     sys.stdout.write(reportio.dump_report(report))
     return EXIT_OK
 
@@ -203,8 +198,9 @@ def build_parser():
 
     def common(p):
         p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=32)
+        unused = "accepted for compatibility; chart verdicts are exact and do not use it"
+        p.add_argument("--seed", type=int, default=0, help=unused)
+        p.add_argument("--samples", type=int, default=32, help=unused)
 
     p = sub.add_parser("analyze", help="curvature invariants of a chart")
     p.add_argument("file")

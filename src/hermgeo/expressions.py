@@ -80,11 +80,33 @@ class Expr:
     hash alike whether or not they share nodes.  Each node takes its hash at
     construction from its children's, so hashing costs O(1) per node and no
     stack; each class spells its ``__post_init__`` out, since a loop over the
-    fields doubled what hashing adds to parsing.  ``repr`` and ``str`` print
-    in one loop, so depth costs no stack."""
+    fields doubled what hashing adds to parsing.  ``==``, ``repr`` and ``str``
+    run one loop, so depth costs no stack."""
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        """Structural equality, one loop over node pairs: a node shared by both
+        trees and a pair met before are skipped, so a DAG is not walked path
+        by path, and the first pair whose hashes or fields differ decides."""
+        if not isinstance(other, Expr):
+            return NotImplemented
+        pairs, seen = [(self, other)], set()
+        while pairs:
+            a, b = pairs.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for field in dataclasses.fields(a):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                if isinstance(x, Expr):
+                    pairs.append((x, y))
+                elif not (x is y or x == y):  # as tuples compare: nan is itself
+                    return False
+        return True
 
     def __repr__(self):
         return _text(self, _fields)
@@ -94,10 +116,8 @@ class Expr:
 
 
 def _node(cls):
-    """``cls`` as a frozen dataclass with Expr's hash and repr."""
-    cls = dataclasses.dataclass(frozen=True, repr=False)(cls)
-    cls.__hash__ = Expr.__hash__
-    return cls
+    """``cls`` as a frozen dataclass with Expr's hash, equality and repr."""
+    return dataclasses.dataclass(frozen=True, eq=False, repr=False)(cls)
 
 
 @_node

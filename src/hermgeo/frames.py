@@ -1,8 +1,10 @@
-"""Metric orthonormalization and reproducible frame sampling.
+"""Metric orthonormalization, reproducible frame sampling, and the adapted
+frame of a Hermitian pair.
 
 Random draws use numpy's PCG64 generator with an explicit seed, so identical
 (seed, dimension) pairs give bit-identical frames on every platform.  Frames
-come in stacks, drawn as one block and orthonormalized together.
+come in stacks, drawn as one block and orthonormalized together.  Only the
+certificates sample frames; building the adapted frame draws nothing.
 """
 
 import numpy as np
@@ -39,10 +41,10 @@ def _norms(g, v):
 
 def _project(rows, v, g, lead):
     """The one orthonormalization step, on a stack: each ``v`` (s, n) projected
-    off its frame's g-orthonormal ``rows`` (s, m, n), in the shared metric
-    ``g`` (n, n) or its frame's (s, n, n), by two classical Gram-Schmidt
-    passes, then normalized; returns (unit vectors, mask of the pivots above
-    1e-10 * lead, pivots), a zero row where masked out.  Sums run row by row
+    off its frame's g-orthonormal ``rows`` (s, m, n), in the metric ``g``
+    (n, n), by two classical Gram-Schmidt passes, then normalized; returns
+    (unit vectors, mask of the pivots above 1e-10 * lead, pivots), a zero row
+    where masked out.  Sums run row by row
     (einsum), so a frame does not depend on its stack size."""
     for _ in range(2 if rows.shape[1] else 0):
         v = v - np.einsum("smn,sm->sn", rows, np.einsum("...mn,...nk,...k->...m", rows, g, v))
@@ -72,9 +74,8 @@ def gram_schmidt(vectors, g, drop_dependent=False):
 def orthonormal_frames(g, raw, sampler, J=None, rows=None):
     """Orthonormalize the raw vectors (s, k, n) of s frames, in order and off
     each frame's g-orthonormal ``rows`` (s, r, n); returns shape (k, s, n).
-    ``g`` and ``J`` are either one (n, n) matrix shared by every frame or one
-    per frame, (s, n, n): the points of a command share one stack.  With
-    ``J`` each vector e is followed by Je, a zero row where it depends on the
+    Every frame shares the metric ``g`` and ``J`` (n, n).  With ``J`` each
+    vector e is followed by Je, a zero row where it depends on the
     rows so far (as JY on an eigenvector Y of J).  The pivot lead is |v| for
     a frame's first row, max(1, |v|) after that.  A degenerate draw (measure
     zero) is redrawn from ``sampler`` for its frame alone, after the whole
@@ -91,11 +92,11 @@ def orthonormal_frames(g, raw, sampler, J=None, rows=None):
         if need + found > dim:
             raise RankDeficiencyError(
                 f"cannot fit {need} vectors orthogonal to {found} constraints in dim {dim}")
-        v, todo, gt, floor = raw[:, i], np.arange(s), g, min(basis.shape[1], 1)
+        v, todo, floor = raw[:, i], np.arange(s), min(basis.shape[1], 1)
         for attempt in range(64):
             if attempt:
-                v, gt = sampler.draw(len(todo)), g[todo] if g.ndim > 2 else g
-            e, ok, _ = _project(basis[todo], v, gt, np.maximum(floor, _norms(gt, v)))
+                v = sampler.draw(len(todo))
+            e, ok, _ = _project(basis[todo], v, g, np.maximum(floor, _norms(g, v)))
             out[i, todo[ok]], todo = e[ok], todo[~ok]
             if not len(todo):
                 break
@@ -126,26 +127,43 @@ def admissible_frames(g, J, sampler, count, size=2):
 
 
 def hermitian_residuals(g, J):
-    """Max-norm residuals (|J^2 + I|, |g(J.,J.) - g|) of a pair (g, J), or the
-    largest over stacks (..., n, n) of pairs."""
+    """Max-norm residuals (|J^2 + I|, |g(J.,J.) - g|) of a pair (g, J), or of
+    each pair of stacks (..., n, n): arrays of the stacks' leading shape."""
     g, J = np.asarray(g, dtype=float), np.asarray(J, dtype=float)
-    return (float(np.max(np.abs(J @ J + np.eye(J.shape[-1])))),
-            float(np.max(np.abs(np.swapaxes(J, -1, -2) @ g @ J - g))))
+    return (np.max(np.abs(J @ J + np.eye(J.shape[-1])), axis=(-2, -1)),
+            np.max(np.abs(np.swapaxes(J, -1, -2) @ g @ J - g), axis=(-2, -1)))
 
 
-def adapted_hermitian_frame(g, J, sampler):
-    """A g-orthonormal frame (e_1, Je_1, ..., e_m, Je_m).
+def adapted_frames(g, J):
+    """g-orthonormal frames E (..., n, n) with columns (e_1, Je_1, ..., e_m,
+    Je_m), one per pair (g, J) of a stack, in which J is ``canonical_j(n)``:
+    metric Gram-Schmidt with J over the coordinate vectors, each step taking
+    the one whose remainder is largest, so that E depends on (g, J) alone.
+    Nothing is checked: E is adapted only where J is an almost complex
+    structure compatible with g, and an odd last column stays zero."""
+    g, J = np.asarray(g, dtype=float), np.asarray(J, dtype=float)
+    n = g.shape[-1]
+    E = np.zeros(g.shape)
+    rest = np.broadcast_to(np.eye(n), g.shape).copy()  # remainders, as columns
+    for k in range(0, n - 1, 2):
+        norms = np.sum(rest * (g @ rest), axis=-2)
+        pick = np.argmax(norms, axis=-1)[..., None, None]
+        e = (np.take_along_axis(rest, pick, axis=-1)
+             / np.sqrt(np.take_along_axis(norms[..., None, :], pick, axis=-1)))
+        E[..., k:k + 1], E[..., k + 1:k + 2] = e, J @ e
+        for v in (e, J @ e):
+            rest -= v @ (np.swapaxes(v, -1, -2) @ g @ rest)
+    return E
 
-    Every even-position vector is exactly J applied to its predecessor.
-    """
-    J = np.asarray(J, dtype=float)
+
+def adapted_hermitian_frame(g, J):
+    """The adapted frame (e_1, Je_1, ..., e_m, Je_m) of one compatible pair
+    (g, J), as a list of vectors; IncompatibleStructureError otherwise."""
     r_square, r_compat = hermitian_residuals(g, J)
     if r_square > _HERMITIAN_TOL or r_compat > _HERMITIAN_TOL:
         raise IncompatibleStructureError(
             f"almost complex structure incompatible: |J^2+I|={r_square:.3e}, "
             f"|J^T g J - g|={r_compat:.3e}")
-    dim = len(g)
-    if dim % 2:
+    if len(g) % 2:
         raise IncompatibleStructureError("almost complex structure needs even dimension")
-    frame = orthonormal_frames(g, sampler.draw(dim // 2)[None], sampler, J)[:, 0]
-    return [v for e in frame for v in (e, J @ e)]
+    return list(adapted_frames(g, J).T)

@@ -75,23 +75,21 @@ def test_criterion_2_quadruple_nullspace():
 def test_criterion_3_product_vs_projective():
     prod = models.instantiate("product_K", K=1.0)
     points = [[0.1, -0.2, 0.07, 0.03], [0.0, 0.0, 0.0, 0.0]]
-    sampler = fr.FrameSampler(0, 4)
     kahler = scalar = weyl = ident_prod = 0.0
     for p in points:
-        ka, _ = cl.nabla_J_residuals(prod, cv.point_data(prod, p), sampler)
-        kahler = max(kahler, ka)
         pd = cv.point_data(prod, p)
+        ka, _ = cl.nabla_J_residuals(prod, pd)
+        kahler = max(kahler, ka)
         scalar = max(scalar, abs(pd.scalar))
         weyl = max(weyl, float(np.max(np.abs(pd.weyl))))
-        res = ax.proof_identity_residuals(pd.riemann, pd.g, pd.J,
-                                          fr.FrameSampler(0, 4), frames=64)
+        res = ax.proof_identity_residuals(
+            cl.frame_coordinates(pd.riemann, pd.g, pd.J, 1e-8), 4)
         ident_prod = max(ident_prod, max(v for v in res.values() if v is not None))
 
     cp2 = models.instantiate("fubini_study", m=2)
     pd = cv.point_data(cp2, [0.1, 0.2, -0.1, 0.05])
     cp2_weyl = float(np.max(np.abs(pd.weyl)))
-    res = ax.proof_identity_residuals(pd.riemann, pd.g, pd.J,
-                                      fr.FrameSampler(0, 4), frames=64)
+    res = ax.proof_identity_residuals(cl.frame_coordinates(pd.riemann, pd.g, pd.J, 1e-8), 4)
     cp2_ident = max(v for v in res.values() if v is not None)
 
     ok = (kahler <= 1e-9 and scalar <= 1e-9 and weyl <= 1e-8
@@ -109,11 +107,10 @@ def test_criterion_4_six_sphere():
     kahler = np.inf
     for _ in range(3):
         point = rng.uniform(-0.3, 0.3, size=6)
-        ka, nka = cl.nabla_J_residuals(chart, cv.point_data(chart, point), sampler,
-                                        samples=16)
+        pd = cv.point_data(chart, point)
+        ka, nka = cl.nabla_J_residuals(chart, pd)
         kahler = min(kahler, ka)
         nk = max(nk, nka)
-        pd = cv.point_data(chart, point)
         for _ in range(16):
             X, Y = fr.sample_orthonormal_set(pd.g, 2, sampler)
             sect_err = max(sect_err, abs(cv.sectional(pd.riemann, pd.g, X, Y) - 1.0))

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_polynomial_metric
 from hermgeo import axioms as ax
+from hermgeo import classify as cl
 from hermgeo import curvature as cv
 from hermgeo import frames as fr
 from hermgeo import models
@@ -67,18 +68,17 @@ def test_identity_residuals_on_models(rng):
     # flat: everything vanishes
     flat = models.instantiate("flat_kahler", m=2)
     pd = cv.point_data(flat, [0.1, 0.2, 0.3, 0.4])
-    out = ax.proof_identity_residuals(pd.riemann, pd.g, pd.J,
-                                      fr.FrameSampler(0, 4), frames=16)
+    out = ax.proof_identity_residuals(cl.frame_coordinates(pd.riemann, pd.g, pd.J, 1e-8), 4)
     assert out["3.5"] is None and out["3.8"] is None  # dim 4 regime
     assert all(v <= 1e-12 for v in out.values() if v is not None)
 
-    # constant sectional curvature with a compatible J: all identities hold
+    # constant sectional curvature with a compatible J: all identities hold,
+    # at every point of a stack
     s6 = models.instantiate("s6_nearly_kahler")
-    pd = cv.point_data(s6, rng.uniform(-0.3, 0.3, size=6))
-    out = ax.proof_identity_residuals(pd.riemann, pd.g, pd.J,
-                                      fr.FrameSampler(0, 6), frames=16)
+    pd = cv.point_data(s6, rng.uniform(-0.3, 0.3, size=(3, 6)))
+    out = ax.proof_identity_residuals(cl.frame_coordinates(pd.riemann, pd.g, pd.J, 1e-8), 6)
     assert out["3.8"] is None
-    assert all(v <= 1e-7 for v in out.values() if v is not None)
+    assert all(v <= 1e-12 for v in out.values() if v is not None)
 
 
 def test_quadruple_vanishing(rng):
@@ -341,17 +341,19 @@ def test_batched_checks_match_curvature_value(m, rng):
 
 
 def _hermitian_random_point(rng, n):
-    """Curvature, metric and canonical J at a point of a random metric, on
-    which none of the identities holds."""
+    """Curvature, metric and a compatible J at a point of a random metric,
+    on which none of the identities holds: J = L^-T J0 L^T for g = L L^T."""
     pd = cv.point_data(random_polynomial_metric(rng, n, scale=0.2),
                        rng.uniform(-0.3, 0.3, size=n))
-    return pd.riemann, pd.g, ax.canonical_j(n)
+    L = np.linalg.cholesky(pd.g)
+    return pd.riemann, pd.g, np.linalg.inv(L).T @ ax.canonical_j(n) @ L.T
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_proof_identity_residuals_match_per_frame_loop(n, rng):
+    # each bound is at least the identity's residual on every sampled frame
     R4, g, J = _hermitian_random_point(rng, n)
-    out = ax.proof_identity_residuals(R4, g, J, fr.FrameSampler(2, n), frames=12)
+    out = ax.proof_identity_residuals(cl.frame_coordinates(R4, g, J, 1e-8), n)
     sampler = fr.FrameSampler(2, n)
     worst = dict.fromkeys(out)
     for _ in range(12):
@@ -361,8 +363,41 @@ def test_proof_identity_residuals_match_per_frame_loop(n, rng):
             value = abs(values[0] - values[1]) if len(terms) == 2 else abs(values[0])
             worst[name] = max(worst[name] or 0.0, value)
     assert [v is None for v in out.values()] == [v is None for v in worst.values()]
-    assert all(out[name] is None or out[name] > 1e-4 for name in out)
-    assert all(abs(out[k] - v) <= 1e-13 * max(1.0, v) for k, v in worst.items() if v is not None)
+    assert all(v is None or 1e-4 < v <= out[k] for k, v in worst.items())
+
+
+# (n, verdict) -> dimension of the verdict's subspace V
+_NULLITIES = {
+    4: {"holomorphic_sectional": 12, "antiholomorphic_sectional": 7, "constant_type": 12,
+        "3.1": 14, "3.2": 12, "3.3": 13, "3.4": 13},
+    6: {"holomorphic_sectional": 70, "antiholomorphic_sectional": 16, "constant_type": 43,
+        "3.1": 69, "3.2": 57, "3.3": 42, "3.4": 66, "3.5": 22, "3.6": 22, "3.7": 36},
+}
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_verdict_space_nullities(n):
+    spaces = ax.verdict_spaces(n)
+    d = ax.curvature_space_dim(n)
+    assert {name: d - complement.shape[1] for name, (complement, _) in spaces.items()} \
+        == _NULLITIES[n]
+    for complement, factor in spaces.values():
+        assert np.max(np.abs(complement.T @ complement - np.eye(complement.shape[1]))) <= 1e-12
+        assert factor in (1.0, 2 ** 0.5)
+    assert ax.verdict_spaces(2).keys() == {"holomorphic_sectional"}
+    assert ax.verdict_spaces(5) == {}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_direct_identity_spaces_meet_in_k(m):
+    # the tensors that satisfy every identity of _DIRECT form K = {h (.) g}
+    n = 2 * m
+    spaces = ax.verdict_spaces(n)
+    complements = np.hstack([spaces[name][0] for name in ax._DIRECT if name in spaces])
+    sv = np.linalg.svd(complements, compute_uv=False)
+    products = ax._products(n)[0]
+    assert ax.curvature_space_dim(n) - np.sum(sv > 1e-8 * sv[0]) == n * (n + 1) // 2
+    assert np.max(np.abs(complements.T @ products)) <= 1e-12
 
 
 def test_quadruple_vanishing_residual_matches_per_sample_loop(rng):

@@ -10,6 +10,7 @@ from hermgeo import axioms as ax
 from hermgeo import cli, models, reportio
 from hermgeo import curvature as cv
 from hermgeo import expressions as ex
+from hermgeo import frames as fr
 from hermgeo import immersions as im
 
 
@@ -93,9 +94,8 @@ def test_analyze_hermitian_fields(tmp_path, capsys):
 @pytest.mark.parametrize("points", [["0.3,0.1,0.2,-0.1"],
                                     ["0.3,0.1,0.2,-0.1", "-0.2,0.4,0.1,0.3"]])
 def test_analyze_entries_are_the_constancy_samples(tmp_path, capsys, points):
-    # product_K's holomorphic sectional curvature varies with the plane, so
-    # two samplings of one point would disagree: each entry must state the
-    # numbers its constancy record was computed from
+    # product_K's holomorphic sectional curvature varies with the plane:
+    # each entry states the mean and bound its constancy record was computed from
     path = write_model(tmp_path, "product_K", K=1.0)
     code, out, _ = run_cli(capsys, "analyze", path, "--seed", "3",
                            *(f"--point={p}" for p in points))
@@ -107,7 +107,7 @@ def test_analyze_entries_are_the_constancy_samples(tmp_path, capsys, points):
         for i, entry in enumerate(doc["points"]):
             assert entry[key]["mean"] == records[key]["per_point_means"][i]
         if len(points) == 1:
-            assert doc["points"][0][key]["std"] == records[key]["residual"]
+            assert doc["points"][0][key]["bound"] == records[key]["residual"]
 
 
 def test_analyze_weyl_dim_too_low(tmp_path, capsys):
@@ -436,8 +436,7 @@ def test_analyze_negative_point_space_separated(tmp_path, capsys):
     ["analyze", "FILE", "--seed", "-1"],
     ["analyze", "FILE", "--frames", "3"],
     ["verify-theorem", "--m", "x"],
-    # refused by numpy up front: nothing is allocated
-    ["analyze", "FILE", "--samples", "1000000000000000"],
+    ["analyze", "FILE", "--samples", "1.5"],
     ["verify-theorem", "--m", "2", "--frames", "1000000000000000"],
     ["analyze", "FILE", "--tol", "nan"],
     ["classify", "FILE", "--tol", "-1"],
@@ -466,7 +465,57 @@ def test_analyze_one_sample_is_valid_json(tmp_path, capsys):
     path = write_model(tmp_path, "fubini_study", m=2)
     code, out, _ = run_cli(capsys, "analyze", path, "--samples", "1")
     assert code == 0
-    assert strict_json(out)["points"][0]["holomorphic_sectional"]["std"] == 0.0
+    assert strict_json(out)["points"][0]["holomorphic_sectional"]["bound"] <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_chart_commands_draw_no_frames(tmp_path, capsys, monkeypatch, command):
+    # chart verdicts are exact: no frame is drawn, and --seed and --samples
+    # (still accepted) change nothing
+    def draw(*args):
+        raise AssertionError("a chart command drew a frame")
+    monkeypatch.setattr(fr.FrameSampler, "draw", draw)
+    outputs = set()
+    for name, params in (("fubini_study", {"m": 3}), ("s6_nearly_kahler", {})):
+        path = write_model(tmp_path, name, **params)
+        for extra in ([], ["--seed", "5"], ["--seed", "123", "--samples", "1000000000000000"]):
+            code, out, err = run_cli(capsys, command, path, "--point=0.1,0.2,-0.1,0.3,0.05,0.0",
+                                     *extra)
+            assert code == 0, err
+            outputs.add(out)
+            assert "seed" not in out and "samples" not in out
+    assert len(outputs) == 2  # one per chart
+
+
+def test_identity_residuals_are_the_largest_over_every_point(tmp_path, capsys):
+    # a product of two surfaces whose curvatures vary: the identities fail,
+    # by more at the second point than at the first
+    a, b = "1 + x1^2", "2 + y2^2 + x1*y1"
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({
+        "name": "product", "dim": 4, "coordinates": ["x1", "y1", "x2", "y2"],
+        "metric": [[[a, a, b, b][i] if i == j else "0" for j in range(4)] for i in range(4)],
+        "complex_structure": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                              ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]}), encoding="utf-8")
+    points = ["--point=0.6,-0.3,0.2,0.5", "--point=0.1,0.2,-0.1,0.3"]
+    alone = []
+    for point in points:
+        code, out, err = run_cli(capsys, "analyze", str(path), point)
+        assert code == 0, err
+        alone.append(strict_json(out)["identity_residuals"])
+    code, out, _ = run_cli(capsys, "analyze", str(path), *points)
+    assert code == 0
+    both = strict_json(out)["identity_residuals"]
+    assert both == {k: None if v is None else max(v, alone[1][k]) for k, v in alone[0].items()}
+    assert all(alone[1][k] > 2 * v > 0.1 for k, v in alone[0].items() if v is not None)
+
+
+def test_chart_with_j_above_dimension_12_exits_3(tmp_path, capsys):
+    path = write_model(tmp_path, "flat_kahler", m=7)
+    for command in ("analyze", "classify"):
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 3 and out == ""
+        assert err == "error: exact chart verdicts are built up to dimension 12, got 14\n"
 
 
 @pytest.mark.parametrize("name", ["fubini_study", "flat_kahler"])
@@ -477,7 +526,7 @@ def test_two_dimensional_chart_with_j(tmp_path, capsys, name):
     assert code == 0, err
     doc = strict_json(out)
     assert doc["points"][0]["constant_type"] is None
-    assert doc["points"][0]["holomorphic_sectional"]["std"] <= 1e-12
+    assert doc["points"][0]["holomorphic_sectional"]["bound"] <= 1e-12
     assert all(v is None for v in doc["identity_residuals"].values())
     code, out, err = run_cli(capsys, "classify", path)
     assert code == 0, err

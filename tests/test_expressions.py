@@ -270,6 +270,32 @@ def test_tree_passes_take_time_linear_in_the_dag():
         assert time.perf_counter() - start < 0.1
 
 
+def _raw_sum(count, last="x"):
+    """x + 1 + 2 + ... + last, a left-nested sum of ``count`` terms built from
+    the raw node classes, so two of them share no node."""
+    e = ex.Sym("x")
+    for i in range(1, count - 1):
+        e = ex.BinOp("+", e, ex.Const(float(i)))
+    return ex.BinOp("+", e, ex.Sym(last))
+
+
+def test_equality_takes_no_stack_and_follows_nodes_not_paths():
+    a, b, c = _raw_sum(3000), _raw_sum(3000), _raw_sum(3000, "y")
+    assert a == b and not a != b
+    assert a != c and not a == c
+    # unshared copies of the 18-level DAG e*(e + 1): 37 nodes, 2^18 paths
+    copies = []
+    for _ in range(2):
+        e = ex.Sym("e")
+        for _ in range(18):
+            e = ex.BinOp("*", e, ex.BinOp("+", e, ex.Const(1.0)))
+        copies.append(e)
+    start = time.perf_counter()
+    assert copies[0] == copies[1] and copies[0] is not copies[1]
+    assert time.perf_counter() - start < 0.05
+    assert ex.Const(float("nan")) != ex.Const(float("nan")) and ex.Sym("x") != "x"
+
+
 def _long_sum():
     """x + 2*x + ... + 5000*x, parsed: a left-nested sum 5,000 terms deep."""
     return ex.parse(" + ".join(f"{i}*x" for i in range(1, 5001)), ["x"])

@@ -8,7 +8,6 @@ import pytest
 from hermgeo import classify as cl
 from hermgeo import curvature as cv
 from hermgeo import expressions as ex
-from hermgeo import frames as fr
 from hermgeo import models, reportio
 
 
@@ -61,8 +60,7 @@ def test_product_k(rng):
     pd = cv.point_data(chart, point)
     assert pd.scalar == pytest.approx(0.0, abs=1e-9)
     assert np.max(np.abs(pd.weyl)) <= 1e-8
-    sampler = fr.FrameSampler(0, 4)
-    ka, _ = cl.nabla_J_residuals(chart, pd, sampler)
+    ka, _ = cl.nabla_J_residuals(chart, pd)
     assert ka <= 1e-9
     # sectional curvature inside each factor matches +-K
     e = np.eye(4)
@@ -179,7 +177,7 @@ def test_expected_tables_present():
 def test_fubini_study_expected_matches_constancy():
     chart = models.instantiate("fubini_study", m=2)
     pd = cv.point_data(chart, [[0.0] * 4, [0.2, -0.1, 0.1, 0.3]])
-    report, _ = cl.constancy_report(chart, pd, fr.FrameSampler(0, 4), samples=16)
+    report, _ = cl.constancy_report(chart, pd)
     constants = {r["name"]: r["constant"] for r in report}
     for name, key in (("holomorphic_sectional", "hsc"),
                       ("antiholomorphic_sectional", "antiholomorphic_sectional"),
