@@ -287,8 +287,9 @@ def verdict_spaces(n):
     so the largest squared singular value is at most 2 * rows).  The two
     quadruples of an entry give orthogonal unit tensors, so sqrt(quadruples),
     the ``factor``, bounds every functional's norm.  Built once per n: about
-    30 ms for n = 6, 0.4 s for n = 8, 5 s for n = 10, and n = 12 at most
-    (UnsupportedDimensionError above); none in odd dimension.
+    30 ms for n = 6, 0.4 s for n = 8, 5 s for n = 10 and 35 s for n = 12,
+    the largest n taken (UnsupportedDimensionError above); none in odd
+    dimension.
     """
     if n % 2:
         return {}
