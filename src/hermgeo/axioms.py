@@ -216,122 +216,165 @@ def _identity_rows(space, entries):
 
 # ---------------------------------------------------------------------------
 # chart verdicts as distances from fixed subspaces
+#
+# In a g-orthonormal frame in which J is canonical_j(n), n = 2m, each verdict
+# asks linear conditions of R on every frame of a kind: an invariant takes one
+# value, an identity vanishes.  Those R form a subspace V that depends on m
+# alone and is invariant under U(m), so V's orthogonal complement is a sum of
+# U(m)-irreducible pieces of the curvature space (Tricerri and Vanhecke,
+# Trans. AMS 267, 1981).  Written in a unitary basis u_1..u_m, u_1'..u_m' (u'
+# the conjugate of u), R has blocks by the number of primed indices; with
+# T[a, b, c, d] its components:
+#
+#   Q   R(u, u, u, u): one piece, of real dimension m^2 (m^2 - 1) / 6;
+#   T3  R(u, u, u, u'): traceless part P0, and a symmetric (Ps, J-anti-invariant
+#       symmetric tensors) and a skew (Pa, J-anti-invariant 2-forms) trace;
+#   S   the part of R(u, u', u, u') symmetric in its unprimed indices, the
+#       Kahler curvature tensors: traceless part K0 (Bochner), an adjoint
+#       (traceless J-invariant symmetric tensors) and a trivial trace;
+#   A   R(u, u, u', u'): traceless part L0, an adjoint and a trivial trace.
+#
+# The adjoint and the trivial type occur twice, once in S and once in A, so
+# there a complement holds a line (c, s) of the plane of the two copies.  The
+# table gives, per verdict, the least m at which it exists, the quadruples of
+# one functional, the pieces its complement holds, and its two lines (None:
+# none) as unnormalized functions of m.  The complement is the U(m)-span of
+# the verdict's functionals at one unitary frame (less the trivial type for
+# an invariant): the table lists the pieces they reach, and the lines are
+# closed forms that their coordinates fit exactly for m = 2..8.  Tests
+# compare each complement with the span of functional rows on many frames.
 
 CONSTANCY = ("holomorphic_sectional", "antiholomorphic_sectional", "constant_type")
-_NULL_CUT = 1e-9        # squared singular values at most cut * rows span a verdict's subspace
-_SPARE_FRAMES = 8       # frames drawn beyond d for a verdict's subspace
-_MAX_VERDICT_DIM = 12   # d = 1716; the cost grows as d^3
 
 
-@functools.cache
-def _gather(n):
-    """(flat, weight) (d, 3): B^T of the entry vector of R (2 R_ijkl on the
-    diagonal, sqrt(8) R_ijkl off it), as indices into R's n^4 components."""
-    space = curvature_space(n)
-    p, q = space.entries.T
-    (i, j), (k, l) = space.pairs[p].T, space.pairs[q].T
-    scale = np.where(p == q, 2.0, 8 ** 0.5)
-    return (((i * n + j) * n + k) * n + l)[space.index], space.weight * scale[space.index]
+def _identity_line(m):
+    return math.sqrt(3 * (m - 2)), math.sqrt(m + 2)
 
 
-def coordinates(R4):
-    """Coordinates (..., d) in ``curvature_space(n)`` of curvature tensors R4
-    (..., n, n, n, n), ``_tensors`` inverted; their norm is R4's Frobenius norm."""
-    flat, weight = _gather(R4.shape[-1])
-    return np.sum(R4.reshape(*R4.shape[:-4], -1)[..., flat] * weight, axis=-1)
+def _identity_trace(m):
+    return math.sqrt(3 * (m - 1)), math.sqrt(m + 1)
 
 
-def _constancy(J, frame):
-    """The entries of the constancy invariants on frames (X, Y, ...), as
-    ``_identities``: R(X,JX,JX,X), and with Y, R(X,Y,Y,X) and the
-    constant-type combination R(X,Y,Y,X) - R(X,Y,JY,JX)."""
-    X, JX = frame[0], frame[0] @ J.T
-    out = [("holomorphic_sectional", (X, JX, JX, X))]
-    if len(frame) >= 2:
-        Y = frame[1]
-        out += [("antiholomorphic_sectional", (X, Y, Y, X)),
-                ("constant_type", (X, Y, Y, X), (X, Y, Y @ J.T, JX))]
-    return out
+_VERDICTS = {
+    "holomorphic_sectional": (1, 1, ("K0",), lambda m: (1, 0), None),
+    "antiholomorphic_sectional": (2, 1, ("K0", "L0", "Q", "Ps", "P0"),
+                                  lambda m: (-math.sqrt(m - 2), math.sqrt(3 * (m + 2))), None),
+    "constant_type": (2, 2, ("L0", "Q", "Ps", "P0"), lambda m: (0, 1), None),
+    "3.1": (2, 1, ("K0", "L0"), _identity_line, _identity_trace),
+    "3.2": (2, 1, ("K0", "L0", "Q"), _identity_line, _identity_trace),
+    "3.3": (2, 2, ("K0", "Pa", "P0"), None, None),
+    "3.4": (2, 2, ("K0", "Q"), None, None),
+    "3.5": (3, 1, ("K0", "L0", "Q", "Pa", "P0"), _identity_line, None),
+    "3.6": (3, 2, ("K0", "L0", "Q", "Pa", "P0"), _identity_line, None),
+    "3.7": (3, 2, ("K0", "Q", "P0"), None, None),
+    "3.8": (4, 1, ("K0", "L0", "Q", "P0"), None, None),
+}
 
 
-def _unitary_frames(n, count):
-    """``count`` frames (X, Y[, Z[, U]]) for g = I and J = ``canonical_j(n)``,
-    shape (min(n // 2, 4), count, n): the real forms of unitary frames, by
-    complex Gram-Schmidt on Gaussian vectors from a fixed generator, so no
-    FrameSampler draws."""
-    m, size = n // 2, min(n // 2, 4)
-    rng = np.random.Generator(np.random.PCG64(n))
-    z = rng.normal(size=(size, count, m)) + 1j * rng.normal(size=(size, count, m))
-    for k in range(size):
-        for j in range(k):
-            z[k] -= np.sum(z[j].conj() * z[k], axis=-1, keepdims=True) * z[j]
-        z[k] /= np.linalg.norm(z[k], axis=-1, keepdims=True)
-    out = np.zeros((size, count, n))
-    out[..., 0:2 * m:2], out[..., 1:2 * m:2] = z.real, z.imag
-    return out
+def unitary_basis(n):
+    """(n, n) complex: the columns u_a = (e_2a - i e_2a+1) / sqrt 2, a < m, with
+    J u_a = i u_a for J = ``canonical_j(n)``, then their conjugates; a last
+    column of zeros in odd dimension.  Unitary in even dimension."""
+    m, a = n // 2, np.arange(n // 2)
+    Q = np.zeros((n, n), dtype=complex)
+    Q[2 * a, a] = Q[2 * a, m + a] = 2 ** -0.5
+    Q[2 * a + 1, a], Q[2 * a + 1, m + a] = -1j * 2 ** -0.5, 1j * 2 ** -0.5
+    return Q
 
 
-@functools.cache
-def verdict_spaces(n):
-    """{verdict: (complement, factor)} of every chart verdict in dimension n:
-    the ``CONSTANCY`` invariants (only the first for n = 2) and the identities.
+def _over(a, b):
+    return a / b if b else 0.0
 
-    In a g-orthonormal frame in which J is ``canonical_j(n)``, each verdict
-    asks linear conditions of R on every frame of a kind: an invariant takes
-    one value, an identity vanishes.  Those R form a subspace V that depends
-    on n alone; ``complement`` (d, r) is an orthonormal basis of V's
-    orthogonal complement: the right singular vectors, with squared
-    singular value above _NULL_CUT * rows, of the verdict's
-    ``functional_row`` rows on one stack of ``_unitary_frames`` (differences
-    of consecutive frames for an invariant; a row's norm is at most sqrt 2,
-    so the largest squared singular value is at most 2 * rows).  The two
-    quadruples of an entry give orthogonal unit tensors, so sqrt(quadruples),
-    the ``factor``, bounds every functional's norm.  Built once per n: about
-    30 ms for n = 6, 0.4 s for n = 8, 5 s for n = 10 and 35 s for n = 12,
-    the largest n taken (UnsupportedDimensionError above); none in odd
-    dimension.
-    """
-    if n % 2:
+
+def _trace_free(X, h, beta, block):
+    """(rest, h0, tr h): X less block(h0) / beta + block(I) tr(h) / (m (beta + m)),
+    the part that carries its trace h (..., m, m), for a map block(k) whose
+    trace is beta k + tr(k) I; h0 is h's traceless part."""
+    m = h.shape[-1]
+    trace = np.trace(h, axis1=-2, axis2=-1)
+    h0 = h - trace[..., None, None] * np.eye(m) / m
+    scale = (trace * _over(1, m * (beta + m)))[..., None, None, None, None]
+    return X - _over(1, beta) * block(h0) - block(np.eye(m)) * scale, h0, trace
+
+
+def _pieces(T):
+    """(squares, adjoint, trivial) of R from its components T (..., n, n, n, n)
+    in a unitary basis (``unitary_basis``): the squared norms of R's
+    projections onto the pieces that occur once, and the coordinates (w_S,
+    w_A), (..., m, m) each, and (t_S, t_A) of its two adjoint and its two
+    trivial parts, scaled so that each part's norm is that of its coordinate."""
+    m = T.shape[-1] // 2
+    u, v, eye = slice(0, m), slice(m, 2 * m), np.eye(m)
+
+    def outer(k, spec):
+        return np.einsum(spec, k, eye)
+
+    M = T[..., u, v, u, v]
+    S = (M + np.swapaxes(M, -4, -2)) / 2
+    # k_ab I_cd + k_cd I_ab + k_ad I_cb + k_cb I_ad, trace (m + 2) k + tr(k) I
+    S0, h0S, tS = _trace_free(S, np.einsum("...abcc->...ab", S), m + 2, lambda k: (
+        outer(k, "...ab,cd->...abcd") + outer(k, "...cd,ab->...abcd")
+        + outer(k, "...ad,cb->...abcd") + outer(k, "...cb,ad->...abcd")))
+    A = T[..., u, u, v, v]
+    # k_ac I_bd + k_bd I_ac - k_ad I_bc - k_bc I_ad, trace (m - 2) k + tr(k) I
+    A0, h0A, tA = _trace_free(A, np.einsum("...abcb->...ac", A), m - 2, lambda k: (
+        outer(k, "...ac,bd->...abcd") + outer(k, "...bd,ac->...abcd")
+        - outer(k, "...ad,bc->...abcd") - outer(k, "...bc,ad->...abcd")))
+    T3 = T[..., u, u, u, v]
+    p = np.einsum("...axcx->...ac", T3)
+    ps, pa = (p + np.swapaxes(p, -1, -2)) / 2, (p - np.swapaxes(p, -1, -2)) / 2
+    # the trace part of T3 is C*(k): k_ac I_bd made skew in (a, b), less its
+    # part totally skew in (a, b, c); C C* is (m - 1) / 2 on symmetric k and
+    # (m + 1) / 6 on skew k
+    k = _over(2, m - 1) * ps + 6 / (m + 1) * pa
+    X = (outer(k, "...ac,bd->...abcd") - outer(k, "...bc,ad->...abcd")) / 2
+    T30 = T3 - (2 * X - np.einsum("...bcad->...abcd", X) - np.einsum("...cabd->...abcd", X)) / 3
+
+    def square(x, factor):
+        return factor * np.sum(np.abs(x) ** 2, axis=tuple(range(-x.ndim + T.ndim - 4, 0)))
+
+    squares = {"Q": square(T[..., u, u, u, u], 2), "P0": square(T30, 8),
+               "Ps": square(ps, _over(16, m - 1)), "Pa": square(pa, 48 / (m + 1)),
+               "K0": square(S0, 4), "L0": square(A0, 3)}
+    adjoint = 4 / math.sqrt(m + 2) * h0S, math.sqrt(_over(12, max(m - 2, 0))) * h0A
+    trivial = math.sqrt(8 / (m * (m + 1))) * tS, math.sqrt(_over(6, m * (m - 1))) * tA
+    return squares, adjoint, trivial
+
+
+def verdict_bounds(T, names):
+    """{verdict: bound} for each of ``names`` that exists in dimension n (none
+    in odd n), from the components T (..., n, n, n, n) of R in unitary frames
+    (``classify.unitary_components``): sqrt(quadruples) times the distance of
+    R from the verdict's subspace V.  A unit quadruple's functional has norm
+    at most 1 and the two quadruples of an entry give orthogonal tensors, so
+    the bound holds, on every frame of the verdict's kind, for how far each
+    of its functionals lies from its value on the projection of R onto V:
+    the invariant's mean, or 0 for an identity."""
+    n = T.shape[-1]
+    todo = [name for name in names if name in _VERDICTS and _VERDICTS[name][0] <= n // 2]
+    if n % 2 or not todo:
         return {}
-    if n > _MAX_VERDICT_DIM:
-        raise cv.UnsupportedDimensionError(
-            f"exact chart verdicts are built up to dimension {_MAX_VERDICT_DIM}, got {n}")
-    space, J = curvature_space(n), canonical_j(n)
-    frame = _unitary_frames(n, space.dim + _SPARE_FRAMES)
-    entries = _constancy(J, frame) + (_identities(J, frame) if len(frame) > 1 else [])
+    squares, adjoint, trivial = _pieces(T)
     out = {}
-    for name in dict.fromkeys(name for name, *_ in entries):
-        mine = [entry for entry in entries if entry[0] == name]
-        rows = _identity_rows(space, mine)
-        rows = (np.diff(rows, axis=0) if name in CONSTANCY else rows).reshape(-1, space.dim)
-        # an SVD of the rows, not eigh of their Gram matrix: it is accurate
-        # to rounding times the condition of the rows, not its square, so
-        # the bounds of passing verdicts stay at rounding level whatever the
-        # number of BLAS threads
-        _, sv, vt = np.linalg.svd(rows, full_matrices=False)
-        out[name] = vt[sv ** 2 > _NULL_CUT * len(rows)].T, math.sqrt(len(mine[0]) - 1)
+    for name in todo:
+        _, quadruples, held, adjoint_line, trivial_line = _VERDICTS[name]
+        total = sum(squares[piece] for piece in held)
+        for line, (first, second), axes in ((adjoint_line, adjoint, (-2, -1)),
+                                            (trivial_line, trivial, ())):
+            if line is not None:
+                c, s = line(n // 2)
+                total = total + np.sum(np.abs(c * first + s * second) ** 2, axis=axes) / (c * c + s * s)
+        out[name] = math.sqrt(quadruples) * np.sqrt(total)
     return out
 
 
-def verdict_bounds(coords, n, names):
-    """{verdict: bound} for each of ``names`` in ``verdict_spaces(n)``, at the
-    coordinates (..., d) of R in adapted frames: factor times the distance
-    from V.  It bounds, on every frame of the verdict's kind, how far each of
-    its functionals lies from its value on the projection of R onto V: the
-    invariant's mean, or 0 for an identity."""
-    spaces = verdict_spaces(n)
-    coords = coords[..., None, :]  # one product per point: a point's bound ignores the stack
-    return {name: spaces[name][1] * np.linalg.norm((coords @ spaces[name][0])[..., 0, :], axis=-1)
-            for name in names if name in spaces}
-
-
-def proof_identity_residuals(coords, n):
+def proof_identity_residuals(T):
     """{identity: bound} of (3.1)...(3.8): the largest over the points of the
     ``verdict_bounds`` on |R| over every admissible frame, from the
-    coordinates (..., d) of R in adapted frames, NaN where there is none.
-    None outside the identity's regime ((3.5)-(3.7) need n >= 6, (3.8)
-    n >= 8, none n = 2) or if some point has no adapted frame."""
-    bounds = verdict_bounds(coords, n, _IDENTITY_NAMES)
+    components T (..., n, n, n, n) of R in unitary frames, NaN where there is
+    none.  None outside the identity's regime ((3.5)-(3.7) need n >= 6, (3.8)
+    n >= 8, none n = 2) or if some point has no unitary frame."""
+    bounds = verdict_bounds(T, _IDENTITY_NAMES)
     worst = {name: float(np.max(bound)) for name, bound in bounds.items()}
     return {name: None if math.isnan(worst.get(name, math.nan)) else worst[name]
             for name in _IDENTITY_NAMES}

@@ -6,7 +6,7 @@ frames" is decided exactly at each point, with no sampled frame: nearly
 Kahler by a norm of the symmetric part of nabla J, the constancy of the
 holomorphic and antiholomorphic sectional curvature, constant type and the
 identities (3.1)...(3.8) by the distance of R, written in the adapted frame
-of the point, from a fixed subspace (``axioms.verdict_spaces``).  Reports
+of the point, from a fixed subspace (``axioms.verdict_bounds``).  Reports
 depend on the chart and its points alone.
 """
 
@@ -76,16 +76,18 @@ def rk_residual(R4, J):
     return float(np.max(np.abs(R4 - _each_index(R4, J))))
 
 
-def frame_coordinates(R4, g, J, tolerance):
-    """Coordinates (..., d) in ``axioms.curvature_space(n)`` of the tensors R4
-    (..., n, n, n, n) written in the adapted frame of each pair (g, J)
-    (``frames.adapted_frames``), NaN where there is none: at a point where
-    j_squared or j_compatible fails within ``tolerance``, and in odd
-    dimension."""
-    r_square, r_compat = fr.hermitian_residuals(g, J)
-    ok = (r_square <= tolerance) & (r_compat <= tolerance) & (g.shape[-1] % 2 == 0)
-    coords = ax.coordinates(_each_index(R4, fr.adapted_frames(g, J)))
-    return np.where(ok[..., None], coords, np.nan)
+def unitary_components(R4, g, J, tolerance=1e-8, residuals=None):
+    """Components (..., n, n, n, n) of the tensors R4 (..., n, n, n, n) in the
+    unitary basis (``axioms.unitary_basis``) of the adapted frame of each pair
+    (g, J) (``frames.adapted_frames``), NaN where there is none: where either
+    of the pair's ``residuals`` (``frames.hermitian_residuals``, computed if
+    not given) exceeds ``tolerance``, and in odd dimension."""
+    n = g.shape[-1]
+    if residuals is None:
+        residuals = fr.hermitian_residuals(g, J)
+    ok = (residuals[0] <= tolerance) & (residuals[1] <= tolerance) & (n % 2 == 0)
+    T = _each_index(R4, fr.adapted_frames(g, J) @ ax.unitary_basis(n))
+    return np.where(ok[..., None, None, None, None], T, np.nan)
 
 
 def plane_type(vectors, g, J):
@@ -131,10 +133,10 @@ def _means(pd):
     return out
 
 
-def constancy_report(chart, pd, coords=None, tolerance=1e-8):
+def constancy_report(chart, pd, components=None, tolerance=1e-8):
     """Per-point and cross-point constancy of the three chart invariants
     (``axioms.CONSTANCY``) over the points of ``pd``, from their
-    ``frame_coordinates`` ``coords`` (computed if not given).
+    ``unitary_components`` (computed if not given).
 
     Returns (records, per_point).  per_point holds, per invariant, its
     (mean, bound) at each point: the exact mean of ``_means`` and the bound
@@ -145,11 +147,11 @@ def constancy_report(chart, pd, coords=None, tolerance=1e-8):
     tolerance, and "global" also needs the means to agree.  A record with a
     None pair has null values.
     """
-    _require_j(chart, pd)
-    if coords is None:
-        coords = frame_coordinates(pd.riemann, pd.g, pd.J, tolerance)
+    J = _require_j(chart, pd)
+    if components is None:
+        components = unitary_components(pd.riemann, pd.g, J, tolerance)
     count = pd.point.size // chart.dim
-    means, bounds = _means(pd), ax.verdict_bounds(coords, chart.dim, ax.CONSTANCY)
+    means, bounds = _means(pd), ax.verdict_bounds(components, ax.CONSTANCY)
     stats, report = {}, []
     for name in ax.CONSTANCY:
         pairs = stats[name] = [None] * count if name not in bounds else [
@@ -171,20 +173,24 @@ def constancy_report(chart, pd, coords=None, tolerance=1e-8):
     return report, stats
 
 
-def classify_chart(chart, pd, tolerance=1e-8, coords=None):
+def classify_chart(chart, pd, tolerance=1e-8, residuals=None, components=None):
     """(record, per_point): the classification record of a chart with an almost
     complex structure over the points of ``pd`` (compatibility, Kahler/NK/RK
     flags, conformal flatness, constancy) and constancy_report's per_point.
     Each check reads the whole stack once; its residual is the largest over
-    the points.  ``coords`` are ``frame_coordinates`` of the points, computed
-    if not given."""
+    the points.  ``residuals`` (``frames.hermitian_residuals``) and
+    ``components`` (``unitary_components``) of the points are computed if
+    not given."""
     checks = []
 
     def record(name, residual):
         checks.append({"name": name, "residual": float(residual),
                        "pass": bool(residual <= tolerance), "tolerance": tolerance})
 
-    r_sq, r_comp = fr.hermitian_residuals(pd.g, _require_j(chart, pd))
+    J = _require_j(chart, pd)
+    r_sq, r_comp = residuals = fr.hermitian_residuals(pd.g, J) if residuals is None else residuals
+    if components is None:
+        components = unitary_components(pd.riemann, pd.g, J, tolerance, residuals)
     kahler, nk = nabla_J_residuals(chart, pd)
     record("j_squared", np.max(r_sq))
     record("j_compatible", np.max(r_comp))
@@ -193,6 +199,6 @@ def classify_chart(chart, pd, tolerance=1e-8, coords=None):
     record("rk", rk_residual(pd.riemann, pd.J))
     if chart.dim >= 4:
         record("conformally_flat", np.max(cv.relative_weyl_norm(pd)))
-    constancy, per_point = constancy_report(chart, pd, coords, tolerance)
+    constancy, per_point = constancy_report(chart, pd, components, tolerance)
     return {"chart": chart.name, "points": pd.point.reshape(-1, chart.dim).tolist(),
             "checks": checks, "constancy": constancy}, per_point

@@ -69,10 +69,11 @@ def _analyze_report(chart, points, tol, require_weyl):
     pd = cv.point_data(chart, points)
     per_point = {}
     if chart.has_j():
-        coords = cl.frame_coordinates(pd.riemann, pd.g, pd.J, tol)
-        classification, per_point = cl.classify_chart(chart, pd, tolerance=tol, coords=coords)
+        residuals = fr.hermitian_residuals(pd.g, pd.J)
+        components = cl.unitary_components(pd.riemann, pd.g, pd.J, tol, residuals)
+        classification, per_point = cl.classify_chart(chart, pd, tol, residuals, components)
         report.update(checks=classification["checks"], constancy=classification["constancy"])
-        report["identity_residuals"] = ax.proof_identity_residuals(coords, chart.dim)
+        report["identity_residuals"] = ax.proof_identity_residuals(components)
     weyl_norms = cv.relative_weyl_norm(pd) if pd.weyl is not None else None
     for i, point in enumerate(pd.point):
         entry = {"point": point.tolist(), "scalar_curvature": float(pd.scalar[i])}
@@ -278,8 +279,7 @@ def main(argv=None):
         return EXIT_USAGE
     except (ex.DomainError, ex.MissingBindingError, cv.SingularMetricError,
             cv.UnsupportedDimensionError, cv.DegeneratePlaneError,
-            cl.MissingStructureError, fr.RankDeficiencyError,
-            fr.IncompatibleStructureError) as exc:
+            cl.MissingStructureError, fr.RankDeficiencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

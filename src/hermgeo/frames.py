@@ -14,12 +14,7 @@ class RankDeficiencyError(ValueError):
     pass
 
 
-class IncompatibleStructureError(ValueError):
-    pass
-
-
 _PIVOT = 1e-10
-_HERMITIAN_TOL = 1e-9
 
 
 class FrameSampler:
@@ -154,16 +149,3 @@ def adapted_frames(g, J):
         for v in (e, J @ e):
             rest -= v @ (np.swapaxes(v, -1, -2) @ g @ rest)
     return E
-
-
-def adapted_hermitian_frame(g, J):
-    """The adapted frame (e_1, Je_1, ..., e_m, Je_m) of one compatible pair
-    (g, J), as a list of vectors; IncompatibleStructureError otherwise."""
-    r_square, r_compat = hermitian_residuals(g, J)
-    if r_square > _HERMITIAN_TOL or r_compat > _HERMITIAN_TOL:
-        raise IncompatibleStructureError(
-            f"almost complex structure incompatible: |J^2+I|={r_square:.3e}, "
-            f"|J^T g J - g|={r_compat:.3e}")
-    if len(g) % 2:
-        raise IncompatibleStructureError("almost complex structure needs even dimension")
-    return list(adapted_frames(g, J).T)

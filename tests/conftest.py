@@ -63,6 +63,31 @@ def conformal_rescale(chart, phi):
                             coordinates=list(chart.coordinates), metric=metric)
 
 
+def unitary_frames(n, count, rng):
+    """``count`` random frames (X, Y[, Z[, U]]) for g = I and J = canonical_j(n),
+    shape (min(n // 2, 4), count, n): the real forms of the first columns of
+    random unitary matrices, so each frame is admissible."""
+    m, size = n // 2, min(n // 2, 4)
+    q = np.linalg.qr(rng.normal(size=(count, m, m)) + 1j * rng.normal(size=(count, m, m)))[0]
+    out = np.zeros((size, count, n))
+    out[..., 0::2] = np.moveaxis(q.real[..., :size], -1, 0)
+    out[..., 1::2] = np.moveaxis(q.imag[..., :size], -1, 0)
+    return out
+
+
+def constancy_entries(J, frame):
+    """The entries of the constancy invariants on frames (X, Y, ...), as
+    ``axioms._identities`` gives them: R(X,JX,JX,X), and with Y, R(X,Y,Y,X)
+    and the constant-type combination R(X,Y,Y,X) - R(X,Y,JY,JX)."""
+    X, JX = frame[0], frame[0] @ J.T
+    out = [("holomorphic_sectional", (X, JX, JX, X))]
+    if len(frame) >= 2:
+        Y = frame[1]
+        out += [("antiholomorphic_sectional", (X, Y, Y, X)),
+                ("constant_type", (X, Y, Y, X), (X, Y, Y @ J.T, JX))]
+    return out
+
+
 def with_headroom(frames, fn):
     """fn(), called from nesting deep enough that only ``frames`` frames are
     left below the recursion limit."""

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_polynomial_metric
+from conftest import constancy_entries, random_polynomial_metric, unitary_frames
 from hermgeo import axioms as ax
 from hermgeo import classify as cl
 from hermgeo import curvature as cv
 from hermgeo import frames as fr
 from hermgeo import models
+from hermgeo.axioms import canonical_j
 
 
 def test_curvature_space_dim():
@@ -68,7 +69,7 @@ def test_identity_residuals_on_models(rng):
     # flat: everything vanishes
     flat = models.instantiate("flat_kahler", m=2)
     pd = cv.point_data(flat, [0.1, 0.2, 0.3, 0.4])
-    out = ax.proof_identity_residuals(cl.frame_coordinates(pd.riemann, pd.g, pd.J, 1e-8), 4)
+    out = ax.proof_identity_residuals(cl.unitary_components(pd.riemann, pd.g, pd.J))
     assert out["3.5"] is None and out["3.8"] is None  # dim 4 regime
     assert all(v <= 1e-12 for v in out.values() if v is not None)
 
@@ -76,7 +77,7 @@ def test_identity_residuals_on_models(rng):
     # at every point of a stack
     s6 = models.instantiate("s6_nearly_kahler")
     pd = cv.point_data(s6, rng.uniform(-0.3, 0.3, size=(3, 6)))
-    out = ax.proof_identity_residuals(cl.frame_coordinates(pd.riemann, pd.g, pd.J, 1e-8), 6)
+    out = ax.proof_identity_residuals(cl.unitary_components(pd.riemann, pd.g, pd.J))
     assert out["3.8"] is None
     assert all(v <= 1e-12 for v in out.values() if v is not None)
 
@@ -353,7 +354,7 @@ def _hermitian_random_point(rng, n):
 def test_proof_identity_residuals_match_per_frame_loop(n, rng):
     # each bound is at least the identity's residual on every sampled frame
     R4, g, J = _hermitian_random_point(rng, n)
-    out = ax.proof_identity_residuals(cl.frame_coordinates(R4, g, J, 1e-8), n)
+    out = ax.proof_identity_residuals(cl.unitary_components(R4, g, J))
     sampler = fr.FrameSampler(2, n)
     worst = dict.fromkeys(out)
     for _ in range(12):
@@ -372,32 +373,109 @@ _NULLITIES = {
         "3.1": 14, "3.2": 12, "3.3": 13, "3.4": 13},
     6: {"holomorphic_sectional": 70, "antiholomorphic_sectional": 16, "constant_type": 43,
         "3.1": 69, "3.2": 57, "3.3": 42, "3.4": 66, "3.5": 22, "3.6": 22, "3.7": 36},
+    8: {"holomorphic_sectional": 237, "antiholomorphic_sectional": 29, "constant_type": 113,
+        "3.1": 216, "3.2": 176, "3.3": 112, "3.4": 212, "3.5": 37, "3.6": 37, "3.7": 84,
+        "3.8": 64},
 }
 
 
-@pytest.mark.parametrize("n", [4, 6])
-def test_verdict_space_nullities(n):
-    spaces = ax.verdict_spaces(n)
+def _distances(n, coords, names):
+    """{verdict: distance (k,)} of the tensors with coordinates ``coords`` (k, d),
+    taken in a frame in which J is canonical, from each verdict's subspace:
+    the closed-form bound over sqrt(quadruples)."""
+    R4 = ax._tensors(ax.curvature_space(n), coords)
+    g, J = np.broadcast_to(np.eye(n), R4.shape[:-2]), np.broadcast_to(canonical_j(n), R4.shape[:-2])
+    T = cl.unitary_components(R4, g, J)
+    return {name: bound / np.sqrt(ax._VERDICTS[name][1])
+            for name, bound in ax.verdict_bounds(T, names).items()}
+
+
+def _complement(n, name, rng):
+    """Orthonormal basis (d, r) of the complement of a verdict's subspace: the
+    right singular vectors of its functional rows on d + 8 random unitary
+    frames (differences of consecutive frames for an invariant)."""
+    space, J = ax.curvature_space(n), canonical_j(n)
+    frame = unitary_frames(n, space.dim + 8, rng)
+    entries = [entry for entry in constancy_entries(J, frame) + ax._identities(J, frame)
+               if entry[0] == name]
+    rows = ax._identity_rows(space, entries)
+    rows = (np.diff(rows, axis=0) if name in ax.CONSTANCY else rows).reshape(-1, space.dim)
+    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    return vt[sv > 1e-8 * sv[0]].T
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_closed_form_distances_match_the_functional_rows(n, rng):
+    # each verdict's closed-form distance is the norm of the projection onto
+    # the span of its functional rows, on random tensors and summed over a
+    # basis (the trace of that projection: the complement's dimension)
     d = ax.curvature_space_dim(n)
-    assert {name: d - complement.shape[1] for name, (complement, _) in spaces.items()} \
-        == _NULLITIES[n]
-    for complement, factor in spaces.values():
-        assert np.max(np.abs(complement.T @ complement - np.eye(complement.shape[1]))) <= 1e-12
-        assert factor in (1.0, 2 ** 0.5)
-    assert ax.verdict_spaces(2).keys() == {"holomorphic_sectional"}
-    assert ax.verdict_spaces(5) == {}
+    x = rng.normal(size=(10, d))
+    names = _NULLITIES[n]
+    distances = _distances(n, x, names)
+    traces = {name: float(np.sum(v ** 2)) for name, v in _distances(n, np.eye(d), names).items()}
+    assert distances.keys() == names.keys()
+    for name, nullity in names.items():
+        C = _complement(n, name, rng)
+        assert d - C.shape[1] == nullity, name
+        assert traces[name] == pytest.approx(d - nullity, abs=1e-9), name
+        assert np.max(np.abs(distances[name] ** 2 - np.sum((x @ C) ** 2, axis=1))) \
+            <= 1e-12 * np.sum(x ** 2, axis=1).max(), name
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_functional_rows_lie_in_the_closed_form_complements(n, rng):
+    # beyond the sizes where the complements are rebuilt: each functional at
+    # a frame (a difference of two frames for an invariant) is its own
+    # distance from the verdict's subspace, and the functionals reach every
+    # piece and line that the complement holds
+    space, J = ax.curvature_space(n), canonical_j(n)
+    frame = unitary_frames(n, 2, rng)
+    entries = constancy_entries(J, frame) + ax._identities(J, frame)
+    rows = ax._identity_rows(space, entries)
+    reached = {}
+    for k, (name, *_) in enumerate(entries):
+        row = rows[0, k] - rows[1, k] if name in ax.CONSTANCY else rows[0, k]
+        distance = _distances(n, row, [name])[name]
+        assert distance == pytest.approx(np.linalg.norm(row), rel=1e-12), name
+        R4 = ax._tensors(space, row)
+        squares, adjoint, trivial = ax._pieces(cl._each_index(R4, ax.unitary_basis(n)))
+        parts = {**squares, "adjoint": sum(np.sum(np.abs(w) ** 2) for w in adjoint),
+                 "trivial": sum(abs(t) ** 2 for t in trivial)}
+        reached[name] = {p: max(v, reached.get(name, {}).get(p, 0.0)) for p, v in parts.items()}
+    for name, (_, _, held, adjoint_line, trivial_line) in ax._VERDICTS.items():
+        wanted = [*held, *(["adjoint"] if adjoint_line else []), *(["trivial"] if trivial_line else [])]
+        assert all(reached[name][p] > 1e-6 for p in wanted), (name, reached[name])
+
+
+def test_verdicts_by_dimension():
+    names = (*ax.CONSTANCY, *ax._IDENTITY_NAMES)
+    for n, least in ((2, 1), (4, 7), (6, 10), (8, 11), (12, 11)):
+        T = np.zeros((n,) * 4, dtype=complex)
+        bounds = ax.verdict_bounds(T, names)
+        assert len(bounds) == least and all(v == 0 for v in bounds.values())
+    assert ax.verdict_bounds(np.zeros((5,) * 4), names) == {}
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_direct_identity_spaces_meet_in_k(m):
-    # the tensors that satisfy every identity of _DIRECT form K = {h (.) g}
-    n = 2 * m
-    spaces = ax.verdict_spaces(n)
-    complements = np.hstack([spaces[name][0] for name in ax._DIRECT if name in spaces])
-    sv = np.linalg.svd(complements, compute_uv=False)
+    # the tensors that satisfy every identity of _DIRECT form K = {h (.) g}:
+    # the sum of their squared distances is a form whose kernel is K
+    n, d = 2 * m, ax.curvature_space_dim(2 * m)
+    i, j = np.triu_indices(d)
+    eye = np.eye(d)
+
+    def form(x):
+        return sum(v ** 2 for v in _distances(n, x, ax._DIRECT).values())
+
+    G = np.zeros((d, d))
+    for block in np.array_split(np.arange(len(i)), 8):
+        a, b = eye[i[block]], eye[j[block]]
+        G[i[block], j[block]] = G[j[block], i[block]] = (form(a + b) - form(a - b)) / 4
+    eigenvalues = np.linalg.eigvalsh(G)
     products = ax._products(n)[0]
-    assert ax.curvature_space_dim(n) - np.sum(sv > 1e-8 * sv[0]) == n * (n + 1) // 2
-    assert np.max(np.abs(complements.T @ products)) <= 1e-12
+    assert np.sum(eigenvalues < 1e-9) == n * (n + 1) // 2 and eigenvalues[0] > -1e-12
+    assert np.max(np.abs(G @ products)) <= 1e-12
 
 
 def test_quadruple_vanishing_residual_matches_per_sample_loop(rng):

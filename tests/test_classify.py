@@ -3,7 +3,8 @@ import functools
 import numpy as np
 import pytest
 
-from conftest import chart_from_strings, flat_chart, random_polynomial_metric
+from conftest import (chart_from_strings, constancy_entries, flat_chart,
+                      random_polynomial_metric, unitary_frames)
 from hermgeo import axioms as ax
 from hermgeo import classify as cl
 from hermgeo import curvature as cv
@@ -201,8 +202,8 @@ def _exact_verdicts(R4, g, J):
     """(means, bounds) of the constancy invariants and bounds of the
     identities of one tensor R4 at a compatible pair (g, J)."""
     n = len(g)
-    coords = cl.frame_coordinates(R4, g, J, 1e-8)
-    bounds = ax.verdict_bounds(coords, n, (*ax.CONSTANCY, *ax._IDENTITY_NAMES))
+    bounds = ax.verdict_bounds(cl.unitary_components(R4, g, J),
+                               (*ax.CONSTANCY, *ax._IDENTITY_NAMES))
     pd = cv.PointData(point=np.zeros(n), g=g, g_inv=np.linalg.inv(g), J=J, dJ=None, gamma=None,
                       riemann=R4, ricci=None, scalar=cv.ricci_scalar(R4, g)[1], weyl=None)
     return cl._means(pd), bounds
@@ -300,37 +301,50 @@ def test_nearly_kahler_bound_on_s6(rng):
     assert _largest_sampled_nk(chart, pd) <= nk + 1e-15 and nk <= 1e-14
 
 
-def test_means_are_the_functional_at_a_frame_of_the_projection(rng):
-    # the constant of each invariant is its value on the projection of R
-    # onto the invariant's subspace, at any one frame of its kind
+def test_means_are_the_functional_on_the_invariant_part(rng):
+    # the constant of each invariant is its value, at any frame of its kind,
+    # on the projection of R (in the adapted frame) onto the U(m)-invariant
+    # tensors, spanned by the constant-curvature tensor and the projected
+    # omega (x) omega: the rest averages to zero over the frames
     for n in (4, 6):
         g, J = _compatible_pair(rng, n)
         R4 = ax._tensors(ax.curvature_space(n), rng.normal(size=ax.curvature_space_dim(n)))
         means, _ = _exact_verdicts(R4, g, J)
-        x = cl.frame_coordinates(R4, g, J, 1e-8)
-        space, frame = ax.curvature_space(n), ax._unitary_frames(n, 1)[:, 0]
-        for name, *terms in ax._constancy(canonical_j(n), frame):
-            complement = ax.verdict_spaces(n)[name][0]
-            projected = x - complement @ (complement.T @ x)
-            rows = [ax.functional_row(space, *quad) for quad in terms]
-            row = rows[0] - rows[1] if len(rows) == 2 else rows[0]
-            assert row @ projected == pytest.approx(means[name], abs=1e-12), (n, name)
+        E = fr.adapted_frames(g, J)
+        RE = np.einsum("ijkl,ia,jb,kc,ld->abcd", R4, E, E, E, E)
+        eye, w = np.eye(n), canonical_j(n)
+        invariant = [np.einsum("il,jk->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye),
+                     np.einsum("ij,kl->ijkl", w, w)]
+        basis = np.linalg.qr(ax.curvature_basis(n) @ np.reshape(invariant, (2, -1)).T)[0]
+        part = ax._tensors(ax.curvature_space(n), basis @ (basis.T @ ax.curvature_basis(n) @ RE.ravel()))
+        frame = unitary_frames(n, 3, rng)
+        for name, *terms in constancy_entries(w, frame):
+            values = [cv.curvature_values(part, *quad) for quad in terms]
+            value = values[0] - values[1] if len(values) == 2 else values[0]
+            assert np.max(np.abs(value - means[name])) <= 1e-12, (n, name)
 
 
-def test_adapted_frame_coordinates(rng):
+def test_unitary_components(rng):
     g, J = _compatible_pair(rng, 6)
     E = fr.adapted_frames(g, J)
     assert np.max(np.abs(E.T @ g @ E - np.eye(6))) <= 1e-13
     assert np.max(np.abs(np.linalg.solve(E, J @ E) - canonical_j(6))) <= 1e-13
+    Q = ax.unitary_basis(6)
+    assert np.max(np.abs(Q.conj().T @ Q - np.eye(6))) <= 1e-15
+    assert np.max(np.abs(canonical_j(6) @ Q[:, :3] - 1j * Q[:, :3])) <= 1e-15
     R4 = ax._tensors(ax.curvature_space(6), rng.normal(size=105))
-    x = cl.frame_coordinates(R4, g, J, 1e-8)
+    T = cl.unitary_components(R4, g, J)
+    F = E @ Q
+    assert np.max(np.abs(np.einsum("ijkl,ia,jb,kc,ld->abcd", R4, F, F, F, F) - T)) <= 1e-12
     RE = np.einsum("ijkl,ia,jb,kc,ld->abcd", R4, E, E, E, E)
-    assert np.max(np.abs(ax._tensors(ax.curvature_space(6), x) - RE)) <= 1e-12
-    assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(RE), rel=1e-13)
+    assert np.linalg.norm(T) == pytest.approx(np.linalg.norm(RE), rel=1e-13)
     # a stack gives each pair its own frame
     stack = np.stack([g, np.eye(6)]), np.stack([J, canonical_j(6)])
     assert np.array_equal(fr.adapted_frames(*stack)[0], E)
     assert np.array_equal(fr.adapted_frames(*stack)[1], np.eye(6))
+    # no unitary frame where J fails j_squared or j_compatible, or in odd dimension
+    assert np.all(np.isnan(cl.unitary_components(R4, g, 1.01 * J)))
+    assert np.all(np.isnan(cl.unitary_components(np.zeros((5,) * 4), np.eye(5), np.eye(5))))
 
 
 @pytest.mark.parametrize("name, params", [("s6_nearly_kahler", {}), ("fubini_study", {"m": 2}),

@@ -510,12 +510,17 @@ def test_identity_residuals_are_the_largest_over_every_point(tmp_path, capsys):
     assert all(alone[1][k] > 2 * v > 0.1 for k, v in alone[0].items() if v is not None)
 
 
-def test_chart_with_j_above_dimension_12_exits_3(tmp_path, capsys):
+def test_chart_with_j_in_dimension_14_gets_exact_verdicts(tmp_path, capsys):
+    # the verdicts are closed forms in m: no dimension cap below the models'
     path = write_model(tmp_path, "flat_kahler", m=7)
-    for command in ("analyze", "classify"):
-        code, out, err = run_cli(capsys, command, path)
-        assert code == 3 and out == ""
-        assert err == "error: exact chart verdicts are built up to dimension 12, got 14\n"
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 0, err
+    doc = strict_json(out)
+    assert all(v == 0.0 for v in doc["identity_residuals"].values())
+    assert doc["points"][0]["constant_type"] == {"mean": 0.0, "bound": 0.0}
+    code, out, err = run_cli(capsys, "classify", path)
+    assert code == 0, err
+    assert all(c["pass"] and c["global_pass"] for c in strict_json(out)["constancy"])
 
 
 @pytest.mark.parametrize("name", ["fubini_study", "flat_kahler"])
