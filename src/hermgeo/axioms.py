@@ -271,14 +271,16 @@ _VERDICTS = {
 }
 
 
+@functools.cache
 def unitary_basis(n):
     """(n, n) complex: the columns u_a = (e_2a - i e_2a+1) / sqrt 2, a < m, with
-    J u_a = i u_a for J = ``canonical_j(n)``, then their conjugates; a last
-    column of zeros in odd dimension.  Unitary in even dimension."""
+    J u_a = i u_a for J = ``canonical_j(n)``, then their conjugates.  Unitary;
+    shared between callers and read-only."""
     m, a = n // 2, np.arange(n // 2)
     Q = np.zeros((n, n), dtype=complex)
     Q[2 * a, a] = Q[2 * a, m + a] = 2 ** -0.5
     Q[2 * a + 1, a], Q[2 * a + 1, m + a] = -1j * 2 ** -0.5, 1j * 2 ** -0.5
+    Q.flags.writeable = False
     return Q
 
 
@@ -286,96 +288,120 @@ def _over(a, b):
     return a / b if b else 0.0
 
 
-def _trace_free(X, h, beta, block):
-    """(rest, h0, tr h): X less block(h0) / beta + block(I) tr(h) / (m (beta + m)),
-    the part that carries its trace h (..., m, m), for a map block(k) whose
-    trace is beta k + tr(k) I; h0 is h's traceless part."""
-    m = h.shape[-1]
-    trace = np.trace(h, axis1=-2, axis2=-1)
-    h0 = h - trace[..., None, None] * np.eye(m) / m
-    scale = (trace * _over(1, m * (beta + m)))[..., None, None, None, None]
-    return X - _over(1, beta) * block(h0) - block(np.eye(m)) * scale, h0, trace
+def _permute(X, *order):
+    """X (..., m, m, m, m) with its last four axes in ``order``."""
+    lead = X.ndim - 4
+    return X.transpose(*range(lead), *(lead + i for i in order))
+
+
+_PIECES = ("K0", "L0", "Q", "Ps", "Pa", "P0")
 
 
 def _pieces(T):
-    """(squares, adjoint, trivial) of R from its components T (..., n, n, n, n)
-    in a unitary basis (``unitary_basis``): the squared norms of R's
-    projections onto the pieces that occur once, and the coordinates (w_S,
-    w_A), (..., m, m) each, and (t_S, t_A) of its two adjoint and its two
-    trivial parts, scaled so that each part's norm is that of its coordinate."""
+    """(squares, adjoint, trivial) of R from its components T (..., n, n, n, n),
+    n = 2m, in a unitary basis (``unitary_basis``): squares (..., 6) holds the
+    squared norms of R's projections onto the pieces that occur once, in the
+    order of ``_PIECES``; adjoint, two (..., m, m), and trivial, two (...),
+    the coordinates of its parts in the two copies of each repeated type,
+    scaled so that a part's norm is its coordinate's."""
     m = T.shape[-1] // 2
-    u, v, eye = slice(0, m), slice(m, 2 * m), np.eye(m)
+    lead, u, v, eye = T.shape[:-4], slice(0, m), slice(m, 2 * m), np.eye(m)
 
-    def outer(k, spec):
-        return np.einsum(spec, k, eye)
+    def traces(h, beta):
+        # (h0, tr h, k): k = h0 / beta + tr(h) I / (m (beta + m)) gives the
+        # block B(k) that carries the trace h, for a block map B whose trace
+        # is beta k + tr(k) I
+        trace = np.trace(h, axis1=-2, axis2=-1)[..., None, None]
+        h0 = h - trace * (eye / m)
+        return h0, trace[..., 0, 0], _over(1, beta) * h0 + trace * (eye * _over(1, m * (beta + m)))
 
     M = T[..., u, v, u, v]
-    S = (M + np.swapaxes(M, -4, -2)) / 2
-    # k_ab I_cd + k_cd I_ab + k_ad I_cb + k_cb I_ad, trace (m + 2) k + tr(k) I
-    S0, h0S, tS = _trace_free(S, np.einsum("...abcc->...ab", S), m + 2, lambda k: (
-        outer(k, "...ab,cd->...abcd") + outer(k, "...cd,ab->...abcd")
-        + outer(k, "...ad,cb->...abcd") + outer(k, "...cb,ad->...abcd")))
+    S = (M + _permute(M, 2, 1, 0, 3)) / 2
+    # B(k) = k_ab I_cd + k_cd I_ab + k_ad I_cb + k_cb I_ad: trace (m + 2) k + tr(k) I
+    h0S, tS, k = traces(np.einsum("...abcc->...ab", S), m + 2)
+    Y = k[..., :, :, None, None] * eye
+    Y = Y + _permute(Y, 2, 1, 0, 3)
+    S0 = S - Y - _permute(Y, 0, 3, 2, 1)
     A = T[..., u, u, v, v]
-    # k_ac I_bd + k_bd I_ac - k_ad I_bc - k_bc I_ad, trace (m - 2) k + tr(k) I
-    A0, h0A, tA = _trace_free(A, np.einsum("...abcb->...ac", A), m - 2, lambda k: (
-        outer(k, "...ac,bd->...abcd") + outer(k, "...bd,ac->...abcd")
-        - outer(k, "...ad,bc->...abcd") - outer(k, "...bc,ad->...abcd")))
+    # B(k) = k_ac I_bd + k_bd I_ac - k_ad I_bc - k_bc I_ad: trace (m - 2) k + tr(k) I
+    h0A, tA, k = traces(np.einsum("...abcb->...ac", A), m - 2)
+    Y = k[..., :, None, :, None] * eye[:, None, :]
+    Y = Y - _permute(Y, 1, 0, 2, 3)
+    A0 = A - Y + _permute(Y, 0, 1, 3, 2)
+    # the trace part of T3 is C*(k), k_ac I_bd made skew in (a, b), less its
+    # part totally skew in (a, b, c); for the trace p of T3, C C* is (m - 1) / 2
+    # on symmetric and (m + 1) / 6 on skew k
     T3 = T[..., u, u, u, v]
     p = np.einsum("...axcx->...ac", T3)
-    ps, pa = (p + np.swapaxes(p, -1, -2)) / 2, (p - np.swapaxes(p, -1, -2)) / 2
-    # the trace part of T3 is C*(k): k_ac I_bd made skew in (a, b), less its
-    # part totally skew in (a, b, c); C C* is (m - 1) / 2 on symmetric k and
-    # (m + 1) / 6 on skew k
-    k = _over(2, m - 1) * ps + 6 / (m + 1) * pa
-    X = (outer(k, "...ac,bd->...abcd") - outer(k, "...bc,ad->...abcd")) / 2
-    T30 = T3 - (2 * X - np.einsum("...bcad->...abcd", X) - np.einsum("...cabd->...abcd", X)) / 3
-
-    def square(x, factor):
-        return factor * np.sum(np.abs(x) ** 2, axis=tuple(range(-x.ndim + T.ndim - 4, 0)))
-
-    squares = {"Q": square(T[..., u, u, u, u], 2), "P0": square(T30, 8),
-               "Ps": square(ps, _over(16, m - 1)), "Pa": square(pa, 48 / (m + 1)),
-               "K0": square(S0, 4), "L0": square(A0, 3)}
+    pt = np.swapaxes(p, -1, -2)
+    ps, pa = (p + pt) / 2, (p - pt) / 2
+    k = _over(1, m - 1) * ps + 3 / (m + 1) * pa  # halved: Z below is made skew by a difference
+    Z = k[..., :, None, :, None] * eye[:, None, :]
+    Z = Z - _permute(Z, 1, 0, 2, 3)
+    T30 = T3 - (2 * Z - _permute(Z, 1, 2, 0, 3) - _permute(Z, 2, 0, 1, 3)) / 3
+    # one squared modulus over all pieces, summed piece by piece along one axis
+    flat = [x.reshape(*lead, -1) for x in (S0, A0, T[..., u, u, u, u], ps, pa, T30)]
+    starts = np.cumsum([0] + [x.shape[-1] for x in flat[:-1]])
+    flat = np.concatenate(flat, axis=-1)
+    squares = np.add.reduceat(flat.real ** 2 + flat.imag ** 2, starts, axis=-1)
+    squares *= [4, 3, 2, _over(16, m - 1), 48 / (m + 1), 8]
     adjoint = 4 / math.sqrt(m + 2) * h0S, math.sqrt(_over(12, max(m - 2, 0))) * h0A
     trivial = math.sqrt(8 / (m * (m + 1))) * tS, math.sqrt(_over(6, m * (m - 1))) * tA
     return squares, adjoint, trivial
 
 
-def verdict_bounds(T, names):
-    """{verdict: bound} for each of ``names`` that exists in dimension n (none
-    in odd n), from the components T (..., n, n, n, n) of R in unitary frames
-    (``classify.unitary_components``): sqrt(quadruples) times the distance of
-    R from the verdict's subspace V.  A unit quadruple's functional has norm
+@functools.cache
+def _verdict_table(m):
+    """(names, held, adjoint, trivial, factors) of the verdicts that exist at m:
+    held (6, V) marks the pieces each complement holds, adjoint and trivial
+    (V, 2) its unit lines in the two repeated types (zero for none), and
+    factors (V,) the sqrt(quadruples)."""
+    names = tuple(name for name, row in _VERDICTS.items() if row[0] <= m)
+    rows = [_VERDICTS[name] for name in names]
+
+    def unit(line):
+        return (0.0, 0.0) if line is None else np.divide(line(m), math.hypot(*line(m)))
+
+    held = np.array([[piece in row[2] for row in rows] for piece in _PIECES], dtype=float)
+    adjoint, trivial = (np.array([unit(row[k]) for row in rows]) for k in (3, 4))
+    return names, held, adjoint, trivial, np.sqrt([row[1] for row in rows])
+
+
+def verdict_bounds(T):
+    """{verdict: bound} of every verdict that exists in dimension n (none in odd
+    n), from the components T (..., n, n, n, n) of R in unitary frames
+    (``classify.unitary_bounds``): sqrt(quadruples) times the distance of R
+    from the verdict's subspace V.  A unit quadruple's functional has norm
     at most 1 and the two quadruples of an entry give orthogonal tensors, so
     the bound holds, on every frame of the verdict's kind, for how far each
     of its functionals lies from its value on the projection of R onto V:
     the invariant's mean, or 0 for an identity."""
-    n = T.shape[-1]
-    todo = [name for name in names if name in _VERDICTS and _VERDICTS[name][0] <= n // 2]
-    if n % 2 or not todo:
+    if T.shape[-1] % 2:
         return {}
+    names, held, adjoint_lines, trivial_lines, factors = _verdict_table(T.shape[-1] // 2)
     squares, adjoint, trivial = _pieces(T)
-    out = {}
-    for name in todo:
-        _, quadruples, held, adjoint_line, trivial_line = _VERDICTS[name]
-        total = sum(squares[piece] for piece in held)
-        for line, (first, second), axes in ((adjoint_line, adjoint, (-2, -1)),
-                                            (trivial_line, trivial, ())):
-            if line is not None:
-                c, s = line(n // 2)
-                total = total + np.sum(np.abs(c * first + s * second) ** 2, axis=axes) / (c * c + s * s)
-        out[name] = math.sqrt(quadruples) * np.sqrt(total)
-    return out
+
+    def along(unit, copies):  # (V, 2) lines and two copies (...) -> (V, ...)
+        shape = (-1,) + (1,) * copies[0].ndim
+        return unit[:, 0].reshape(shape) * copies[0] + unit[:, 1].reshape(shape) * copies[1]
+
+    # each line's coordinate is the combination of the two copies along it;
+    # sums run along one axis, not through BLAS, so that a point's bounds do
+    # not depend on the stack it comes in
+    adjoint, trivial = along(adjoint_lines, adjoint), along(trivial_lines, trivial)
+    lines = np.sum(adjoint.real ** 2 + adjoint.imag ** 2, axis=(-2, -1)) + np.abs(trivial) ** 2
+    total = np.sum(squares[..., :, None] * held, axis=-2) + np.moveaxis(lines, 0, -1)
+    bounds = factors * np.sqrt(total)
+    return {name: bounds[..., i] for i, name in enumerate(names)}
 
 
-def proof_identity_residuals(T):
+def proof_identity_residuals(bounds):
     """{identity: bound} of (3.1)...(3.8): the largest over the points of the
-    ``verdict_bounds`` on |R| over every admissible frame, from the
-    components T (..., n, n, n, n) of R in unitary frames, NaN where there is
-    none.  None outside the identity's regime ((3.5)-(3.7) need n >= 6, (3.8)
-    n >= 8, none n = 2) or if some point has no unitary frame."""
-    bounds = verdict_bounds(T, _IDENTITY_NAMES)
-    worst = {name: float(np.max(bound)) for name, bound in bounds.items()}
+    ``verdict_bounds`` on |R| over every admissible frame, NaN where there is
+    no unitary frame.  None outside the identity's regime ((3.5)-(3.7) need
+    n >= 6, (3.8) n >= 8, none n = 2) or if some point has no unitary
+    frame."""
+    worst = {name: float(np.max(bounds[name])) for name in _IDENTITY_NAMES if name in bounds}
     return {name: None if math.isnan(worst.get(name, math.nan)) else worst[name]
             for name in _IDENTITY_NAMES}
 

@@ -65,7 +65,7 @@ def _each_index(T, M):
     Each product moves one index last (n^5 work for four indices)."""
     n, k = M.shape[-1], T.ndim - M.ndim + 2
     for _ in range(k):
-        T = (np.moveaxis(T, -k, -1).reshape(*M.shape[:-2], -1, n) @ M).reshape(T.shape)
+        T = (np.swapaxes(T.reshape(*M.shape[:-2], n, -1), -1, -2) @ M).reshape(T.shape)
     return T
 
 
@@ -76,18 +76,21 @@ def rk_residual(R4, J):
     return float(np.max(np.abs(R4 - _each_index(R4, J))))
 
 
-def unitary_components(R4, g, J, tolerance=1e-8, residuals=None):
-    """Components (..., n, n, n, n) of the tensors R4 (..., n, n, n, n) in the
-    unitary basis (``axioms.unitary_basis``) of the adapted frame of each pair
-    (g, J) (``frames.adapted_frames``), NaN where there is none: where either
-    of the pair's ``residuals`` (``frames.hermitian_residuals``, computed if
-    not given) exceeds ``tolerance``, and in odd dimension."""
+def unitary_bounds(R4, g, J, tolerance=1e-8, residuals=None):
+    """``axioms.verdict_bounds`` of the tensors R4 (..., n, n, n, n), written in
+    the unitary basis (``axioms.unitary_basis``) of the adapted frame of each
+    pair (g, J) (``frames.adapted_frames``): every verdict's bound at each
+    point; none in odd dimension, NaN at a point where either of the pair's
+    ``residuals`` (``frames.hermitian_residuals``, computed if not given)
+    exceeds ``tolerance``, so that there is no adapted frame."""
     n = g.shape[-1]
+    if n % 2:
+        return {}
     if residuals is None:
         residuals = fr.hermitian_residuals(g, J)
-    ok = (residuals[0] <= tolerance) & (residuals[1] <= tolerance) & (n % 2 == 0)
+    ok = (residuals[0] <= tolerance) & (residuals[1] <= tolerance)
     T = _each_index(R4, fr.adapted_frames(g, J) @ ax.unitary_basis(n))
-    return np.where(ok[..., None, None, None, None], T, np.nan)
+    return ax.verdict_bounds(np.where(ok[..., None, None, None, None], T, np.nan))
 
 
 def plane_type(vectors, g, J):
@@ -133,10 +136,10 @@ def _means(pd):
     return out
 
 
-def constancy_report(chart, pd, components=None, tolerance=1e-8):
+def constancy_report(chart, pd, bounds=None, tolerance=1e-8):
     """Per-point and cross-point constancy of the three chart invariants
     (``axioms.CONSTANCY``) over the points of ``pd``, from their
-    ``unitary_components`` (computed if not given).
+    ``unitary_bounds`` (computed if not given).
 
     Returns (records, per_point).  per_point holds, per invariant, its
     (mean, bound) at each point: the exact mean of ``_means`` and the bound
@@ -148,10 +151,10 @@ def constancy_report(chart, pd, components=None, tolerance=1e-8):
     None pair has null values.
     """
     J = _require_j(chart, pd)
-    if components is None:
-        components = unitary_components(pd.riemann, pd.g, J, tolerance)
+    if bounds is None:
+        bounds = unitary_bounds(pd.riemann, pd.g, J, tolerance)
     count = pd.point.size // chart.dim
-    means, bounds = _means(pd), ax.verdict_bounds(components, ax.CONSTANCY)
+    means = _means(pd)
     stats, report = {}, []
     for name in ax.CONSTANCY:
         pairs = stats[name] = [None] * count if name not in bounds else [
@@ -173,14 +176,14 @@ def constancy_report(chart, pd, components=None, tolerance=1e-8):
     return report, stats
 
 
-def classify_chart(chart, pd, tolerance=1e-8, residuals=None, components=None):
+def classify_chart(chart, pd, tolerance=1e-8, residuals=None, bounds=None):
     """(record, per_point): the classification record of a chart with an almost
     complex structure over the points of ``pd`` (compatibility, Kahler/NK/RK
     flags, conformal flatness, constancy) and constancy_report's per_point.
     Each check reads the whole stack once; its residual is the largest over
     the points.  ``residuals`` (``frames.hermitian_residuals``) and
-    ``components`` (``unitary_components``) of the points are computed if
-    not given."""
+    ``bounds`` (``unitary_bounds``) of the points are computed if not
+    given."""
     checks = []
 
     def record(name, residual):
@@ -189,8 +192,8 @@ def classify_chart(chart, pd, tolerance=1e-8, residuals=None, components=None):
 
     J = _require_j(chart, pd)
     r_sq, r_comp = residuals = fr.hermitian_residuals(pd.g, J) if residuals is None else residuals
-    if components is None:
-        components = unitary_components(pd.riemann, pd.g, J, tolerance, residuals)
+    if bounds is None:
+        bounds = unitary_bounds(pd.riemann, pd.g, J, tolerance, residuals)
     kahler, nk = nabla_J_residuals(chart, pd)
     record("j_squared", np.max(r_sq))
     record("j_compatible", np.max(r_comp))
@@ -199,6 +202,6 @@ def classify_chart(chart, pd, tolerance=1e-8, residuals=None, components=None):
     record("rk", rk_residual(pd.riemann, pd.J))
     if chart.dim >= 4:
         record("conformally_flat", np.max(cv.relative_weyl_norm(pd)))
-    constancy, per_point = constancy_report(chart, pd, components, tolerance)
+    constancy, per_point = constancy_report(chart, pd, bounds, tolerance)
     return {"chart": chart.name, "points": pd.point.reshape(-1, chart.dim).tolist(),
             "checks": checks, "constancy": constancy}, per_point

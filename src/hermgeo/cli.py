@@ -70,10 +70,10 @@ def _analyze_report(chart, points, tol, require_weyl):
     per_point = {}
     if chart.has_j():
         residuals = fr.hermitian_residuals(pd.g, pd.J)
-        components = cl.unitary_components(pd.riemann, pd.g, pd.J, tol, residuals)
-        classification, per_point = cl.classify_chart(chart, pd, tol, residuals, components)
+        bounds = cl.unitary_bounds(pd.riemann, pd.g, pd.J, tol, residuals)
+        classification, per_point = cl.classify_chart(chart, pd, tol, residuals, bounds)
         report.update(checks=classification["checks"], constancy=classification["constancy"])
-        report["identity_residuals"] = ax.proof_identity_residuals(components)
+        report["identity_residuals"] = ax.proof_identity_residuals(bounds)
     weyl_norms = cv.relative_weyl_norm(pd) if pd.weyl is not None else None
     for i, point in enumerate(pd.point):
         entry = {"point": point.tolist(), "scalar_curvature": float(pd.scalar[i])}

@@ -137,15 +137,15 @@ def adapted_frames(g, J):
     Nothing is checked: E is adapted only where J is an almost complex
     structure compatible with g, and an odd last column stays zero."""
     g, J = np.asarray(g, dtype=float), np.asarray(J, dtype=float)
-    n = g.shape[-1]
-    E = np.zeros(g.shape)
+    shape, n = g.shape, g.shape[-1]
+    g, J = g.reshape(-1, n, n), np.broadcast_to(J, shape).reshape(-1, n, n)
+    E, each = np.zeros(g.shape), np.arange(len(g))
     rest = np.broadcast_to(np.eye(n), g.shape).copy()  # remainders, as columns
     for k in range(0, n - 1, 2):
         norms = np.sum(rest * (g @ rest), axis=-2)
-        pick = np.argmax(norms, axis=-1)[..., None, None]
-        e = (np.take_along_axis(rest, pick, axis=-1)
-             / np.sqrt(np.take_along_axis(norms[..., None, :], pick, axis=-1)))
-        E[..., k:k + 1], E[..., k + 1:k + 2] = e, J @ e
-        for v in (e, J @ e):
+        pick = np.argmax(norms, axis=-1)
+        e = rest[each, :, pick] / np.sqrt(norms[each, pick])[:, None]
+        E[..., k], E[..., k + 1] = e, (J @ e[..., None])[..., 0]
+        for v in (E[..., k:k + 1], E[..., k + 1:k + 2]):
             rest -= v @ (np.swapaxes(v, -1, -2) @ g @ rest)
-    return E
+    return E.reshape(shape)

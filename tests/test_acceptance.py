@@ -82,13 +82,13 @@ def test_criterion_3_product_vs_projective():
         kahler = max(kahler, ka)
         scalar = max(scalar, abs(pd.scalar))
         weyl = max(weyl, float(np.max(np.abs(pd.weyl))))
-        res = ax.proof_identity_residuals(cl.unitary_components(pd.riemann, pd.g, pd.J))
+        res = ax.proof_identity_residuals(cl.unitary_bounds(pd.riemann, pd.g, pd.J))
         ident_prod = max(ident_prod, max(v for v in res.values() if v is not None))
 
     cp2 = models.instantiate("fubini_study", m=2)
     pd = cv.point_data(cp2, [0.1, 0.2, -0.1, 0.05])
     cp2_weyl = float(np.max(np.abs(pd.weyl)))
-    res = ax.proof_identity_residuals(cl.unitary_components(pd.riemann, pd.g, pd.J))
+    res = ax.proof_identity_residuals(cl.unitary_bounds(pd.riemann, pd.g, pd.J))
     cp2_ident = max(v for v in res.values() if v is not None)
 
     ok = (kahler <= 1e-9 and scalar <= 1e-9 and weyl <= 1e-8

@@ -69,7 +69,7 @@ def test_identity_residuals_on_models(rng):
     # flat: everything vanishes
     flat = models.instantiate("flat_kahler", m=2)
     pd = cv.point_data(flat, [0.1, 0.2, 0.3, 0.4])
-    out = ax.proof_identity_residuals(cl.unitary_components(pd.riemann, pd.g, pd.J))
+    out = ax.proof_identity_residuals(cl.unitary_bounds(pd.riemann, pd.g, pd.J))
     assert out["3.5"] is None and out["3.8"] is None  # dim 4 regime
     assert all(v <= 1e-12 for v in out.values() if v is not None)
 
@@ -77,7 +77,7 @@ def test_identity_residuals_on_models(rng):
     # at every point of a stack
     s6 = models.instantiate("s6_nearly_kahler")
     pd = cv.point_data(s6, rng.uniform(-0.3, 0.3, size=(3, 6)))
-    out = ax.proof_identity_residuals(cl.unitary_components(pd.riemann, pd.g, pd.J))
+    out = ax.proof_identity_residuals(cl.unitary_bounds(pd.riemann, pd.g, pd.J))
     assert out["3.8"] is None
     assert all(v <= 1e-12 for v in out.values() if v is not None)
 
@@ -354,7 +354,7 @@ def _hermitian_random_point(rng, n):
 def test_proof_identity_residuals_match_per_frame_loop(n, rng):
     # each bound is at least the identity's residual on every sampled frame
     R4, g, J = _hermitian_random_point(rng, n)
-    out = ax.proof_identity_residuals(cl.unitary_components(R4, g, J))
+    out = ax.proof_identity_residuals(cl.unitary_bounds(R4, g, J))
     sampler = fr.FrameSampler(2, n)
     worst = dict.fromkeys(out)
     for _ in range(12):
@@ -385,9 +385,8 @@ def _distances(n, coords, names):
     the closed-form bound over sqrt(quadruples)."""
     R4 = ax._tensors(ax.curvature_space(n), coords)
     g, J = np.broadcast_to(np.eye(n), R4.shape[:-2]), np.broadcast_to(canonical_j(n), R4.shape[:-2])
-    T = cl.unitary_components(R4, g, J)
-    return {name: bound / np.sqrt(ax._VERDICTS[name][1])
-            for name, bound in ax.verdict_bounds(T, names).items()}
+    bounds = cl.unitary_bounds(R4, g, J)
+    return {name: bounds[name] / np.sqrt(ax._VERDICTS[name][1]) for name in names if name in bounds}
 
 
 def _complement(n, name, rng):
@@ -440,7 +439,7 @@ def test_functional_rows_lie_in_the_closed_form_complements(n, rng):
         assert distance == pytest.approx(np.linalg.norm(row), rel=1e-12), name
         R4 = ax._tensors(space, row)
         squares, adjoint, trivial = ax._pieces(cl._each_index(R4, ax.unitary_basis(n)))
-        parts = {**squares, "adjoint": sum(np.sum(np.abs(w) ** 2) for w in adjoint),
+        parts = {**dict(zip(ax._PIECES, squares)), "adjoint": sum(np.sum(np.abs(w) ** 2) for w in adjoint),
                  "trivial": sum(abs(t) ** 2 for t in trivial)}
         reached[name] = {p: max(v, reached.get(name, {}).get(p, 0.0)) for p, v in parts.items()}
     for name, (_, _, held, adjoint_line, trivial_line) in ax._VERDICTS.items():
@@ -450,11 +449,10 @@ def test_functional_rows_lie_in_the_closed_form_complements(n, rng):
 
 def test_verdicts_by_dimension():
     names = (*ax.CONSTANCY, *ax._IDENTITY_NAMES)
-    for n, least in ((2, 1), (4, 7), (6, 10), (8, 11), (12, 11)):
-        T = np.zeros((n,) * 4, dtype=complex)
-        bounds = ax.verdict_bounds(T, names)
-        assert len(bounds) == least and all(v == 0 for v in bounds.values())
-    assert ax.verdict_bounds(np.zeros((5,) * 4), names) == {}
+    for n, count in ((2, 1), (4, 7), (6, 10), (8, 11), (12, 11)):
+        bounds = ax.verdict_bounds(np.zeros((n,) * 4, dtype=complex))
+        assert list(bounds) == list(names[:count]) and all(v == 0 for v in bounds.values())
+    assert ax.verdict_bounds(np.zeros((5,) * 4)) == {}
 
 
 @pytest.mark.parametrize("m", [2, 3])

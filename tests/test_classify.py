@@ -202,8 +202,7 @@ def _exact_verdicts(R4, g, J):
     """(means, bounds) of the constancy invariants and bounds of the
     identities of one tensor R4 at a compatible pair (g, J)."""
     n = len(g)
-    bounds = ax.verdict_bounds(cl.unitary_components(R4, g, J),
-                               (*ax.CONSTANCY, *ax._IDENTITY_NAMES))
+    bounds = cl.unitary_bounds(R4, g, J)
     pd = cv.PointData(point=np.zeros(n), g=g, g_inv=np.linalg.inv(g), J=J, dJ=None, gamma=None,
                       riemann=R4, ricci=None, scalar=cv.ricci_scalar(R4, g)[1], weyl=None)
     return cl._means(pd), bounds
@@ -324,7 +323,7 @@ def test_means_are_the_functional_on_the_invariant_part(rng):
             assert np.max(np.abs(value - means[name])) <= 1e-12, (n, name)
 
 
-def test_unitary_components(rng):
+def test_unitary_bounds(rng):
     g, J = _compatible_pair(rng, 6)
     E = fr.adapted_frames(g, J)
     assert np.max(np.abs(E.T @ g @ E - np.eye(6))) <= 1e-13
@@ -333,18 +332,24 @@ def test_unitary_components(rng):
     assert np.max(np.abs(Q.conj().T @ Q - np.eye(6))) <= 1e-15
     assert np.max(np.abs(canonical_j(6) @ Q[:, :3] - 1j * Q[:, :3])) <= 1e-15
     R4 = ax._tensors(ax.curvature_space(6), rng.normal(size=105))
-    T = cl.unitary_components(R4, g, J)
     F = E @ Q
-    assert np.max(np.abs(np.einsum("ijkl,ia,jb,kc,ld->abcd", R4, F, F, F, F) - T)) <= 1e-12
+    T = np.einsum("ijkl,ia,jb,kc,ld->abcd", R4, F, F, F, F)
+    got, want = cl.unitary_bounds(R4, g, J), ax.verdict_bounds(T)
+    assert got.keys() == want.keys()
+    assert all(got[name] == pytest.approx(want[name], rel=1e-12) for name in want)
+    # the pieces and the two copies of each repeated type split |R| in E
+    squares, adjoint, trivial = ax._pieces(T)
     RE = np.einsum("ijkl,ia,jb,kc,ld->abcd", R4, E, E, E, E)
-    assert np.linalg.norm(T) == pytest.approx(np.linalg.norm(RE), rel=1e-13)
+    total = (np.sum(squares) + sum(np.sum(np.abs(w) ** 2) for w in adjoint)
+             + sum(abs(t) ** 2 for t in trivial))
+    assert total == pytest.approx(np.sum(RE ** 2), rel=1e-13)
     # a stack gives each pair its own frame
     stack = np.stack([g, np.eye(6)]), np.stack([J, canonical_j(6)])
     assert np.array_equal(fr.adapted_frames(*stack)[0], E)
     assert np.array_equal(fr.adapted_frames(*stack)[1], np.eye(6))
-    # no unitary frame where J fails j_squared or j_compatible, or in odd dimension
-    assert np.all(np.isnan(cl.unitary_components(R4, g, 1.01 * J)))
-    assert np.all(np.isnan(cl.unitary_components(np.zeros((5,) * 4), np.eye(5), np.eye(5))))
+    # no unitary frame where J fails j_squared or j_compatible, none in odd dimension
+    assert all(np.isnan(v) for v in cl.unitary_bounds(R4, g, 1.01 * J).values())
+    assert cl.unitary_bounds(np.zeros((5,) * 4), np.eye(5), np.eye(5)) == {}
 
 
 @pytest.mark.parametrize("name, params", [("s6_nearly_kahler", {}), ("fubini_study", {"m": 2}),

@@ -93,7 +93,8 @@ def test_adapted_frame_conjugated_structure(rng):
 def test_adapted_frame_rejects_bad_j():
     # J^2 != -I: no unitary frame, so every chart verdict at the point is null
     J = canonical_j(4) * 1.01
-    assert np.all(np.isnan(cl.unitary_components(np.zeros((4,) * 4), np.eye(4), J)))
+    bounds = cl.unitary_bounds(np.zeros((4,) * 4), np.eye(4), J)
+    assert len(bounds) == 7 and all(np.isnan(v) for v in bounds.values())
 
 
 def test_validate_pair_residual_scale():
