@@ -21,7 +21,7 @@ def main():
     }
     for name, points in cases.items():
         chart = models.instantiate(name)
-        out, _ = cl.classify_chart(chart, cv.point_data(chart, points))
+        out, _, _ = cl.classify_chart(chart, cv.point_data(chart, points))
         flags = "  ".join(f"{c['name']}={'Y' if c['pass'] else 'n'}"
                           for c in out["checks"])
         print(f"{chart.name:22s} {flags}")
@@ -32,7 +32,7 @@ def main():
 
     # the full machine-readable record for one model
     chart = models.instantiate("product_K")
-    out, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.1, -0.2, 0.07, 0.03]]))
+    out, _, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.1, -0.2, 0.07, 0.03]]))
     print(reportio.dump_report(out))
 
 

@@ -22,7 +22,7 @@ from hermgeo import frames as fr
 def main():
     for m in (2, 3):
         n = 2 * m
-        rep = ax.theorem_nullspace_verify(m, fr.FrameSampler(0, n), samples=64)
+        rep = ax.theorem_nullspace_verify(m, fr.FrameSampler(0, n))
         d = rep["derived_residuals"]
         print(f"m={m} (dim {n}): curvature space {ax.curvature_space_dim(n)} -> "
               f"null space {rep['nullspace_dim']} "

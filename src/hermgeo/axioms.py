@@ -33,6 +33,7 @@ _SPARE_BATCHES = 3      # batches drawn beyond those a full-rank stack needs
 _THEOREM_BATCH = 6      # admissible frames per batch of theorem constraints
 _SCHOUTEN_BATCH = 8     # orthonormal quadruples per batch of Schouten constraints
 _BLOCK_ROWS = 128       # constraint rows drawn at once
+_DERIVED_FRAMES = 64    # frames, and quadruples, of the theorem's derived checks
 
 
 def curvature_space_dim(n):
@@ -564,7 +565,7 @@ def canonical_j(n):
     return J
 
 
-def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
+def theorem_nullspace_verify(m, sampler, tolerance=1e-8):
     """Certificate that the sphere-axiom identities force the Weyl tensor to
     vanish, for complex dimension m (real dimension n = 2m).
 
@@ -572,20 +573,21 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8, samples=128):
     (3.1), (3.2), (3.3), and for m > 2 also (3.5), (3.6), (3.7).  The derived
     identities (3.4), (3.8), the orthogonal-quadruple entry of the Schouten
     rows and the Weyl norm are verified on K, the space the certificate then
-    proves to be the null space: the rows of the check entries on all
-    sampled frames, times K's basis, in one product.  ValueError if no
-    identity of ``_DIRECT`` applies at m.
+    proves to be the null space: the rows of the check entries on the
+    _DERIVED_FRAMES drawn frames, times K's basis, in one product.
+    ValueError if no identity of ``_DIRECT`` applies at m.
     """
     if m < 2:
         raise cv.UnsupportedDimensionError("need complex dimension m >= 2")
     n = 2 * m
     space, g, J = curvature_space(n), np.eye(n), canonical_j(n)
 
-    # derived residuals come before the constraint rows: a check count too
-    # large to allocate fails at once; their own samplers leave the rows' draws alone
+    # the derived checks draw from samplers of their own, so the constraint
+    # rows do not depend on them
     checks = _identities(J, fr.admissible_frames(
-        g, J, fr.FrameSampler(sampler.seed + 1, n), samples, min(m, 4)), ("3.4", "3.8"))
-    checks.append(("quadruple", _quadruples(g, fr.FrameSampler(sampler.seed + 2, n), samples)))
+        g, J, fr.FrameSampler(sampler.seed + 1, n), _DERIVED_FRAMES, min(m, 4)), ("3.4", "3.8"))
+    checks.append(("quadruple", _quadruples(
+        g, fr.FrameSampler(sampler.seed + 2, n), _DERIVED_FRAMES)))
 
     products, max_weyl = _products(n)
     values = np.abs(_identity_rows(space, checks) @ products)

@@ -55,17 +55,17 @@ def nabla_J_residuals(chart, pd):
     nj = nabla_j(chart, pd)
     lowered = pd.g[..., None, :, :] @ (nj + np.swapaxes(nj, -3, -1)) / 2
     frame = np.swapaxes(np.linalg.inv(np.linalg.cholesky(pd.g)), -1, -2)
-    nk = np.sqrt(np.sum(_each_index(lowered, frame) ** 2, axis=(-3, -2, -1)))
+    nk = np.sqrt(np.sum(_each_index(lowered, frame, 3) ** 2, axis=(-3, -2, -1)))
     return float(np.max(np.abs(nj))), float(np.max(nk))
 
 
-def _each_index(T, M):
-    """The stack T (..., n, ..., n) of tensors with the matrices M (..., n, n)
-    applied to each tensor index: out[a,b,...] = T[i,j,...] M[i,a] M[j,b] ...
+def _each_index(T, M, order):
+    """The stack T (..., n, ..., n) of tensors of ``order`` indices with M (n, n)
+    or (..., n, n) applied to each: out[a,b,...] = T[i,j,...] M[i,a] M[j,b] ...
     Each product moves one index last (n^5 work for four indices)."""
-    n, k = M.shape[-1], T.ndim - M.ndim + 2
-    for _ in range(k):
-        T = (np.swapaxes(T.reshape(*M.shape[:-2], n, -1), -1, -2) @ M).reshape(T.shape)
+    n, lead = M.shape[-1], T.shape[:T.ndim - order]
+    for _ in range(order):
+        T = (np.swapaxes(T.reshape(*lead, n, -1), -1, -2) @ M).reshape(T.shape)
     return T
 
 
@@ -73,7 +73,7 @@ def rk_residual(R4, J):
     """Max deviation of R(X,Y,Z,U) = R(JX,JY,JZ,JU) on basis vectors, the
     largest over a stack (..., n, n, n, n) of tensors.  The condition is
     tensorial, so checking coordinate indices is complete."""
-    return float(np.max(np.abs(R4 - _each_index(R4, J))))
+    return float(np.max(np.abs(R4 - _each_index(R4, J, 4))))
 
 
 def unitary_bounds(R4, g, J, tolerance=1e-8, residuals=None):
@@ -89,7 +89,7 @@ def unitary_bounds(R4, g, J, tolerance=1e-8, residuals=None):
     if residuals is None:
         residuals = fr.hermitian_residuals(g, J)
     ok = (residuals[0] <= tolerance) & (residuals[1] <= tolerance)
-    T = _each_index(R4, fr.adapted_frames(g, J) @ ax.unitary_basis(n))
+    T = _each_index(R4, fr.adapted_frames(g, J) @ ax.unitary_basis(n), 4)
     return ax.verdict_bounds(np.where(ok[..., None, None, None, None], T, np.nan))
 
 
@@ -136,10 +136,10 @@ def _means(pd):
     return out
 
 
-def constancy_report(chart, pd, bounds=None, tolerance=1e-8):
+def constancy_report(chart, pd, bounds, tolerance=1e-8):
     """Per-point and cross-point constancy of the three chart invariants
     (``axioms.CONSTANCY``) over the points of ``pd``, from their
-    ``unitary_bounds`` (computed if not given).
+    ``unitary_bounds``.
 
     Returns (records, per_point).  per_point holds, per invariant, its
     (mean, bound) at each point: the exact mean of ``_means`` and the bound
@@ -150,9 +150,7 @@ def constancy_report(chart, pd, bounds=None, tolerance=1e-8):
     tolerance, and "global" also needs the means to agree.  A record with a
     None pair has null values.
     """
-    J = _require_j(chart, pd)
-    if bounds is None:
-        bounds = unitary_bounds(pd.riemann, pd.g, J, tolerance)
+    _require_j(chart, pd)
     count = pd.point.size // chart.dim
     means = _means(pd)
     stats, report = {}, []
@@ -176,14 +174,12 @@ def constancy_report(chart, pd, bounds=None, tolerance=1e-8):
     return report, stats
 
 
-def classify_chart(chart, pd, tolerance=1e-8, residuals=None, bounds=None):
-    """(record, per_point): the classification record of a chart with an almost
-    complex structure over the points of ``pd`` (compatibility, Kahler/NK/RK
-    flags, conformal flatness, constancy) and constancy_report's per_point.
-    Each check reads the whole stack once; its residual is the largest over
-    the points.  ``residuals`` (``frames.hermitian_residuals``) and
-    ``bounds`` (``unitary_bounds``) of the points are computed if not
-    given."""
+def classify_chart(chart, pd, tolerance=1e-8):
+    """(record, per_point, bounds): the classification record of a chart with
+    an almost complex structure over the points of ``pd`` (compatibility,
+    Kahler/NK/RK flags, conformal flatness, constancy), constancy_report's
+    per_point and the ``unitary_bounds`` of the points.  Each check reads the
+    whole stack once; its residual is the largest over the points."""
     checks = []
 
     def record(name, residual):
@@ -191,9 +187,8 @@ def classify_chart(chart, pd, tolerance=1e-8, residuals=None, bounds=None):
                        "pass": bool(residual <= tolerance), "tolerance": tolerance})
 
     J = _require_j(chart, pd)
-    r_sq, r_comp = residuals = fr.hermitian_residuals(pd.g, J) if residuals is None else residuals
-    if bounds is None:
-        bounds = unitary_bounds(pd.riemann, pd.g, J, tolerance, residuals)
+    r_sq, r_comp = residuals = fr.hermitian_residuals(pd.g, J)
+    bounds = unitary_bounds(pd.riemann, pd.g, J, tolerance, residuals)
     kahler, nk = nabla_J_residuals(chart, pd)
     record("j_squared", np.max(r_sq))
     record("j_compatible", np.max(r_comp))
@@ -204,4 +199,4 @@ def classify_chart(chart, pd, tolerance=1e-8, residuals=None, bounds=None):
         record("conformally_flat", np.max(cv.relative_weyl_norm(pd)))
     constancy, per_point = constancy_report(chart, pd, bounds, tolerance)
     return {"chart": chart.name, "points": pd.point.reshape(-1, chart.dim).tolist(),
-            "checks": checks, "constancy": constancy}, per_point
+            "checks": checks, "constancy": constancy}, per_point, bounds

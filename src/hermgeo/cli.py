@@ -2,10 +2,10 @@
 
 Exit codes: 0 data-complete (classification failures are data, not errors),
 2 usage, parse or asymmetric-metric error (a tolerance that is not a finite
-number >= 0 or a count too large to allocate among them), 3 mathematical
-domain error, 5 certificate failed (the report is still printed, the message
-names the failed one).  Exit 4, once non-convergence of a rank loop, is
-retired: no path reaches it.
+number >= 0 among them) or an input too large to hold in memory, 3
+mathematical domain error, 5 certificate failed (the report is still
+printed, the message names the failed one).  Exit 4, once non-convergence
+of a rank loop, is retired: no path reaches it.
 
 Every flag of a chart command is ``residual <= --tol``, and ``submanifold``'s
 ``codazzi_2_2_residual`` is null exactly at the points not totally umbilical.
@@ -69,9 +69,7 @@ def _analyze_report(chart, points, tol, require_weyl):
     pd = cv.point_data(chart, points)
     per_point = {}
     if chart.has_j():
-        residuals = fr.hermitian_residuals(pd.g, pd.J)
-        bounds = cl.unitary_bounds(pd.riemann, pd.g, pd.J, tol, residuals)
-        classification, per_point = cl.classify_chart(chart, pd, tol, residuals, bounds)
+        classification, per_point, bounds = cl.classify_chart(chart, pd, tol)
         report.update(checks=classification["checks"], constancy=classification["constancy"])
         report["identity_residuals"] = ax.proof_identity_residuals(bounds)
     weyl_norms = cv.relative_weyl_norm(pd) if pd.weyl is not None else None
@@ -99,7 +97,7 @@ def cmd_classify(args):
     if not chart.has_j():
         raise UsageError(f"chart {chart.name!r} has no almost complex structure to classify")
     pd = cv.point_data(chart, _parse_points(chart.dim, args.point, chart.domain_hint))
-    report, _ = cl.classify_chart(chart, pd, tolerance=args.tol)
+    report, _, _ = cl.classify_chart(chart, pd, tolerance=args.tol)
     report = {"command": "classify", **report, "tolerance": args.tol}
     sys.stdout.write(reportio.dump_report(report))
     return EXIT_OK
@@ -141,9 +139,7 @@ def cmd_verify_theorem(args):
     if not 2 <= args.m <= 6:
         raise UsageError("--m must be between 2 and 6")
     n = 2 * args.m
-    theorem = ax.theorem_nullspace_verify(
-        args.m, fr.FrameSampler(args.seed, n), tolerance=args.tol,
-        samples=args.frames)
+    theorem = ax.theorem_nullspace_verify(args.m, fr.FrameSampler(args.seed, n), args.tol)
     schouten = ax.schouten_nullspace_verify(
         n, fr.FrameSampler(args.seed, n), tolerance=args.tol)
     report = {
@@ -201,7 +197,6 @@ def build_parser():
         p.add_argument("--tol", type=float, default=1e-8)
         unused = "accepted for compatibility; chart verdicts are exact and do not use it"
         p.add_argument("--seed", type=int, default=0, help=unused)
-        p.add_argument("--samples", type=int, default=32, help=unused)
 
     p = sub.add_parser("analyze", help="curvature invariants of a chart")
     p.add_argument("file")
@@ -227,7 +222,6 @@ def build_parser():
     p = sub.add_parser("verify-theorem",
                        help="null-space certificate of the conformal-flatness theorem")
     p.add_argument("--m", type=int, required=True, help="complex dimension (2..6)")
-    p.add_argument("--frames", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(fn=cmd_verify_theorem)
@@ -256,7 +250,7 @@ def _join_point_values(argv):
 
 
 def _check_counts(args):
-    for name, least in (("samples", 1), ("frames", 1), ("seed", 0), ("tol", 0)):
+    for name, least in (("seed", 0), ("tol", 0)):
         value = getattr(args, name, None)
         if value is not None and not least <= value < math.inf:  # nan fails too
             raise UsageError(f"--{name} must be a finite number of at least "
@@ -274,7 +268,7 @@ def main(argv=None):
     except SystemExit as exc:  # --help
         return EXIT_USAGE if exc.code not in (0, None) else 0
     except (UsageError, reportio.ManifoldFileError, cv.AsymmetricMetricError,
-            MemoryError) as exc:  # MemoryError: a count too large to allocate
+            MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except (ex.DomainError, ex.MissingBindingError, cv.SingularMetricError,

@@ -149,7 +149,7 @@ def test_smallest_kept_is_a_bound_within_one_percent_of_the_svd(m, monkeypatch):
         return check(rows, products)
     monkeypatch.setattr(ax, "_check", recording)
     n = 2 * m
-    reports = [ax.theorem_nullspace_verify(m, fr.FrameSampler(0, n), samples=8),
+    reports = [ax.theorem_nullspace_verify(m, fr.FrameSampler(0, n)),
                ax.schouten_nullspace_verify(n, fr.FrameSampler(0, n))]
     for rep, (rows, rank) in zip(reports, stacks):
         sv = np.linalg.svd(rows, compute_uv=False)
@@ -172,7 +172,7 @@ def test_schouten_contains_kn_products(rng):
 
 def test_theorem_nullspace_m2():
     sampler = fr.FrameSampler(0, 4)
-    report = ax.theorem_nullspace_verify(2, sampler, samples=64)
+    report = ax.theorem_nullspace_verify(2, sampler)
     assert report["nullspace_dim"] == 10
     assert report["max_weyl"] <= 1e-8
     assert report["derived_residuals"]["3.4"] <= 1e-9
@@ -185,7 +185,7 @@ def test_theorem_nullspace_m2():
 
 def test_theorem_nullspace_m3():
     sampler = fr.FrameSampler(0, 6)
-    report = ax.theorem_nullspace_verify(3, sampler, samples=48)
+    report = ax.theorem_nullspace_verify(3, sampler)
     assert report["nullspace_dim"] == 21
     assert report["max_weyl"] <= 1e-8
     assert report["derived_residuals"]["quadruple"] <= 1e-9
@@ -193,8 +193,8 @@ def test_theorem_nullspace_m3():
 
 
 def test_theorem_determinism():
-    a = ax.theorem_nullspace_verify(2, fr.FrameSampler(3, 4), samples=16)
-    b = ax.theorem_nullspace_verify(2, fr.FrameSampler(3, 4), samples=16)
+    a = ax.theorem_nullspace_verify(2, fr.FrameSampler(3, 4))
+    b = ax.theorem_nullspace_verify(2, fr.FrameSampler(3, 4))
     assert a["derived_residuals"] == b["derived_residuals"]
 
 
@@ -239,7 +239,7 @@ def test_block_size_does_not_change_a_report(m, seed, monkeypatch):
     n = 2 * m
 
     def reports():
-        return (ax.theorem_nullspace_verify(m, fr.FrameSampler(seed, n), samples=16),
+        return (ax.theorem_nullspace_verify(m, fr.FrameSampler(seed, n)),
                 ax.schouten_nullspace_verify(n, fr.FrameSampler(seed, n)))
     default = reports()
     monkeypatch.setattr(ax, "_BLOCK_ROWS", 1)  # one batch per block
@@ -250,7 +250,7 @@ def test_theorem_row_count_follows_the_direct_identities(monkeypatch):
     # m = 2: d - k = 10; six frames of two rows make a batch of 12, so 1 + 3
     # batches (the default three identities give 72 rows, pinned below)
     monkeypatch.setattr(ax, "_DIRECT", ("3.2", "3.3"))
-    rep = ax.theorem_nullspace_verify(2, fr.FrameSampler(1, 4), samples=8)
+    rep = ax.theorem_nullspace_verify(2, fr.FrameSampler(1, 4))
     assert rep["constraint_rows"] == 48 and rep["pass"]
 
 
@@ -270,7 +270,7 @@ MINIMAL_DIRECT = {
 def test_minimal_identity_sets_pass_and_their_maximal_subsets_fail(monkeypatch):
     def passes(m, direct, seed):
         monkeypatch.setattr(ax, "_DIRECT", direct)
-        return ax.theorem_nullspace_verify(m, fr.FrameSampler(seed, 2 * m), samples=8)["pass"]
+        return ax.theorem_nullspace_verify(m, fr.FrameSampler(seed, 2 * m))["pass"]
     for m, sets in MINIMAL_DIRECT.items():
         for minimal, seed in itertools.product(sets, (1, 2, 3)):
             assert passes(m, minimal, seed), (m, minimal, seed)
@@ -295,7 +295,7 @@ def test_certificate_counts_pinned(seed):
 @pytest.mark.parametrize("m", [2, 3])
 def test_rank_gap_margins(m):
     n = 2 * m
-    for rep in (ax.theorem_nullspace_verify(m, fr.FrameSampler(0, n), samples=8),
+    for rep in (ax.theorem_nullspace_verify(m, fr.FrameSampler(0, n)),
                 ax.schouten_nullspace_verify(n, fr.FrameSampler(0, n))):
         gap = rep["rank_gap"]
         # six decades on each side of the 1e-9 cut
@@ -305,8 +305,8 @@ def test_rank_gap_margins(m):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_batched_checks_match_curvature_value(m, rng):
-    n, seed, samples = 2 * m, 4, 32
-    rep = ax.theorem_nullspace_verify(m, fr.FrameSampler(seed, n), samples=samples)
+    n, seed, samples = 2 * m, 4, ax._DERIVED_FRAMES
+    rep = ax.theorem_nullspace_verify(m, fr.FrameSampler(seed, n))
     g, J = np.eye(n), ax.canonical_j(n)
     check_sampler = fr.FrameSampler(seed + 1, n)
     checks = [entry for _ in range(samples) for entry in ax._identities(
@@ -438,7 +438,7 @@ def test_functional_rows_lie_in_the_closed_form_complements(n, rng):
         distance = _distances(n, row, [name])[name]
         assert distance == pytest.approx(np.linalg.norm(row), rel=1e-12), name
         R4 = ax._tensors(space, row)
-        squares, adjoint, trivial = ax._pieces(cl._each_index(R4, ax.unitary_basis(n)))
+        squares, adjoint, trivial = ax._pieces(cl._each_index(R4, ax.unitary_basis(n), 4))
         parts = {**dict(zip(ax._PIECES, squares)), "adjoint": sum(np.sum(np.abs(w) ** 2) for w in adjoint),
                  "trivial": sum(abs(t) ** 2 for t in trivial)}
         reached[name] = {p: max(v, reached.get(name, {}).get(p, 0.0)) for p, v in parts.items()}

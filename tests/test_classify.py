@@ -29,7 +29,7 @@ def test_classify_chart_incompatible_structure():
          ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
         j_entries=[["0", "-1", "0", "0"], ["1", "0", "0", "0"],
                    ["0", "0", "0", "-1"], ["0", "0", "1", "0"]])
-    out, per_point = cl.classify_chart(chart, cv.point_data(chart, [[0.0] * 4]))
+    out, per_point, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.0] * 4]))
     checks = {c["name"]: c for c in out["checks"]}
     assert checks["j_squared"]["residual"] == 0.0
     assert checks["j_squared"]["pass"]
@@ -128,7 +128,8 @@ def test_plane_type_basis_invariance(rng):
 def test_constancy_fubini_study():
     chart = models.instantiate("fubini_study", m=2)
     points = [[0.0, 0.0, 0.0, 0.0], [0.2, -0.1, 0.1, 0.3]]
-    report, _ = cl.constancy_report(chart, cv.point_data(chart, points))
+    pd = cv.point_data(chart, points)
+    report, _ = cl.constancy_report(chart, pd, cl.unitary_bounds(pd.riemann, pd.g, pd.J))
     by_name = {r["name"]: r for r in report}
     assert by_name["holomorphic_sectional"]["constant"] == pytest.approx(4.0, abs=1e-8)
     assert by_name["holomorphic_sectional"]["global_pass"]
@@ -139,14 +140,15 @@ def test_constancy_fubini_study():
 
 def test_constancy_fails_on_product():
     chart = models.instantiate("product_K", K=1.0)
-    report, _ = cl.constancy_report(chart, cv.point_data(chart, [[0.1, 0.2, 0.05, -0.1]]))
+    pd = cv.point_data(chart, [[0.1, 0.2, 0.05, -0.1]])
+    report, _ = cl.constancy_report(chart, pd, cl.unitary_bounds(pd.riemann, pd.g, pd.J))
     by_name = {r["name"]: r for r in report}
     assert not by_name["holomorphic_sectional"]["pass"]
 
 
 def test_classify_chart_product():
     chart = models.instantiate("product_K", K=1.0)
-    out, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.1, -0.2, 0.07, 0.03]]))
+    out, _, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.1, -0.2, 0.07, 0.03]]))
     checks = {c["name"]: c for c in out["checks"]}
     assert checks["j_squared"]["pass"]
     assert checks["j_compatible"]["pass"]
@@ -158,7 +160,7 @@ def test_classify_chart_product():
 
 def test_classify_chart_s6():
     chart = models.instantiate("s6_nearly_kahler")
-    out, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.1, 0.0, -0.2, 0.3, 0.05, 0.0]]))
+    out, _, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.1, 0.0, -0.2, 0.3, 0.05, 0.0]]))
     checks = {c["name"]: c for c in out["checks"]}
     assert not checks["kahler"]["pass"]
     assert checks["nearly_kahler"]["pass"]
@@ -167,8 +169,8 @@ def test_classify_chart_s6():
 
 def test_classify_deterministic():
     chart = models.instantiate("fubini_study", m=2)
-    a, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.1, 0.2, 0.0, -0.1]]))
-    b, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.1, 0.2, 0.0, -0.1]]))
+    a, _, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.1, 0.2, 0.0, -0.1]]))
+    b, _, _ = cl.classify_chart(chart, cv.point_data(chart, [[0.1, 0.2, 0.0, -0.1]]))
     assert a == b
 
 
@@ -178,6 +180,16 @@ def test_rk_residual_matches_naive_einsum(n, rng):
     J = rng.normal(size=(n, n))
     naive = np.einsum("ai,bj,ck,dl,abcd->ijkl", J, J, J, J, R4)
     assert cl.rk_residual(R4, J) == pytest.approx(np.max(np.abs(R4 - naive)), rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_each_index_applies_one_matrix_to_each_tensor_of_a_stack(order, rng):
+    # the stack axes are not tensor indices: one M acts on each tensor alone
+    n = 4
+    T = rng.normal(size=(2, 3, *(n,) * order))
+    M = rng.normal(size=(n, n))
+    alone = [[cl._each_index(t, M, order) for t in row] for row in T]
+    np.testing.assert_allclose(cl._each_index(T, M, order), alone, rtol=1e-13, atol=0)
 
 
 def _value(R4, X, Y, Z, U):
@@ -362,8 +374,8 @@ def test_stacked_verdicts_equal_per_point_verdicts(name, params):
     ones = [cv.point_data(chart, point) for point in points]
     assert cl.nabla_J_residuals(chart, stack) == tuple(
         max(r) for r in zip(*[cl.nabla_J_residuals(chart, pd) for pd in ones]))
-    _, per_point = cl.constancy_report(chart, stack)
-    alone = [cl.constancy_report(chart, pd)[1] for pd in ones]
+    _, per_point, _ = cl.classify_chart(chart, stack)
+    alone = [cl.classify_chart(chart, pd)[1] for pd in ones]
     for key, pairs in per_point.items():
         assert pairs == [one[key][0] for one in alone]
         assert (pairs == [None] * 3) == (chart.dim == 2 and key != "holomorphic_sectional")
@@ -375,7 +387,7 @@ def test_classify_chart_of_a_stack(name, params, count):
     # one point, and a 2-dimensional chart (no antiholomorphic pairs)
     chart = models.instantiate(name, **params)
     points = np.random.default_rng(2).uniform(-0.3, 0.3, size=(count, chart.dim))
-    report, per_point = cl.classify_chart(chart, cv.point_data(chart, points))
+    report, per_point, _ = cl.classify_chart(chart, cv.point_data(chart, points))
     assert report["points"] == points.tolist()
     checks = {c["name"]: c["pass"] for c in report["checks"]}
     assert checks["kahler"] and checks["rk"] and checks["j_compatible"]
@@ -390,7 +402,7 @@ def test_a_stack_without_j_raises_missing_structure():
     chart = flat_chart(4)
     pd = cv.point_data(chart, [[0.0] * 4, [0.1] * 4])
     for check in (lambda: cl.classify_chart(chart, pd),
-                  lambda: cl.constancy_report(chart, pd),
+                  lambda: cl.constancy_report(chart, pd, {}),
                   lambda: cl.nabla_J_residuals(chart, pd)):
         with pytest.raises(cl.MissingStructureError):
             check()

@@ -345,10 +345,10 @@ def test_nearly_kahler_is_checked_at_tol(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, options", [
-    (["analyze"], {"--point", "--weyl", "--tol", "--seed", "--samples"}),
-    (["classify"], {"--point", "--tol", "--seed", "--samples"}),
+    (["analyze"], {"--point", "--weyl", "--tol", "--seed"}),
+    (["classify"], {"--point", "--tol", "--seed"}),
     (["submanifold"], {"--point", "--tol"}),
-    (["verify-theorem"], {"--m", "--frames", "--seed", "--tol"}),
+    (["verify-theorem"], {"--m", "--seed", "--tol"}),
     (["models", "emit"], {"--out", "--param"})])
 def test_option_inventory(capsys, command, options):
     # adding or removing a knob is a visible edit here
@@ -358,7 +358,7 @@ def test_option_inventory(capsys, command, options):
 
 
 def test_verify_theorem(capsys):
-    code, out, _ = run_cli(capsys, "verify-theorem", "--m", "2", "--frames", "32")
+    code, out, _ = run_cli(capsys, "verify-theorem", "--m", "2")
     assert code == 0
     doc = json.loads(out)
     assert doc["theorem"]["pass"] and doc["schouten"]["pass"]
@@ -397,8 +397,8 @@ def test_reports_byte_identical(tmp_path, capsys):
     _, out_b, _ = run_cli(capsys, "analyze", path, "--seed", "3",
                           "--point", "0.1,0.0,-0.2,0.3,0.05,0.0")
     assert out_a == out_b
-    _, out_c, _ = run_cli(capsys, "verify-theorem", "--m", "2", "--frames", "16")
-    _, out_d, _ = run_cli(capsys, "verify-theorem", "--m", "2", "--frames", "16")
+    _, out_c, _ = run_cli(capsys, "verify-theorem", "--m", "2")
+    _, out_d, _ = run_cli(capsys, "verify-theorem", "--m", "2")
     assert out_c == out_d
 
 
@@ -450,40 +450,22 @@ def test_out_of_range_input_is_usage_error(tmp_path, capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
-def test_too_many_frames_refused_before_constraint_rows(capsys, monkeypatch):
-    def constraint_rows(*args):
-        raise AssertionError("the constraint rows were drawn before the frame count was refused")
-    monkeypatch.setattr(ax, "_constraint_rows", constraint_rows)
-    code, _, err = run_cli(capsys, "verify-theorem", "--m", "5",
-                           "--frames", "1000000000000000")
-    assert code == 2
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-
-
-def test_analyze_one_sample_is_valid_json(tmp_path, capsys):
-    path = write_model(tmp_path, "fubini_study", m=2)
-    code, out, _ = run_cli(capsys, "analyze", path, "--samples", "1")
-    assert code == 0
-    assert strict_json(out)["points"][0]["holomorphic_sectional"]["bound"] <= 1e-12
-
-
 @pytest.mark.parametrize("command", ["analyze", "classify"])
 def test_chart_commands_draw_no_frames(tmp_path, capsys, monkeypatch, command):
-    # chart verdicts are exact: no frame is drawn, and --seed and --samples
-    # (still accepted) change nothing
+    # chart verdicts are exact: no frame is drawn, and --seed (still
+    # accepted) changes nothing
     def draw(*args):
         raise AssertionError("a chart command drew a frame")
     monkeypatch.setattr(fr.FrameSampler, "draw", draw)
     outputs = set()
     for name, params in (("fubini_study", {"m": 3}), ("s6_nearly_kahler", {})):
         path = write_model(tmp_path, name, **params)
-        for extra in ([], ["--seed", "5"], ["--seed", "123", "--samples", "1000000000000000"]):
+        for extra in ([], ["--seed", "5"], ["--seed", "1000000000000000"]):
             code, out, err = run_cli(capsys, command, path, "--point=0.1,0.2,-0.1,0.3,0.05,0.0",
                                      *extra)
             assert code == 0, err
             outputs.add(out)
-            assert "seed" not in out and "samples" not in out
+            assert "seed" not in out
     assert len(outputs) == 2  # one per chart
 
 

@@ -102,10 +102,9 @@ def manifold_docs(draw):
 
 
 _OPTIONS = {"--seed": _mostly(st.integers(0, 9), st.just(-1)).map(str),
-            "--samples": _mostly(st.integers(1, 3), st.integers(-1, 0)).map(str),
             "--tol": _mostly(st.sampled_from(["1e-8", "0", "1", "1e-300"]), _FLOAT.map(repr))}
-_OWN = {"analyze": ["--seed", "--samples", "--tol"],
-        "classify": ["--seed", "--samples", "--tol"],
+_OWN = {"analyze": ["--seed", "--tol"],
+        "classify": ["--seed", "--tol"],
         "submanifold": ["--tol"]}
 
 
@@ -166,9 +165,9 @@ def test_chart_commands_end_in_report_or_one_line_error(case, data):
 @settings(max_examples=15, **_SETTINGS)
 @given(m=st.sampled_from(["-1", "0", "1", "2", "3", "7", "x", "2.5"]),
        options=st.lists(st.sampled_from([
-           ["--frames", "0"], ["--frames", "3"], ["--seed", "-4"], ["--seed", "9"],
+           ["--seed", "-4"], ["--seed", "9"],
            ["--tol", "nan"], ["--tol", "1e-30"], ["--tol", "inf"], ["--tol", "-1"],
-           ["--samples", "2"]]), max_size=3))
+           ["--frames", "3"]]), max_size=3))
 def test_verify_theorem_ends_in_report_or_one_line_error(m, options):
     _check(["verify-theorem", "--m", m, *[a for opt in options for a in opt]])
 
@@ -193,8 +192,7 @@ def test_built_in_models_give_reports_inside_their_domain(name, data):
                                             for lo, hi in chart.domain_hint]),
                                 min_size=1, max_size=3))
     options = [*("--point=" + ",".join(map(repr, p)) for p in points),
-               "--seed", str(data.draw(st.integers(0, 9))),
-               "--samples", str(data.draw(st.integers(1, 8)))]
+               "--seed", str(data.draw(st.integers(0, 9)))]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "chart.json")
         with open(path, "w", encoding="utf-8") as fh:

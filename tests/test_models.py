@@ -177,7 +177,7 @@ def test_expected_tables_present():
 def test_fubini_study_expected_matches_constancy():
     chart = models.instantiate("fubini_study", m=2)
     pd = cv.point_data(chart, [[0.0] * 4, [0.2, -0.1, 0.1, 0.3]])
-    report, _ = cl.constancy_report(chart, pd)
+    report, _ = cl.constancy_report(chart, pd, cl.unitary_bounds(pd.riemann, pd.g, pd.J))
     constants = {r["name"]: r["constant"] for r in report}
     for name, key in (("holomorphic_sectional", "hsc"),
                       ("antiholomorphic_sectional", "antiholomorphic_sectional"),

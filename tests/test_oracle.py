@@ -111,7 +111,7 @@ def _weyl_sq(pd):
 
 
 def _flags(chart, pd):
-    report, _ = cl.classify_chart(chart, pd)
+    report, _, _ = cl.classify_chart(chart, pd)
     return ([(c["name"], c["pass"]) for c in report["checks"]]
             + [(c["name"], c["pass"], c["global_pass"]) for c in report["constancy"]])
 
