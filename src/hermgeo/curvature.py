@@ -77,17 +77,16 @@ class ManifoldChart:
     def metric_jets(self, points):
         """(g, dg, ddg) at a point (n,) or a stack (P, n) from one jet of the
         metric entries, with dg[..., k,i,j] = d_k g_ij and ddg[..., c,k,i,j] =
-        d_c d_k g_ij, each point's metric checked in order.  At one point, a
-        failed jet names an undefined, asymmetric or singular metric first."""
+        d_c d_k g_ij, the metrics of a stack checked at once (``_checked_metric``).
+        At one point, a failed jet names an undefined, asymmetric or singular
+        metric first."""
         try:
             g, dg, ddg = _matrix_jets(self.metric, self.coordinates, points)
         except ex.DomainError:
             if np.ndim(points) == 1:
                 self.metric_at(points)
             raise
-        for i in np.ndindex(g.shape[:-2]):
-            _checked_metric(np.asarray(points)[i], g[i], dg[i], ddg[i])
-        return g, dg, ddg
+        return _checked_metric(points, g, dg, ddg), dg, ddg
 
     def metric_at(self, point):
         v = ex.values([e for row in self.metric for e in row], dict(zip(self.coordinates, point)))
@@ -134,20 +133,32 @@ def check_rank(F, kind, points):
             raise RankDeficiencyError(f"{kind} rank deficient at {x} (singular values {s})")
 
 
-def _checked_metric(point, g, *derivatives):
-    """g, checked finite, symmetric with its derivatives in the last two indices,
-    and positive definite: every result reads only this jet of the metric."""
-    where = np.asarray(point).tolist()
-    if not np.all(np.isfinite(g)):
-        raise ex.DomainError(f"metric not finite at {where}")
-    a = np.concatenate([d.reshape(-1, *g.shape) for d in (g, *derivatives)])
-    bad = np.argwhere(np.abs(a - np.swapaxes(a, 1, 2)) > 1e-12 * np.maximum(1.0, np.abs(a)))
-    if len(bad):
-        i, j = sorted(bad[0, 1:])
-        raise AsymmetricMetricError(f"metric entries ({i},{j}) and ({j},{i}) disagree at {where}")
-    w = np.linalg.eigvalsh(g)
-    if w[0] <= 1e-10 * w[-1]:
-        raise SingularMetricError(f"metric not positive definite at {where} (eigenvalues {w})")
+def _checked_metric(points, g, *derivatives):
+    """g at a point (n,) or a stack (P, n), checked finite, symmetric with its
+    derivatives in the last two indices, and positive definite: every result
+    reads only this jet of the metric.  The whole stack is checked at once; the
+    first bad point names the error, and at that point those three checks
+    come in that order."""
+    n = g.shape[-1]
+    flat = g.reshape(-1, n, n)
+    a = np.concatenate([d.reshape(len(flat), -1, n, n) for d in (g, *derivatives)], axis=1)
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf at a point that is not finite
+        asymmetric = np.abs(a - np.swapaxes(a, 2, 3)) > 1e-12 * np.maximum(1.0, np.abs(a))
+    w = np.zeros((len(flat), n))
+    w[finite] = np.linalg.eigvalsh(flat[finite])
+    singular = w[:, 0] <= 1e-10 * w[:, -1]
+    bad = ~finite | asymmetric.any(axis=(1, 2, 3)) | singular
+    if bad.any():
+        p = np.argmax(bad)
+        where = np.reshape(points, (len(flat), -1))[p].tolist()
+        if not finite[p]:
+            raise ex.DomainError(f"metric not finite at {where}")
+        if asymmetric[p].any():
+            i, j = sorted(np.argwhere(asymmetric[p])[0, 1:])
+            raise AsymmetricMetricError(
+                f"metric entries ({i},{j}) and ({j},{i}) disagree at {where}")
+        raise SingularMetricError(f"metric not positive definite at {where} (eigenvalues {w[p]})")
     return g
 
 

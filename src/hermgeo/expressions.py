@@ -1,5 +1,5 @@
 """Closed-form scalar expressions: parsing, exact differentiation, evaluation,
-and second-order jets.
+and second- and third-order jets.
 
 Grammar (EBNF):
 
@@ -21,13 +21,14 @@ Only constant folding is performed, and only to finite values; no canonical
 simplification.
 
 ``jets`` gives the values, gradients and Hessians of expressions at a stack
-of points, one numpy operation per level of the DAG and kind of node; it is
-how every derivative of chart data at a point is computed.  ``differentiate``
-builds a derivative as a new tree, for callers that need the derivative
-itself as an expression.  The two share one set of elementary rules:
-``jets`` evaluates, for each function f, the trees ``differentiate`` builds
-for f'(t) and f''(t).  tanh' is 1 - tanh^2, which
-stays finite where cosh^2 overflows.
+of points, and at order 3 their third derivatives, one numpy operation per
+level of the DAG and kind of node; it is how every derivative of chart and
+immersion data at a point is computed.  ``differentiate`` builds a
+derivative as a new tree, for callers that need the derivative itself as an
+expression.  The two share one set of elementary rules: ``jets`` evaluates,
+for each function f, the trees ``differentiate`` builds for f'(t), f''(t)
+and, at order 3 only, f'''(t).  tanh' is 1 - tanh^2, which stays finite
+where cosh^2 overflows.
 """
 
 import collections
@@ -582,43 +583,63 @@ def values(exprs, bindings):
 
 
 # ---------------------------------------------------------------------------
-# second-order jets
+# second- and third-order jets
 
 def _derivatives(f):
-    """(f', f'') of the function ``f`` of t, as trees."""
+    """(f', f'', f''') of the function ``f`` of t, as trees."""
     f1 = differentiate(f, "t")
-    return f1, differentiate(f1, "t")
+    f2 = differentiate(f1, "t")
+    return f1, f2, differentiate(f2, "t")
 
 
-# (f', f'') of each function and of the reciprocal "/" (1/t): jets evaluate
-# differentiate's own trees, so their floats and DomainErrors agree with it.
+# (f', f'', f''') of each function and of the reciprocal "/" (1/t): jets
+# evaluate differentiate's own trees, so their floats and DomainErrors agree
+# with it.
 _CHAIN = {fn: _derivatives(call(fn, symbol("t"))) for fn in FUNCTIONS}
 _CHAIN["/"] = _derivatives(div(const(1.0), symbol("t")))
 
 
-def _factors(fn, t):
-    """(f'(t), f''(t)) of ``fn``, a key of _CHAIN, from its derivative trees."""
-    f1, f2 = _CHAIN[fn]
-    return evaluate(f1, {"t": t}), evaluate(f2, {"t": t})
+def _factors(fn, t, order):
+    """The first ``order`` derivatives of ``fn``, a key of _CHAIN, at t, from
+    its derivative trees, lowest first."""
+    bindings = {"t": t}
+    return [evaluate(d, bindings) for d in _CHAIN[fn][:order]]
 
 
-def _chain(value, f1, f2, u, n):
-    """Jets (G, size, P) of f(u) for a group of G nodes, from each node's and
-    point's value of f, f', f'' at u (G, P) and the jets of u."""
+def _sym3(s):
+    """s[a,b,c] + s[a,c,b] + s[b,c,a] for a stack s (G, n, n, n, P) symmetric
+    in a and b: the three placements of one term of a third derivative."""
+    return s + s.transpose(0, 1, 3, 2, 4) + s.transpose(0, 3, 1, 2, 4)
+
+
+def _chain(u, n, value, f1, f2, f3=None):
+    """Jets (G, size, P) of f(u) for a group of G nodes, from the jets of u
+    and each node's and point's value of f and its derivatives at u (G, P),
+    f''' for third-order jets only (Faa di Bruno's formula)."""
+    o3 = 1 + n + n * n
     out, g = f1[:, None] * u, u[:, 1:n + 1]
-    h = out[:, n + 1:].reshape(len(out), n, n, -1)
-    h += f2[:, None, None] * (g[:, :, None] * g[:, None])
+    h, gg = out[:, n + 1:o3].reshape(len(out), n, n, -1), g[:, :, None] * g[:, None]
+    h += f2[:, None, None] * gg
+    if f3 is not None:
+        t, g = out[:, o3:].reshape(len(out), n, n, n, -1), g[:, None, None]
+        t += f2[:, None, None, None] * _sym3(u[:, n + 1:o3].reshape(len(out), n, n, 1, -1) * g)
+        t += f3[:, None, None, None] * (gg[:, :, :, None] * g)
     out[:, 0] = value
     return out
 
 
 def _product(value, a, b, n):
     """Jets of a*b for a group, given their values."""
+    o3 = 1 + n + n * n
     out, cross = a[:, :1] * b, a[:, 1:n + 1, None] * b[:, None, 1:n + 1]
     out += b[:, :1] * a
-    h = out[:, n + 1:].reshape(len(out), n, n, -1)
+    h = out[:, n + 1:o3].reshape(len(out), n, n, -1)
     h += cross
     h += cross.transpose(0, 2, 1, 3)
+    if out.shape[1] > o3:  # the six terms a'' b' and a' b'' of the Leibniz sum
+        t = out[:, o3:].reshape(len(out), n, n, n, -1)
+        a2, b2 = (c[:, n + 1:o3].reshape(len(out), n, n, 1, -1) for c in (a, b))
+        t += _sym3(a2 * b[:, None, None, 1:n + 1] + b2 * a[:, None, None, 1:n + 1])
     out[:, 0] = value
     return out
 
@@ -635,29 +656,32 @@ def first_bad_point(step, points):
         raise
 
 
-def jets(exprs, coordinates, points):
+def jets(exprs, coordinates, points, order=2):
     """Values, gradients and Hessians of ``exprs`` at ``points``, a stack
     (P, n) or one point (n,), as arrays (P, m), (P, m, n) and (P, m, n, n)
-    for m expressions in n coordinates (no P axis for one point).
+    for m expressions in n coordinates (no P axis for one point); at
+    ``order`` 3 also the third derivatives (P, m, n, n, n).
 
-    Exact second-order Taylor coefficients are pushed forward through each
+    Exact Taylor coefficients of order 2 or 3 are pushed forward through each
     distinct subtree once for all points (Griewank & Walther, Evaluating
     Derivatives, 2nd ed., ch. 13).  One ``_walk`` files each node under its
     level (one more than its deepest child's) and kind; level by level, each
     group takes one numpy operation per step of its rule on one buffer
-    (nodes, 1 + n + n^2, P).  ``+ - * /`` round in numpy as Python floats do,
-    and function values, powers and the chain factors (``differentiate``'s
-    trees for f', f'') go point by point through ``math``: each point gets
-    the floats it gets alone.  A DomainError is kept at its point and node,
-    which then carries NaN.  The first point with an error or a non-finite
-    value or derivative names the error, the one it meets first in
-    post-order alone.  A subtree free of symbols has the exact jet (value,
-    0, 0); dividing by it scales the jet, so an infinite one gives no NaN.
+    (nodes, 1 + n + n^2 [+ n^3], P).  ``+ - * /`` round in numpy as Python
+    floats do, and function values, powers and the chain factors
+    (``differentiate``'s trees for f', f'', and f''' at order 3 only) go
+    point by point through ``math``: each point gets the floats it gets
+    alone, and orders 0 to 2 of an order-3 jet are the order-2 jet's bits.
+    A DomainError is kept at its point and node, which then carries NaN.
+    The first point with an error or a non-finite value or derivative names
+    the error, the one it meets first in post-order alone.  A subtree free
+    of symbols has the exact jet (value, 0, 0[, 0]); dividing by it scales
+    the jet, so an infinite one gives no NaN.
     """
     points = np.asarray(points, dtype=float)
     n = len(coordinates)
     stack = points.reshape(-1, n)
-    P, size = len(stack), 1 + n + n * n
+    P, size = len(stack), 1 + n + n * n + n ** 3 * (order == 3)
     seeds = {c: i for i, c in enumerate(coordinates)}
     # post-order (node, left or only child row, right child row); (level,
     # kind) -> rows; denominator row -> row of its reciprocal's jet, just
@@ -701,10 +725,14 @@ def jets(exprs, coordinates, points):
                     out.append((math.nan,) * width)
         return np.array(out).reshape(len(rows), P, width).transpose(2, 0, 1)
 
-    def power(e, x):  # x^c, c x^(c-1) and c (c-1) x^(c-2) for the constant c
+    def power(e, x):  # x^c and its first ``order`` derivatives for the constant c
         c = e.right.value
-        return (_apply_binop("^", x, c), c * _apply_binop("^", x, c - 1.0),
-                c * (c - 1.0) * _apply_binop("^", x, c - 2.0))
+        out = (_apply_binop("^", x, c), c * _apply_binop("^", x, c - 1.0),
+               c * (c - 1.0) * _apply_binop("^", x, c - 2.0))
+        if order == 2:
+            return out
+        d3 = c * (c - 1.0) * (c - 2.0)  # 0 for x^2, defined at x = 0
+        return (*out, d3 * _apply_binop("^", x, c - 3.0) if d3 else 0.0)
 
     scheduled = _walk(exprs, schedule)
     J = np.zeros((len(nodes), size, P))
@@ -728,19 +756,19 @@ def jets(exprs, coordinates, points):
                 else:
                     J[at] = -a
             elif op == "Call":
-                f = each(1 if free else 3, lambda e, x: (_apply_call(e.fn, x), *(
-                    () if free else _factors(e.fn, x))), rows, a[:, 0])
+                f = each(1 if free else 1 + order, lambda e, x: (_apply_call(e.fn, x), *(
+                    () if free else _factors(e.fn, x, order))), rows, a[:, 0])
                 if free:
                     J[at, 0] = f[0]
                 else:
-                    J[at] = _chain(*f, a, n)
+                    J[at] = _chain(a, n, *f)
             elif op == "1/":
-                f = each(2, lambda e, t: _factors("/", t), rows, a[:, 0])
-                J[at] = _chain(1.0 / a[:, 0], *f, a, n)
+                f = each(order, lambda e, t: _factors("/", t, order), rows, a[:, 0])
+                J[at] = _chain(a, n, 1.0 / a[:, 0], *f)
             elif op in "+-":
                 J[at] = a + b if op == "+" else a - b
             elif op == "^" and not free and variant:
-                J[at] = _chain(*each(3, power, rows, a[:, 0]), a, n)
+                J[at] = _chain(a, n, *each(1 + order, power, rows, a[:, 0]))
             else:
                 if op == "/" and not b[:, 0].all():
                     failures += [(p, rows[g], DomainError("division by zero"))
@@ -758,12 +786,12 @@ def jets(exprs, coordinates, points):
                 elif op == "/":  # times the jet of 1/b
                     J[at] = _product(value, a, take([recips[k] for k in right]), n)
                 else:  # f^g with non-constant exponent, differentiated as exp(g*log f)
-                    f = each(3, lambda e, x: (_apply_call("log", x), *_factors("log", x)),
-                             rows, a[:, 0])
-                    log_a = _chain(*f, a, n)
+                    f = each(1 + order, lambda e, x: (_apply_call("log", x),
+                                                      *_factors("log", x, order)), rows, a[:, 0])
+                    log_a = _chain(a, n, *f)
                     t = b[:, 0] * log_a[:, 0]
-                    J[at] = _chain(value, *each(2, lambda e, x: _factors("exp", x), rows, t),
-                                    _product(t, b, log_a, n), n)
+                    J[at] = _chain(_product(t, b, log_a, n), n, value,
+                                   *each(order, lambda e, x: _factors("exp", x, order), rows, t))
     jet = take([scheduled[id(e)][0] for e in exprs]).transpose(2, 0, 1)  # (P, m, size)
     if failures or not np.isfinite(jet).all():
         bad = np.flatnonzero(~np.isfinite(jet).all(axis=(1, 2))).tolist()
@@ -771,9 +799,11 @@ def jets(exprs, coordinates, points):
         if errors := [(row, exc) for q, row, exc in failures if q == p]:
             raise min(errors, key=lambda f: f[0])[1]
         raise DomainError(f"a value or derivative is not finite at {stack[p].tolist()}")
-    lead = points.shape[:-1] + (len(exprs),)
-    return tuple(np.ascontiguousarray(jet[..., part]).reshape(lead + shape) for part, shape in
-                 ((0, ()), (slice(1, n + 1), (n,)), (slice(n + 1, None), (n, n))))
+    lead, o3 = points.shape[:-1] + (len(exprs),), 1 + n + n * n
+    parts = [(0, ()), (slice(1, n + 1), (n,)), (slice(n + 1, o3), (n, n)),
+             (slice(o3, None), (n, n, n))][:order + 1]
+    return tuple(np.ascontiguousarray(jet[..., part]).reshape(lead + shape)
+                 for part, shape in parts)
 
 
 def substitute(e, mapping):

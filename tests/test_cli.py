@@ -1,4 +1,6 @@
+import importlib
 import json
+import os
 import re
 import warnings
 
@@ -810,6 +812,35 @@ def test_map_third_derivative_domain_error(tmp_path, capsys):
     assert code == 3 and out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_a_stack_whose_second_point_fails_only_in_the_third_derivative(tmp_path, capsys):
+    # exp(700*u) and its first two derivatives are finite at u = 0.99, its
+    # third derivative is not; the stack exits as that point does alone
+    doc = {"name": "r3", "dim": 3, "coordinates": ["x", "y", "z"],
+           "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+           "immersion": {"coordinates": ["u", "v"], "map": ["u", "v", "exp(700*u)"]}}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tree = ex.parse("exp(700*u)", ["u", "v"])
+    assert all(np.isfinite(d).all() for d in ex.jets([tree], ["u", "v"], [0.99, 0.5]))
+    assert run_cli(capsys, "submanifold", str(path), "--point=0,0.5")[0] == 0
+    alone = run_cli(capsys, "submanifold", str(path), "--point=0.99,0.5")
+    assert alone == (3, "", "error: a value or derivative is not finite at [0.99, 0.5]\n")
+    assert run_cli(capsys, "submanifold", str(path), "--point=0,0.5", "--point=0.99,0.5") == alone
+
+
+def test_submanifold_builds_no_derivative_trees(tmp_path, capsys, monkeypatch):
+    # the map's third derivatives come from one third-order jet of the map
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    path = importlib.import_module("perfbench.workloads")._sub_files(str(tmp_path))["chart"]
+
+    def refuse(*args):
+        raise RuntimeError("gradients called on a command path")
+
+    monkeypatch.setattr(ex, "gradients", refuse)
+    code, out, err = run_cli(capsys, "submanifold", path, "--point=1,1.2,0.5", "--point=2,0.8,-1")
+    assert code == 0 and err == "" and len(json.loads(out)["points"]) == 2
 
 
 @pytest.mark.parametrize("command, metric, immersion_map, point", [

@@ -270,6 +270,41 @@ def test_asymmetric_metric_jet_is_rejected(g01, point):
         cv.point_data(chart, point)
 
 
+def test_a_stack_of_metrics_is_checked_at_once_and_the_first_bad_point_names_the_error():
+    # three points that fail three ways, after a good one: each order of the
+    # three raises what its first point raises alone, text for text
+    eye = np.eye(3)
+    infinite = eye.copy()
+    infinite[1, 2] = np.inf                    # not finite, and asymmetric too
+    singular = np.diag([1.0, 1.0, 0.0])
+    skew_jet = np.zeros((3, 3, 3))
+    skew_jet[2, 0, 1] = 0.5                    # d_2 g_01 != d_2 g_10
+    cases = {"good": (eye, np.zeros((3, 3, 3))), "infinite": (infinite, np.zeros((3, 3, 3))),
+             "skew": (eye, skew_jet), "singular": (singular, np.zeros((3, 3, 3)))}
+    points = {name: [0.25 * i, -0.5, 1.0] for i, name in enumerate(cases)}
+    messages = {
+        "infinite": (ex.DomainError, "metric not finite at [0.25, -0.5, 1.0]"),
+        "skew": (cv.AsymmetricMetricError,
+                 "metric entries (0,1) and (1,0) disagree at [0.5, -0.5, 1.0]"),
+        "singular": (cv.SingularMetricError,
+                     "metric not positive definite at [0.75, -0.5, 1.0] (eigenvalues [0. 1. 1.])")}
+    for kind, (error, message) in messages.items():
+        g, dg = cases[kind]
+        with pytest.raises(error) as alone:
+            cv._checked_metric(points[kind], g, dg)
+        assert str(alone.value) == message
+    bad = list(messages)
+    for order in (bad, bad[::-1], bad[1:] + bad[:1]):
+        names = ["good", *order]
+        g, dg = (np.array([cases[name][k] for name in names]) for k in (0, 1))
+        error, message = messages[order[0]]
+        with pytest.raises(error) as stacked:
+            cv._checked_metric([points[name] for name in names], g, dg)
+        assert str(stacked.value) == message
+    g, dg = (np.array([cases["good"][k]] * 2) for k in (0, 1))
+    assert cv._checked_metric([points["good"]] * 2, g, dg) is g
+
+
 @pytest.mark.parametrize("name, params", [("s6_nearly_kahler", {}), ("fubini_study", {"m": 3}),
                                           ("hyperbolic", {"n": 2}), ("round_sphere", {"n": 3})])
 def test_point_data_of_a_stack_is_each_point_alone(name, params):

@@ -465,7 +465,7 @@ def test_jets_match_symbolic_derivatives(rng):
     assert checked > 150
 
 
-def _domain_expr(rng, coords, depth):
+def _domain_expr(rng, coords, depth, functions=("log", "sqrt", "tan", "sin", "exp")):
     """Random trees that also divide, take log, sqrt and tan, and raise to
     non-constant powers, so that some leave the real domain at some points.
     Their leaves and nodes are interned, so equal subtrees are one node."""
@@ -473,24 +473,24 @@ def _domain_expr(rng, coords, depth):
         if rng.uniform() < 0.4:
             return ex.const(rng.choice([0.0, 1.0, 2.0, 0.17, -1.263]))
         return ex.symbol(coords[rng.integers(len(coords))])
-    a = _domain_expr(rng, coords, depth - 1)
+    a = _domain_expr(rng, coords, depth - 1, functions)
     choice = rng.integers(4)
     if choice == 0:
-        return ex.call(["log", "sqrt", "tan", "sin", "exp"][rng.integers(5)], a)
+        return ex.call(functions[rng.integers(len(functions))], a)
     if choice == 1:
         return ex.pow_(a, ex.Const(float(rng.choice([-1.0, 0.5, 1.5, 2.0, 3.0]))))
-    b = _domain_expr(rng, coords, depth - 1)
+    b = _domain_expr(rng, coords, depth - 1, functions)
     if choice == 2:
         return ex.pow_(a, b)
     return [ex.add, ex.sub, ex.mul, ex.div][rng.integers(4)](a, b)
 
 
-def _generated_cases():
-    """2000 (tree, point) pairs in x and y; about 30% of the points lie on a
-    grid that meets the domain edges."""
-    rng = np.random.default_rng(20)
-    for _ in range(2000):
-        e = _domain_expr(rng, ["x", "y"], 4)
+def _generated_cases(seed=20, functions=("log", "sqrt", "tan", "sin", "exp"), count=2000):
+    """``count`` (tree, point) pairs in x and y; about 30% of the points lie on
+    a grid that meets the domain edges."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        e = _domain_expr(rng, ["x", "y"], 4, functions)
         point = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=2) if rng.uniform() < 0.3 \
             else rng.uniform(-1.5, 1.5, size=2)
         yield e, point
@@ -520,6 +520,75 @@ def test_jets_agree_with_symbolic_derivatives_on_generated_trees():
             assert np.max(np.abs(g[0] - w)) <= 1e-9 * max(1.0, np.max(np.abs(w))), str(e)
         compared += 1
     assert compared >= 1000 and raised >= 100
+
+
+def _third_order_cases():
+    """The generated trees, then 1000 more that take every function."""
+    yield from _generated_cases()
+    yield from _generated_cases(21, tuple(ex.FUNCTIONS), 1000)
+
+
+def _intermediates(e):
+    """The subtrees of ``e`` and the jets the engine forms besides them: the
+    reciprocal of each denominator, and log f and g*log f of each f^g with a
+    non-constant exponent."""
+    out = {}
+    for node in _nodes(e):
+        out[id(node)] = node
+        if isinstance(node, ex.BinOp) and node.op == "/":
+            out[id(node) + 1] = ex.div(ex.const(1.0), node.right)
+        elif isinstance(node, ex.BinOp) and node.op == "^" and not isinstance(node.right, ex.Const):
+            log = ex.call("log", node.left)
+            out[id(node) + 1], out[id(node) + 2] = log, ex.mul(node.right, log)
+    return list(out.values())
+
+
+# The largest error of a third-order jet against the symbolic oracle below,
+# in ulps of the largest magnitude any intermediate jet reaches up to third
+# order, was 47.8 over both sets of generated trees; the bound is four times
+# that.  That is the scale of the rounding: the exact third derivative of x/x
+# is 0, but its terms are of the size of the third derivative of 1/x.
+_THIRD_ORDER_ULPS = 4 * 48
+
+
+def _kinds(e):
+    """The operators, functions and kinds of power that ``e`` uses."""
+    kinds = set()
+    for node in _nodes(e):
+        if isinstance(node, ex.Call):
+            kinds.add(node.fn)
+        elif isinstance(node, ex.BinOp):
+            constant = isinstance(node.right, ex.Const)
+            kinds.add(node.op + ("c" if node.op in "^/" and constant else ""))
+    return kinds
+
+
+def test_third_order_jets_agree_with_hessians_of_gradient_trees():
+    # the third slice of an order-3 jet against the order-2 Hessians of the
+    # exact first-derivative trees; orders 0 to 2 are the order-2 jet's bits
+    coords = ["x", "y"]
+    compared, raised, kinds = 0, 0, set()
+    for e, point in _third_order_cases():
+        try:
+            got = ex.jets([e], coords, point, 3)
+        except ex.DomainError:
+            # the oracle may be defined where differentiate folded a tree, as
+            # in test_jets_agree_with_symbolic_derivatives_on_generated_trees
+            raised += 1
+            continue
+        # the order-2 jet of e and of its gradient trees, each as it is alone
+        second = ex.jets([e, *ex.gradients([e], coords)[0]], coords, point)
+        for g, w in zip(got[:3], second):
+            assert g.tobytes() == w[:1].tobytes(), str(e)
+        want = second[2][1:]  # [i, j, k]
+        error = np.max(np.abs(got[3][0] - want))
+        if error > _THIRD_ORDER_ULPS * math.ulp(np.max(np.abs(want))):  # else within any scale
+            scale = max(np.max(np.abs(j)) for j in ex.jets(_intermediates(e), coords, point, 3))
+            assert error <= _THIRD_ORDER_ULPS * math.ulp(scale), str(e)
+        kinds |= _kinds(e)
+        compared += 1
+    assert compared >= 1500 and raised >= 1000
+    assert kinds == {*ex.FUNCTIONS, "+", "-", "*", "/", "/c", "^", "^c"}
 
 
 def _unshared(e):
@@ -728,6 +797,20 @@ def test_a_stack_of_points_is_each_point_alone_bit_for_bit(name, coords, trees, 
         for g, w in zip(got, ex.jets([tree], coords, points)):
             assert g[:, k].tobytes() == w[:, 0].tobytes(), (name, k)
     assert not np.isnan(got[2]).any()
+
+
+@pytest.mark.parametrize("name, coords, trees, points",
+                         list(_tree_sets()), ids=lambda v: v if isinstance(v, str) else "")
+def test_a_third_order_stack_is_each_point_alone_bit_for_bit(name, coords, trees, points):
+    got = ex.jets(trees, coords, points, 3)
+    assert [a.shape for a in got] == [(len(points), len(trees)) + (len(coords),) * k
+                                      for k in range(4)]
+    for i, point in enumerate(points):
+        for g, w in zip(got, ex.jets(trees, coords, point, 3)):
+            assert g[i].tobytes() == w.tobytes(), name
+    for g, w in zip(got[:3], ex.jets(trees, coords, points)):
+        assert g.tobytes() == w.tobytes(), name
+    assert not np.isnan(got[3]).any()
 
 
 def test_the_first_bad_point_names_the_error_across_nodes():
