@@ -11,9 +11,9 @@ functionals on that space.  A fixed number of frames, enough for full rank
 on the complement of K with three batches to spare, gives the constraint
 rows; they are then checked to vanish on exactly the space K of products
 h ⊙ g, written down in closed form, with a certified margin on its
-complement.  K and its conformal (Weyl) norm are built once per n.  A
-vanishing Weyl norm over the null space is the machine form of the classical
-conformal-flatness conclusion.
+complement.  K, its conformal (Weyl) norm and the derived identities'
+bounds on it are built once per n.  A vanishing Weyl norm over the null
+space is the machine form of the classical conformal-flatness conclusion.
 """
 
 import functools
@@ -33,7 +33,6 @@ _SPARE_BATCHES = 3      # batches drawn beyond those a full-rank stack needs
 _THEOREM_BATCH = 6      # admissible frames per batch of theorem constraints
 _SCHOUTEN_BATCH = 8     # orthonormal quadruples per batch of Schouten constraints
 _BLOCK_ROWS = 128       # constraint rows drawn at once
-_DERIVED_FRAMES = 64    # frames, and quadruples, of the theorem's derived checks
 
 
 def curvature_space_dim(n):
@@ -412,11 +411,19 @@ def _quadruples(g, sampler, count):
     return fr.orthonormal_frames(g, sampler.draw(4 * count).reshape(count, 4, len(g)), sampler)
 
 
-def quadruple_vanishing_residual(R4, g, sampler, samples=256):
-    """Max |R(X,Y,Z,U)| over sampled g-orthonormal quadruples."""
-    if g.shape[0] < 4:
+def quadruple_vanishing_residual(R4, g):
+    """|W|_g, the norm of R's Weyl part in a g-orthonormal frame (L^-T, for
+    g = L L^T), the largest over a stack (..., n, n, n, n) of tensors with
+    one g or one per tensor.  It bounds |R(X,Y,Z,U)| on every g-orthonormal
+    quadruple: R less its Weyl part is a Kulkarni-Nomizu product with g,
+    which vanishes on one, and a unit quadruple's functional has norm 1."""
+    n = g.shape[-1]
+    if n < 4:
         raise cv.UnsupportedDimensionError("orthogonal quadruples need dimension >= 4")
-    return float(np.max(np.abs(cv.curvature_values(R4, *_quadruples(g, sampler, samples)))))
+    frame = np.swapaxes(np.linalg.inv(np.linalg.cholesky(g)), -1, -2)
+    T, eye = cv.each_index(R4, frame, 4), np.eye(n)
+    W = cv.weyl(T, *cv.ricci_scalar(T, eye), eye)
+    return float(np.max(np.sqrt(np.sum(W ** 2, axis=(-4, -3, -2, -1)))))
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +437,15 @@ def _gamma(k):
 
 @functools.cache
 def _products(n):
-    """(basis, max_weyl) of K, the Kulkarni-Nomizu products h ⊙ I: an
+    """(basis, max_weyl, derived) of K, the Kulkarni-Nomizu products h ⊙ I: an
     orthonormal basis (d, n(n+1)/2) in coordinates of ``curvature_space(n)``,
-    and the max Weyl norm (identity metric) of its tensors.
+    the max Weyl norm (identity metric) of its tensors, and the theorem's
+    derived residuals on K as (name, value) pairs, each the largest over the
+    basis tensors of a bound that holds on every frame: the
+    ``verdict_bounds`` of (3.4) and (3.8) (None where the identity does not
+    exist) and the ``quadruple_vanishing_residual``.  The identity metric
+    and J = ``canonical_j(n)`` have the adapted frame I, so the tensors'
+    unitary components are taken in ``unitary_basis(n)``.
 
     The products of h = e_a e_b^T + e_b e_a^T, a <= b, are taken at each
     entry (ij, kl) of ``space.entries`` as R_ijkl (i < j, k < l), the
@@ -451,7 +464,15 @@ def _products(n):
     basis.flags.writeable = False
     T, g = _tensors(space, basis.T), np.eye(n)
     S, s = cv.ricci_scalar(T, g)
-    return basis, float(np.max(np.abs(cv.weyl(T, S, s, g)), initial=0.0))
+    max_weyl = float(np.max(np.abs(cv.weyl(T, S, s, g)), initial=0.0))
+    # chunks of 8 tensors keep their complex unitary components small in memory
+    chunks = np.split(T, range(8, len(T), 8))
+    bounds = [verdict_bounds(cv.each_index(t, unitary_basis(n), 4)) for t in chunks]
+    worst = proof_identity_residuals(
+        {name: np.concatenate([b[name] for b in bounds]) for name in bounds[0]})
+    derived = (("3.4", worst["3.4"]), ("3.8", worst["3.8"]),
+               ("quadruple", max(quadruple_vanishing_residual(t, g) for t in chunks)))
+    return basis, max_weyl, derived
 
 
 def _constraint_rows(space, entries, batch, order):
@@ -533,7 +554,7 @@ def _certificate(space, rows, tolerance, field):
     norm reported; ``nullspace_dim`` is dim K if the check holds, else None.
     ``field`` is the certificate's own (key, value).  It passes if the check
     holds and the Weyl norm is within ``tolerance``."""
-    products, max_weyl = _products(space.n)
+    products, max_weyl, _ = _products(space.n)
     holds, gap = _check(rows, products)
     key, value = field
     return {"dimension": space.n, "constraint_rows": int(rows.shape[0]),
@@ -573,30 +594,18 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8):
     (3.1), (3.2), (3.3), and for m > 2 also (3.5), (3.6), (3.7).  The derived
     identities (3.4), (3.8), the orthogonal-quadruple entry of the Schouten
     rows and the Weyl norm are verified on K, the space the certificate then
-    proves to be the null space: the rows of the check entries on the
-    _DERIVED_FRAMES drawn frames, times K's basis, in one product.
-    ValueError if no identity of ``_DIRECT`` applies at m.
+    proves to be the null space, as bounds over every frame that depend on
+    m alone (``_products``).  ValueError if no identity of ``_DIRECT``
+    applies at m.
     """
     if m < 2:
         raise cv.UnsupportedDimensionError("need complex dimension m >= 2")
     n = 2 * m
     space, g, J = curvature_space(n), np.eye(n), canonical_j(n)
-
-    # the derived checks draw from samplers of their own, so the constraint
-    # rows do not depend on them
-    checks = _identities(J, fr.admissible_frames(
-        g, J, fr.FrameSampler(sampler.seed + 1, n), _DERIVED_FRAMES, min(m, 4)), ("3.4", "3.8"))
-    checks.append(("quadruple", _quadruples(
-        g, fr.FrameSampler(sampler.seed + 2, n), _DERIVED_FRAMES)))
-
-    products, max_weyl = _products(n)
-    values = np.abs(_identity_rows(space, checks) @ products)
-    names = np.array([name for name, *_ in checks])
-    derived = {name: float(values[:, names == name].max(initial=0.0)) if name in names else None
-               for name in ("3.4", "3.8", "quadruple")}  # (3.8) needs m >= 4
+    _, max_weyl, derived = _products(n)
 
     # for m > 2 the frames need Z, for (3.5), (3.6) and (3.7)
     def entries(count):
         return _identities(J, fr.admissible_frames(g, J, sampler, count, min(m, 3)), _DIRECT)
     return {"m": m, **_certificate(space, _constraint_rows(space, entries, _THEOREM_BATCH, "C"),
-                                   tolerance, ("derived_residuals", {**derived, "weyl": max_weyl}))}
+                                   tolerance, ("derived_residuals", dict(derived, weyl=max_weyl)))}

@@ -55,25 +55,15 @@ def nabla_J_residuals(chart, pd):
     nj = nabla_j(chart, pd)
     lowered = pd.g[..., None, :, :] @ (nj + np.swapaxes(nj, -3, -1)) / 2
     frame = np.swapaxes(np.linalg.inv(np.linalg.cholesky(pd.g)), -1, -2)
-    nk = np.sqrt(np.sum(_each_index(lowered, frame, 3) ** 2, axis=(-3, -2, -1)))
+    nk = np.sqrt(np.sum(cv.each_index(lowered, frame, 3) ** 2, axis=(-3, -2, -1)))
     return float(np.max(np.abs(nj))), float(np.max(nk))
-
-
-def _each_index(T, M, order):
-    """The stack T (..., n, ..., n) of tensors of ``order`` indices with M (n, n)
-    or (..., n, n) applied to each: out[a,b,...] = T[i,j,...] M[i,a] M[j,b] ...
-    Each product moves one index last (n^5 work for four indices)."""
-    n, lead = M.shape[-1], T.shape[:T.ndim - order]
-    for _ in range(order):
-        T = (np.swapaxes(T.reshape(*lead, n, -1), -1, -2) @ M).reshape(T.shape)
-    return T
 
 
 def rk_residual(R4, J):
     """Max deviation of R(X,Y,Z,U) = R(JX,JY,JZ,JU) on basis vectors, the
     largest over a stack (..., n, n, n, n) of tensors.  The condition is
     tensorial, so checking coordinate indices is complete."""
-    return float(np.max(np.abs(R4 - _each_index(R4, J, 4))))
+    return float(np.max(np.abs(R4 - cv.each_index(R4, J, 4))))
 
 
 def unitary_bounds(R4, g, J, tolerance=1e-8, residuals=None):
@@ -89,7 +79,7 @@ def unitary_bounds(R4, g, J, tolerance=1e-8, residuals=None):
     if residuals is None:
         residuals = fr.hermitian_residuals(g, J)
     ok = (residuals[0] <= tolerance) & (residuals[1] <= tolerance)
-    T = _each_index(R4, fr.adapted_frames(g, J) @ ax.unitary_basis(n), 4)
+    T = cv.each_index(R4, fr.adapted_frames(g, J) @ ax.unitary_basis(n), 4)
     return ax.verdict_bounds(np.where(ok[..., None, None, None, None], T, np.nan))
 
 

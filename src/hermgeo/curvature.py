@@ -93,34 +93,25 @@ class ManifoldChart:
         return _checked_metric(point, np.reshape(v, (self.dim, self.dim)))
 
     def j_at(self, point):
-        return self._j_point(point)[0]
+        return self._j_jets(np.asarray(point, dtype=float))[0]
 
     def dj_at(self, point):
         """dJ[k,i,j] = d_k J^i_j, exact for symbolic and pointwise J."""
-        return self._j_point(point)[1]
-
-    def _j_point(self, point):
-        J, dJ = self._j_stack(*self._j_jets(np.asarray(point, dtype=float)[None]))
-        return (None, None) if J is None else (J[0], dJ[0])
+        return self._j_jets(np.asarray(point, dtype=float))[1]
 
     def _j_jets(self, points):
-        """The part of J at a point (n,) or a stack (P, n) that can fail, one
-        jet: the jets (J, dJ) of a symbolic J, or the embedding's map jets
-        (p, F, H) of a pointwise J, F checked to have full rank; () without J."""
+        """(J, dJ) at a point (n,) or a stack (P, n) from one jet: of the
+        entries of a symbolic J, or of the embedding's map for a pointwise J,
+        its Jacobian checked to have full rank before the rule runs on the
+        stack; (None, None) without J."""
         if self.complex_structure is not None:
             return _matrix_jets(self.complex_structure, self.coordinates, points)[:2]
         if self.complex_structure_fn is None:
-            return ()
-        p, F, H = ex.jets(self.embedding.map_exprs, self.coordinates, points)
-        check_rank(F, "embedding", points)
-        return p, F, H
-
-    def _j_stack(self, *stacks):
-        """(J, dJ) with a leading point axis from the ``_j_jets`` of every
-        point, stacked; (None, None) without J."""
-        if not stacks:
             return None, None
-        return stacks if self.complex_structure is not None else self.complex_structure_fn(*stacks)
+        lead, flat = np.shape(points)[:-1], np.reshape(points, (-1, self.dim))
+        p, F, H = ex.jets(self.embedding.map_exprs, self.coordinates, flat)
+        check_rank(F, "embedding", flat)
+        return tuple(a.reshape(lead + a.shape[1:]) for a in self.complex_structure_fn(p, F, H))
 
 
 def check_rank(F, kind, points):
@@ -230,6 +221,16 @@ def ricci_scalar(R4, g, gi=None):
     return S, np.einsum("...jk,...jk->...", gi, S)
 
 
+def each_index(T, M, order):
+    """The stack T (..., n, ..., n) of tensors of ``order`` indices with M (n, n)
+    or (..., n, n) applied to each: out[a,b,...] = T[i,j,...] M[i,a] M[j,b] ...
+    Each product moves one index last (n^5 work for four indices)."""
+    n, lead = M.shape[-1], T.shape[:T.ndim - order]
+    for _ in range(order):
+        T = (np.swapaxes(T.reshape(*lead, n, -1), -1, -2) @ M).reshape(T.shape)
+    return T
+
+
 def kulkarni_nomizu(h, k):
     """Kulkarni-Nomizu product of symmetric 2-tensors, also of stacks."""
     return (np.einsum("...il,...jk->...ijkl", h, k) + np.einsum("...jk,...il->...ijkl", h, k)
@@ -256,10 +257,9 @@ def point_data(chart, points):
     the error (``first_bad_point``)."""
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, chart.dim)
-    g, d1, d2, *j = ex.first_bad_point(lambda x: (*chart.metric_jets(x), *chart._j_jets(x)), flat)
+    jets = ex.first_bad_point(lambda x: (*chart.metric_jets(x), *chart._j_jets(x)), flat)
     # C-contiguous stacks, which einsum reads fastest (its order of sums follows the layout)
-    g, d1, d2, *j = (np.ascontiguousarray(a) for a in (g, d1, d2, *j))
-    J, dJ = chart._j_stack(*j)
+    g, d1, d2, J, dJ = (None if a is None else np.ascontiguousarray(a) for a in jets)
     g_inv = np.linalg.inv(g)
     gamma, _, R4 = connection_jet(g, d1, d2, g_inv)
     S, s = ricci_scalar(R4, g, g_inv)

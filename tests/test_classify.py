@@ -182,16 +182,6 @@ def test_rk_residual_matches_naive_einsum(n, rng):
     assert cl.rk_residual(R4, J) == pytest.approx(np.max(np.abs(R4 - naive)), rel=1e-12)
 
 
-@pytest.mark.parametrize("order", [3, 4])
-def test_each_index_applies_one_matrix_to_each_tensor_of_a_stack(order, rng):
-    # the stack axes are not tensor indices: one M acts on each tensor alone
-    n = 4
-    T = rng.normal(size=(2, 3, *(n,) * order))
-    M = rng.normal(size=(n, n))
-    alone = [[cl._each_index(t, M, order) for t in row] for row in T]
-    np.testing.assert_allclose(cl._each_index(T, M, order), alone, rtol=1e-13, atol=0)
-
-
 def _value(R4, X, Y, Z, U):
     return np.einsum("ijkl,i,j,k,l->", R4, X, Y, Z, U)
 

@@ -374,6 +374,20 @@ def test_verify_theorem(capsys):
     assert "nullspace" not in doc["theorem"] and "nullspace" not in doc["schouten"]
 
 
+def test_verify_theorem_draws_from_two_samplers(capsys, monkeypatch):
+    # one sampler per certificate's constraint rows; the derived checks draw
+    # no frames
+    made = []
+    init = fr.FrameSampler.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+    monkeypatch.setattr(fr.FrameSampler, "__init__", counted)
+    code, _, _ = run_cli(capsys, "verify-theorem", "--m", "2", "--seed", "5")
+    assert code == 0 and made == [(5, 4), (5, 4)]
+
+
 def test_verify_theorem_failed_certificate_exits_5(capsys):
     # converged rank, but no Weyl norm is below 1e-30: a failed certificate
     code, out, err = run_cli(capsys, "verify-theorem", "--m", "2", "--tol", "1e-30")

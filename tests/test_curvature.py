@@ -216,6 +216,16 @@ def test_weyl_conformal_invariance(rng):
         assert np.max(np.abs(c13_a - c13_b)) <= 1e-7
 
 
+@pytest.mark.parametrize("order", [3, 4])
+def test_each_index_applies_one_matrix_to_each_tensor_of_a_stack(order, rng):
+    # the stack axes are not tensor indices: one M acts on each tensor alone
+    n = 4
+    T = rng.normal(size=(2, 3, *(n,) * order))
+    M = rng.normal(size=(n, n))
+    alone = [[cv.each_index(t, M, order) for t in row] for row in T]
+    np.testing.assert_allclose(cv.each_index(T, M, order), alone, rtol=1e-13, atol=0)
+
+
 def test_curvature_values_match_per_row(rng):
     R4 = rng.normal(size=(5,) * 4)
     X, Y, Z, U = rng.normal(size=(4, 7, 5))
