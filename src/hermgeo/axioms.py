@@ -406,9 +406,11 @@ def proof_identity_residuals(bounds):
             for name in _IDENTITY_NAMES}
 
 
-def _quadruples(g, sampler, count):
-    """``count`` g-orthonormal quadruples drawn as one block, shape (4, count, n)."""
-    return fr.orthonormal_frames(g, sampler.draw(4 * count).reshape(count, 4, len(g)), sampler)
+def _quadruples(sampler, count):
+    """``count`` orthonormal quadruples drawn as one block, shape (4, count, n):
+    the Q of one real QR of each quadruple's draws."""
+    raw = sampler.draw(4 * count).reshape(count, 4, sampler.dimension)
+    return np.moveaxis(np.linalg.qr(np.swapaxes(raw, -1, -2))[0], -1, 0)
 
 
 def quadruple_vanishing_residual(R4, g):
@@ -475,11 +477,10 @@ def _products(n):
     return basis, max_weyl, derived
 
 
-def _constraint_rows(space, entries, batch, order):
-    """The constraint rows of a certificate, shape (r, d) in ``order`` ("F"
-    or "C"; the layout decides the rounding of the check's products), item
-    by item: ``entries(count)`` draws ``count`` items (frames or quadruples)
-    and gives their identity entries for ``_identity_rows``.
+def _constraint_rows(space, entries, batch):
+    """The constraint rows of a certificate, shape (r, d), item by item:
+    ``entries(count)`` draws ``count`` items (frames or quadruples) and gives
+    their identity entries for ``_identity_rows``.
 
     Entries on no item draw nothing, so a batch of ``batch`` items is b =
     batch * len(entries(0)) rows.  It can raise the rank by b, so
@@ -488,17 +489,15 @@ def _constraint_rows(space, entries, batch, order):
     If some batch fell short of full rank, the rows would leave more than K
     unconstrained and ``_check`` would fail; the count cannot pass wrongly.
 
-    A block of about _BLOCK_ROWS rows takes one draw and one
-    orthonormalization.  The rows do not depend on the block size: the
-    uniform stream is the same in one draw or in several, a frame does not
-    depend on its stack size, and ``functional_row`` is elementwise in its
-    stack.  Only the measure-zero redraw of a degenerate frame comes after
-    its block."""
+    A block of about _BLOCK_ROWS rows takes one draw and one QR.  The rows
+    do not depend on the block size: the uniform stream is the same in one
+    draw or in several, each frame is its own QR, and ``functional_row`` is
+    elementwise in its stack."""
     size = batch * len(entries(0))
     if not size:
         raise ValueError(f"no constraint identity applies in dimension {space.n}")
     batches = -(-(space.dim - space.n * (space.n + 1) // 2) // size) + _SPARE_BATCHES
-    out = np.empty((batches * size, space.dim), order=order)
+    out = np.empty((batches * size, space.dim))
     per_block = -(-_BLOCK_ROWS // size)
     for start in range(0, batches, per_block):
         count = min(per_block, batches - start)
@@ -509,7 +508,9 @@ def _constraint_rows(space, entries, batch, order):
 
 def _check(rows, products):
     """Whether the null space of ``rows`` is the span of the orthonormal
-    columns of ``products``, and the rank gap that shows it.
+    columns of ``products``, and the rank gap that shows it.  The rows come
+    row-major, as ``_constraint_rows`` writes them: the layout decides the
+    rounding of the products below.
 
     With G = rows^T rows, sigma^2 its largest eigenvalue and lambda its
     (k+1)-th smallest, k = dim K: the containment is |rows products|_2 /
@@ -571,9 +572,9 @@ def schouten_nullspace_verify(n, sampler, tolerance=1e-8):
     """
     if n < 4:
         raise cv.UnsupportedDimensionError("need dimension >= 4")
-    space, g = curvature_space(n), np.eye(n)
-    rows = _constraint_rows(space, lambda count: [("quadruple", _quadruples(g, sampler, count))],
-                            _SCHOUTEN_BATCH, "F")
+    space = curvature_space(n)
+    rows = _constraint_rows(space, lambda count: [("quadruple", _quadruples(sampler, count))],
+                            _SCHOUTEN_BATCH)
     return _certificate(space, rows, tolerance, ("expected_nullspace_dim", n * (n + 1) // 2))
 
 
@@ -607,5 +608,5 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8):
     # for m > 2 the frames need Z, for (3.5), (3.6) and (3.7)
     def entries(count):
         return _identities(J, fr.admissible_frames(g, J, sampler, count, min(m, 3)), _DIRECT)
-    return {"m": m, **_certificate(space, _constraint_rows(space, entries, _THEOREM_BATCH, "C"),
+    return {"m": m, **_certificate(space, _constraint_rows(space, entries, _THEOREM_BATCH),
                                    tolerance, ("derived_residuals", dict(derived, weyl=max_weyl)))}

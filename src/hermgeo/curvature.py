@@ -103,7 +103,7 @@ class ManifoldChart:
         """(J, dJ) at a point (n,) or a stack (P, n) from one jet: of the
         entries of a symbolic J, or of the embedding's map for a pointwise J,
         its Jacobian checked to have full rank before the rule runs on the
-        stack; (None, None) without J."""
+        stack and its result checked finite after; (None, None) without J."""
         if self.complex_structure is not None:
             return _matrix_jets(self.complex_structure, self.coordinates, points)[:2]
         if self.complex_structure_fn is None:
@@ -111,7 +111,11 @@ class ManifoldChart:
         lead, flat = np.shape(points)[:-1], np.reshape(points, (-1, self.dim))
         p, F, H = ex.jets(self.embedding.map_exprs, self.coordinates, flat)
         check_rank(F, "embedding", flat)
-        return tuple(a.reshape(lead + a.shape[1:]) for a in self.complex_structure_fn(p, F, H))
+        J, dJ = self.complex_structure_fn(p, F, H)
+        bad = ~(np.isfinite(J).all(axis=(1, 2)) & np.isfinite(dJ).all(axis=(1, 2, 3)))
+        if bad.any():
+            raise ex.DomainError(f"J not finite at {flat[np.argmax(bad)].tolist()}")
+        return tuple(a.reshape(lead + a.shape[1:]) for a in (J, dJ))
 
 
 def check_rank(F, kind, points):

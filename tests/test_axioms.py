@@ -114,10 +114,10 @@ def test_products_are_an_orthonormal_basis_of_kn_products(n, rng):
 
 def _schouten_rows(n, seed=0):
     """The Schouten constraint rows of dimension n."""
-    g, sampler = np.eye(n), fr.FrameSampler(seed, n)
+    sampler = fr.FrameSampler(seed, n)
     return ax._constraint_rows(ax.curvature_space(n),
-                               lambda count: [("quadruple", ax._quadruples(g, sampler, count))],
-                               ax._SCHOUTEN_BATCH, "F")
+                               lambda count: [("quadruple", ax._quadruples(sampler, count))],
+                               ax._SCHOUTEN_BATCH)
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -227,9 +227,9 @@ def test_functional_row_batches_match_single_rows(rng):
 
 def test_quadruple_block_equals_two_half_blocks():
     n = 6
-    g, sampler, twin = np.eye(n), fr.FrameSampler(3, n), fr.FrameSampler(3, n)
-    block = ax._quadruples(g, sampler, 16)
-    halves = np.concatenate([ax._quadruples(g, twin, 8) for _ in range(2)], axis=1)
+    sampler, twin = fr.FrameSampler(3, n), fr.FrameSampler(3, n)
+    block = ax._quadruples(sampler, 16)
+    halves = np.concatenate([ax._quadruples(twin, 8) for _ in range(2)], axis=1)
     assert block.shape == (4, 16, n)
     assert np.array_equal(block, halves)
 
@@ -239,7 +239,7 @@ def test_no_frame_draws_nothing():
     n = 8
     g, J = np.eye(n), ax.canonical_j(n)
     sampler, twin = fr.FrameSampler(2, n), fr.FrameSampler(2, n)
-    assert ax._quadruples(g, sampler, 0).shape == (4, 0, n)
+    assert ax._quadruples(sampler, 0).shape == (4, 0, n)
     for size in (2, 3, 4):
         assert fr.admissible_frames(g, J, sampler, 0, size).shape == (size, 0, n)
     assert np.array_equal(sampler.draw(3), twin.draw(3))

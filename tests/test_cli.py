@@ -844,6 +844,22 @@ def test_a_stack_whose_second_point_fails_only_in_the_third_derivative(tmp_path,
     assert run_cli(capsys, "submanifold", str(path), "--point=0,0.5", "--point=0.99,0.5") == alone
 
 
+@pytest.mark.parametrize("radius", [0.0, 1e-320])
+@pytest.mark.parametrize("command", ["classify", "analyze"])
+def test_a_pointwise_j_that_is_not_finite_names_its_first_point(tmp_path, capsys, command,
+                                                                 radius):
+    # a zero or subnormal embedding radius makes the cross-product rule's J
+    # not finite: the command exits 3 naming the point, in a stack the first
+    doc = reportio.chart_to_dict(models.instantiate("s6_nearly_kahler"))
+    doc["embedding"]["radius"] = radius
+    path = tmp_path / "s6.json"
+    path.write_text(reportio.dump_report(doc), encoding="utf-8")
+    first, second = "--point=0.1,0,-0.2,0.3,0.05,0", "--point=0,0,0,0,0,0"
+    alone = (3, "", "error: J not finite at [0.1, 0.0, -0.2, 0.3, 0.05, 0.0]\n")
+    assert run_cli(capsys, command, str(path), first) == alone
+    assert run_cli(capsys, command, str(path), first, second) == alone
+
+
 def test_submanifold_builds_no_derivative_trees(tmp_path, capsys, monkeypatch):
     # the map's third derivatives come from one third-order jet of the map
     monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))

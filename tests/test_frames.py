@@ -132,39 +132,6 @@ def test_sample_orthonormal_set_metric_and_constraints(rng):
     assert np.max(np.abs(out @ g @ np.array(constraints).T)) <= 1e-12
 
 
-class ScriptedSampler:
-    """Draws the given rows in order, then repeats the last one."""
-
-    def __init__(self, *rows):
-        self.rows = [np.asarray(r, dtype=float) for r in rows]
-        self.draws = 0
-
-    def draw(self, count=1):
-        row = self.rows[min(self.draws, len(self.rows) - 1)]
-        self.draws += 1
-        return row[None, :]
-
-
-@pytest.mark.parametrize("constraints, first", [
-    (None, [0.0, 0.0, 0.0]),                 # zero vector
-    ([[1.0, 0.0, 0.0]], [2.0, 0.0, 0.0]),    # inside the constraint span
-    ([[1.0, 0.0, 0.0]], [0.0, 1e-12, 0.0]),  # tiny next to the unit rows
-])
-def test_degenerate_draw_is_retried(constraints, first):
-    sampler = ScriptedSampler(first, [1.0, 3.0, 0.0])
-    out = fr.sample_orthonormal_set(np.eye(3), 1, sampler, constraints)
-    assert sampler.draws == 2
-    expected = [0.0, 1.0, 0.0] if constraints else np.array([1.0, 3.0, 0.0]) / np.sqrt(10)
-    assert np.max(np.abs(out[0] - expected)) <= 1e-15
-
-
-def test_degenerate_draws_give_up_after_64():
-    sampler = ScriptedSampler([1.0, 1.0, 0.0])
-    with pytest.raises(fr.RankDeficiencyError, match="could not sample an independent vector"):
-        fr.sample_orthonormal_set(np.eye(3), 1, sampler, [[1.0, 1.0, 0.0]])
-    assert sampler.draws == 64
-
-
 @pytest.mark.parametrize("size", [2, 3, 4])
 def test_stacked_frames_equal_sequential_frames(size, rng):
     n, count = 8, 6
@@ -191,35 +158,35 @@ def test_admissible_block_equals_two_half_blocks():
     assert np.array_equal(block, halves)
 
 
-class BlockSampler:
-    """Draws the given rows in order, ``count`` at a time."""
-
-    def __init__(self, *rows):
-        self.rows = [np.asarray(r, dtype=float) for r in rows]
-        self.counts = []
-
-    def draw(self, count=1):
-        self.counts.append(count)
-        out, self.rows = self.rows[:count], self.rows[count:]
-        return np.array(out).reshape(count, 3)
+def _compatible_pair(rng, n):
+    """A random compatible pair (g, J): the canonical pair conjugated by A,
+    whose condition number is at most 4."""
+    A = np.linalg.qr(rng.normal(size=(n, n)))[0] * rng.uniform(0.5, 2.0, size=n)
+    Ainv = np.linalg.inv(A)
+    return Ainv.T @ Ainv, A @ canonical_j(n) @ Ainv
 
 
-def test_degenerate_draw_in_a_stack_redraws_only_its_frame():
-    sampler = BlockSampler([1, 0, 0], [0, 1, 0],
-                           [1, 0, 0], [2, 0, 0],  # the second depends on the first
-                           [0, 0, 1], [0, 1, 0],
-                           [0, 3, 4])
-    out = fr.orthonormal_frames(np.eye(3), sampler.draw(6).reshape(3, 2, 3), sampler)
-    assert sampler.counts == [6, 1]
-    expected = [[[1, 0, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0.6, 0.8], [0, 1, 0]]]
-    assert np.max(np.abs(out - expected)) <= 1e-15
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_admissible_frames_are_unitary_in_g(n, rng):
+    # [X, JX, Y, JY, ...] is g-orthonormal for every size up to min(m, 4)
+    for size in range(2, min(n // 2, 4) + 1):
+        g, J = _compatible_pair(rng, n)
+        frames = fr.admissible_frames(g, J, fr.FrameSampler(size, n), 5, size)
+        for frame in np.moveaxis(frames, 1, 0):
+            E = np.stack([w for v in frame for w in (v, J @ v)], axis=1)
+            assert np.max(np.abs(E.T @ g @ E - np.eye(2 * size))) <= 1e-12, size
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_j_identity_keeps_je_as_zero_rows(n):
-    # Je = e depends on the rows so far: it adds a zero row, no constraint,
-    # so the frame still fills the whole space
-    frames = fr.admissible_frames(np.eye(n), np.eye(n), fr.FrameSampler(1, n), 5,
-                                  size=n)
-    for frame in np.moveaxis(frames, 1, 0):
-        assert np.max(np.abs(frame @ frame.T - np.eye(n))) <= 1e-12
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_admissible_frames_are_gram_schmidt_up_to_sign(n):
+    # for the canonical pair each vector is Gram-Schmidt's over the draws
+    # Y, JY, X, JX, Z, ... in the order drawn, up to its sign
+    J = canonical_j(n)
+    for size in range(2, min(n // 2, 4) + 1):
+        sampler, twin = fr.FrameSampler(7, n), fr.FrameSampler(7, n)
+        frames = fr.admissible_frames(np.eye(n), J, sampler, 5, size)
+        for frame in np.moveaxis(frames, 1, 0):
+            ref = fr.gram_schmidt([w for v in twin.draw(size) for w in (v, J @ v)], np.eye(n))
+            Y, X, *rest = ref[::2]
+            for v, w in zip(frame, [X, Y, *rest]):
+                assert np.max(np.abs(v - np.sign(v @ w) * w)) <= 1e-14, size
