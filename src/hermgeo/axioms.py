@@ -177,40 +177,33 @@ _DIRECT = ("3.1", "3.2", "3.3", "3.5", "3.6", "3.7")
 
 
 def _identities(J, frame, names=_IDENTITY_NAMES):
-    """(name, quadruple[, quadruple]) of each identity in ``names`` that
-    applies to an admissible frame (X, Y[, Z[, U]]), or to stacks of them:
-    R vanishes on the quadruple, or agrees on the two quadruples.  (3.5) has
-    two entries."""
+    """(name, quadruple[, quadruple]) of each identity in ``names`` that the
+    sphere axiom yields directly and that applies to an admissible frame (X,
+    Y[, Z]), or to stacks of them: R vanishes on the quadruple, or agrees on
+    the two quadruples.  (3.5) has two entries; the derived (3.4) and (3.8)
+    have none."""
     X, Y = frame[0], frame[1]
     JX, JY = X @ J.T, Y @ J.T
     out = [("3.1", (X, JX, JY, Y)),
            ("3.2", (JY, JX, X, Y)),
-           ("3.3", (X, JX, JX, Y), (X, JY, JY, Y)),
-           ("3.4", (X, Y, Y, JX), (X, JY, JY, JX))]
+           ("3.3", (X, JX, JX, Y), (X, JY, JY, Y))]
     if len(frame) >= 3:
         Z = frame[2]
         out += [("3.5", (X, JX, Y, Z)),
                 ("3.5", (X, Y, JY, Z)),
                 ("3.6", (X, JX, JX, Z), (X, Y, Y, Z)),
                 ("3.7", (X, Y, Y, JX), (X, Z, Z, JX))]
-    if len(frame) >= 4:
-        out.append(("3.8", (X, Y, frame[2], frame[3])))
     return [entry for entry in out if entry[0] in names]
 
 
-def _per_entry(value, entries):
-    """Per identity entry: ``value`` of its first quadruple, minus that of its
-    second if any."""
-    return [value(*terms[0]) - value(*terms[1]) if len(terms) == 2 else value(*terms[0])
-            for _, *terms in entries]
-
-
 def _identity_rows(space, entries):
-    """Functional rows of identity entries by the rule of ``_per_entry``:
-    shape (E, d), or (s, E, d) frame-major for entries on stacks of s frames.
-    The stack is C-contiguous; its layout fixes the rounding of products
-    with it."""
-    rows = _per_entry(functools.partial(functional_row, space), entries)
+    """Functional rows of identity entries, per entry that of its first
+    quadruple, minus that of its second if any: shape (E, d), or (s, E, d)
+    frame-major for entries on stacks of s frames.  The stack is
+    C-contiguous; its layout fixes the rounding of products with it."""
+    value = functools.partial(functional_row, space)
+    rows = [value(*terms[0]) - value(*terms[1]) if len(terms) == 2 else value(*terms[0])
+            for _, *terms in entries]
     return np.ascontiguousarray(np.stack(rows, axis=-2))
 
 
@@ -602,11 +595,11 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8):
     if m < 2:
         raise cv.UnsupportedDimensionError("need complex dimension m >= 2")
     n = 2 * m
-    space, g, J = curvature_space(n), np.eye(n), canonical_j(n)
+    space, J = curvature_space(n), canonical_j(n)
     _, max_weyl, derived = _products(n)
 
     # for m > 2 the frames need Z, for (3.5), (3.6) and (3.7)
     def entries(count):
-        return _identities(J, fr.admissible_frames(g, J, sampler, count, min(m, 3)), _DIRECT)
+        return _identities(J, fr.admissible_frames(sampler, count, min(m, 3)), _DIRECT)
     return {"m": m, **_certificate(space, _constraint_rows(space, entries, _THEOREM_BATCH),
                                    tolerance, ("derived_residuals", dict(derived, weyl=max_weyl)))}

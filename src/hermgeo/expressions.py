@@ -77,20 +77,14 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
 class Expr:
-    """Base class of expression nodes.  The hash is structural, so equal trees
-    hash alike whether or not they share nodes.  Each node takes its hash at
-    construction from its children's, so hashing costs O(1) per node and no
-    stack; each class spells its ``__post_init__`` out, since a loop over the
-    fields doubled what hashing adds to parsing.  ``==``, ``repr`` and ``str``
+    """Base class of expression nodes.  Nodes are unhashable: the intern
+    tables key them by id.  ``==``, ``repr`` and ``str`` are structural and
     run one loop, so depth costs no stack."""
-
-    def __hash__(self):
-        return self._hash
 
     def __eq__(self, other):
         """Structural equality, one loop over node pairs: a node shared by both
         trees and a pair met before are skipped, so a DAG is not walked path
-        by path, and the first pair whose hashes or fields differ decides."""
+        by path, and the first pair whose types or fields differ decides."""
         if not isinstance(other, Expr):
             return NotImplemented
         pairs, seen = [(self, other)], set()
@@ -99,7 +93,7 @@ class Expr:
             if a is b or (id(a), id(b)) in seen:
                 continue
             seen.add((id(a), id(b)))
-            if type(a) is not type(b) or a._hash != b._hash:
+            if type(a) is not type(b):
                 return False
             for field in dataclasses.fields(a):
                 x, y = getattr(a, field.name), getattr(b, field.name)
@@ -117,7 +111,7 @@ class Expr:
 
 
 def _node(cls):
-    """``cls`` as a frozen dataclass with Expr's hash, equality and repr."""
+    """``cls`` as a frozen dataclass with Expr's equality and repr."""
     return dataclasses.dataclass(frozen=True, eq=False, repr=False)(cls)
 
 
@@ -125,24 +119,15 @@ def _node(cls):
 class Const(Expr):
     value: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("Const", self.value)))
-
 
 @_node
 class Sym(Expr):
     name: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("Sym", self.name)))
-
 
 @_node
 class Neg(Expr):
     arg: Expr
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("Neg", self.arg._hash)))
 
 
 @_node
@@ -150,19 +135,12 @@ class Call(Expr):
     fn: str
     arg: Expr
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("Call", self.fn, self.arg._hash)))
-
 
 @_node
 class BinOp(Expr):
     op: str  # one of + - * / ^
     left: Expr
     right: Expr
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("BinOp", self.op, self.left._hash,
-                                                 self.right._hash)))
 
 
 # ---------------------------------------------------------------------------
@@ -645,13 +623,12 @@ def _product(value, a, b, n):
 
 
 def first_bad_point(step, points):
-    """``step(points)`` on one point (n,) or a stack (P, n).  If a stack fails,
-    ``step`` runs on each point alone, in order, so the first bad point names
-    the error."""
+    """``step(points)`` on a stack (P, n).  If it fails, ``step`` runs on each
+    point alone, in order, so the first bad point names the error."""
     try:
         return step(points)
     except (DomainError, ValueError):
-        for x in points if np.ndim(points) > 1 else ():
+        for x in points:
             step(x)
         raise
 

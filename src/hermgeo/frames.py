@@ -44,17 +44,17 @@ def gram_schmidt(vectors, g, drop_dependent=False):
     g = np.asarray(g, dtype=float)
     vecs = np.array(vectors, dtype=float).reshape(-1, len(g))
     lead = np.max(_norms(g, vecs), initial=0.0)
-    rows = np.empty((1, 0, len(g)))
-    for v in vecs[:, None]:
-        for _ in range(2 if rows.shape[1] else 0):
-            v = v - np.einsum("smn,sm->sn", rows, np.einsum("...mn,...nk,...k->...m", rows, g, v))
+    rows = np.empty((0, len(g)))
+    for v in vecs:
+        for _ in range(2 if len(rows) else 0):
+            v = v - (rows @ (g @ v)) @ rows
         nrm = _norms(g, v)
-        if nrm[0] > _PIVOT * lead:
-            rows = np.concatenate([rows, (v / nrm[:, None])[:, None]], axis=1)
+        if nrm > _PIVOT * lead:
+            rows = np.vstack([rows, v / nrm])
         elif not drop_dependent:
             raise RankDeficiencyError(
-                f"vector set is rank deficient (pivot {nrm[0]:.3e} vs lead {lead:.3e})")
-    return rows[0]
+                f"vector set is rank deficient (pivot {nrm:.3e} vs lead {lead:.3e})")
+    return rows
 
 
 def sample_orthonormal_set(g, k, sampler, constraints=None):
@@ -64,21 +64,21 @@ def sample_orthonormal_set(g, k, sampler, constraints=None):
     return gram_schmidt([*rows, *sampler.draw(k)], g)[len(rows):]
 
 
-def admissible_frames(g, J, sampler, count, size=2):
-    """(X, Y[, Z[, U]]) of ``count`` frames of ``size`` 2 to n/2, shape
-    (size, count, n): g-unit vectors, each g-orthogonal to the earlier ones
-    and their J-images.  Y is drawn first, then X, Z, U.  No frame, no draw.
+def admissible_frames(sampler, count, size=2):
+    """(X, Y[, Z[, U]]) of ``count`` frames of ``size`` 2 to n/2 for g = I and
+    J0 = ``canonical_j(n)``, shape (size, count, n): unit vectors, each
+    orthogonal to the earlier ones and their J0-images.  Y is drawn first,
+    then X, Z, U.  No frame, no draw.
 
-    For g = I and J0 = ``canonical_j(n)`` they are every other vector of
-    Gram-Schmidt over Y, J0 Y, X, J0 X, ...: the Q of one real QR of each
-    frame's draws and their J0-images (Householder, so Gram-Schmidt's
-    vectors up to sign).  The adapted frame of (g, J) carries them to any
-    compatible pair; for (I, J0) it is I."""
-    raw = sampler.draw(count * size).reshape(count, size, len(g))
+    They are every other vector of Gram-Schmidt over Y, J0 Y, X, J0 X, ...:
+    the Q of one real QR of each frame's draws and their J0-images
+    (Householder, so Gram-Schmidt's vectors up to sign).  The adapted frame
+    of a compatible pair (g, J) carries them to that pair."""
+    raw = sampler.draw(count * size).reshape(count, size, sampler.dimension)
     J0raw = np.stack([-raw[..., 1::2], raw[..., 0::2]], axis=-1).reshape(raw.shape)
-    cols = np.stack([raw, J0raw], axis=2).reshape(count, 2 * size, len(g))
+    cols = np.stack([raw, J0raw], axis=2).reshape(count, 2 * size, sampler.dimension)
     Q = np.linalg.qr(np.swapaxes(cols, -1, -2))[0]
-    Y, X, *rest = np.moveaxis(adapted_frames(g, J) @ Q[..., ::2], -1, 0)
+    Y, X, *rest = np.moveaxis(Q[..., ::2], -1, 0)
     return np.array([X, Y, *rest])
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from hermgeo import curvature as cv
 from hermgeo import expressions as ex
+from hermgeo import frames as fr
 
 
 def chart_from_strings(name, coords, entries, j_entries=None, hint=None):
@@ -86,6 +87,25 @@ def constancy_entries(J, frame):
         out += [("antiholomorphic_sectional", (X, Y, Y, X)),
                 ("constant_type", (X, Y, Y, X), (X, Y, Y @ J.T, JX))]
     return out
+
+
+def derived_entries(J, frame):
+    """The entries of the derived identities on frames (X, Y[, Z[, U]]), as
+    ``axioms._identities`` gives the direct ones: (3.4), R(X,Y,Y,JX) =
+    R(X,JY,JY,JX), and on frames of four vectors (3.8), R(X,Y,Z,U) = 0."""
+    X, Y = frame[0], frame[1]
+    JX, JY = X @ J.T, Y @ J.T
+    out = [("3.4", (X, Y, Y, JX), (X, JY, JY, JX))]
+    if len(frame) >= 4:
+        out.append(("3.8", (X, Y, frame[2], frame[3])))
+    return out
+
+
+def chart_frames(g, J, sampler, count, size=2):
+    """``count`` admissible frames (X, Y[, Z[, U]]) of a compatible pair (g, J),
+    shape (size, count, n): the canonical pair's frames carried by the
+    adapted frame of (g, J)."""
+    return fr.admissible_frames(sampler, count, size) @ fr.adapted_frames(g, J).T
 
 
 def with_headroom(frames, fn):

@@ -10,7 +10,8 @@ import time
 
 import numpy as np
 
-from conftest import conformal_rescale, random_low_degree_poly, random_polynomial_metric
+from conftest import (chart_frames, conformal_rescale, random_low_degree_poly,
+                      random_polynomial_metric)
 from hermgeo import axioms as ax
 from hermgeo import classify as cl
 from hermgeo import cli
@@ -113,7 +114,7 @@ def test_criterion_4_six_sphere():
         for _ in range(16):
             X, Y = fr.sample_orthonormal_set(pd.g, 2, sampler)
             sect_err = max(sect_err, abs(cv.sectional(pd.riemann, pd.g, X, Y) - 1.0))
-            X, Y = fr.admissible_frames(pd.g, pd.J, sampler, 1)[:, 0]
+            X, Y = chart_frames(pd.g, pd.J, sampler, 1)[:, 0]
             alpha_err = max(alpha_err,
                             abs(cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y) - 1.0))
     ok = nk <= 1e-6 and kahler > 0.1 and sect_err <= 1e-6 and alpha_err <= 1e-6

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import constancy_entries, random_polynomial_metric, unitary_frames
+from conftest import (chart_frames, constancy_entries, derived_entries, random_polynomial_metric,
+                      unitary_frames)
 from hermgeo import axioms as ax
 from hermgeo import classify as cl
 from hermgeo import curvature as cv
@@ -237,11 +238,10 @@ def test_quadruple_block_equals_two_half_blocks():
 def test_no_frame_draws_nothing():
     # _constraint_rows counts the rows per item on entries of no item
     n = 8
-    g, J = np.eye(n), ax.canonical_j(n)
     sampler, twin = fr.FrameSampler(2, n), fr.FrameSampler(2, n)
     assert ax._quadruples(sampler, 0).shape == (4, 0, n)
     for size in (2, 3, 4):
-        assert fr.admissible_frames(g, J, sampler, 0, size).shape == (size, 0, n)
+        assert fr.admissible_frames(sampler, 0, size).shape == (size, 0, n)
     assert np.array_equal(sampler.draw(3), twin.draw(3))
 
 
@@ -321,9 +321,8 @@ def test_batched_checks_match_curvature_value(m, rng):
     rep = ax.theorem_nullspace_verify(m, fr.FrameSampler(4, n))
     g, J = np.eye(n), ax.canonical_j(n)
     check_sampler = fr.FrameSampler(5, n)
-    checks = [entry for _ in range(samples) for entry in ax._identities(
-        J, fr.admissible_frames(g, J, check_sampler, 1, 2 + (m > 2) + (m >= 4))[:, 0],
-        ("3.4", "3.8"))]
+    checks = [entry for _ in range(samples) for entry in derived_entries(
+        J, fr.admissible_frames(check_sampler, 1, 2 + (m > 2) + (m >= 4))[:, 0])]
     quad_sampler = fr.FrameSampler(6, n)
     checks += [("quadruple", fr.sample_orthonormal_set(g, 4, quad_sampler))
                for _ in range(samples)]
@@ -371,8 +370,8 @@ def test_proof_identity_residuals_match_per_frame_loop(n, rng):
     sampler = fr.FrameSampler(2, n)
     worst = dict.fromkeys(out)
     for _ in range(12):
-        frame = fr.admissible_frames(g, J, sampler, 1, 2 + (n >= 6) + (n >= 8))[:, 0]
-        for name, *terms in ax._identities(J, frame):
+        frame = chart_frames(g, J, sampler, 1, 2 + (n >= 6) + (n >= 8))[:, 0]
+        for name, *terms in ax._identities(J, frame) + derived_entries(J, frame):
             values = [np.einsum("ijkl,i,j,k,l->", R4, *quad) for quad in terms]
             value = abs(values[0] - values[1]) if len(terms) == 2 else abs(values[0])
             worst[name] = max(worst[name] or 0.0, value)
@@ -408,7 +407,8 @@ def _complement(n, name, rng):
     frames (differences of consecutive frames for an invariant)."""
     space, J = ax.curvature_space(n), canonical_j(n)
     frame = unitary_frames(n, space.dim + 8, rng)
-    entries = [entry for entry in constancy_entries(J, frame) + ax._identities(J, frame)
+    entries = [entry for entry in
+               constancy_entries(J, frame) + ax._identities(J, frame) + derived_entries(J, frame)
                if entry[0] == name]
     rows = ax._identity_rows(space, entries)
     rows = (np.diff(rows, axis=0) if name in ax.CONSTANCY else rows).reshape(-1, space.dim)
@@ -443,7 +443,7 @@ def test_functional_rows_lie_in_the_closed_form_complements(n, rng):
     # piece and line that the complement holds
     space, J = ax.curvature_space(n), canonical_j(n)
     frame = unitary_frames(n, 2, rng)
-    entries = constancy_entries(J, frame) + ax._identities(J, frame)
+    entries = constancy_entries(J, frame) + ax._identities(J, frame) + derived_entries(J, frame)
     rows = ax._identity_rows(space, entries)
     reached = {}
     for k, (name, *_) in enumerate(entries):

@@ -1,10 +1,8 @@
-import functools
-
 import numpy as np
 import pytest
 
-from conftest import (chart_from_strings, constancy_entries, flat_chart,
-                      random_polynomial_metric, unitary_frames)
+from conftest import (chart_frames, chart_from_strings, constancy_entries, derived_entries,
+                      flat_chart, random_polynomial_metric, unitary_frames)
 from hermgeo import axioms as ax
 from hermgeo import classify as cl
 from hermgeo import curvature as cv
@@ -215,15 +213,15 @@ def _sampled_deviations(R4, g, J, means, count=10_000, seed=3):
     |H(X) - mean|, |K(X, Y) - mean|, |lambda(X, Y) - mean| through the
     curvature oracles, and |identity| for each identity entry."""
     n = len(g)
-    frame = fr.admissible_frames(g, J, fr.FrameSampler(seed, n), count, min(n // 2, 4))
+    frame = chart_frames(g, J, fr.FrameSampler(seed, n), count, min(n // 2, 4))
     X, Y = frame[0], frame[1]
     out = {"holomorphic_sectional": cv.holomorphic_sectional(R4, g, J, X),
            "antiholomorphic_sectional": cv.sectional(R4, g, X, Y),
            "constant_type": cv.lambda_type(R4, g, J, X, Y)}
     out = {name: float(np.max(np.abs(v - means[name]))) for name, v in out.items()}
-    entries = ax._identities(J, frame)
-    for (name, *_), value in zip(entries, ax._per_entry(
-            functools.partial(cv.curvature_values, R4), entries)):
+    for name, *terms in ax._identities(J, frame) + derived_entries(J, frame):
+        values = [cv.curvature_values(R4, *quad) for quad in terms]
+        value = values[0] - values[1] if len(terms) == 2 else values[0]
         out[name] = max(out.get(name, 0.0), float(np.max(np.abs(value))))
     return out
 

@@ -397,6 +397,16 @@ def test_verify_theorem_failed_certificate_exits_5(capsys):
     assert err == "error: certificate failed: theorem, schouten\n"
 
 
+@pytest.mark.parametrize("m", ["2", "3", "4"])
+def test_verify_theorem_builds_no_adapted_frame(capsys, monkeypatch, m):
+    # the certificates' frames are the canonical pair's, taken from their QR
+    def refuse(g, J):
+        raise RuntimeError("adapted frame built")
+    monkeypatch.setattr(fr, "adapted_frames", refuse)
+    code, _, _ = run_cli(capsys, "verify-theorem", "--m", m)
+    assert code == 0
+
+
 def test_verify_theorem_bad_m(capsys):
     code, _, err = run_cli(capsys, "verify-theorem", "--m", "9")
     assert code == 2

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (chart_from_strings, conformal_rescale, flat_chart,
+from conftest import (chart_frames, chart_from_strings, conformal_rescale, flat_chart,
                       random_low_degree_poly, random_polynomial_metric,
                       two_sphere_polar)
 from hermgeo import curvature as cv
@@ -174,7 +174,7 @@ def test_lambda_type_s6(rng):
     pd = cv.point_data(chart, point)
     sampler = fr.FrameSampler(2, 6)
     for _ in range(5):
-        X, Y = fr.admissible_frames(pd.g, pd.J, sampler, 1)[:, 0]
+        X, Y = chart_frames(pd.g, pd.J, sampler, 1)[:, 0]
         assert cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -185,7 +185,7 @@ def test_lambda_type_kahler_vanishes(rng):
     pd = cv.point_data(chart, [0.1, 0.2, -0.05, 0.12])
     sampler = fr.FrameSampler(4, 4)
     for _ in range(5):
-        X, Y = fr.admissible_frames(pd.g, pd.J, sampler, 1)[:, 0]
+        X, Y = chart_frames(pd.g, pd.J, sampler, 1)[:, 0]
         assert cv.lambda_type(pd.riemann, pd.g, pd.J, X, Y) == pytest.approx(0.0, abs=1e-9)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import chart_frames
 from hermgeo import classify as cl
 from hermgeo import frames as fr
 from hermgeo import models
@@ -139,8 +140,8 @@ def test_stacked_frames_equal_sequential_frames(size, rng):
     Ainv = np.linalg.inv(A)
     J, g = A @ canonical_j(n) @ Ainv, Ainv.T @ Ainv  # a compatible pair
     sampler, twin = fr.FrameSampler(5, n), fr.FrameSampler(5, n)
-    stacked = fr.admissible_frames(g, J, sampler, count, size)
-    single = np.stack([fr.admissible_frames(g, J, twin, 1, size)[:, 0]
+    stacked = chart_frames(g, J, sampler, count, size)
+    single = np.stack([chart_frames(g, J, twin, 1, size)[:, 0]
                        for _ in range(count)], axis=1)
     assert stacked.shape == single.shape == (size, count, n)
     assert np.max(np.abs(stacked - single)) <= 1e-15
@@ -149,10 +150,9 @@ def test_stacked_frames_equal_sequential_frames(size, rng):
 
 def test_admissible_block_equals_two_half_blocks():
     n = 6
-    g, J = np.eye(n), canonical_j(n)
     sampler, twin = fr.FrameSampler(4, n), fr.FrameSampler(4, n)
-    block = fr.admissible_frames(g, J, sampler, 12, size=3)
-    halves = np.concatenate([fr.admissible_frames(g, J, twin, 6, size=3)
+    block = fr.admissible_frames(sampler, 12, size=3)
+    halves = np.concatenate([fr.admissible_frames(twin, 6, size=3)
                              for _ in range(2)], axis=1)
     assert block.shape == (3, 12, n)
     assert np.array_equal(block, halves)
@@ -171,7 +171,7 @@ def test_admissible_frames_are_unitary_in_g(n, rng):
     # [X, JX, Y, JY, ...] is g-orthonormal for every size up to min(m, 4)
     for size in range(2, min(n // 2, 4) + 1):
         g, J = _compatible_pair(rng, n)
-        frames = fr.admissible_frames(g, J, fr.FrameSampler(size, n), 5, size)
+        frames = chart_frames(g, J, fr.FrameSampler(size, n), 5, size)
         for frame in np.moveaxis(frames, 1, 0):
             E = np.stack([w for v in frame for w in (v, J @ v)], axis=1)
             assert np.max(np.abs(E.T @ g @ E - np.eye(2 * size))) <= 1e-12, size
@@ -184,7 +184,7 @@ def test_admissible_frames_are_gram_schmidt_up_to_sign(n):
     J = canonical_j(n)
     for size in range(2, min(n // 2, 4) + 1):
         sampler, twin = fr.FrameSampler(7, n), fr.FrameSampler(7, n)
-        frames = fr.admissible_frames(np.eye(n), J, sampler, 5, size)
+        frames = fr.admissible_frames(sampler, 5, size)
         for frame in np.moveaxis(frames, 1, 0):
             ref = fr.gram_schmidt([w for v in twin.draw(size) for w in (v, J @ v)], np.eye(n))
             Y, X, *rest = ref[::2]
