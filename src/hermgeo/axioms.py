@@ -176,12 +176,12 @@ _IDENTITY_NAMES = ["3.1", "3.2", "3.3", "3.4", "3.5", "3.6", "3.7", "3.8"]
 _DIRECT = ("3.1", "3.2", "3.3", "3.5", "3.6", "3.7")
 
 
-def _identities(J, frame, names=_IDENTITY_NAMES):
-    """(name, quadruple[, quadruple]) of each identity in ``names`` that the
-    sphere axiom yields directly and that applies to an admissible frame (X,
-    Y[, Z]), or to stacks of them: R vanishes on the quadruple, or agrees on
-    the two quadruples.  (3.5) has two entries; the derived (3.4) and (3.8)
-    have none."""
+def _identities(J, frame):
+    """(name, quadruple[, quadruple]) of each identity in ``_DIRECT``, the
+    ones the sphere axiom yields directly, that applies to an admissible
+    frame (X, Y[, Z]), or to stacks of them: R vanishes on the quadruple, or
+    agrees on the two quadruples.  (3.5) has two entries; the derived (3.4)
+    and (3.8) have none."""
     X, Y = frame[0], frame[1]
     JX, JY = X @ J.T, Y @ J.T
     out = [("3.1", (X, JX, JY, Y)),
@@ -193,7 +193,7 @@ def _identities(J, frame, names=_IDENTITY_NAMES):
                 ("3.5", (X, Y, JY, Z)),
                 ("3.6", (X, JX, JX, Z), (X, Y, Y, Z)),
                 ("3.7", (X, Y, Y, JX), (X, Z, Z, JX))]
-    return [entry for entry in out if entry[0] in names]
+    return [entry for entry in out if entry[0] in _DIRECT]
 
 
 def _identity_rows(space, entries):
@@ -600,6 +600,6 @@ def theorem_nullspace_verify(m, sampler, tolerance=1e-8):
 
     # for m > 2 the frames need Z, for (3.5), (3.6) and (3.7)
     def entries(count):
-        return _identities(J, fr.admissible_frames(sampler, count, min(m, 3)), _DIRECT)
+        return _identities(J, fr.admissible_frames(sampler, count, min(m, 3)))
     return {"m": m, **_certificate(space, _constraint_rows(space, entries, _THEOREM_BATCH),
                                    tolerance, ("derived_residuals", dict(derived, weyl=max_weyl)))}

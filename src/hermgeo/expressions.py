@@ -17,8 +17,8 @@ Expressions are immutable DAGs: the constructors below and the parser's
 leaves hash-cons their nodes (Filliatre & Conchon, Type-safe modular
 hash-consing, 2006), so equal subtrees built while the first is alive are
 one object, and ``jets`` evaluates each distinct subtree once per call.
-Only constant folding is performed, and only to finite values; no canonical
-simplification.
+Only constant folding is performed, to any value but NaN (an infinite
+constant prints as 1e400); no canonical simplification.
 
 ``jets`` gives the values, gradients and Hessians of expressions at a stack
 of points, and at order 3 their third derivatives, one numpy operation per
@@ -184,16 +184,17 @@ def neg(a):
     return _interned(("neg", id(a)), Neg, a)
 
 
-def _fold(op, a, b):
-    """The literal ``a op b``; None unless both operands are literals and the
-    result is finite, so a fold never yields a constant that cannot be printed."""
-    if not (isinstance(a, Const) and isinstance(b, Const)):
+def _fold(op, a, b=None):
+    """The literal ``a op b``, or ``op(a)`` for a function ``op`` when ``b`` is
+    None; None unless the operands are literals and the result is a number
+    (inf prints as 1e400), so an error or NaN fails where it is evaluated."""
+    if not (isinstance(a, Const) and (b is None or isinstance(b, Const))):
         return None
     try:
-        value = _apply_binop(op, a.value, b.value)
+        value = _apply_call(op, a.value) if b is None else _apply_binop(op, a.value, b.value)
     except ExprError:
         return None
-    return const(value) if math.isfinite(value) else None
+    return None if math.isnan(value) else const(value)
 
 
 def add(a, b):
@@ -252,11 +253,8 @@ def pow_(a, b):
 
 
 def call(fn, a):
-    if isinstance(a, Const):
-        try:
-            return const(_apply_call(fn, a.value))
-        except ExprError:
-            pass
+    if (folded := _fold(fn, a)) is not None:
+        return folded
     return _interned((fn, id(a)), Call, fn, a)
 
 
@@ -651,9 +649,10 @@ def jets(exprs, coordinates, points, order=2):
     alone, and orders 0 to 2 of an order-3 jet are the order-2 jet's bits.
     A DomainError is kept at its point and node, which then carries NaN.
     The first point with an error or a non-finite value or derivative names
-    the error, the one it meets first in post-order alone.  A subtree free
-    of symbols has the exact jet (value, 0, 0[, 0]); dividing by it scales
-    the jet, so an infinite one gives no NaN.
+    the error, the one it meets first in post-order alone.  A constant has
+    the exact jet (value, 0, 0[, 0]), and every subtree without symbols that
+    has a value is one, as the constructors fold it; dividing by a constant
+    scales the jet, so an infinite one gives no NaN.
     """
     points = np.asarray(points, dtype=float)
     n = len(coordinates)
@@ -666,27 +665,25 @@ def jets(exprs, coordinates, points, order=2):
     nodes, groups, recips = [], collections.defaultdict(list), {}
     failures = []  # (point, row, error)
 
-    def schedule(e, out):  # (row, level, free of symbols), filed under (level, kind)
+    def schedule(e, out):  # (row, level), filed under (level, kind)
         row = len(nodes)
         if isinstance(e, BinOp):
-            op, (ra, la, free), (rb, lb, flag) = e.op, out[id(e.left)], out[id(e.right)]
-            if op == "/" and not flag and rb not in recips:  # 1/b, run before its quotients
-                groups[lb + 0.5, "1/", False, False].append(row)
+            op, (ra, la), (rb, lb) = e.op, out[id(e.left)], out[id(e.right)]
+            if op in "/^" and isinstance(e.right, Const):
+                op += "c"  # the kinds "/c" and "^c"
+            elif op == "/" and rb not in recips:  # 1/b, run before its quotients
+                groups[lb + 0.5, "1/"].append(row)
                 recips[rb], row = row, row + 1
                 nodes.append((e.right, rb, None))
-            free = free and flag
-            # the variant: a free denominator, or a constant exponent
-            variant = flag if op == "/" else op == "^" and isinstance(e.right, Const)
-            key = (la if la > lb else lb) + 1, op, free, variant
+            key = (la if la > lb else lb) + 1, op
         elif isinstance(e, (Neg, Call)):
-            (ra, level, free), rb = out[id(e.arg)], None
-            key = level + 1, type(e).__name__, free, False
+            (ra, level), rb = out[id(e.arg)], None
+            key = level + 1, type(e).__name__
         else:
-            ra, rb, free = None, None, isinstance(e, Const)
-            key = 0, type(e).__name__, free, False
+            ra, rb, key = None, None, (0, type(e).__name__)
         groups[key].append(row)
         nodes.append((e, ra, rb))
-        return row, key[0], free
+        return row, key[0]
 
     def take(rows):  # the jets (G, size, P) of the rows, a view for one row
         return J[rows[0]:rows[0] + 1] if len(rows) == 1 else J.take(rows, axis=0)
@@ -714,7 +711,7 @@ def jets(exprs, coordinates, points, order=2):
     scheduled = _walk(exprs, schedule)
     J = np.zeros((len(nodes), size, P))
     with np.errstate(all="ignore"):  # a non-finite result raises DomainError below
-        for (_, op, free, variant), rows in sorted(groups.items(), key=lambda g: g[0][0]):
+        for (_, op), rows in sorted(groups.items(), key=lambda g: g[0][0]):
             at = slice(rows[0], rows[0] + 1) if len(rows) == 1 else rows  # a view for one row
             left, right = [nodes[r][1] for r in rows], [nodes[r][2] for r in rows]
             a, b = left[0] is not None and take(left), right[0] is not None and take(right)
@@ -728,36 +725,27 @@ def jets(exprs, coordinates, points, order=2):
                         exc = MissingBindingError(f"no binding for {nodes[r][0].name!r}")
                         failures += [(p, r, exc) for p in range(P)]
             elif op == "Neg":
-                if free:
-                    J[at, 0] = -a[:, 0]
-                else:
-                    J[at] = -a
+                J[at] = -a
             elif op == "Call":
-                f = each(1 if free else 1 + order, lambda e, x: (_apply_call(e.fn, x), *(
-                    () if free else _factors(e.fn, x, order))), rows, a[:, 0])
-                if free:
-                    J[at, 0] = f[0]
-                else:
-                    J[at] = _chain(a, n, *f)
+                J[at] = _chain(a, n, *each(1 + order, lambda e, x: (
+                    _apply_call(e.fn, x), *_factors(e.fn, x, order)), rows, a[:, 0]))
             elif op == "1/":
                 f = each(order, lambda e, t: _factors("/", t, order), rows, a[:, 0])
                 J[at] = _chain(a, n, 1.0 / a[:, 0], *f)
             elif op in "+-":
                 J[at] = a + b if op == "+" else a - b
-            elif op == "^" and not free and variant:
+            elif op == "^c":
                 J[at] = _chain(a, n, *each(1 + order, power, rows, a[:, 0]))
             else:
-                if op == "/" and not b[:, 0].all():
+                if op[0] == "/" and not b[:, 0].all():
                     failures += [(p, rows[g], DomainError("division by zero"))
                                  for g, p in zip(*np.nonzero(b[:, 0] == 0.0))]
-                value = (a[:, 0] * b[:, 0] if op == "*" else a[:, 0] / b[:, 0] if op == "/" else
+                value = (a[:, 0] * b[:, 0] if op == "*" else a[:, 0] / b[:, 0] if op[0] == "/" else
                          each(1, lambda e, x, y: (_apply_binop("^", x, y),),
                               rows, a[:, 0], b[:, 0])[0])
-                if free:
-                    J[at, 0] = value
-                elif op == "*":
+                if op == "*":
                     J[at] = _product(value, a, b, n)
-                elif op == "/" and variant:
+                elif op == "/c":
                     J[at] = a * (1.0 / b[:, :1])  # 1/b, not the chain rule's 1/b^2
                     J[at, 0] = value
                 elif op == "/":  # times the jet of 1/b

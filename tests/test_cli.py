@@ -765,11 +765,12 @@ def test_bare_memory_error_names_itself(capsys, monkeypatch):
 
 @pytest.mark.parametrize("param", ["K=1e-320", "K=5e-324"])
 def test_models_emit_tiny_curvature_writes_a_loadable_file(tmp_path, capsys, param):
-    # 4/K overflows: the product stays unfolded, so it still prints and parses
+    # 4/K overflows: the quotient folds to inf, which prints as 1e400 and parses back
     path = tmp_path / "hyperbolic.json"
     code, out, err = run_cli(capsys, "models", "emit", "hyperbolic", "--param", param,
                              "--out", str(path))
     assert code == 0 and out == "" and err == ""
+    assert "1e400" in json.loads(path.read_text(encoding="utf-8"))["metric"][0][0]
     reportio.load_manifold_file(str(path))
 
 
@@ -887,6 +888,7 @@ def test_submanifold_builds_no_derivative_trees(tmp_path, capsys, monkeypatch):
     ("analyze", "1e400", None, "0.5,0.5,0"),
     ("analyze", "1 + 1e300*1e300*x*x", None, "0.5,0.5,0"),
     ("submanifold", "1", ["u", "v", "1e400*u"], "0.5,0.5"),
+    ("analyze", "1^(1e400 - 1e400)", None, "0.5,0.5,0"),
 ])
 def test_non_finite_values_are_one_line_domain_errors(tmp_path, capsys, command, metric,
                                                       immersion_map, point):
