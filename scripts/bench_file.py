@@ -55,11 +55,16 @@ ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
 def run_once(root, workload, seed, seconds):
     """{metric: value} of one ``perfbench/run.py --trace 0`` process of the
     checkout at ``root``; with no PYTHONPATH, it imports hermgeo from its own
-    ``src/``.  Exits if the run fails or reports an incorrect result."""
+    ``src/``.  The child reads and writes no bytecode cache (an empty
+    PYTHONPYCACHEPREFIX and PYTHONDONTWRITEBYTECODE), so every run compiles
+    what it imports and a checkout's leftover ``__pycache__`` spares neither
+    side of a pair.  Exits if the run fails or reports an incorrect result."""
     argv = [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    env = {k: v for k, v in ENV.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**{k: v for k, v in ENV.items() if k != "PYTHONPATH"},
+               "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     result = json.loads(proc.stdout.strip().splitlines()[-1]) if proc.stdout.strip() else {}
     if proc.returncode != 0 or not result.get("correct"):
         sys.exit(f"error: {root} {workload} seed {seed} failed:\n{proc.stderr}")

@@ -7,7 +7,8 @@ Pair i runs each root's own ``perfbench/run.py --workload W --seed S+i
 --trace 0`` once, for BENCHMARK.json's ``run_seconds``, one process at a
 time; the side that goes first alternates from pair to pair, so a drift in
 host speed falls on both sides alike.  Each child gets no PYTHONPATH, so
-each imports hermgeo from its own ``src/``.
+each imports hermgeo from its own ``src/``, and no bytecode cache, so each
+compiles what it imports (``bench_file.run_once``).
 For every end-to-end metric of this checkout's BENCHMARK.json the script
 prints each side's median and quartiles, the change of the medians, how many
 pairs the change won, and the verdict of the rule a claimed gain must pass:

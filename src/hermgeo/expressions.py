@@ -13,12 +13,15 @@ Identifiers are [A-Za-z_][A-Za-z0-9_]*.  Known functions: sin cos tan exp
 log sinh cosh tanh sqrt.  Known constants: pi, e.  There is no implicit
 multiplication; "2x" is a syntax error.
 
-Expressions are immutable DAGs: the constructors below and the parser's
-leaves hash-cons their nodes (Filliatre & Conchon, Type-safe modular
-hash-consing, 2006), so equal subtrees built while the first is alive are
-one object, and ``jets`` evaluates each distinct subtree once per call.
-Only constant folding is performed, to any value but NaN (an infinite
-constant prints as 1e400); no canonical simplification.
+Expressions are immutable DAGs.  Inside an ``interning`` scope the
+constructors below and the parser's leaves hash-cons their nodes (Filliatre
+& Conchon, Type-safe modular hash-consing, 2006), so equal subtrees built in
+one scope are one object, and ``jets`` evaluates each distinct subtree once
+per call.  A scope's tables are plain dicts that go when it closes: a chart's
+load is one scope, a ``parse`` outside any scope opens one for that call, and
+the constructors outside any scope build plain nodes.  Only constant folding
+is performed, to any value but NaN (an infinite constant prints as 1e400); no
+canonical simplification.
 
 ``jets`` gives the values, gradients and Hessians of expressions at a stack
 of points, and at order 3 their third derivatives, one numpy operation per
@@ -32,11 +35,11 @@ where cosh^2 overflows.
 """
 
 import collections
+import contextlib
 import dataclasses
 import functools
 import math
 import re
-import weakref
 
 import numpy as np
 
@@ -146,16 +149,33 @@ class BinOp(Expr):
 # ---------------------------------------------------------------------------
 # hash-consing and folding constructors
 
-# structure key -> the live node with that structure.  A child is keyed by its
-# id, which is enough because children built here are unique too; a live node
-# keeps its children alive, so no id in a live entry's key can be reused.
-# Weak values: an entry goes with the last tree that holds its node, so
-# nothing outlives a command's trees.  No result depends on sharing: a race
-# between threads only builds a twin node.
-_NODES = weakref.WeakValueDictionary()
+# The open scope's structure key -> the node with that structure, or None
+# outside any scope.  A child is keyed by its id, which is enough because
+# children built in the scope are unique too; the table holds every node it
+# keys, so no id in a key can be reused while the table lives.  No result
+# depends on sharing, only the cost of a walk.  The tables are per process:
+# scopes that two threads open at once stay correct, but the last to close
+# may leave the other's tables open, so build charts from one thread.
+_NODES = None
+
+
+@contextlib.contextmanager
+def interning():
+    """A scope with fresh node and text tables, in which equal nodes built by
+    the constructors and ``parse`` are one object; the tables go when it
+    closes, and an enclosing scope's tables come back."""
+    global _NODES, _TEXTS
+    outer = _NODES, _TEXTS
+    _NODES, _TEXTS = {}, {}
+    try:
+        yield
+    finally:
+        _NODES, _TEXTS = outer
 
 
 def _interned(key, cls, *fields):
+    if _NODES is None:
+        return cls(*fields)
     node = _NODES.get(key)
     if node is None:
         node = _NODES[key] = cls(*fields)
@@ -197,7 +217,13 @@ def _fold(op, a, b=None):
     return None if math.isnan(value) else const(value)
 
 
+# With no Const operand neither a fold nor a 0/1 rule applies, so add, sub
+# and mul go straight to the table, and div, pow_ and call when the operand
+# their rules test is not a Const.
+
 def add(a, b):
+    if type(a) is not Const and type(b) is not Const:
+        return _binop("+", a, b)
     if (folded := _fold("+", a, b)) is not None:
         return folded
     if isinstance(a, Const) and a.value == 0.0:
@@ -208,6 +234,8 @@ def add(a, b):
 
 
 def sub(a, b):
+    if type(a) is not Const and type(b) is not Const:
+        return _binop("-", a, b)
     if (folded := _fold("-", a, b)) is not None:
         return folded
     if isinstance(b, Const) and b.value == 0.0:
@@ -218,6 +246,8 @@ def sub(a, b):
 
 
 def mul(a, b):
+    if type(a) is not Const and type(b) is not Const:
+        return _binop("*", a, b)
     if (folded := _fold("*", a, b)) is not None:
         return folded
     if isinstance(a, Const):
@@ -234,26 +264,25 @@ def mul(a, b):
 
 
 def div(a, b):
+    if type(b) is not Const:
+        return _binop("/", a, b)
     if (folded := _fold("/", a, b)) is not None:
         return folded
-    if isinstance(b, Const) and b.value == 1.0:
-        return a
-    return _binop("/", a, b)
+    return a if b.value == 1.0 else _binop("/", a, b)
 
 
 def pow_(a, b):
+    if type(b) is not Const:
+        return _binop("^", a, b)
     if (folded := _fold("^", a, b)) is not None:
         return folded
-    if isinstance(b, Const):
-        if b.value == 1.0:
-            return a
-        if b.value == 0.0:
-            return const(1.0)
-    return _binop("^", a, b)
+    if b.value == 1.0:
+        return a
+    return const(1.0) if b.value == 0.0 else _binop("^", a, b)
 
 
 def call(fn, a):
-    if (folded := _fold(fn, a)) is not None:
+    if type(a) is Const and (folded := _fold(fn, a)) is not None:
         return folded
     return _interned((fn, id(a)), Call, fn, a)
 
@@ -269,20 +298,22 @@ _TOKEN_RE = re.compile(
 _PAREN_RE = re.compile(r"[()]")
 MAX_NESTING = 100
 
-# (text, names) -> the live node that text parsed to, for every whole string
-# and every parenthesized group parsed.  A group's node depends only on its
-# text and the names, so a later string holding the same group (a conformal
-# factor written into every metric entry) takes the node without reading the
-# group again.  Weak values, as in _NODES: an entry lives while a tree holds
-# its node.
-_TEXTS = weakref.WeakValueDictionary()
+# The open scope's (text, names) -> the node that text parsed to, for every
+# whole string and every parenthesized group parsed in it, or None outside
+# any scope.  A group's node depends only on its text and the names, so a
+# later string holding the same group (a conformal factor written into every
+# metric entry) takes the node without reading the group again.
+_TEXTS = None
 
 
 def parse(text, symbols):
     """Parse ``text`` into an Expr over the given coordinate names.  A bad
     character is reported before any syntax error, and a text whose
     parentheses nest more than MAX_NESTING deep is rejected at the first one
-    past that depth."""
+    past that depth.  Outside any scope it opens one for this call alone."""
+    if _TEXTS is None:
+        with interning():
+            return parse(text, symbols)
     names = tuple(symbols)
     if (node := _TEXTS.get((text, names))) is not None:  # only distinct names get in
         return node

@@ -58,13 +58,14 @@ class Immersion:
         return self._pullback
 
     @functools.cached_property
-    def _pullback(self):
+    def _pullback(self):  # one scope, as a load: equal subtrees of all entries are one node
         mapping = dict(zip(self.target.coordinates, self.map_exprs))
-        gsub = [[ex.substitute(e, mapping) for e in row] for row in self.target.metric]
-        jac, N = ex.gradients(self.map_exprs, self.coordinates), len(self.map_exprs)
-        G = [[functools.reduce(ex.add, (ex.mul(ex.mul(jac[p][a], jac[q][b]), gsub[p][q])
-                                        for p in range(N) for q in range(N)), ex.const(0.0))
-              for b in range(self.k)] for a in range(self.k)]
+        with ex.interning():
+            gsub = [[ex.substitute(e, mapping) for e in row] for row in self.target.metric]
+            jac, N = ex.gradients(self.map_exprs, self.coordinates), len(self.map_exprs)
+            G = [[functools.reduce(ex.add, (ex.mul(ex.mul(jac[p][a], jac[q][b]), gsub[p][q])
+                                            for p in range(N) for q in range(N)), ex.const(0.0))
+                  for b in range(self.k)] for a in range(self.k)]
         return cv.ManifoldChart(name=f"{self.target.name}_pullback",
                                 coordinates=list(self.coordinates), metric=G)
 

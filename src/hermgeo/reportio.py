@@ -64,10 +64,15 @@ def _block(data, key, fields):
 
 def load_manifold(data):
     """Build (chart, immersion-or-None) from a parsed manifold file dict; nothing
-    is evaluated.  The parser reads each distinct string and parenthesized
-    group once while its tree is alive and interns its nodes, so a subtree
-    repeated across entries (a shared denominator) is one node and gets one
-    jet per point."""
+    is evaluated.  The whole build is one interning scope: the parser reads
+    each distinct string and parenthesized group once and interns its nodes,
+    so a subtree repeated across entries (a shared denominator) is one node
+    and gets one jet per point.  The scope's tables go when this returns."""
+    with ex.interning():
+        return _load_manifold(data)
+
+
+def _load_manifold(data):
     _require(isinstance(data, dict), "manifold file must be a JSON object")
     for key in ("name", "dim", "coordinates", "metric"):
         _require(key in data, f"missing field {key!r}")

@@ -1,11 +1,14 @@
 """The pair script's schedule and verdicts, with a stubbed benchmark runner."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))
+import bench_file  # noqa: E402
 import bench_pairs  # noqa: E402
 
 
@@ -64,3 +67,23 @@ def test_main_prints_one_verdict_per_reported_metric(capsys):
     assert rows["cmd_s.p50"][-3:] == ["-9.1%", "10/10", "gain"]
     assert rows["ops_ok_frac"][-3:] == ["+0.0%", "0/10", "level"]
     assert len(calls) == 20
+
+
+def test_each_run_compiles_its_imports_from_an_empty_cache(monkeypatch):
+    # a checkout's leftover __pycache__ must not spare one side the compile
+    seen = []
+
+    def fake_run(argv, env, **kwargs):
+        cache = env["PYTHONPYCACHEPREFIX"]
+        seen.append((argv, env, os.listdir(cache)))
+        line = json.dumps({"correct": True, "metrics": {"items_per_s": {"value": 2.0}}})
+        return subprocess.CompletedProcess(argv, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_file.subprocess, "run", fake_run)
+    assert bench_file.run_once("P", "chart-cp3", 801, 20) == {"items_per_s": 2.0}
+    assert bench_file.run_once("P", "chart-cp3", 802, 20) == {"items_per_s": 2.0}
+    (argv, env, listed), (_, other, _) = seen
+    assert argv[1] == os.path.join("P", "perfbench", "run.py")
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1" and "PYTHONPATH" not in env
+    assert listed == [] and not os.path.exists(env["PYTHONPYCACHEPREFIX"])
+    assert env["PYTHONPYCACHEPREFIX"] != other["PYTHONPYCACHEPREFIX"]

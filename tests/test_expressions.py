@@ -1,10 +1,8 @@
-import gc
 import importlib
 import math
 import os
 import time
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -70,7 +68,8 @@ def test_parse_errors_name_the_failing_position(text, message, position):
 
 def _outcome(text, coords, table):
     """The tree ``text`` parses to with ``table`` as the text table, or the
-    error it raises."""
+    error it raises; its nodes are interned in the open scope's node table,
+    and outside any scope not at all."""
     saved, ex._TEXTS = ex._TEXTS, table
     try:
         return ex.parse(text, coords)
@@ -81,9 +80,8 @@ def _outcome(text, coords, table):
 
 
 def _warm_table(*texts, coords=("x", "y")):
-    """A text table holding every group of ``texts``, and the trees that keep
-    its entries alive."""
-    table = weakref.WeakValueDictionary()
+    """A text table holding every group of ``texts``, and their trees."""
+    table = {}
     return table, [_outcome(t, coords, table) for t in texts]
 
 
@@ -93,12 +91,12 @@ def test_known_groups_keep_every_parse_error(text, message, position):
     # where, must not depend on whether its groups are known
     table, held = _warm_table("(x + 1)")
     prefix = "(x + 1)*"
-    cold = _outcome(prefix + text, ["x", "y"], weakref.WeakValueDictionary())
+    cold = _outcome(prefix + text, ["x", "y"], {})
     assert cold == (f"{message} (at position {position + len(prefix)})", position + len(prefix))
     assert _outcome(prefix + text, ["x", "y"], table) == cold
     inside = text.replace("x", "(x + 1)")
     assert _outcome(inside, ["x", "y"], table) == \
-        _outcome(inside, ["x", "y"], weakref.WeakValueDictionary())
+        _outcome(inside, ["x", "y"], {})
 
 
 def test_known_group_is_neither_served_unclosed_nor_past_an_unknown_function():
@@ -165,7 +163,7 @@ def test_nesting_limit_depends_on_the_text_alone():
                            ("x + sin(" + deepest + ")", 7 + ex.MAX_NESTING),
                            ("sin(" * 300 + "x" + ")" * 300, 4 * ex.MAX_NESTING + 3)]:
         want = (f"expression nested too deeply (at position {position})", position)
-        assert _outcome(text, ["x"], weakref.WeakValueDictionary()) == want
+        assert _outcome(text, ["x"], {}) == want
         assert _outcome(text, ["x"], table) == want
     # a bad character is still reported first
     assert _outcome("(" * 200 + "x @" + ")" * 200, ["x"], table) == \
@@ -179,7 +177,7 @@ def test_parse_stack_use_is_bounded_by_the_text():
     for text, down, steps in [("sin(" * n + "x" + ")" * n, "arg", n),
                               ("^".join(["x"] * 5000), "right", 4999),
                               (" + ".join(["x"] * 5000), "left", 4999)]:
-        node = with_headroom(600, lambda: _outcome(text, ["x"], weakref.WeakValueDictionary()))
+        node = with_headroom(600, lambda: _outcome(text, ["x"], {}))
         for _ in range(steps):
             node = getattr(node, down)
         assert node == ex.symbol("x")
@@ -188,12 +186,13 @@ def test_parse_stack_use_is_bounded_by_the_text():
 @pytest.mark.parametrize("text", ["1e308*10", "1e308+1e308", "4/1e-320", "log(1e400)",
                                   "(1e308*10)-(1e308*10)"])
 def test_folding_keeps_only_nan_unfolded(text):
-    e = ex.parse(text, [])
-    if math.isnan(ex.evaluate(e, {})):
-        assert isinstance(e, ex.BinOp)
-    else:  # a call and a binary operation fold to the same constant
-        assert e is ex.const(math.inf)
-    assert ex.parse(ex.to_string(e), []) == e
+    with ex.interning():
+        e = ex.parse(text, [])
+        if math.isnan(ex.evaluate(e, {})):
+            assert isinstance(e, ex.BinOp)
+        else:  # a call and a binary operation fold to the same constant
+            assert e is ex.const(math.inf)
+        assert ex.parse(ex.to_string(e), []) == e
 
 
 @pytest.mark.parametrize("text", ["1e400", "-1e400", "x*1e400", "tanh(1e400 + 7)",
@@ -321,15 +320,16 @@ def test_repr_takes_no_stack_and_ignores_sharing():
 
 
 def test_printing_a_long_sum_takes_memory_in_its_length():
-    long_sum = _long_sum()
-    tracemalloc.start()
-    try:
-        text = ex.to_string(long_sum)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert text.startswith("x + 2*x + 3*x") and text.endswith(" + 5000*x")
-    assert ex.parse(text, ["x"]) is long_sum
+    with ex.interning():
+        long_sum = _long_sum()
+        tracemalloc.start()
+        try:
+            text = ex.to_string(long_sum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.startswith("x + 2*x + 3*x") and text.endswith(" + 5000*x")
+        assert ex.parse(text, ["x"]) is long_sum
     assert peak < 4e6  # a table of every prefix's text held about 100 MB
 
 
@@ -619,17 +619,19 @@ def test_shared_subtrees_give_the_jets_of_unshared_trees_bit_for_bit():
     # operations, and the first DomainError is raised with the same message
     coords = ["x", "y"]
     shared = raised = 0
-    for e, point in _generated_cases():
-        copy = _unshared(e)
-        assert copy == e
-        shared += len({id(n) for n in _nodes(e)}) < len(list(_nodes(e)))
-        want, got = _jets_or_error(copy, coords, point), _jets_or_error(e, coords, point)
-        if isinstance(want[0], type):
-            assert got == want, str(e)
-            raised += 1
-            continue
-        for w, g in zip(want, got):
-            assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w)), str(e)
+    with ex.interning():
+        for e, point in _generated_cases():
+            copy = _unshared(e)
+            assert copy == e
+            shared += len({id(n) for n in _nodes(e)}) < len(list(_nodes(e)))
+            want, got = _jets_or_error(copy, coords, point), _jets_or_error(e, coords, point)
+            if isinstance(want[0], type):
+                assert got == want, str(e)
+                raised += 1
+                continue
+            for w, g in zip(want, got):
+                assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w)), \
+                    str(e)
     assert shared >= 600 and raised >= 500
 
 
@@ -656,46 +658,60 @@ def test_chart_entries_reach_one_denominator_object(tmp_path, monkeypatch):
 
 
 def test_interned_zeros_keep_their_sign():
-    zero, negative_zero = ex.parse("0.0", []), ex.parse("-0.0", [])
-    assert zero is not negative_zero
-    assert math.copysign(1.0, zero.value) == 1.0
-    assert math.copysign(1.0, negative_zero.value) == -1.0
-    assert ex.parse("0", []) is zero and ex.neg(zero) is negative_zero
+    with ex.interning():
+        zero, negative_zero = ex.parse("0.0", []), ex.parse("-0.0", [])
+        assert zero is not negative_zero
+        assert math.copysign(1.0, zero.value) == 1.0
+        assert math.copysign(1.0, negative_zero.value) == -1.0
+        assert ex.parse("0", []) is zero and ex.neg(zero) is negative_zero
 
 
 def test_intern_table_holds_no_tree_across_commands(tmp_path, monkeypatch, capsys):
-    # the node and text tables are weak: a command's trees leave them when the
-    # command is done, so a long-lived library user neither grows them nor
-    # shares trees between commands
+    # a chart's load interns its trees in tables of its own, which go when it
+    # returns: a long-lived library user neither grows a table nor shares
+    # trees between commands or loads
     cp3 = _cp3_file(tmp_path, monkeypatch)
-    sizes = []
-    for _ in range(20):
-        assert cli.main(["analyze", cp3, "--seed", "0"]) == 0
-        gc.collect()
-        sizes.append((len(ex._NODES), len(ex._TEXTS)))
+    assert cli.main(["analyze", cp3, "--seed", "0"]) == 0
     capsys.readouterr()
-    assert sizes[-1] == sizes[0]
-    chart = reportio.load_manifold_file(cp3)
-    assert len(ex._NODES) > sizes[0][0] and len(ex._TEXTS) > sizes[0][1]
-    del chart
-    gc.collect()
-    assert (len(ex._NODES), len(ex._TEXTS)) == sizes[0]
+    assert ex._NODES is None and ex._TEXTS is None
+    first, _ = reportio.load_manifold_file(cp3)
+    assert ex._NODES is None and ex._TEXTS is None
+    second, _ = reportio.load_manifold_file(cp3)
+    assert first.metric == second.metric and first.metric[0][0] is not second.metric[0][0]
+    # within one load, all 36 entries reach one denominator object
+    assert len({id(e.right.left) for row in first.metric for e in row}) == 1
+    with pytest.raises(reportio.ManifoldFileError):
+        reportio.load_manifold({"name": "bad", "dim": 1, "coordinates": ["x"],
+                                "metric": [["x +"]]})
+    assert ex._NODES is None and ex._TEXTS is None
+    # a nested scope has tables of its own and gives the outer ones back
+    with ex.interning():
+        outer = ex._NODES, ex._TEXTS
+        tree = ex.parse("sin(x) + 1", ["x"])
+        with ex.interning():
+            assert ex._NODES is not outer[0] and ex._TEXTS is not outer[1]
+            assert ex.parse("sin(x) + 1", ["x"]) is not tree
+        assert ex._NODES is outer[0] and ex._TEXTS is outer[1]
+        assert ex.parse("sin(x) + 1", ["x"]) is tree
+        assert ex.add(ex.call("sin", ex.symbol("x")), ex.const(1.0)) is tree
+    assert ex._NODES is None and ex._TEXTS is None
+    # outside any scope the constructors intern nothing
+    assert ex.symbol("x") is not ex.symbol("x")
 
 
 def test_warm_text_table_gives_the_trees_of_an_empty_one():
     # every generated tree printed and parsed again, once from an empty table
     # and once from a table holding the groups of all trees before it
     coords = ["x", "y"]
-    warm, held = weakref.WeakValueDictionary(), []
-    served = 0
-    for e, _ in _generated_cases():
-        text = ex.to_string(e)
-        cold = _outcome(text, coords, weakref.WeakValueDictionary())
-        warm.pop((text, tuple(coords)), None)
-        served += any(key[0] != text and key[0] in text for key in list(warm.keys()))
-        got = _outcome(text, coords, warm)
-        assert got is cold and cold == e, text
-        held.append(got)
+    warm, served = {}, 0
+    with ex.interning():
+        for e, _ in _generated_cases():
+            text = ex.to_string(e)
+            cold = _outcome(text, coords, {})
+            warm.pop((text, tuple(coords)), None)
+            served += any(key[0] != text and key[0] in text for key in warm)
+            got = _outcome(text, coords, warm)
+            assert got is cold and cold == e, text
     assert served >= 500
 
 
